@@ -43,7 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--q-samples", default=None, help="comma-separated rationals, e.g. 1/2,1,2,5"
     )
-    verify.add_argument("--jobs", type=int, default=1, help="worker pool size")
     verify.add_argument(
         "--cap-override",
         type=int,
@@ -94,16 +93,7 @@ def _cmd_verify(args) -> int:
         except (ValueError, ZeroDivisionError):
             print(f"error: bad q sample list {args.q_samples!r}", file=sys.stderr)
             return USAGE_EXIT
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return USAGE_EXIT
-    report = run_suite(
-        args.suite,
-        max_n=args.max_n,
-        q_samples=q_samples,
-        jobs=args.jobs,
-        cap=args.cap_override,
-    )
+    report = run_suite(args.suite, max_n=args.max_n, q_samples=q_samples, cap=args.cap_override)
     print(report.dumps())
     counts = report.counts
     print(
@@ -117,7 +107,7 @@ def _cmd_report(args) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             report = VerificationReport.loads(handle.read())
-    except (OSError, ValueError, KeyError, UsageError) as exc:
+    except (OSError, ValueError, UsageError) as exc:
         print(f"error: cannot read report: {exc}", file=sys.stderr)
         return USAGE_EXIT
     if args.format == "json":

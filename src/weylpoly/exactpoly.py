@@ -1,6 +1,6 @@
 """Exact univariate polynomial arithmetic over big rationals.
 
-Three dense, immutable carrier types:
+Three dense, immutable carrier types share one base class:
 
 * ``QPoly``  -- polynomial in q with arbitrary-precision integer coefficients.
 * ``XPoly``  -- polynomial in x with ``fractions.Fraction`` coefficients.
@@ -19,6 +19,7 @@ round-trips are bit-exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -30,26 +31,37 @@ NEG_INF = float("-inf")
 Rational = Fraction
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
-
-
 # ---------------------------------------------------------------------------
-# QPoly: integer polynomials in q
+# Dense polynomials over a coefficient ring
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class QPoly:
-    """Dense integer polynomial in q, ascending coefficients."""
+class _DensePoly:
+    """Dense polynomial, ascending coefficients, generic over the ring.
 
-    coeffs: tuple[int, ...] = ()
+    Subclasses set four class constants, left unannotated so they are not
+    dataclass fields: ``_coerce`` converts one coefficient, ``_scalars``
+    lists the types accepted as constants, ``_zero`` is the coefficient
+    zero, and ``_quot`` is the exact quotient of two leading coefficients
+    (raising DivisibilityError when there is none).
+    """
+
+    coeffs: tuple = ()
 
     def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
-        while c and c[-1] == 0:
+        c = tuple(map(self._coerce, self.coeffs))
+        while c and not c[-1]:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    def _lift(self, v):
+        """v as a polynomial of this kind, or NotImplemented."""
+        if isinstance(v, type(self)):
+            return v
+        if isinstance(v, self._scalars):
+            return type(self)((v,))
+        return NotImplemented
 
     @property
     def degree(self) -> Union[int, float]:
@@ -61,51 +73,60 @@ class QPoly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+    def coeff(self, k: int):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self._zero
+
+    @property
+    def leading(self):
+        if not self.coeffs:
+            raise UsageError("the zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
 
     def __add__(self, other):
-        other = _as_qpoly(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return QPoly(tuple(a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=self._zero)
+        return type(self)(tuple(a + b for a, b in pairs))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_qpoly(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=self._zero)
+        return type(self)(tuple(a - b for a, b in pairs))
 
     def __rsub__(self, other):
-        other = _as_qpoly(other)
+        other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
         return other - self
 
     def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
+        return type(self)(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        other = _as_qpoly(other)
-        if other is NotImplemented:
+        if isinstance(other, self._scalars):
+            return type(self)(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, type(self)):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return QPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return type(self)()
+        out = [self._zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return QPoly(tuple(out))
+        return type(self)(tuple(out))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise UsageError("negative powers of polynomials are undefined")
-        out = QPoly((1,))
+        out = type(self)((1,))
         base = self
         while n:
             if n & 1:
@@ -114,50 +135,89 @@ class QPoly:
             n >>= 1
         return out
 
-    def evaluate(self, q0) -> Fraction:
+    def shift_up(self, k: int = 1):
+        """Multiply by the variable to the k-th power."""
+        if not self.coeffs:
+            return self
+        return type(self)((self._zero,) * k + self.coeffs)
+
+    def evaluate(self, v0) -> Fraction:
         """Evaluate at a rational point by Horner's rule."""
         acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = acc * q0 + c
+            acc = acc * v0 + c
         return acc
 
-    def exact_div(self, other: "QPoly") -> "QPoly":
-        """Exact quotient in Z[q]; raises DivisibilityError otherwise."""
-        other = _as_qpoly(other)
-        if not other:
-            raise UsageError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        quo = [0] * max(len(rem) - len(other.coeffs) + 1, 0)
-        lead = other.coeffs[-1]
-        while len(rem) >= len(other.coeffs):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            t, r = divmod(rem[-1], lead)
-            if r != 0:
-                raise DivisibilityError("leading coefficient not divisible", remainder=QPoly(tuple(rem)))
-            shift = len(rem) - len(other.coeffs)
-            quo[shift] = t
-            for k in range(len(other.coeffs)):
-                rem[shift + k] -= t * other.coeffs[k]
-            rem.pop()
+    def exact_div(self, other):
+        """Exact quotient in the same ring; raises DivisibilityError otherwise."""
+        divisor = self._lift(other)
+        if divisor is NotImplemented:
+            raise UsageError(f"cannot divide {type(self).__name__} by {type(other).__name__}")
+        quo, rem = _long_divide(self, divisor)
         if any(rem):
-            raise DivisibilityError("inexact polynomial division", remainder=QPoly(tuple(rem)))
-        return QPoly(tuple(quo))
+            raise DivisibilityError("inexact polynomial division", remainder=type(self)(tuple(rem)))
+        return type(self)(tuple(quo))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+def _long_divide(a: _DensePoly, b: _DensePoly) -> tuple[list, list]:
+    """Quotient and remainder coefficient lists of a / b, both of one kind.
+
+    The top coefficient of each step cancels exactly, so it is popped
+    without being computed.  A leading coefficient with no exact quotient
+    raises DivisibilityError carrying the remainder reached so far.
+    """
+    if not b.coeffs:
+        raise UsageError("division by the zero polynomial")
+    cls = type(a)
+    quot = cls._quot
+    divisor = b.coeffs
+    db = len(divisor) - 1
+    lead = divisor[-1]
+    rem = list(a.coeffs)
+    quo = [cls._zero] * max(len(rem) - db, 0)
+    while len(rem) > db:
+        top = rem[-1]
+        if not top:
+            rem.pop()
+            continue
+        try:
+            t = quot(top, lead)
+        except DivisibilityError:
+            raise DivisibilityError("inexact polynomial division", remainder=cls(tuple(rem))) from None
+        shift = len(rem) - 1 - db
+        quo[shift] = t
+        for k in range(db):
+            rem[shift + k] -= t * divisor[k]
+        rem.pop()
+    return quo, rem
+
+
+def _int_quot(a: int, b: int) -> int:
+    t, r = divmod(a, b)
+    if r:
+        raise DivisibilityError("leading coefficient not divisible")
+    return t
+
+
+# ---------------------------------------------------------------------------
+# QPoly: integer polynomials in q
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, repr=False)
+class QPoly(_DensePoly):
+    """Dense integer polynomial in q, ascending coefficients."""
+
+    _coerce = int
+    _scalars = (int,)
+    _zero = 0
+    _quot = staticmethod(_int_quot)
 
     def __str__(self) -> str:
         return _render(self.coeffs, "q")
-
-    def __repr__(self) -> str:
-        return f"QPoly({str(self)!r})"
-
-
-def _as_qpoly(v):
-    if isinstance(v, QPoly):
-        return v
-    if isinstance(v, int):
-        return QPoly((v,))
-    return NotImplemented
 
 
 Q_ZERO = QPoly()
@@ -171,93 +231,14 @@ ONE_PLUS_Q = QPoly((1, 1))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XPoly:
+@dataclass(frozen=True, repr=False)
+class XPoly(_DensePoly):
     """Dense polynomial in x over exact rationals, ascending coefficients."""
 
-    coeffs: tuple[Fraction, ...] = ()
-
-    def __post_init__(self):
-        c = tuple(Fraction(v) for v in self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> Union[int, float]:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise UsageError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        other = _as_xpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return XPoly(tuple(a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_xpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_xpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return XPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return XPoly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return XPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return XPoly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise UsageError("negative powers of polynomials are undefined")
-        out = XPoly((Fraction(1),))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def evaluate(self, x0) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
+    _coerce = Fraction
+    _scalars = (int, Fraction)
+    _zero = Fraction(0)
+    _quot = staticmethod(operator.truediv)
 
     def derivative(self) -> "XPoly":
         """Formal derivative."""
@@ -269,25 +250,8 @@ class XPoly:
         lead = self.coeffs[-1]
         return XPoly(tuple(c / lead for c in self.coeffs))
 
-    def shift_up(self, k: int = 1) -> "XPoly":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return XPoly((Fraction(0),) * k + self.coeffs)
-
     def __str__(self) -> str:
         return _render(self.coeffs, "x")
-
-    def __repr__(self) -> str:
-        return f"XPoly({str(self)!r})"
-
-
-def _as_xpoly(v):
-    if isinstance(v, XPoly):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return XPoly((Fraction(v),))
-    return NotImplemented
 
 
 X_ZERO = XPoly()
@@ -309,120 +273,34 @@ def qpoly(*coeffs) -> QPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QXPoly:
+def _require_qpoly(v) -> QPoly:
+    if isinstance(v, QPoly):
+        return v
+    if isinstance(v, int):
+        return QPoly((v,))
+    raise UsageError(f"QXPoly coefficients must be QPoly or int, got {type(v).__name__}")
+
+
+@dataclass(frozen=True, repr=False)
+class QXPoly(_DensePoly):
     """Polynomial in x whose coefficients are integer polynomials in q."""
 
-    coeffs: tuple[QPoly, ...] = ()
-
-    def __post_init__(self):
-        c = tuple(v if isinstance(v, QPoly) else _require_qpoly(v) for v in self.coeffs)
-        while c and c[-1].is_zero():
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> Union[int, float]:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def coeff(self, k: int) -> QPoly:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q_ZERO
-
-    @property
-    def leading(self) -> QPoly:
-        if not self.coeffs:
-            raise UsageError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        other = _as_qxpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QXPoly(tuple(a + b for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Q_ZERO)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_qxpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _as_qxpoly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return QXPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, QPoly)):
-            other_q = _as_qpoly(other)
-            return QXPoly(tuple(c * other_q for c in self.coeffs))
-        if not isinstance(other, QXPoly):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return QXPoly()
-        out = [Q_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return QXPoly(tuple(out))
-
-    __rmul__ = __mul__
+    _coerce = staticmethod(_require_qpoly)
+    _scalars = (int, QPoly)
+    _zero = Q_ZERO
+    _quot = staticmethod(QPoly.exact_div)
 
     def eval_q(self, q0) -> XPoly:
         """Substitute q := q0 exactly in every coefficient."""
         return XPoly(tuple(c.evaluate(q0) for c in self.coeffs))
 
-    def shift_up(self, k: int = 1) -> "QXPoly":
-        if not self.coeffs:
-            return self
-        return QXPoly((Q_ZERO,) * k + self.coeffs)
-
     def __str__(self) -> str:
         return _render_qx(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"QXPoly({str(self)!r})"
-
-
-def _require_qpoly(v) -> QPoly:
-    q = _as_qpoly(v)
-    if q is NotImplemented:
-        raise UsageError(f"QXPoly coefficients must be QPoly or int, got {type(v).__name__}")
-    return q
-
-
-def _as_qxpoly(v):
-    if isinstance(v, QXPoly):
-        return v
-    if isinstance(v, (int, QPoly)):
-        return QXPoly((_as_qpoly(v),))
-    return NotImplemented
 
 
 def qxpoly(*coeffs) -> QXPoly:
     """Constructor from ascending coefficients, each a QPoly, int, or int tuple."""
-    out = []
-    for c in coeffs:
-        if isinstance(c, (tuple, list)):
-            out.append(QPoly(tuple(c)))
-        else:
-            out.append(_require_qpoly(c))
-    return QXPoly(tuple(out))
-
-
-QX_X = QXPoly((Q_ZERO, Q_ONE))
+    return QXPoly(tuple(QPoly(tuple(c)) if isinstance(c, (tuple, list)) else c for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -441,70 +319,9 @@ def exact_divide(a, b):
     to a constant QXPoly).  Raises DivisibilityError, carrying the remainder,
     when b does not divide a exactly.
     """
-    if isinstance(a, XPoly):
-        b = _as_xpoly(b)
-        if b is NotImplemented:
-            raise UsageError("kind mismatch in exact_divide")
-        return _exact_divide_x(a, b)
-    if isinstance(a, QXPoly):
-        b = _as_qxpoly(b)
-        if b is NotImplemented:
-            raise UsageError("kind mismatch in exact_divide")
-        return _exact_divide_qx(a, b)
-    raise UsageError(f"unsupported dividend type {type(a).__name__}")
-
-
-def _exact_divide_x(a: XPoly, b: XPoly) -> XPoly:
-    if b.is_zero():
-        raise UsageError("division by the zero polynomial")
-    rem = list(a.coeffs)
-    if len(rem) < len(b.coeffs):
-        if any(rem):
-            raise DivisibilityError("divisor degree exceeds dividend degree", remainder=a)
-        return X_ZERO
-    quo = [Fraction(0)] * (len(rem) - len(b.coeffs) + 1)
-    lead = b.coeffs[-1]
-    while len(rem) >= len(b.coeffs):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        t = rem[-1] / lead
-        shift = len(rem) - len(b.coeffs)
-        quo[shift] = t
-        for k in range(len(b.coeffs)):
-            rem[shift + k] -= t * b.coeffs[k]
-        rem.pop()
-    if any(rem):
-        raise DivisibilityError("inexact polynomial division", remainder=XPoly(tuple(rem)))
-    return XPoly(tuple(quo))
-
-
-def _exact_divide_qx(a: QXPoly, b: QXPoly) -> QXPoly:
-    if b.is_zero():
-        raise UsageError("division by the zero polynomial")
-    rem = list(a.coeffs)
-    if len(rem) < len(b.coeffs):
-        if any(rem):
-            raise DivisibilityError("divisor degree exceeds dividend degree", remainder=a)
-        return QXPoly()
-    quo = [Q_ZERO] * (len(rem) - len(b.coeffs) + 1)
-    lead = b.coeffs[-1]
-    while len(rem) >= len(b.coeffs):
-        if rem[-1].is_zero():
-            rem.pop()
-            continue
-        try:
-            t = rem[-1].exact_div(lead)
-        except DivisibilityError:
-            raise DivisibilityError("inexact polynomial division", remainder=QXPoly(tuple(rem)))
-        shift = len(rem) - len(b.coeffs)
-        quo[shift] = t
-        for k in range(len(b.coeffs)):
-            rem[shift + k] = rem[shift + k] - t * b.coeffs[k]
-        rem.pop()
-    if any(c for c in rem):
-        raise DivisibilityError("inexact polynomial division", remainder=QXPoly(tuple(rem)))
-    return QXPoly(tuple(quo))
+    if not isinstance(a, (XPoly, QXPoly)):
+        raise UsageError(f"unsupported dividend type {type(a).__name__}")
+    return a.exact_div(b)
 
 
 def derivative(p: XPoly) -> XPoly:
@@ -516,23 +333,8 @@ def poly_gcd(a: XPoly, b: XPoly) -> XPoly:
     if a.is_zero() and b.is_zero():
         raise UsageError("gcd of two zero polynomials is undefined")
     while not b.is_zero():
-        a, b = b, _poly_rem(a, b)
+        a, b = b, XPoly(tuple(_long_divide(a, b)[1]))
     return a.monic()
-
-
-def _poly_rem(a: XPoly, b: XPoly) -> XPoly:
-    rem = list(a.coeffs)
-    lead = b.coeffs[-1]
-    while len(rem) >= len(b.coeffs):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        t = rem[-1] / lead
-        shift = len(rem) - len(b.coeffs)
-        for k in range(len(b.coeffs) - 1):
-            rem[shift + k] -= t * b.coeffs[k]
-        rem.pop()
-    return XPoly(tuple(rem))
 
 
 # ---------------------------------------------------------------------------

@@ -16,19 +16,16 @@ decomposition.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as int_gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import PreconditionError, UsageError
-from .exactpoly import XPoly, poly_gcd
+from .errors import PreconditionError, UsageError, WeylPolyError
+from .exactpoly import X_ONE, XPoly, exact_divide, poly_gcd
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
-
-_LOCK = threading.RLock()
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +38,7 @@ def _int_coeffs(p: XPoly) -> tuple[int, ...]:
     den = 1
     for c in p.coeffs:
         den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = int_gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+    return _primitive([int(c * den) for c in p.coeffs])
 
 
 def _int_derivative(ints: Sequence[int]) -> tuple[int, ...]:
@@ -170,8 +161,6 @@ def _yun(p: XPoly) -> list[tuple[int, XPoly]]:
     if g.degree == 0:
         return [(1, p.monic())]
     out: list[tuple[int, XPoly]] = []
-    from .exactpoly import exact_divide
-
     w = exact_divide(p, g)
     y = exact_divide(p.derivative(), g)
     z = y - w.derivative()
@@ -193,12 +182,12 @@ def _yun(p: XPoly) -> list[tuple[int, XPoly]]:
 def _gcd_with_derivative(p: XPoly) -> XPoly:
     d = p.derivative()
     if d.is_zero():
-        return XPoly((Fraction(1),))
+        return X_ONE
     return poly_gcd(p, d)
 
 
 def _radical(p: XPoly) -> XPoly:
-    out = XPoly((Fraction(1),))
+    out = X_ONE
     for _, fac in _yun(p):
         out = out * fac
     return out
@@ -286,11 +275,10 @@ class _Profile:
     def __init__(self, p: XPoly):
         self.poly = p
         self.factors = _yun(p)
-        radical = XPoly((Fraction(1),))
+        self.radical = X_ONE
         for _, fac in self.factors:
-            radical = radical * fac
-        self.radical = radical
-        self.rad_ints = _int_coeffs(radical) if radical.degree >= 1 else ()
+            self.radical = self.radical * fac
+        self.rad_ints = _int_coeffs(self.radical) if self.radical.degree >= 1 else ()
         self.chain = _sturm_chain(self.rad_ints) if self.rad_ints else ()
         self.records: list[_Rec] = self._isolate() if self.rad_ints else []
         self._assign_multiplicities()
@@ -339,9 +327,12 @@ class _Profile:
         else:
             rec.lo, rec.v_lo = mid, vm
 
-    def refine_to_width(self, rec: _Rec, width: Fraction) -> None:
-        while rec.hi - rec.lo > width:
-            self.refine_once(rec)
+    def intervals(self, width: Fraction) -> tuple[RootInterval, ...]:
+        """The records, each refined to at most ``width``."""
+        for rec in self.records:
+            while rec.hi - rec.lo > width:
+                self.refine_once(rec)
+        return tuple(RootInterval(rec.lo, rec.hi, rec.mult) for rec in self.records)
 
     @property
     def real_root_count(self) -> int:
@@ -354,12 +345,11 @@ _PROFILES: dict[XPoly, _Profile] = {}
 def _profile(p: XPoly) -> _Profile:
     if p.is_zero():
         raise UsageError("the zero polynomial has no root profile")
-    with _LOCK:
-        prof = _PROFILES.get(p)
-        if prof is None:
-            prof = _Profile(p)
-            _PROFILES[p] = prof
-        return prof
+    prof = _PROFILES.get(p)
+    if prof is None:
+        prof = _Profile(p)
+        _PROFILES[p] = prof
+    return prof
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +366,7 @@ def square_free(p: XPoly) -> tuple[XPoly, tuple[RootInterval, ...]]:
     if p.is_zero():
         raise UsageError("square_free of the zero polynomial")
     prof = _profile(p)
-    with _LOCK:
-        for rec in prof.records:
-            prof.refine_to_width(rec, DEFAULT_WIDTH)
-        intervals = tuple(RootInterval(rec.lo, rec.hi, rec.mult) for rec in prof.records)
-    return prof.radical if prof.radical.degree >= 1 else XPoly((Fraction(1),)), intervals
+    return prof.radical if prof.radical.degree >= 1 else X_ONE, prof.intervals(DEFAULT_WIDTH)
 
 
 def count_roots_in(p: XPoly, lo: Fraction, hi: Fraction) -> int:
@@ -405,13 +391,7 @@ def isolate_roots(p: XPoly, width: Fraction = DEFAULT_WIDTH) -> RootIsolation:
     """
     if p.is_zero():
         raise UsageError("isolate_roots of the zero polynomial")
-    width = Fraction(width)
-    prof = _profile(p)
-    with _LOCK:
-        for rec in prof.records:
-            prof.refine_to_width(rec, width)
-        intervals = tuple(RootInterval(rec.lo, rec.hi, rec.mult) for rec in prof.records)
-    return RootIsolation(intervals, int(p.degree))
+    return RootIsolation(_profile(p).intervals(Fraction(width)), int(p.degree))
 
 
 def is_real_rooted(p: XPoly) -> bool:
@@ -478,7 +458,7 @@ def _merged_events(f: XPoly, g: XPoly):
             pg.refine_once(rg)
             budget -= 1
             if budget <= 0:
-                raise AssertionError("root separation did not converge")
+                raise WeylPolyError("root separation did not converge within the bisection budget")
     return events
 
 
@@ -516,34 +496,34 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
     if dg == 0:
         return InterlacingVerdict(WEAK)
 
-    with _LOCK:
-        events = _merged_events(f, g)
-        u = _expand_positions(events, for_f=True)
-        v = _expand_positions(events, for_f=False)
-        assert len(u) == df and len(v) == dg, "root multiplicities must exhaust the degrees"
+    events = _merged_events(f, g)
+    u = _expand_positions(events, for_f=True)
+    v = _expand_positions(events, for_f=False)
+    if len(u) != df or len(v) != dg:
+        raise WeylPolyError("root multiplicities must exhaust the degrees")
 
-        def check(pairs):
-            strict = True
-            for (ia, ra), (ib, rb) in pairs:
-                if ia > ib:
-                    witness = ((ra.lo, ra.hi), (rb.lo, rb.hi))
-                    return NONE, witness
-                if ia == ib:
-                    strict = False
-            return (STRICT if strict else WEAK), None
+    def check(pairs):
+        strict = True
+        for (ia, ra), (ib, rb) in pairs:
+            if ia > ib:
+                witness = ((ra.lo, ra.hi), (rb.lo, rb.hi))
+                return NONE, witness
+            if ia == ib:
+                strict = False
+        return (STRICT if strict else WEAK), None
 
-        if df == dg:
-            pairs = []
-            for k in range(len(u)):
-                pairs.append((v[k], u[k]))
-                if k + 1 < len(v):
-                    pairs.append((u[k], v[k + 1]))
-        else:
-            pairs = []
-            for k in range(len(v)):
-                pairs.append((u[k], v[k]))
-                pairs.append((v[k], u[k + 1]))
-        relation, witness = check(pairs)
+    if df == dg:
+        pairs = []
+        for k in range(len(u)):
+            pairs.append((v[k], u[k]))
+            if k + 1 < len(v):
+                pairs.append((u[k], v[k + 1]))
+    else:
+        pairs = []
+        for k in range(len(v)):
+            pairs.append((u[k], v[k]))
+            pairs.append((v[k], u[k + 1]))
+    relation, witness = check(pairs)
     return InterlacingVerdict(relation, witness)
 
 

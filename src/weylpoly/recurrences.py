@@ -10,29 +10,26 @@ that API boundary.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import PreconditionError, UsageError
 from .exactpoly import (
     ONE_PLUS_Q,
+    Q_VAR,
     QPoly,
     QXPoly,
+    X_ONE,
+    X_VAR,
+    X_ZERO,
     XPoly,
     exact_divide,
-    poly_to_json,
-    qxpoly_to_json,
-    xpoly_to_json,
 )
 from .realroots import interlaces
-from .report import ReportEntry
+from .report import ReportEntry, poly_equality, timed_entry
 from .weylcomb import brute_polynomial
-
-Q_X = QXPoly((QPoly(), QPoly((1,))))
-X_VAR = XPoly((Fraction(0), Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -59,6 +56,36 @@ def ceil_index(n: int, i: int) -> int:
     return -((-(n - 1) * i) // n)
 
 
+def _rank_thresholds(n: int) -> TransformSpec:
+    """The 1-based thresholds ceil_index(n, i) + 1 of the rank-n recurrence."""
+    return TransformSpec(tuple(ceil_index(n, i) + 1 for i in range(2 * n)))
+
+
+def _recurrence_rows(n: int, x_entry, one_entry) -> tuple:
+    """The 2n x (2n-2) rank-n recurrence matrix: x_entry left of each row's
+    threshold column, one_entry from it on."""
+    return tuple(
+        tuple(x_entry if j < t - 1 else one_entry for j in range(2 * n - 2))
+        for t in _rank_thresholds(n).thresholds
+    )
+
+
+def _build_to_rank(cache: dict, n: int, seed_rank: int, seed: Callable, step: Callable) -> RefinedFamily:
+    """Rank n of a family built rank by rank, from the highest cached rank
+    below n (or the seed), caching every rank it passes."""
+    fam = cache.get(n)
+    if fam is not None:
+        return fam
+    k = max((r for r in cache if r < n), default=None)
+    if k is None:
+        k = seed_rank
+        cache[k] = RefinedFamily(k, seed())
+    while k < n:
+        k += 1
+        cache[k] = RefinedFamily(k, step(k, cache[k - 1].polys))
+    return cache[n]
+
+
 def _seed_Tq() -> tuple[QXPoly, ...]:
     one_plus_q = QPoly((1, 1))
     q_plus_q2 = QPoly((0, 1, 1))
@@ -70,7 +97,14 @@ def _seed_Tq() -> tuple[QXPoly, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+def _step_Tq(n: int, prev: tuple) -> tuple:
+    out = interlacing_transform(prev, _rank_thresholds(n))
+    return out[:n] + tuple(p * Q_VAR for p in out[n:])
+
+
+_TQ_RANKS: dict[int, RefinedFamily] = {}
+
+
 def refined_Tq(n: int) -> RefinedFamily:
     """The q-refined family at rank n, built by the threshold recurrence.
 
@@ -80,20 +114,7 @@ def refined_Tq(n: int) -> RefinedFamily:
     """
     if n < 2:
         raise UsageError("refined_Tq needs n >= 2")
-    if n == 2:
-        return RefinedFamily(2, _seed_Tq())
-    prev = refined_Tq(n - 1).polys
-    prefix = [QXPoly()]
-    for p in prev:
-        prefix.append(prefix[-1] + p)
-    total = prefix[-1]
-    q = QPoly((0, 1))
-    out = []
-    for i in range(2 * n):
-        c = ceil_index(n, i)
-        body = prefix[c].shift_up(1) + (total - prefix[c])
-        out.append(body * q if i >= n else body)
-    return RefinedFamily(n, tuple(out))
+    return _build_to_rank(_TQ_RANKS, n, 2, _seed_Tq, _step_Tq)
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +157,6 @@ def refined_affine_T(n: int) -> RefinedFamily:
     return RefinedFamily(n, tuple(out))
 
 
-@lru_cache(maxsize=None)
 def refined_K(n: int, method: str = "direct") -> RefinedFamily:
     """The coupled family at rank n.
 
@@ -147,24 +167,24 @@ def refined_K(n: int, method: str = "direct") -> RefinedFamily:
     if n < 3:
         raise UsageError("refined_K needs n >= 3")
     if method == "direct":
-        t = refined_T1(n)
-        out = [t[i] + t[n + i] for i in range(n)]
-        out += [t[i - n].shift_up(1) + t[i] for i in range(n, 2 * n)]
-        return RefinedFamily(n, tuple(out))
+        return _refined_K_direct(n)
     if method != "recurrence":
         raise UsageError(f"unknown refined_K method {method!r}")
-    if n == 3:
-        return RefinedFamily(3, refined_K(3, "direct").polys)
-    prev = refined_K(n - 1, "recurrence").polys
-    prefix = [XPoly()]
-    for p in prev:
-        prefix.append(prefix[-1] + p)
-    total = prefix[-1]
-    out = []
-    for i in range(2 * n):
-        c = ceil_index(n, i)
-        out.append(prefix[c].shift_up(1) + (total - prefix[c]))
+    return _build_to_rank(
+        _K_RANKS, n, 3, lambda: _refined_K_direct(3).polys,
+        lambda k, prev: interlacing_transform(prev, _rank_thresholds(k)),
+    )
+
+
+@lru_cache(maxsize=None)
+def _refined_K_direct(n: int) -> RefinedFamily:
+    t = refined_T1(n)
+    out = [t[i] + t[n + i] for i in range(n)]
+    out += [t[i - n].shift_up(1) + t[i] for i in range(n, 2 * n)]
     return RefinedFamily(n, tuple(out))
+
+
+_K_RANKS: dict[int, RefinedFamily] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -244,87 +264,49 @@ IDENTITY_NAMES = (
 )
 
 
-def _poly_equal_entry(name: str, n: int, lhs, rhs) -> ReportEntry:
-    start = time.perf_counter()
-    ok = lhs == rhs
-    witness = None
-    if not ok:
-        witness = {"difference": poly_to_json(lhs - rhs)}
-    return ReportEntry(
-        check_id=name,
-        parameters={"n": n},
-        verdict="pass" if ok else "fail",
-        witness=witness,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
-    )
-
-
-def check_identity(name: str, n: int) -> ReportEntry:
-    """Run one named identity at rank n and report pass/fail with witness."""
-    start = time.perf_counter()
-
+def evaluate_identity(name: str, n: int) -> tuple[bool, Optional[dict]]:
+    """Decide one named identity at rank n: (True, None) or (False, witness)."""
     if name == "dilks_62":
         lhs = assemble("tildeD", n)
         rhs = assemble("tildeB", n) - assemble("D", n - 1).shift_up(1) * (2 * n)
-        return _poly_equal_entry(name, n, lhs, rhs)
+        return poly_equality(lhs, rhs)
 
     if name == "stembridge":
         lhs = assemble("D", n)
         rhs = brute_polynomial("B", n) - brute_polynomial("A", n - 2).shift_up(1) * (n * 2 ** (n - 1))
-        return _poly_equal_entry(name, n, lhs, rhs)
+        return poly_equality(lhs, rhs)
 
     if name == "t_n0_equals_prev":
         if n < 3:
             raise UsageError("t_n0_equals_prev needs n >= 3")
-        return _poly_equal_entry(name, n, refined_Tq(n).polys[0], assemble("Tq", n - 1))
+        return poly_equality(refined_Tq(n).polys[0], assemble("Tq", n - 1))
 
     if name == "tilde_dual":
         fam = refined_affine_T(n)
         prev = refined_T1(n - 1)
         for k in range(n, 2 * n):
-            direct = _affine_entry_upper(n, k, prev)
-            if direct != fam.polys[k]:
-                return ReportEntry(
-                    check_id=name,
-                    parameters={"n": n, "index": k},
-                    verdict="fail",
-                    witness={"difference": xpoly_to_json(direct - fam.polys[k])},
-                    elapsed_ms=(time.perf_counter() - start) * 1000.0,
-                )
-        return ReportEntry(name, {"n": n}, "pass", None, (time.perf_counter() - start) * 1000.0)
+            ok, witness = poly_equality(_affine_entry_upper(n, k, prev), fam.polys[k])
+            if not ok:
+                return False, {"index": k, **witness}
+        return True, None
 
     if name == "k_two_methods":
-        a = refined_K(n, "direct")
-        b = refined_K(n, "recurrence")
+        a = refined_K(n, "direct").polys
+        b = refined_K(n, "recurrence").polys
         for i in range(2 * n):
-            if a.polys[i] != b.polys[i]:
-                return ReportEntry(
-                    check_id=name,
-                    parameters={"n": n, "index": i},
-                    verdict="fail",
-                    witness={"difference": xpoly_to_json(a.polys[i] - b.polys[i])},
-                    elapsed_ms=(time.perf_counter() - start) * 1000.0,
-                )
-        return ReportEntry(name, {"n": n}, "pass", None, (time.perf_counter() - start) * 1000.0)
+            ok, witness = poly_equality(a[i], b[i])
+            if not ok:
+                return False, {"index": i, **witness}
+        return True, None
 
     if name == "matrix_identity":
-        ok, detail = _matrix_identity_holds(n)
-        return ReportEntry(
-            check_id=name,
-            parameters={"n": n},
-            verdict="pass" if ok else "fail",
-            witness=None if ok else detail,
-            elapsed_ms=(time.perf_counter() - start) * 1000.0,
-        )
+        return _matrix_identity_holds(n)
 
     if name == "q0_reduction":
-        lhs = assemble("Dq", n).eval_q(0)
-        rhs = brute_polynomial("A", n - 1)
-        return _poly_equal_entry(name, n, lhs, rhs)
+        return poly_equality(assemble("Dq", n).eval_q(0), brute_polynomial("A", n - 1))
 
     if name == "oneplusq_division":
-        lhs = assemble("Dq", n) * ONE_PLUS_Q
-        return _poly_equal_entry(name, n, lhs, assemble("Tq", n))
+        return poly_equality(assemble("Dq", n) * ONE_PLUS_Q, assemble("Tq", n))
 
     if name == "interlace_chain_prop62":
         checks = [
@@ -335,26 +317,15 @@ def check_identity(name: str, n: int) -> ReportEntry:
         for label, low, high in checks:
             verdict = interlaces(low, high)
             if not verdict.holds:
-                return ReportEntry(
-                    check_id=name,
-                    parameters={"n": n, "relation": label},
-                    verdict="fail",
-                    witness={"relation": verdict.relation},
-                    elapsed_ms=(time.perf_counter() - start) * 1000.0,
-                )
-        return ReportEntry(name, {"n": n}, "pass", None, (time.perf_counter() - start) * 1000.0)
+                return False, {"relation": label, "verdict": verdict.relation}
+        return True, None
 
     raise UsageError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
 
 
-def _block_recurrence_matrices(n: int):
-    """The n x (n-1) blocks of the rank-n recurrence in matrix form."""
-    one = XPoly((Fraction(1),))
-    a_rows = tuple(
-        tuple(X_VAR if j < i else one for j in range(n - 1)) for i in range(n)
-    )
-    b_rows = tuple(tuple(one for _ in range(n - 1)) for _ in range(n))
-    return a_rows, b_rows
+def check_identity(name: str, n: int) -> ReportEntry:
+    """Run one named identity at rank n and report pass/fail with witness."""
+    return timed_entry(name, {"n": n}, lambda: evaluate_identity(name, n))
 
 
 def _mat_mul(lhs, rhs):
@@ -377,9 +348,6 @@ def _matrix_identity_holds(n: int):
     """Commutation of the duplication block with the recurrence block."""
     if n < 3:
         raise UsageError("matrix_identity needs n >= 3")
-    a, b = _block_recurrence_matrices(n)
-    zero = XPoly()
-    one = XPoly((Fraction(1),))
 
     def block_two(tl, tr, bl, br):
         top = [tuple(list(tl[r]) + list(tr[r])) for r in range(len(tl))]
@@ -388,15 +356,14 @@ def _matrix_identity_holds(n: int):
 
     def identity_block(m, scale):
         return tuple(
-            tuple(scale if r == c else zero for c in range(m)) for r in range(m)
+            tuple(scale if r == c else X_ZERO for c in range(m)) for r in range(m)
         )
 
-    xb = tuple(tuple(X_VAR * v for v in row) for row in b)
-    rec = block_two(a, b, xb, a)
-    dup_big = block_two(identity_block(n, one), identity_block(n, one),
-                        identity_block(n, X_VAR), identity_block(n, one))
-    dup_small = block_two(identity_block(n - 1, one), identity_block(n - 1, one),
-                          identity_block(n - 1, X_VAR), identity_block(n - 1, one))
+    rec = _recurrence_rows(n, X_VAR, X_ONE)
+    dup_big = block_two(identity_block(n, X_ONE), identity_block(n, X_ONE),
+                        identity_block(n, X_VAR), identity_block(n, X_ONE))
+    dup_small = block_two(identity_block(n - 1, X_ONE), identity_block(n - 1, X_ONE),
+                          identity_block(n - 1, X_VAR), identity_block(n - 1, X_ONE))
     lhs = _mat_mul(dup_big, rec)
     rhs = _mat_mul(rec, dup_small)
     for r in range(2 * n):
@@ -426,14 +393,17 @@ class TransformSpec:
             raise UsageError("thresholds must be nondecreasing")
 
 
-def interlacing_transform(fs: Sequence[XPoly], spec: TransformSpec) -> tuple[XPoly, ...]:
-    """Apply the threshold transform g_k = x * sum(fs[:t_k - 1]) + sum(fs[t_k - 1:])."""
+def interlacing_transform(fs: Sequence, spec: TransformSpec) -> tuple:
+    """Apply the threshold transform g_k = x * sum(fs[:t_k - 1]) + sum(fs[t_k - 1:]).
+
+    fs holds polynomials of one kind (XPoly or QXPoly); the output has that kind.
+    """
     if not fs:
         raise UsageError("interlacing_transform needs a nonempty sequence")
     m = len(fs)
     if any(t > m + 1 for t in spec.thresholds):
         raise UsageError(f"thresholds must be <= m + 1 = {m + 1}")
-    prefix = [XPoly()]
+    prefix = [type(fs[0])()]
     for p in fs:
         prefix.append(prefix[-1] + p)
     total = prefix[-1]
@@ -522,11 +492,7 @@ class NXMatrix:
 
 def recurrence_nx_matrix(n: int) -> NXMatrix:
     """The 2n x (2n-2) matrix of the rank-n threshold recurrence."""
-    rows = []
-    for i in range(2 * n):
-        c = ceil_index(n, i)
-        rows.append(tuple(nx_x() if j < c else nx_const(1) for j in range(2 * n - 2)))
-    return NXMatrix(tuple(rows))
+    return NXMatrix(_recurrence_rows(n, nx_x(), nx_const(1)))
 
 
 def fisk_nx_check(m: NXMatrix) -> tuple[bool, dict | None]:

@@ -9,10 +9,12 @@ round-trips bit-exactly.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .errors import UsageError
+from .exactpoly import poly_to_json
 
 VERDICTS = ("pass", "fail", "skipped")
 
@@ -42,13 +44,45 @@ class ReportEntry:
 
     @staticmethod
     def from_json(d: dict) -> "ReportEntry":
+        if not (
+            isinstance(d, dict)
+            and isinstance(d.get("check_id"), str)
+            and isinstance(d.get("parameters"), dict)
+            and isinstance(d.get("elapsed_ms", 0.0), (int, float))
+        ):
+            raise UsageError(
+                "a report entry needs a string check_id, a parameters object and a numeric elapsed_ms"
+            )
         return ReportEntry(
             check_id=d["check_id"],
             parameters=d["parameters"],
-            verdict=d["verdict"],
+            verdict=d.get("verdict"),
             witness=d.get("witness"),
             elapsed_ms=d.get("elapsed_ms", 0.0),
         )
+
+
+def poly_equality(got, want) -> tuple[bool, Optional[dict]]:
+    """(True, None) when two polynomials agree, else False and their difference."""
+    if got == want:
+        return True, None
+    return False, {"difference": poly_to_json(got - want)}
+
+
+def timed_entry(check_id: str, params: dict, check: Optional[Callable[[], tuple[bool, Any]]]) -> ReportEntry:
+    """Run one check and time it; ``check`` returns (ok, witness).
+
+    A passing check may carry a witness; a failing one without a witness is
+    given a generic one.  A missing check is reported as skipped.
+    """
+    if check is None:
+        return ReportEntry(check_id, params, "skipped", None, 0.0)
+    start = time.perf_counter()
+    ok, witness = check()
+    elapsed = (time.perf_counter() - start) * 1000.0
+    if ok:
+        return ReportEntry(check_id, params, "pass", witness, elapsed)
+    return ReportEntry(check_id, params, "fail", witness or {"detail": "check failed"}, elapsed)
 
 
 @dataclass(frozen=True)
@@ -72,6 +106,8 @@ class VerificationReport:
 
     @staticmethod
     def from_json(d: dict) -> "VerificationReport":
+        if not isinstance(d, dict) or not isinstance(d.get("entries"), list):
+            raise UsageError("a report is an object holding an entries list")
         return VerificationReport(tuple(ReportEntry.from_json(e) for e in d["entries"]))
 
     def dumps(self) -> str:

@@ -9,6 +9,7 @@ by cofactor expansion up to size 4 and Bareiss elimination beyond.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -52,14 +53,21 @@ class HBSplit:
     odd_part: XPoly
 
     def reconstruct(self) -> XPoly:
-        coeffs = [Fraction(0)] * (
-            2 * max(len(self.even_part.coeffs), len(self.odd_part.coeffs)) + 1
-        )
-        for k, c in enumerate(self.even_part.coeffs):
-            coeffs[2 * k] += c
-        for k, c in enumerate(self.odd_part.coeffs):
-            coeffs[2 * k + 1] += c
-        return XPoly(tuple(coeffs))
+        return _interleave(self.even_part, self.odd_part)
+
+
+def _interleave(even, odd):
+    """even(z^2) + z * odd(z^2) for two polynomials of one kind."""
+    pairs = itertools.zip_longest(even.coeffs, odd.coeffs, fillvalue=even._zero)
+    return type(even)(tuple(itertools.chain.from_iterable(pairs)))
+
+
+def _strip_z(p):
+    """(m, p / z^m) for the largest power z^m dividing the nonzero p."""
+    m = 0
+    while not p.coeffs[m]:
+        m += 1
+    return m, type(p)(p.coeffs[m:])
 
 
 def hb_split(p: XPoly) -> HBSplit:
@@ -214,23 +222,12 @@ def build_C(i: int, j: int) -> CPairResult:
     if not 0 <= i < j <= 7:
         raise UsageError("build_C needs 0 <= i < j <= 7")
     fam = refined_Tq(4).polys
-    ti, tj = fam[i], fam[j]
-    coeffs = [QPoly()] * (2 * max(len(tj.coeffs), len(ti.coeffs)) + 1)
-    for k, c in enumerate(tj.coeffs):
-        coeffs[2 * k] = coeffs[2 * k] + c
-    for k, c in enumerate(ti.coeffs):
-        coeffs[2 * k + 1] = coeffs[2 * k + 1] + c
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    m = 0
-    while m < len(coeffs) and coeffs[m].is_zero():
-        m += 1
-    stripped = coeffs[m:]
+    m, stripped = _strip_z(_interleave(fam[j], fam[i]))
     try:
-        normalized = tuple(c.exact_div(ONE_PLUS_Q) for c in stripped)
+        normalized = stripped.exact_div(ONE_PLUS_Q)
     except DivisibilityError as exc:
         raise DivisibilityError(f"coupling ({i},{j}) is not divisible by 1+q") from exc
-    return CPairResult(i, j, m, QXPoly(normalized))
+    return CPairResult(i, j, m, normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +283,7 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
     if df == 0 or dg == 0 or dg - df not in (0, 1):
         return interlaces(f, g)
 
-    coeffs = [Fraction(0)] * (2 * max(len(g.coeffs), len(f.coeffs)) + 1)
-    for k, c in enumerate(g.coeffs):
-        coeffs[2 * k] += c
-    for k, c in enumerate(f.coeffs):
-        coeffs[2 * k + 1] += c
-    m = 0
-    while m < len(coeffs) and coeffs[m] == 0:
-        m += 1
-    stripped = XPoly(tuple(coeffs[m:]))
+    m, stripped = _strip_z(_interleave(g, f))
     report = hurwitz_determinants(stripped)
     if report.verdict == HURWITZ_STABLE:
         if m == 0:

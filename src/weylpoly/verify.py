@@ -1,33 +1,28 @@
 """Named verification suites orchestrating checks from every module.
 
 Each suite builds a list of (check_id, parameters, thunk) triples; the
-runner times each thunk and collects ReportEntry values in submission
-order, so output is deterministic for any worker count.  A thunk returns
-(ok, witness) with a JSON-ready witness, or a complete ReportEntry of its
-own.
+runner times each thunk in order with ``timed_entry``, so output is
+deterministic.  A thunk returns (ok, witness) with a JSON-ready witness; a
+skipped check has None in place of the thunk.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import tables
-from .errors import UsageError
+from .errors import DivisibilityError, EnumerationCapError, UsageError
 from .exactpoly import (
     QPoly,
-    QXPoly,
     XPoly,
     coeff_props,
     poly_to_json,
     qpoly,
-    xpoly_to_json,
 )
 from .realroots import interlaces, is_real_rooted, isolate_roots, mutually_interlacing
 from .recurrences import (
-    check_identity,
+    evaluate_identity,
     fisk_nx_check,
     recurrence_nx_matrix,
     refined_affine_T,
@@ -36,48 +31,29 @@ from .recurrences import (
     refined_Tq,
     assemble,
 )
-from .report import ReportEntry, VerificationReport
+from .report import VerificationReport, poly_equality, timed_entry
 from .stability import (
     build_C,
     hurwitz_determinants,
     interlace_via_stability,
     q_positive_on_positive_reals,
 )
-from .weylcomb import brute_polynomial, inv_stats, psi, psi_inverse, signed_perms, stats
+from .weylcomb import (
+    CAP_ENV_VAR,
+    brute_polynomial,
+    inv_stats,
+    psi,
+    psi_inverse,
+    resolve_cap,
+    signed_perms,
+    stats,
+)
 
 SUITES = ("paper_tables", "oracles", "identities", "interlacing", "stability", "all")
 
 DEFAULT_Q_SAMPLES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5))
 
-_Check = tuple[str, dict, Callable]
-
-
-def _entry_from_thunk(check_id: str, params: dict, thunk: Callable) -> ReportEntry:
-    start = time.perf_counter()
-    result = thunk()
-    elapsed = (time.perf_counter() - start) * 1000.0
-    if isinstance(result, ReportEntry):
-        return result
-    ok, witness = result
-    if ok:
-        return ReportEntry(check_id, params, "pass", None, elapsed)
-    return ReportEntry(check_id, params, "fail", witness or {"detail": "check failed"}, elapsed)
-
-
-def _skipped(check_id: str, params: dict) -> ReportEntry:
-    return ReportEntry(check_id, params, "skipped", None, 0.0)
-
-
-def _run_checks(checks: Sequence[_Check], jobs: int = 1) -> list[ReportEntry]:
-    if jobs <= 1:
-        return [_entry_from_thunk(cid, params, thunk) for cid, params, thunk in checks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_entry_from_thunk, cid, params, thunk) for cid, params, thunk in checks]
-        return [f.result() for f in futures]
-
-
-def _diff_witness(lhs, rhs) -> dict:
-    return {"difference": poly_to_json(lhs - rhs)}
+_Check = tuple[str, dict, Optional[Callable]]
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +62,7 @@ def _diff_witness(lhs, rhs) -> dict:
 
 
 def _check_table_T4(i: int):
-    got = refined_Tq(4).polys[i]
-    want = tables.T4_TABLE[i]
-    return got == want, None if got == want else _diff_witness(got, want)
+    return poly_equality(refined_Tq(4).polys[i], tables.T4_TABLE[i])
 
 
 def _check_T4_scalar_relations():
@@ -101,9 +75,7 @@ def _check_T4_scalar_relations():
 
 
 def _check_table_K4(i: int):
-    got = refined_K(4, "direct").polys[i]
-    want = tables.K4_TABLE[i]
-    return got == want, None if got == want else _diff_witness(got, want)
+    return poly_equality(refined_K(4, "direct").polys[i], tables.K4_TABLE[i])
 
 
 def _check_K4_roots(i: int):
@@ -189,18 +161,15 @@ def suite_paper_tables() -> list[_Check]:
 
 
 def _check_oracle(family: str, n: int, cap: Optional[int]):
-    recurrence_side = assemble(family, n)
-    brute_side = brute_polynomial(family, n, cap=cap)
-    ok = recurrence_side == brute_side
-    return ok, None if ok else _diff_witness(recurrence_side, brute_side)
+    return poly_equality(assemble(family, n), brute_polynomial(family, n, cap=cap))
 
 
 def _check_oracle_refined(n: int, cap: Optional[int]):
     fam = refined_Tq(n).polys
     for i in range(2 * n):
-        brute = brute_polynomial("refined_Tq", n, index=i, cap=cap)
-        if fam[i] != brute:
-            return False, {"index": i, **_diff_witness(fam[i], brute)}
+        ok, witness = poly_equality(fam[i], brute_polynomial("refined_Tq", n, index=i, cap=cap))
+        if not ok:
+            return False, {"index": i, **witness}
     return True, None
 
 
@@ -208,13 +177,14 @@ def _check_oracle_affine_refined(n: int, cap: Optional[int]):
     fam = refined_affine_T(n).polys
     total = XPoly()
     for i in range(2 * n):
-        brute = brute_polynomial("refined_tildeT", n, index=i, cap=cap)
-        if fam[i] != brute:
-            return False, {"index": i, **_diff_witness(fam[i], brute)}
+        ok, witness = poly_equality(fam[i], brute_polynomial("refined_tildeT", n, index=i, cap=cap))
+        if not ok:
+            return False, {"index": i, **witness}
         total = total + fam[i]
     doubled = brute_polynomial("tildeD", n, cap=cap) * 2
-    ok = total == doubled and total == brute_polynomial("tildeT_via_B", n, cap=cap)
-    return ok, None if ok else _diff_witness(total, doubled)
+    if total == doubled and total == brute_polynomial("tildeT_via_B", n, cap=cap):
+        return True, None
+    return False, {"difference": poly_to_json(total - doubled)}
 
 
 def _check_psi_bijection(n: int, cap: Optional[int]):
@@ -237,11 +207,11 @@ def _check_psi_bijection(n: int, cap: Optional[int]):
     return True, None
 
 
-def _affine_threshold_note():
-    """Pass-with-witness entry surfacing the two printed affine thresholds.
+def _check_affine_threshold():
+    """The two printed affine thresholds on a concrete rank-2 element.
 
-    The dual printed form (n-1)/n fails on a concrete rank-2 element, while
-    the adopted (2n-1)/n agrees with the group-side statistic everywhere.
+    The dual printed form (n-1)/n fails on it, while the adopted (2n-1)/n
+    agrees with the group-side statistic; a pass carries the element.
     """
     sigma = (2, -1)
     e = psi(sigma).entries
@@ -249,7 +219,14 @@ def _affine_threshold_note():
     group_side = sigma[0] + sigma[1] > 0
     adopted = n * e[0] + (n - 1) * e[1] < (2 * n - 1) * (n - 1)
     printed_variant = n * e[0] + (n - 1) * e[1] < (n - 1) * (n - 1)
-    witness = {
+    if group_side == adopted and group_side != printed_variant:
+        return True, {
+            "witness_sigma": list(sigma),
+            "witness_e": list(e),
+            "note": "threshold (2n-1)/n adopted; the printed (n-1)/n variant "
+            "disagrees with the group-side statistic on this witness",
+        }
+    return False, {
         "witness_sigma": list(sigma),
         "witness_e": list(e),
         "group_side_affine_condition": group_side,
@@ -258,32 +235,19 @@ def _affine_threshold_note():
         "note": "adopted threshold (2n-1)/n matches the group statistic; "
         "the (n-1)/n variant does not",
     }
-    ok = group_side == adopted and group_side != printed_variant
-    return ok, witness if not ok else None
-
-
-def _affine_threshold_entry() -> ReportEntry:
-    start = time.perf_counter()
-    ok, bad = _affine_threshold_note()
-    sigma = (2, -1)
-    e = psi(sigma).entries
-    witness = bad or {
-        "witness_sigma": list(sigma),
-        "witness_e": list(e),
-        "note": "threshold (2n-1)/n adopted; the printed (n-1)/n variant "
-        "disagrees with the group-side statistic on this witness",
-    }
-    return ReportEntry(
-        "affine_threshold_discrepancy",
-        {"n": 2},
-        "pass" if ok else "fail",
-        witness,
-        (time.perf_counter() - start) * 1000.0,
-    )
 
 
 def suite_oracles(max_n: int = 6, cap: Optional[int] = None) -> list[_Check]:
-    cap = cap if cap is not None else max(max_n, 8)
+    """Recurrences against enumeration up to rank max_n.
+
+    The enumeration cap comes from ``cap``, then the environment, then the
+    default; a max_n above it raises EnumerationCapError before any check runs.
+    """
+    cap = resolve_cap(cap)
+    if max_n > cap:
+        raise EnumerationCapError(
+            f"rank {max_n} exceeds the enumeration cap {cap}; pass --cap-override or set {CAP_ENV_VAR}"
+        )
     checks: list[_Check] = []
     for n in range(2, max_n + 1):
         checks.append(("oracle_Tq", {"n": n}, lambda n=n: _check_oracle("Tq", n, cap)))
@@ -296,7 +260,7 @@ def suite_oracles(max_n: int = 6, cap: Optional[int] = None) -> list[_Check]:
             )
         checks.append(("oracle_refined_Tq", {"n": n}, lambda n=n: _check_oracle_refined(n, cap)))
         checks.append(("psi_bijection", {"n": n}, lambda n=n: _check_psi_bijection(n, cap)))
-    checks.append(("affine_threshold_discrepancy", {"n": 2}, _affine_threshold_entry))
+    checks.append(("affine_threshold_discrepancy", {"n": 2}, _check_affine_threshold))
     return checks
 
 
@@ -309,25 +273,19 @@ def suite_identities(max_n: int = 10, cap: Optional[int] = None) -> list[_Check]
     checks: list[_Check] = []
 
     def ident(name, n):
-        return (name, {"n": n}, lambda name=name, n=n: check_identity(name, n))
+        return (name, {"n": n}, lambda name=name, n=n: evaluate_identity(name, n))
 
     for n in range(3, max_n + 1):
         checks.append(ident("dilks_62", n))
     for n in range(3, max_n + 1):
-        if n <= 7:
-            checks.append(ident("stembridge", n))
-        else:
-            checks.append(("stembridge", {"n": n}, lambda n=n: _skipped("stembridge", {"n": n})))
+        checks.append(ident("stembridge", n) if n <= 7 else ("stembridge", {"n": n}, None))
     for n in range(3, max_n + 1):
         checks.append(ident("t_n0_equals_prev", n))
         checks.append(ident("tilde_dual", n))
         checks.append(ident("k_two_methods", n))
         checks.append(ident("matrix_identity", n))
     for n in range(2, max_n + 1):
-        if n <= 8:
-            checks.append(ident("q0_reduction", n))
-        else:
-            checks.append(("q0_reduction", {"n": n}, lambda n=n: _skipped("q0_reduction", {"n": n})))
+        checks.append(ident("q0_reduction", n) if n <= 8 else ("q0_reduction", {"n": n}, None))
         checks.append(ident("oneplusq_division", n))
     for n in range(3, max_n + 1):
         checks.append(ident("interlace_chain_prop62", n))
@@ -363,16 +321,6 @@ def _check_coeff_shape(poly, need_log_concave: bool):
         "unimodal": props.unimodal,
         "log_concave": props.log_concave,
     }
-
-
-def _check_log_concave(poly):
-    props = coeff_props(poly)
-    return props.log_concave, None if props.log_concave else {"poly": xpoly_to_json(poly)}
-
-
-def _check_fisk(n: int):
-    ok, violation = fisk_nx_check(recurrence_nx_matrix(n))
-    return ok, violation
 
 
 def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = (Fraction(1, 2), Fraction(2), Fraction(5))) -> list[_Check]:
@@ -423,7 +371,9 @@ def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = (Fraction(
                 lambda n=n: _check_coeff_shape(assemble("tildeB", n), need_log_concave=True),
             )
         )
-        checks.append(("fisk_recurrence_matrix", {"n": n}, lambda n=n: _check_fisk(n)))
+        checks.append(
+            ("fisk_recurrence_matrix", {"n": n}, lambda n=n: fisk_nx_check(recurrence_nx_matrix(n)))
+        )
     return checks
 
 
@@ -440,7 +390,7 @@ def _positive_except_even_zero_at_one(p: QPoly) -> bool:
         try:
             p = p.exact_div(q_minus_1)
             order += 1
-        except Exception:
+        except DivisibilityError:
             break
     if order % 2:
         return False
@@ -522,7 +472,6 @@ def run_suite(
     suite: str,
     max_n: Optional[int] = None,
     q_samples: Optional[Sequence[Fraction]] = None,
-    jobs: int = 1,
     cap: Optional[int] = None,
 ) -> VerificationReport:
     """Run one named suite (or all of them) and return the report."""
@@ -541,4 +490,4 @@ def run_suite(
         checks += suite_interlacing(max_n=max_n or 7, q_samples=non_unit or (Fraction(1, 2), Fraction(2), Fraction(5)))
     if suite in ("stability", "all"):
         checks += suite_stability(max_n=max_n or 6, q_samples=samples)
-    return VerificationReport(tuple(_run_checks(checks, jobs=jobs)))
+    return VerificationReport(tuple(timed_entry(cid, params, check) for cid, params, check in checks))

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from weylpoly.cli import main
+from weylpoly.errors import EnumerationCapError
 from weylpoly.exactpoly import poly_from_json
-from weylpoly.report import ReportEntry, VerificationReport
+from weylpoly.report import ReportEntry, VerificationReport, timed_entry
+from weylpoly.verify import suite_oracles
 
 
 def run(capsys, *argv):
@@ -72,14 +74,10 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "bogus")
         assert code == 2
 
-    def test_jobs_do_not_change_results(self, capsys):
-        code1, out1, _ = run(capsys, "verify", "--suite", "paper_tables", "--jobs", "1")
-        code2, out2, _ = run(capsys, "verify", "--suite", "paper_tables", "--jobs", "4")
-        assert code1 == code2 == 0
-        r1 = VerificationReport.loads(out1)
-        r2 = VerificationReport.loads(out2)
-        key = lambda r: [(e.check_id, json.dumps(e.parameters, sort_keys=True), e.verdict) for e in r.entries]
-        assert key(r1) == key(r2)
+    def test_oracle_rank_above_cap_raises(self, monkeypatch):
+        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+        with pytest.raises(EnumerationCapError):
+            suite_oracles(max_n=9)
 
     def test_small_oracle_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "oracles", "--max-n", "3")
@@ -134,6 +132,22 @@ class TestReport:
         code, _, _ = run(capsys, "report", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [1, 2],
+            {"entries": 5},
+            {"entries": [{"check_id": "alpha", "verdict": "pass", "witness": None, "elapsed_ms": 1.0}]},
+        ],
+        ids=["top_level_list", "entries_not_a_list", "entry_without_parameters"],
+    )
+    def test_wrong_structure_exits_2(self, tmp_path, capsys, payload):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, _, err = run(capsys, "report", str(path))
+        assert code == 2
+        assert "internal error" not in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, "report", "/nonexistent/report.json")
         assert code == 2
@@ -156,3 +170,10 @@ class TestReportTypes:
             )
         )
         assert report.all_passed
+
+    def test_timed_entry_verdicts(self):
+        passed = timed_entry("a", {"n": 2}, lambda: (True, {"note": "kept"}))
+        assert passed.verdict == "pass" and passed.witness == {"note": "kept"}
+        assert timed_entry("b", {}, None) == ReportEntry("b", {}, "skipped", None, 0.0)
+        failed = timed_entry("c", {}, lambda: (False, None))
+        assert failed.verdict == "fail" and failed.witness

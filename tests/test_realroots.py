@@ -7,6 +7,7 @@ import sympy as sp
 from weylpoly import (
     PreconditionError,
     UsageError,
+    WeylPolyError,
     XPoly,
     count_roots_in,
     interlaces,
@@ -18,6 +19,7 @@ from weylpoly import (
     square_free,
     xpoly,
 )
+from weylpoly import realroots
 from weylpoly.realroots import _cauchy_pow2_bound, _int_coeffs, _radical
 from weylpoly.tables import K4_TABLE, K4_ROOTS
 
@@ -205,6 +207,12 @@ class TestInterlaces:
     def test_x_multiple_is_strict_when_coprime(self):
         # g has the largest root at 0, f strictly between g's roots
         assert interlaces(xpoly(1, 1), xpoly(0, 3, 1)).relation == "strict"
+
+    def test_exhausted_separation_budget_is_typed(self, monkeypatch):
+        monkeypatch.setattr(realroots, "_MAX_SEPARATION_BISECTIONS", 1)
+        root = Fraction(7, 3)
+        with pytest.raises(WeylPolyError):
+            interlaces(xpoly(-root, 1), xpoly(-root - Fraction(1, 10**12), 1))
 
 
 class TestMutuallyInterlacing:

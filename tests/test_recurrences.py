@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
+
+import weylpoly
 
 from weylpoly import (
     PreconditionError,
@@ -191,6 +197,13 @@ class TestIdentities:
         assert entry.parameters == {"n": 3}
         assert entry.elapsed_ms >= 0.0
 
+    def test_elapsed_covers_the_work(self):
+        start = time.perf_counter()
+        entry = check_identity("stembridge", 6)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        assert entry.verdict == "pass"
+        assert entry.elapsed_ms >= 0.5 * wall_ms
+
 
 class TestTransform:
     def test_hand_example(self):
@@ -300,6 +313,24 @@ class TestFisk:
             nx_x(0)
         with pytest.raises(UsageError):
             nx_const(-1)
+
+
+class TestDeepRanks:
+    def test_builds_do_not_recurse(self):
+        # A fresh interpreter keeps the rank caches cold, so every rank is built.
+        script = (
+            "import sys\n"
+            "from weylpoly import refined_K, refined_Tq\n"
+            "sys.setrecursionlimit(30)\n"
+            "assert len(refined_Tq(40).polys) == 80\n"
+            "assert len(refined_K(60, 'recurrence').polys) == 120\n"
+        )
+        src = os.path.dirname(os.path.dirname(weylpoly.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRefinedFamilyType:
