@@ -14,6 +14,10 @@ keeps degree-gap rules in the interlacing code unambiguous.
 All operations are pure and exact; mixing kinds in ring operations raises
 ``TypeError``.  JSON serialization uses decimal strings for every integer so
 round-trips are bit-exact.
+
+One integer kernel (``_int_coeffs``, ``_primitive``, ``_prem``) works on
+primitive integer coefficient tuples; ``poly_gcd`` and the Sturm chains of
+``realroots`` both run on it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd as int_gcd, lcm
+from typing import Iterable, Sequence, Union
 
 from .errors import DivisibilityError, UsageError
 
@@ -328,13 +333,64 @@ def derivative(p: XPoly) -> XPoly:
     return p.derivative()
 
 
+# ---------------------------------------------------------------------------
+# Integer kernel: primitive integer coefficient tuples
+# ---------------------------------------------------------------------------
+
+
+def _primitive(ints: list[int]) -> tuple[int, ...]:
+    """Trim trailing zeros and divide out the content, preserving sign."""
+    while ints and ints[-1] == 0:
+        ints.pop()
+    g = int_gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
+
+
+def _int_coeffs(p: XPoly) -> tuple[int, ...]:
+    """Clear denominators and divide out the content, preserving sign."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Pseudo-remainder |lc(g)| ** max(deg f - deg g + 1, 0) * rem(f, g).
+
+    The scaling is a positive power of |lc(g)|, so the integer remainder has
+    the signs of the rational one.  Trailing zeros are not trimmed.
+    """
+    lead = g[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    low = g[:-1]
+    dg = len(low)
+    rem = list(f)
+    while len(rem) > dg:
+        top = sign * rem.pop()
+        if scale != 1:
+            rem = [scale * c for c in rem]
+        if top:
+            shift = len(rem) - dg
+            for k, c in enumerate(low):
+                rem[shift + k] -= top * c
+    return rem
+
+
 def poly_gcd(a: XPoly, b: XPoly) -> XPoly:
-    """Monic greatest common divisor over the rationals."""
+    """Monic greatest common divisor over the rationals.
+
+    Computed as a primitive polynomial remainder sequence (Collins 1967,
+    Brown 1978) on primitive integer coefficient tuples: each pseudo-remainder
+    is divided by its content, so no rational arithmetic enters the loop.
+    """
     if a.is_zero() and b.is_zero():
         raise UsageError("gcd of two zero polynomials is undefined")
-    while not b.is_zero():
-        a, b = b, XPoly(tuple(_long_divide(a, b)[1]))
-    return a.monic()
+    f, g = _int_coeffs(a), _int_coeffs(b)
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _primitive(_prem(f, g))
+    return XPoly(f).monic()
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 """Certified real-root counting, isolation, and interlacing over exact rationals.
 
-Everything here is driven by Sturm chains with integer coefficients: input
-polynomials are cleared of denominators and made primitive, chain members are
-rescaled to primitive integer form after each pseudo-remainder step (positive
-scalings preserve sign variations), and sign evaluations at a rational point
-num/den run entirely in integer arithmetic.  Root counts use the half-open
-convention: the Sturm variation difference V(lo) - V(hi) counts distinct
-roots in (lo, hi].
+Everything here is driven by Sturm chains with integer coefficients, built
+on the integer kernel of ``exactpoly``: input polynomials are cleared of
+denominators and made primitive, and each chain member is the primitive part
+of minus a pseudo-remainder, a primitive polynomial remainder sequence
+(Collins 1967, Brown 1978).  The pseudo-remainder scales by a positive power
+of the divisor's leading coefficient, so sign variations are preserved.  Sign
+evaluations at a rational point num/den run entirely in integer arithmetic.
+Root counts use the half-open convention: the Sturm variation difference
+V(lo) - V(hi) counts distinct roots in (lo, hi].
 
 Isolating intervals start from a power-of-two bracket at least as large as
 the Cauchy bound 1 + max|a_i / a_n|, so every bisection midpoint is dyadic
 and stays cheap to evaluate.  Multiplicities come from a Yun square-free
-decomposition.
+decomposition, whose gcds run on the same primitive remainder sequence.
+Each polynomial's root profile is cached in a bounded LRU, and
+real-rootedness is read from it.
 """
 
 from __future__ import annotations
@@ -19,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, UsageError, WeylPolyError
-from .exactpoly import X_ONE, XPoly, exact_divide, poly_gcd
+from .exactpoly import X_ONE, XPoly, _int_coeffs, _prem, _primitive, exact_divide, poly_gcd
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -33,27 +36,8 @@ DEFAULT_WIDTH = Fraction(1, 2**30)
 # ---------------------------------------------------------------------------
 
 
-def _int_coeffs(p: XPoly) -> tuple[int, ...]:
-    """Clear denominators and divide out the content, preserving sign."""
-    den = 1
-    for c in p.coeffs:
-        den = lcm(den, c.denominator)
-    return _primitive([int(c * den) for c in p.coeffs])
-
-
 def _int_derivative(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(k * c for k, c in enumerate(ints) if k >= 1)
-
-
-def _primitive(ints: list[int]) -> tuple[int, ...]:
-    while ints and ints[-1] == 0:
-        ints.pop()
-    g = 0
-    for v in ints:
-        g = int_gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
@@ -68,31 +52,11 @@ def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _neg_rem_primitive(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    """Primitive integer form of -rem(f, g), scaled by a positive rational."""
-    rem = [Fraction(c) for c in f]
-    lead = Fraction(g[-1])
-    dg = len(g) - 1
-    while len(rem) - 1 >= dg:
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        t = rem[-1] / lead
-        shift = len(rem) - 1 - dg
-        for k in range(dg):
-            rem[shift + k] -= t * g[k]
-        rem.pop()
-    den = 1
-    for c in rem:
-        den = lcm(den, c.denominator)
-    return _primitive([int(-c * den) for c in rem])
-
-
 @lru_cache(maxsize=4096)
 def _sturm_chain(ints: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     chain = [ints, _int_derivative(ints)]
     while len(chain[-1]) >= 2:
-        nxt = _neg_rem_primitive(chain[-2], chain[-1])
+        nxt = _primitive([-c for c in _prem(chain[-2], chain[-1])])
         if not nxt:
             break
         chain.append(nxt)
@@ -118,25 +82,8 @@ def _var_at(chain, point: Fraction) -> int:
     return _variations([_sign_at(m, num, den) for m in chain])
 
 
-def _var_at_inf(chain, positive: bool) -> int:
-    signs = []
-    for m in chain:
-        if not m:
-            signs.append(0)
-            continue
-        s = (m[-1] > 0) - (m[-1] < 0)
-        if not positive and (len(m) - 1) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
 def _count_half_open(chain, lo: Fraction, hi: Fraction) -> int:
     return _var_at(chain, lo) - _var_at(chain, hi)
-
-
-def _count_full_line(chain) -> int:
-    return _var_at_inf(chain, positive=False) - _var_at_inf(chain, positive=True)
 
 
 def _cauchy_pow2_bound(ints: Sequence[int]) -> int:
@@ -273,6 +220,8 @@ class _Profile:
     """Radical, Sturm chain, and isolating records for one polynomial."""
 
     def __init__(self, p: XPoly):
+        if p.is_zero():
+            raise UsageError("the zero polynomial has no root profile")
         self.poly = p
         self.factors = _yun(p)
         self.radical = X_ONE
@@ -339,17 +288,7 @@ class _Profile:
         return sum(rec.mult for rec in self.records)
 
 
-_PROFILES: dict[XPoly, _Profile] = {}
-
-
-def _profile(p: XPoly) -> _Profile:
-    if p.is_zero():
-        raise UsageError("the zero polynomial has no root profile")
-    prof = _PROFILES.get(p)
-    if prof is None:
-        prof = _Profile(p)
-        _PROFILES[p] = prof
-    return prof
+_profile = lru_cache(maxsize=4096)(_Profile)
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +339,7 @@ def is_real_rooted(p: XPoly) -> bool:
         raise UsageError("is_real_rooted of the zero polynomial")
     if p.degree == 0:
         return True
-    total = 0
-    for mult, fac in _yun(p):
-        if fac.degree >= 1:
-            chain = _sturm_chain(_int_coeffs(fac))
-            total += mult * _count_full_line(chain)
-    return total == p.degree
+    return _profile(p).real_root_count == p.degree
 
 
 # ---------------------------------------------------------------------------

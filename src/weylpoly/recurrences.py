@@ -264,8 +264,12 @@ IDENTITY_NAMES = (
 )
 
 
-def evaluate_identity(name: str, n: int) -> tuple[bool, Optional[dict]]:
-    """Decide one named identity at rank n: (True, None) or (False, witness)."""
+def evaluate_identity(name: str, n: int, cap: Optional[int] = None) -> tuple[bool, Optional[dict]]:
+    """Decide one named identity at rank n: (True, None) or (False, witness).
+
+    ``cap`` bounds the enumerations of stembridge and q0_reduction as in
+    ``brute_polynomial``.
+    """
     if name == "dilks_62":
         lhs = assemble("tildeD", n)
         rhs = assemble("tildeB", n) - assemble("D", n - 1).shift_up(1) * (2 * n)
@@ -273,7 +277,8 @@ def evaluate_identity(name: str, n: int) -> tuple[bool, Optional[dict]]:
 
     if name == "stembridge":
         lhs = assemble("D", n)
-        rhs = brute_polynomial("B", n) - brute_polynomial("A", n - 2).shift_up(1) * (n * 2 ** (n - 1))
+        lower = brute_polynomial("A", n - 2, cap=cap).shift_up(1) * (n * 2 ** (n - 1))
+        rhs = brute_polynomial("B", n, cap=cap) - lower
         return poly_equality(lhs, rhs)
 
     if name == "t_n0_equals_prev":
@@ -303,7 +308,7 @@ def evaluate_identity(name: str, n: int) -> tuple[bool, Optional[dict]]:
         return _matrix_identity_holds(n)
 
     if name == "q0_reduction":
-        return poly_equality(assemble("Dq", n).eval_q(0), brute_polynomial("A", n - 1))
+        return poly_equality(assemble("Dq", n).eval_q(0), brute_polynomial("A", n - 1, cap=cap))
 
     if name == "oneplusq_division":
         return poly_equality(assemble("Dq", n) * ONE_PLUS_Q, assemble("Tq", n))

@@ -20,14 +20,13 @@ from .errors import (
     StabilityInapplicableError,
     UsageError,
 )
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, poly_gcd
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _int_coeffs, poly_gcd
 from .realroots import (
     InterlacingVerdict,
     STRICT,
     WEAK,
     _count_half_open,
     _cauchy_pow2_bound,
-    _int_coeffs,
     _radical,
     _sturm_chain,
     interlaces,

@@ -270,22 +270,31 @@ def suite_oracles(max_n: int = 6, cap: Optional[int] = None) -> list[_Check]:
 
 
 def suite_identities(max_n: int = 10, cap: Optional[int] = None) -> list[_Check]:
+    """Named identities up to rank max_n.
+
+    stembridge(n) and q0_reduction(n) enumerate at rank n.  They are skipped
+    above ranks 7 and 8 respectively, and above the enumeration cap, which
+    comes from ``cap``, then the environment, then the default.
+    """
+    cap = resolve_cap(cap)
     checks: list[_Check] = []
 
-    def ident(name, n):
-        return (name, {"n": n}, lambda name=name, n=n: evaluate_identity(name, n))
+    def ident(name, n, max_rank=None):
+        if max_rank is not None and n > min(cap, max_rank):
+            return (name, {"n": n}, None)
+        return (name, {"n": n}, lambda name=name, n=n: evaluate_identity(name, n, cap))
 
     for n in range(3, max_n + 1):
         checks.append(ident("dilks_62", n))
     for n in range(3, max_n + 1):
-        checks.append(ident("stembridge", n) if n <= 7 else ("stembridge", {"n": n}, None))
+        checks.append(ident("stembridge", n, max_rank=7))
     for n in range(3, max_n + 1):
         checks.append(ident("t_n0_equals_prev", n))
         checks.append(ident("tilde_dual", n))
         checks.append(ident("k_two_methods", n))
         checks.append(ident("matrix_identity", n))
     for n in range(2, max_n + 1):
-        checks.append(ident("q0_reduction", n) if n <= 8 else ("q0_reduction", {"n": n}, None))
+        checks.append(ident("q0_reduction", n, max_rank=8))
         checks.append(ident("oneplusq_division", n))
     for n in range(3, max_n + 1):
         checks.append(ident("interlace_chain_prop62", n))
@@ -384,6 +393,8 @@ def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = (Fraction(
 
 def _positive_except_even_zero_at_one(p: QPoly) -> bool:
     """Positivity on (0, inf) allowing an even-order zero at q = 1."""
+    if p.is_zero():
+        raise UsageError("_positive_except_even_zero_at_one of the zero polynomial")
     q_minus_1 = QPoly((-1, 1))
     order = 0
     while True:

@@ -6,7 +6,7 @@ from weylpoly.cli import main
 from weylpoly.errors import EnumerationCapError
 from weylpoly.exactpoly import poly_from_json
 from weylpoly.report import ReportEntry, VerificationReport, timed_entry
-from weylpoly.verify import suite_oracles
+from weylpoly.verify import suite_identities, suite_oracles
 
 
 def run(capsys, *argv):
@@ -78,6 +78,34 @@ class TestVerify:
         monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
         with pytest.raises(EnumerationCapError):
             suite_oracles(max_n=9)
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_identities_honour_cap(self, capsys, monkeypatch, via_env):
+        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+        argv = ["verify", "--suite", "identities", "--max-n", "6"]
+        if via_env:
+            monkeypatch.setenv("WEYLPOLY_CAP", "5")
+        else:
+            argv += ["--cap-override", "5"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        verdicts = {
+            (e.check_id, e.parameters["n"]): e.verdict
+            for e in VerificationReport.loads(out).entries
+            if e.check_id in ("stembridge", "q0_reduction")
+        }
+        assert verdicts[("stembridge", 5)] == verdicts[("q0_reduction", 5)] == "pass"
+        assert verdicts[("stembridge", 6)] == verdicts[("q0_reduction", 6)] == "skipped"
+
+    def test_identities_default_cap_keeps_ranks(self, monkeypatch):
+        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+        run_ranks = {}
+        for cid, params, thunk in suite_identities(max_n=10):
+            if thunk is not None:
+                run_ranks.setdefault(cid, []).append(params["n"])
+        assert max(run_ranks["stembridge"]) == 7
+        assert max(run_ranks["q0_reduction"]) == 8
+        assert max(run_ranks["dilks_62"]) == 10
 
     def test_small_oracle_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "oracles", "--max-n", "3")

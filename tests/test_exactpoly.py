@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from weylpoly import (
     DivisibilityError,
@@ -20,6 +21,8 @@ from weylpoly import (
 )
 from weylpoly.exactpoly import (
     NEG_INF,
+    _int_coeffs,
+    _prem,
     poly_to_json,
     qxpoly_from_json,
     qxpoly_to_json,
@@ -42,6 +45,37 @@ def rand_qxpoly(rng, max_deg=4, span=6):
             for _ in range(rng.randint(0, max_deg + 1))
         ]
     )
+
+
+def fraction_rem(a: XPoly, b: XPoly) -> XPoly:
+    """Remainder of a / b by schoolbook long division over Fraction."""
+    rem = list(a.coeffs)
+    db = b.degree
+    while rem and len(rem) - 1 >= db:
+        t = rem[-1] / b.leading
+        shift = len(rem) - 1 - db
+        for k, c in enumerate(b.coeffs):
+            rem[shift + k] -= t * c
+        rem.pop()
+    return XPoly(tuple(rem))
+
+
+def fraction_euclid_gcd(a: XPoly, b: XPoly) -> XPoly:
+    """Reference gcd: the Euclid loop over Fraction remainders."""
+    while not b.is_zero():
+        a, b = b, fraction_rem(a, b)
+    return a.monic()
+
+
+X = sp.symbols("x")
+
+
+def to_sympy(p: XPoly):
+    return sum(sp.Rational(c.numerator, c.denominator) * X**k for k, c in enumerate(p.coeffs))
+
+
+def from_sympy(p: sp.Poly) -> XPoly:
+    return xpoly(*[Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
 
 
 class TestArith:
@@ -154,6 +188,52 @@ class TestGcd:
                 assert exact_divide(a, g) * g == a
             if not b.is_zero():
                 assert exact_divide(b, g) * g == b
+
+    def test_matches_sympy_and_fraction_euclid_fuzz(self):
+        rng = random.Random(31)
+        for trial in range(150):
+            common = xpoly(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5)))
+            for _ in range(rng.randint(0, 3)):
+                root = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                common = common * xpoly(-root, 1) ** rng.randint(1, 3)
+            if rng.random() < 0.3:
+                common = common * xpoly(rng.randint(1, 4), rng.randint(-2, 2), 1)
+            a = common * rand_xpoly(rng, max_deg=4)
+            b = common * rand_xpoly(rng, max_deg=4)
+            if trial % 10 == 0:
+                b = XPoly()
+            elif trial % 10 == 1:
+                b = xpoly(Fraction(-rng.randint(1, 9), rng.randint(1, 9)))
+            if a.is_zero() and b.is_zero():
+                continue
+            got = poly_gcd(a, b)
+            want = sp.Poly(to_sympy(a), X, domain="QQ").gcd(sp.Poly(to_sympy(b), X, domain="QQ"))
+            assert got == from_sympy(want.monic()), (str(a), str(b))
+            assert got == fraction_euclid_gcd(a, b)
+
+    def test_zero_or_constant_operand(self):
+        p = xpoly(-6, 3, 3)
+        assert poly_gcd(p, XPoly()) == poly_gcd(XPoly(), p) == xpoly(-2, 1, 1)
+        assert poly_gcd(p, xpoly(Fraction(-2, 7))) == xpoly(1)
+        assert poly_gcd(xpoly(5), XPoly()) == xpoly(1)
+
+
+class TestIntegerKernel:
+    def test_int_coeffs_is_primitive_and_keeps_sign(self):
+        assert _int_coeffs(xpoly(Fraction(-1, 2), Fraction(3, 4), 0)) == (-2, 3)
+        assert _int_coeffs(xpoly(4, -6)) == (2, -3)
+        assert _int_coeffs(XPoly()) == ()
+
+    def test_prem_is_positive_power_times_rational_remainder(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            f = [rng.randint(-20, 20) for _ in range(rng.randint(1, 8))]
+            g = [rng.randint(-20, 20) for _ in range(rng.randint(1, 5))]
+            if not g[-1]:
+                g[-1] = rng.choice([-7, -1, 3])
+            power = max(len(f) - len(g) + 1, 0)
+            want = fraction_rem(xpoly(*f), xpoly(*g)) * abs(g[-1]) ** power
+            assert xpoly(*_prem(f, g)) == want, (f, g)
 
 
 class TestEvalQ:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import sympy as sp
 
 from weylpoly import (
     PreconditionError,
+    assemble,
     UsageError,
     WeylPolyError,
     XPoly,
@@ -20,7 +22,8 @@ from weylpoly import (
     xpoly,
 )
 from weylpoly import realroots
-from weylpoly.realroots import _cauchy_pow2_bound, _int_coeffs, _radical
+from weylpoly.exactpoly import _int_coeffs
+from weylpoly.realroots import _cauchy_pow2_bound, _int_derivative, _radical, _sturm_chain, _yun
 from weylpoly.tables import K4_TABLE, K4_ROOTS
 
 X = sp.symbols("x")
@@ -163,6 +166,106 @@ class TestIsRealRooted:
     def test_zero_rejected(self):
         with pytest.raises(UsageError):
             is_real_rooted(XPoly())
+
+    def test_matches_yun_full_line_count_and_sympy(self):
+        rng = random.Random(99)
+        cases = [assemble("tildeD", n) for n in range(3, 12)]
+        cases += [K4_TABLE[5] * xpoly(1, 0, 1), xpoly(1, 1) ** 2 * xpoly(2, -1, 3), xpoly(-1, 0, 0, 0, 1)]
+        for _ in range(60):
+            p = xpoly(Fraction(rng.choice([-2, 1, 3]), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4)):
+                root = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                p = p * xpoly(-root, 1) ** rng.randint(1, 3)
+            if rng.random() < 0.4:
+                p = p * xpoly(rng.randint(1, 5), rng.randint(-2, 2), 1)
+            cases.append(p)
+        real_rooted = 0
+        for p in cases:
+            got = is_real_rooted(p)
+            assert got == yun_full_line_real_rooted(p), str(p)
+            assert got == (len(to_sympy(p).real_roots()) == p.degree), str(p)
+            real_rooted += got
+        assert 0 < real_rooted < len(cases)
+
+    def test_profile_cache_is_bounded_lru(self):
+        cache = realroots._profile
+        cache.cache_clear()
+        limit = cache.cache_info().maxsize
+        assert limit == 4096
+        keep = xpoly(1, 1)
+        for k in range(limit + 100):
+            is_real_rooted(xpoly(k, 1))
+            if k % 1000 == 0:
+                is_real_rooted(keep)
+        assert cache.cache_info().currsize <= limit
+        hits = cache.cache_info().hits
+        is_real_rooted(keep)
+        assert cache.cache_info().hits == hits + 1
+
+
+class TestSturmChain:
+    def test_bit_identical_to_fraction_remainder_reference(self):
+        rng = random.Random(11)
+        inputs = [assemble("tildeD", n) for n in range(3, 16)]
+        inputs += list(refined_K(6, "direct").polys) + list(refined_T1(6))
+        for _ in range(80):
+            inputs.append(xpoly(*[rng.randint(-30, 30) for _ in range(rng.randint(2, 9))]))
+        for p in inputs:
+            if p.degree < 1:
+                continue
+            ints = _int_coeffs(p)
+            assert _sturm_chain(ints) == fraction_sturm_chain(ints), str(p)
+
+
+def _primitive_ref(ints):
+    while ints and ints[-1] == 0:
+        ints.pop()
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def fraction_sturm_chain(ints):
+    """Reference Sturm chain: -rem over Fraction, then primitive integer form."""
+    chain = [tuple(ints), _int_derivative(ints)]
+    while len(chain[-1]) >= 2:
+        f, g = chain[-2], chain[-1]
+        rem = [Fraction(c) for c in f]
+        while len(rem) >= len(g):
+            t = rem[-1] / g[-1]
+            shift = len(rem) - len(g)
+            for k, c in enumerate(g):
+                rem[shift + k] -= t * c
+            rem.pop()
+        den = math.lcm(*(c.denominator for c in rem))
+        nxt = _primitive_ref([int(-c * den) for c in rem])
+        if not nxt:
+            break
+        chain.append(nxt)
+    if not chain[-1]:
+        chain.pop()
+    return tuple(chain)
+
+
+def yun_full_line_real_rooted(p: XPoly) -> bool:
+    """Reference: Yun factors, each counted on the whole line by its Sturm chain."""
+    if p.degree == 0:
+        return True
+    total = 0
+    for mult, fac in _yun(p):
+        if fac.degree >= 1:
+            chain = fraction_sturm_chain(_int_coeffs(fac))
+            total += mult * (sign_changes_at_infinity(chain, -1) - sign_changes_at_infinity(chain, 1))
+    return total == p.degree
+
+
+def sign_changes_at_infinity(chain, direction: int) -> int:
+    signs = []
+    for m in chain:
+        s = (m[-1] > 0) - (m[-1] < 0)
+        signs.append(s * direction ** (len(m) - 1))
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 class TestInterlaces:

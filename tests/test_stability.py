@@ -20,6 +20,7 @@ from weylpoly import (
     refined_Tq,
     xpoly,
 )
+from weylpoly import verify
 from weylpoly.exactpoly import QPoly
 from weylpoly.tables import (
     C01_POLY,
@@ -152,6 +153,8 @@ class TestHurwitzSymbolic:
 
 
 def _positive_except_even_zero_at_one(p: QPoly) -> bool:
+    if p.is_zero():
+        raise UsageError("the zero polynomial has no positivity verdict")
     q_minus_1 = QPoly((-1, 1))
     order = 0
     while True:
@@ -183,6 +186,16 @@ class TestQPositivity:
     def test_zero_rejected(self):
         with pytest.raises(UsageError):
             q_positive_on_positive_reals(QPoly())
+
+    @pytest.mark.parametrize(
+        "check", [_positive_except_even_zero_at_one, verify._positive_except_even_zero_at_one],
+        ids=["test_copy", "verify"],
+    )
+    def test_boundary_positivity_rejects_zero(self, check):
+        with pytest.raises(UsageError):
+            check(QPoly())
+        assert check(qpoly(1, -2, 1) * qpoly(1, 1))
+        assert not check(qpoly(-1, 1))
 
     def test_all_couplings_positive_off_the_q1_boundary(self):
         special = set(SPECIAL_PAIRS)
