@@ -45,11 +45,12 @@ Rational = Fraction
 class _DensePoly:
     """Dense polynomial, ascending coefficients, generic over the ring.
 
-    Subclasses set four class constants, left unannotated so they are not
-    dataclass fields: ``_coerce`` converts one coefficient, ``_scalars``
-    lists the types accepted as constants, ``_zero`` is the coefficient
-    zero, and ``_quot`` is the exact quotient of two leading coefficients
-    (raising DivisibilityError when there is none).
+    Subclasses set four class constants: ``_coerce`` converts one
+    coefficient, ``_scalars`` lists the types accepted as constants,
+    ``_zero`` is the coefficient zero, and ``_quot`` is the exact quotient
+    of two leading coefficients (raising DivisibilityError when there is
+    none).  Subclasses are not decorated again, so they keep ``__eq__`` and
+    the cached ``__hash__`` defined here.
     """
 
     coeffs: tuple = ()
@@ -59,6 +60,15 @@ class _DensePoly:
         while c and not c[-1]:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    def __hash__(self) -> int:
+        # Computed once: polynomials key the root-profile caches, and hashing
+        # a tuple of Fractions on every lookup is not cheap.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.coeffs)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def _lift(self, v):
         """v as a polynomial of this kind, or NotImplemented."""
@@ -212,7 +222,6 @@ def _int_quot(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, repr=False)
 class QPoly(_DensePoly):
     """Dense integer polynomial in q, ascending coefficients."""
 
@@ -236,7 +245,6 @@ ONE_PLUS_Q = QPoly((1, 1))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, repr=False)
 class XPoly(_DensePoly):
     """Dense polynomial in x over exact rationals, ascending coefficients."""
 
@@ -286,7 +294,6 @@ def _require_qpoly(v) -> QPoly:
     raise UsageError(f"QXPoly coefficients must be QPoly or int, got {type(v).__name__}")
 
 
-@dataclass(frozen=True, repr=False)
 class QXPoly(_DensePoly):
     """Polynomial in x whose coefficients are integer polynomials in q."""
 

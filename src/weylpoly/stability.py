@@ -2,9 +2,12 @@
 
 The Hurwitz matrix of p(z) = sum a_{n-k} z^k is H[r][c] = a_{2c - r + 1}
 (0-based, entries outside 0..n read as zero); Delta_k is its k-th leading
-principal minor.  Numeric determinants live over the rationals; symbolic
-ones live over the integer polynomials in q and are computed fraction-free,
-by cofactor expansion up to size 4 and Bareiss elimination beyond.
+principal minor.  H is built once, over the integers (numeric p, scaled by
+the lcm of its denominators) or over the integer polynomials in q
+(symbolic p), and Delta_1..Delta_n are read off as the pivots of one
+fraction-free Bareiss elimination without pivoting.  Only after a zero
+pivot are the remaining minors computed one by one, by Bareiss elimination
+with row pivoting over the same ring.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from .errors import (
@@ -20,7 +24,7 @@ from .errors import (
     StabilityInapplicableError,
     UsageError,
 )
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _int_coeffs, poly_gcd
+from .exactpoly import ONE_PLUS_Q, Q_ZERO, QPoly, QXPoly, XPoly, _int_coeffs, _int_quot, poly_gcd
 from .realroots import (
     InterlacingVerdict,
     STRICT,
@@ -100,57 +104,60 @@ class StabilityReport:
         return {"determinants": dets, "verdict": self.verdict}
 
 
-def _det_cofactor(mat, zero):
-    k = len(mat)
-    if k == 1:
-        return mat[0][0]
-    if k == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    out = zero
-    sign = 1
-    for c in range(k):
-        entry = mat[0][c]
-        if entry:
-            minor = [row[:c] + row[c + 1 :] for row in mat[1:]]
-            term = entry * _det_cofactor(minor, zero)
-            out = out + term if sign > 0 else out - term
-        sign = -sign
-    return out
+def _eliminate(m, k, prev, quot):
+    """Clear column k below the pivot m[k][k] by one fraction-free step.
+
+    prev is the previous pivot, or None at the first step.  By Sylvester's
+    identity it divides every new entry exactly (Bareiss 1968); quot is the
+    exact quotient of the entries' ring and raises DivisibilityError on a
+    remainder.
+    """
+    pivot, top = m[k][k], m[k][k + 1 :]
+    for row in m[k + 1 :]:
+        lead = row[k]
+        new = [pivot * x - lead * t for x, t in zip(row[k + 1 :], top)]
+        row[k + 1 :] = new if prev is None else [quot(v, prev) for v in new]
 
 
-def _exact_quot(a, b):
-    if isinstance(a, Fraction):
-        return a / b
-    return a.exact_div(b)
-
-
-def _det_bareiss(mat, zero, one):
-    """Fraction-free determinant with row pivoting over an integral domain."""
+def _det_bareiss(mat, quot):
+    """Determinant of a square matrix by fraction-free elimination with row pivoting."""
     m = [list(row) for row in mat]
     k = len(m)
     sign = 1
-    prev = one
+    prev = None
     for col in range(k - 1):
         pivot_row = next((r for r in range(col, k) if m[r][col]), None)
         if pivot_row is None:
-            return zero
+            return m[col][col]  # a zero of the entries' ring
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
-        for r in range(col + 1, k):
-            for c in range(col + 1, k):
-                num = m[col][col] * m[r][c] - m[r][col] * m[col][c]
-                m[r][c] = _exact_quot(num, prev)
-            m[r][col] = zero
+        _eliminate(m, col, prev, quot)
         prev = m[col][col]
     det = m[k - 1][k - 1]
     return det if sign > 0 else -det
 
 
-def _det(mat, zero, one):
-    if len(mat) <= 4:
-        return _det_cofactor(mat, zero)
-    return _det_bareiss(mat, zero, one)
+def _leading_minors(mat, quot):
+    """All leading principal minors of a square matrix, smallest first.
+
+    Without pivoting, the k-th pivot of one fraction-free elimination is the
+    k-th leading principal minor.  A zero pivot stops the pass; the larger
+    minors then come one by one from _det_bareiss.
+    """
+    m = [list(row) for row in mat]
+    n = len(m)
+    minors = []
+    prev = None
+    for k in range(n):
+        pivot = m[k][k]
+        minors.append(pivot)
+        if not pivot:
+            minors += [_det_bareiss([row[:s] for row in mat[:s]], quot) for s in range(k + 2, n + 1)]
+            break
+        _eliminate(m, k, prev, quot)
+        prev = pivot
+    return minors
 
 
 def hurwitz_determinants(p: Union[XPoly, QXPoly]) -> StabilityReport:
@@ -166,35 +173,29 @@ def hurwitz_determinants(p: Union[XPoly, QXPoly]) -> StabilityReport:
     n = int(p.degree)
     if n < 1:
         raise UsageError("hurwitz_determinants needs degree >= 1")
+    a = p.coeffs[::-1]
     symbolic = isinstance(p, QXPoly)
     if symbolic:
-        zero, one = QPoly(), QPoly((1,))
-        a = list(reversed(p.coeffs))
-        if not a[0]:
-            raise UsageError("leading coefficient must be nonzero")
+        zero, quot = Q_ZERO, QPoly.exact_div
     else:
-        zero, one = Fraction(0), Fraction(1)
-        a = list(reversed(p.coeffs))
         if a[0] <= 0:
             raise PreconditionError("leading coefficient must be positive")
-
-    def entry(r, c):
-        idx = 2 * c - r + 1
-        return a[idx] if 0 <= idx <= n else zero
-
-    dets = []
-    for k in range(1, n + 1):
-        mat = [[entry(r, c) for c in range(k)] for r in range(k)]
-        dets.append(_det(mat, zero, one))
-    verdict = None
-    if not symbolic:
-        if all(d > 0 for d in dets):
-            verdict = HURWITZ_STABLE
-        elif any(d < 0 for d in dets):
-            verdict = NOT_STABLE
-        else:
-            verdict = BOUNDARY
-    return StabilityReport(tuple(dets), verdict)
+        # Delta_k(den * p) = den**k * Delta_k(p)
+        den = lcm(*(c.denominator for c in a))
+        a = [c.numerator * (den // c.denominator) for c in a]
+        zero, quot = 0, _int_quot
+    hurwitz = [[a[2 * c - r + 1] if 0 <= 2 * c - r + 1 <= n else zero for c in range(n)] for r in range(n)]
+    minors = _leading_minors(hurwitz, quot)
+    if symbolic:
+        return StabilityReport(tuple(minors), None)
+    dets = tuple(Fraction(d, den**k) for k, d in enumerate(minors, start=1))
+    if all(d > 0 for d in dets):
+        verdict = HURWITZ_STABLE
+    elif any(d < 0 for d in dets):
+        verdict = NOT_STABLE
+    else:
+        verdict = BOUNDARY
+    return StabilityReport(dets, verdict)
 
 
 # ---------------------------------------------------------------------------

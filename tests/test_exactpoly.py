@@ -13,14 +13,17 @@ from weylpoly import (
     XPoly,
     coeff_props,
     exact_divide,
+    is_real_rooted,
     poly_from_json,
     poly_gcd,
     qpoly,
     qxpoly,
     xpoly,
 )
+from weylpoly import realroots
 from weylpoly.exactpoly import (
     NEG_INF,
+    _DensePoly,
     _int_coeffs,
     _prem,
     poly_to_json,
@@ -113,6 +116,45 @@ class TestArith:
             assert (a + b) + c == a + (b + c)
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
+
+
+class TestHash:
+    def test_every_kind_uses_the_cached_hash(self):
+        for cls in (XPoly, QPoly, QXPoly):
+            assert cls.__hash__ is _DensePoly.__hash__
+            assert cls.__eq__ is _DensePoly.__eq__
+
+    def test_equal_polynomials_hash_equal(self):
+        pairs = [
+            (xpoly(1, Fraction(2, 3), 5), XPoly((Fraction(1), Fraction(4, 6), Fraction(5), Fraction(0)))),
+            (qpoly(1, -2, 7), QPoly((1, -2, 7, 0))),
+            (qxpoly((1, 1), 3), QXPoly((QPoly((1, 1)), QPoly((3,)), QPoly()))),
+        ]
+        for a, b in pairs:
+            assert a == b and a is not b
+            assert hash(a) == hash(b)
+
+    def test_second_hash_does_not_recompute(self, monkeypatch):
+        calls = []
+        fraction_hash = Fraction.__hash__
+
+        def counting_hash(self):
+            calls.append(self)
+            return fraction_hash(self)
+
+        p = xpoly(3, Fraction(1, 2), 7, 1)
+        monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+        first = hash(p)
+        assert len(calls) == len(p.coeffs)
+        assert hash(p) == first
+        assert len(calls) == len(p.coeffs)
+
+    def test_profile_cache_hits_an_equal_polynomial(self):
+        p = xpoly(2, 3, 1) * xpoly(5, 1)
+        realroots._profile(p)
+        hits = realroots._profile.cache_info().hits
+        assert is_real_rooted(xpoly(2, 3, 1) * xpoly(5, 1))
+        assert realroots._profile.cache_info().hits == hits + 1
 
 
 class TestExactDivide:

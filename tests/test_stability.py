@@ -1,9 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 from weylpoly import (
+    DivisibilityError,
     PreconditionError,
     StabilityInapplicableError,
     UsageError,
@@ -21,7 +25,8 @@ from weylpoly import (
     xpoly,
 )
 from weylpoly import verify
-from weylpoly.exactpoly import QPoly
+from weylpoly.exactpoly import QPoly, QXPoly, _int_quot
+from weylpoly.stability import _eliminate, _interleave, _strip_z
 from weylpoly.tables import (
     C01_POLY,
     C06_DELTA4_QUINTIC,
@@ -102,6 +107,101 @@ class TestHurwitzNumeric:
                 assert rec.hi < 0
 
 
+# Reference: the per-minor route used before the one-pass elimination.
+# Each Delta_k is its own determinant: cofactor expansion up to size 4,
+# then row-pivoting Bareiss on Fractions (or on QPolys in the symbolic case).
+
+
+def _ref_det_cofactor(mat, zero):
+    k = len(mat)
+    if k == 1:
+        return mat[0][0]
+    if k == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    out = zero
+    sign = 1
+    for c in range(k):
+        entry = mat[0][c]
+        if entry:
+            minor = [row[:c] + row[c + 1 :] for row in mat[1:]]
+            term = entry * _ref_det_cofactor(minor, zero)
+            out = out + term if sign > 0 else out - term
+        sign = -sign
+    return out
+
+
+def _ref_exact_quot(a, b):
+    if isinstance(a, Fraction):
+        return a / b
+    return a.exact_div(b)
+
+
+def _ref_det_bareiss(mat, zero, one):
+    m = [list(row) for row in mat]
+    k = len(m)
+    sign = 1
+    prev = one
+    for col in range(k - 1):
+        pivot_row = next((r for r in range(col, k) if m[r][col]), None)
+        if pivot_row is None:
+            return zero
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        for r in range(col + 1, k):
+            for c in range(col + 1, k):
+                num = m[col][col] * m[r][c] - m[r][col] * m[col][c]
+                m[r][c] = _ref_exact_quot(num, prev)
+            m[r][col] = zero
+        prev = m[col][col]
+    det = m[k - 1][k - 1]
+    return det if sign > 0 else -det
+
+
+def _hurwitz_minor_matrices(a, zero):
+    """The leading k x k blocks of the Hurwitz matrix, k = 1..n; a[0] leads."""
+    n = len(a) - 1
+    for k in range(1, n + 1):
+        yield [[a[2 * c - r + 1] if 0 <= 2 * c - r + 1 <= n else zero for c in range(k)] for r in range(k)]
+
+
+def _reference_minors(p):
+    zero, one = (QPoly(), QPoly((1,))) if isinstance(p, QXPoly) else (Fraction(0), Fraction(1))
+    out = []
+    for mat in _hurwitz_minor_matrices(p.coeffs[::-1], zero):
+        out.append(_ref_det_cofactor(mat, zero) if len(mat) <= 4 else _ref_det_bareiss(mat, zero, one))
+    return tuple(out)
+
+
+Q = sp.Symbol("q")
+
+
+def _sympy_minors(p):
+    """Per-minor sympy determinants, as Fractions or QPolys like the library's."""
+    symbolic = isinstance(p, QXPoly)
+    if symbolic:
+        entries = [sum(v * Q**i for i, v in enumerate(c.coeffs)) for c in p.coeffs]
+    else:
+        entries = [sp.Rational(c.numerator, c.denominator) for c in p.coeffs]
+    out = []
+    for mat in _hurwitz_minor_matrices(entries[::-1], sp.Integer(0)):
+        dm = DomainMatrix.from_Matrix(sp.Matrix(mat))
+        det = sp.expand(dm.domain.to_sympy(dm.det()))
+        if symbolic:
+            out.append(QPoly(tuple(int(c) for c in reversed(sp.Poly(det, Q).all_coeffs()))))
+        else:
+            out.append(Fraction(int(det.p), int(det.q)))
+    return tuple(out)
+
+
+def _verdict(dets):
+    if all(d > 0 for d in dets):
+        return "hurwitz_stable"
+    if any(d < 0 for d in dets):
+        return "not_stable"
+    return "boundary"
+
+
 class TestBuildC:
     def test_pair_01(self):
         got = build_C(0, 1)
@@ -129,6 +229,79 @@ class TestBuildC:
             build_C(1, 1)
         with pytest.raises(UsageError):
             build_C(0, 8)
+
+
+def _random_rational_poly(rng, degree):
+    """Positive leading coefficient, mixed denominators, about a third zeros."""
+    coeffs = [Fraction(rng.choice((0, rng.randint(-20, 20))), rng.choice((1, 2, 3, 5, 12))) for _ in range(degree)]
+    return XPoly(tuple(coeffs) + (Fraction(rng.randint(1, 9), rng.choice((1, 4, 7))),))
+
+
+# Each has a zero pivot with a nonzero minor after it; the first zero is
+# Delta_1 = a_1 = 0 in the first two, and later in the others.
+ZERO_PIVOT_CASES = [
+    xpoly(-1, -1, 0, 1),
+    xpoly(3, 3, -1, 3, 1, 2, 0, 0, 1),
+    xpoly(3, 0, 0, -1, 1),
+    xpoly(1, 1, 1, -1, 3, 0, 0, 1, 1),
+    xpoly(Fraction(1, 2), 0, -1, Fraction(-1, 3), 0, 3, 3, 1),
+    xpoly(-1, 3, -1, 1, 1, -1, Fraction(-1, 2), 1),
+    xpoly(Fraction(2, 3), 2, -1, 3, 1, 1, -1, 2, 1, 1),
+    xpoly(3, 0, 1, -1, 1, 3, 0, 1, 1),
+]
+
+
+class TestHurwitzOracles:
+    def check(self, p):
+        report = hurwitz_determinants(p)
+        want = _reference_minors(p)
+        assert report.determinants == want, str(p)
+        assert report.determinants == _sympy_minors(p), str(p)
+        if isinstance(p, XPoly):
+            assert report.verdict == _verdict(want), str(p)
+        else:
+            assert report.verdict is None
+        return report
+
+    def test_random_rational(self):
+        rng = random.Random(20260418)
+        verdicts = set()
+        for trial in range(120):
+            p = _random_rational_poly(rng, 1 + trial % 12)
+            verdicts.add(self.check(p).verdict)
+        assert verdicts == {"hurwitz_stable", "not_stable", "boundary"}
+
+    @pytest.mark.parametrize("p", ZERO_PIVOT_CASES, ids=str)
+    def test_continues_past_a_zero_pivot(self, p):
+        dets = self.check(p).determinants
+        first_zero = dets.index(0)
+        assert any(dets[first_zero + 1 :])
+
+    def test_reduced_rank4_couplings(self):
+        pairs = list(itertools.combinations(REDUCED_INDEX_SET, 2))
+        assert len(pairs) == 15
+        for pair in pairs:
+            self.check(build_C(*pair).poly)
+
+    @pytest.mark.parametrize(
+        "m, prev, quot",
+        [
+            ([[1, 1], [1, 2]], 2, _int_quot),
+            ([[qpoly(1), qpoly(1)], [qpoly(1), qpoly(2)]], qpoly(0, 2), QPoly.exact_div),
+        ],
+        ids=["int", "qpoly"],
+    )
+    def test_inexact_division_raises_typed_error(self, m, prev, quot):
+        with pytest.raises(DivisibilityError):
+            _eliminate(m, 0, prev, quot)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_stripped_couplings_of_refined_K(self, n):
+        fam = refined_K(n).polys
+        for f, g in itertools.combinations(fam, 2):
+            if f.is_zero() or g.is_zero():
+                continue
+            self.check(_strip_z(_interleave(g, f))[1])
 
 
 class TestHurwitzSymbolic:
