@@ -104,6 +104,10 @@ def _step_Tq(n: int, prev: tuple) -> tuple:
 
 _TQ_RANKS: dict[int, RefinedFamily] = {}
 
+# Bound of the per-rank lru caches below: far above the ranks built in
+# practice (about 40), so none is evicted during a run.
+_RANK_CACHE_SIZE = 256
+
 
 def refined_Tq(n: int) -> RefinedFamily:
     """The q-refined family at rank n, built by the threshold recurrence.
@@ -117,7 +121,7 @@ def refined_Tq(n: int) -> RefinedFamily:
     return _build_to_rank(_TQ_RANKS, n, 2, _seed_Tq, _step_Tq)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RANK_CACHE_SIZE)
 def refined_T1(n: int) -> tuple[XPoly, ...]:
     """The rank-n refined family specialized at q = 1."""
     return tuple(p.eval_q(1) for p in refined_Tq(n).polys)
@@ -141,7 +145,7 @@ def _affine_entry_upper(n: int, k: int, prev: Sequence[XPoly]) -> XPoly:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RANK_CACHE_SIZE)
 def refined_affine_T(n: int) -> RefinedFamily:
     """The affine refined family at rank n (single variable).
 
@@ -176,7 +180,7 @@ def refined_K(n: int, method: str = "direct") -> RefinedFamily:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_RANK_CACHE_SIZE)
 def _refined_K_direct(n: int) -> RefinedFamily:
     t = refined_T1(n)
     out = [t[i] + t[n + i] for i in range(n)]

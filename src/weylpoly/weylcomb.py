@@ -7,10 +7,13 @@ satisfy 0 <= e_i <= 2i - 1.  All rational comparisons between statistics are
 done by integer cross-multiplication; there is no floating point anywhere.
 
 Enumeration streams are exhaustive and duplicate-free, ordered
-lexicographically by (sign pattern, underlying permutation), and never
-materialized, so large ranks fit in constant memory.  A cap (default 8,
-overridable per call or via the WEYLPOLY_CAP environment variable) guards
-against accidental huge enumerations.
+lexicographically by (sign pattern, underlying permutation), and yield one
+object at a time.  The brute-force polynomials do not use them: one
+depth-first walk over the signed prefixes of rank n fills a joint count
+table of a few thousand cells (1188 at rank 6), cached per rank, and every
+family is a marginal of that table.  A cap (default 8, overridable per call
+or via the WEYLPOLY_CAP environment variable) guards against accidental huge
+enumerations; it is checked before any walk or cache lookup.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, EnumerationCapError, UsageError
 from .exactpoly import QPoly, QXPoly, XPoly
@@ -87,6 +91,16 @@ class InvSeq:
         return len(self.entries)
 
 
+def _trusted(cls, entries: tuple[int, ...]):
+    """A SignedPerm or InvSeq whose int entries are valid by construction.
+
+    Skips ``__post_init__``; public construction still validates.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "entries", entries)
+    return obj
+
+
 @dataclass(frozen=True)
 class StatRecord:
     neg: int
@@ -115,7 +129,7 @@ def signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
     _check_cap(n, cap)
     for signs in itertools.product((1, -1), repeat=n):
         for perm in itertools.permutations(range(1, n + 1)):
-            yield SignedPerm(tuple(s * v for s, v in zip(signs, perm)))
+            yield _trusted(SignedPerm, tuple(s * v for s, v in zip(signs, perm)))
 
 
 def even_signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
@@ -125,14 +139,14 @@ def even_signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
         if signs.count(-1) % 2:
             continue
         for perm in itertools.permutations(range(1, n + 1)):
-            yield SignedPerm(tuple(s * v for s, v in zip(signs, perm)))
+            yield _trusted(SignedPerm, tuple(s * v for s, v in zip(signs, perm)))
 
 
 def inversion_sequences(n: int, cap: int | None = None) -> Iterator[InvSeq]:
     """All 2^n * n! inversion sequences of length n."""
     _check_cap(n, cap)
     for e in itertools.product(*(range(2 * i) for i in range(1, n + 1))):
-        yield InvSeq(e)
+        yield _trusted(InvSeq, e)
 
 
 _ENUMERATORS = {
@@ -227,7 +241,7 @@ def psi(sigma) -> InvSeq:
         a = abs(s[i - 1])
         t = sum(1 for j in range(i - 1) if abs(s[j]) > a)
         out.append(t if s[i - 1] > 0 else 2 * i - t - 1)
-    return InvSeq(tuple(out))
+    return _trusted(InvSeq, tuple(out))
 
 
 def psi_inverse(e) -> SignedPerm:
@@ -248,7 +262,7 @@ def psi_inverse(e) -> SignedPerm:
     abs_vals = [0] * n
     for i in range(n, 0, -1):
         abs_vals[i - 1] = available.pop(ts[i - 1])
-    return SignedPerm(tuple(s * a for s, a in zip(signs, abs_vals)))
+    return _trusted(SignedPerm, tuple(s * a for s, a in zip(signs, abs_vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +296,85 @@ def _x_from_counts(counts: dict[int, int]) -> XPoly:
     return XPoly(tuple(out))
 
 
-@lru_cache(maxsize=None)
-def _brute_refined_Tq_all(n: int) -> tuple[QXPoly, ...]:
-    """All 2n last-entry slices of the q-weighted type D descent polynomial,
-    computed in one sweep over the signed permutations."""
-    buckets: list[dict[tuple[int, int], int]] = [dict() for _ in range(2 * n)]
-    for sigma in signed_perms(n, cap=n):
-        rec = stats(sigma)
-        i = psi(sigma).entries[-1]
-        key = (rec.des_D, rec.neg)
-        buckets[i][key] = buckets[i].get(key, 0) + 1
-    return tuple(_qx_from_counts(b) for b in buckets)
+# Held per rank; eight entries cover every rank up to the default cap.
+@lru_cache(maxsize=8)
+def _joint_table(n: int) -> Mapping[tuple[int, ...], int]:
+    """Count the signed permutations of rank n by the key
+    (e_n, inner, [sigma_1 < 0], [sigma_1 + sigma_2 < 0], neg,
+    [sigma_{n-1} + sigma_n > 0]), where e_n is the last entry of psi(sigma)
+    and inner the number of i < n with sigma_i > sigma_{i+1}.
+
+    One depth-first walk over signed prefixes carries inner and neg down the
+    tree.  At depth n-1 one absolute value a is left and both of its signs
+    are counted in place: every larger absolute value comes earlier, so
+    e_n = n - a for sigma_n = a and e_n = n + a - 1 for sigma_n = -a.
+    """
+    if n < 2:
+        raise DomainError("statistics involving sigma_1 + sigma_2 need rank >= 2")
+    table: dict[tuple[int, ...], int] = {}
+
+    def close(prev, a, inner, neg, b1, d1_plus, d1_minus):
+        # As |prev| != a: prev + a > 0 iff prev > -a, and prev - a > 0 iff prev > a.
+        above, below = prev > a, prev > -a
+        for key in ((n - a, inner + above, b1, d1_plus, neg, below),
+                    (n + a - 1, inner + below, b1, d1_minus, neg + 1, above)):
+            table[key] = table.get(key, 0) + 1
+
+    def extend(prev, rest, inner, neg, b1, d1):
+        if len(rest) == 1:
+            close(prev, rest[0], inner, neg, b1, d1, d1)
+            return
+        for k, a in enumerate(rest):
+            others = rest[:k] + rest[k + 1:]
+            extend(a, others, inner + (prev > a), neg, b1, d1)
+            extend(-a, others, inner + (prev > -a), neg + 1, b1, d1)
+
+    values = tuple(range(1, n + 1))
+    for k, a in enumerate(values):
+        rest = values[:k] + values[k + 1:]
+        for first in (a, -a):
+            b1 = int(first < 0)
+            if n == 2:
+                # sigma_2 is the last entry, so [sigma_1 + sigma_2 < 0] follows its sign.
+                c = rest[0]
+                close(first, c, 0, b1, b1, int(first + c < 0), int(first - c < 0))
+                continue
+            for j, c in enumerate(rest):
+                others = rest[:j] + rest[j + 1:]
+                for second in (c, -c):
+                    extend(second, others, int(first > second), b1 + (second < 0), b1,
+                           int(first + second < 0))
+    return MappingProxyType(table)  # read-only: every caller shares the cached table
 
 
-@lru_cache(maxsize=None)
-def _brute_refined_affine_all(n: int) -> tuple[XPoly, ...]:
-    buckets: list[dict[int, int]] = [dict() for _ in range(2 * n)]
-    for sigma in signed_perms(n, cap=n):
-        rec = stats(sigma)
-        i = psi(sigma).entries[-1]
-        buckets[i][rec.affine_des_D] = buckets[i].get(rec.affine_des_D, 0) + 1
-    return tuple(_x_from_counts(b) for b in buckets)
+# How each family reads the joint table: the descent at position 0 (type B:
+# sigma_1 < 0, type D: sigma_1 + sigma_2 < 0), whether the affine descent at
+# position n counts, the q statistic (neg, or neg_D = neg - [sigma_1 < 0]),
+# and whether only even signed permutations count.
+_MARGINALS = {
+    "B": ("B", False, None, False),
+    "Bq": ("B", False, "neg", False),
+    "tildeB": ("B", True, None, False),
+    "Tq": ("D", False, "neg", False),
+    "Dq": ("D", False, "neg_D", True),
+    "tildeD": ("D", True, None, True),
+    "tildeT_via_B": ("D", True, None, False),
+    "refined_Tq": ("D", False, "neg", False),
+    "refined_tildeT": ("D", True, None, False),
+}
+
+
+def _marginal(family: str, n: int, index: int | None):
+    """Sum the joint table of rank n into one family; ``index`` keeps e_n = index."""
+    zero_descent, affine, q_stat, even_only = _MARGINALS[family]
+    counts: dict = {}
+    for (e_n, inner, b1, d1, neg, aff), c in _joint_table(n).items():
+        if (index is not None and e_n != index) or (even_only and neg % 2):
+            continue
+        des = inner + (b1 if zero_descent == "B" else d1) + (aff if affine else 0)
+        key = des if q_stat is None else (des, neg - b1 if q_stat == "neg_D" else neg)
+        counts[key] = counts.get(key, 0) + c
+    return _x_from_counts(counts) if q_stat is None else _qx_from_counts(counts)
 
 
 def brute_polynomial(family: str, n: int, index: int | None = None, cap: int | None = None):
@@ -329,44 +401,11 @@ def brute_polynomial(family: str, n: int, index: int | None = None, cap: int | N
         _check_cap(n, cap)
         if not 0 <= index <= 2 * n - 1:
             raise UsageError("index out of range 0..2n-1")
-        if family == "refined_Tq":
-            return _brute_refined_Tq_all(n)[index]
-        return _brute_refined_affine_all(n)[index]
+        return _marginal(family, n, index)
 
-    if family not in ("B", "Bq", "Dq", "Tq", "tildeB", "tildeD", "tildeT_via_B"):
+    if family not in _MARGINALS:
         raise UsageError(f"unknown brute-force family {family!r}")
     _check_cap(n, cap)
     if n < 2:
         raise UsageError("ground-set statistics need n >= 2")
-
-    if family in ("Dq", "tildeD"):
-        source = even_signed_perms(n, cap=n)
-    else:
-        source = signed_perms(n, cap=n)
-
-    if family in ("Bq", "Dq", "Tq"):
-        qcounts: dict[tuple[int, int], int] = {}
-        for sigma in source:
-            rec = stats(sigma)
-            if family == "Bq":
-                key = (rec.des_B, rec.neg)
-            elif family == "Dq":
-                key = (rec.des_D, rec.neg_D)
-            else:
-                key = (rec.des_D, rec.neg)
-            qcounts[key] = qcounts.get(key, 0) + 1
-        return _qx_from_counts(qcounts)
-
-    xcounts: dict[int, int] = {}
-    for sigma in source:
-        rec = stats(sigma)
-        if family == "B":
-            d = rec.des_B
-        elif family == "tildeB":
-            d = rec.affine_des_B
-        elif family == "tildeD":
-            d = rec.affine_des_D
-        else:
-            d = rec.affine_des_D
-        xcounts[d] = xcounts.get(d, 0) + 1
-    return _x_from_counts(xcounts)
+    return _marginal(family, n, None)

@@ -8,6 +8,7 @@ from weylpoly import (
     InvSeq,
     SignedPerm,
     UsageError,
+    assemble,
     brute_polynomial,
     enumerate_objects,
     even_signed_perms,
@@ -21,23 +22,34 @@ from weylpoly import (
     stats,
     xpoly,
 )
+from weylpoly import realroots, recurrences, weylcomb
 from weylpoly.exactpoly import QXPoly, XPoly
 
 
 class TestObjects:
     def test_signed_perm_validation(self):
         SignedPerm((2, -1, 3))
-        with pytest.raises(DomainError):
-            SignedPerm((1, 1))
-        with pytest.raises(DomainError):
-            SignedPerm((1, 3))
+        for bad in ((1, 1), (1, 3), (0, 1), (2, -2), (-3, 1, 3)):
+            with pytest.raises(DomainError):
+                SignedPerm(bad)
 
     def test_inv_seq_validation(self):
         InvSeq((1, 3, 5))
-        with pytest.raises(DomainError):
-            InvSeq((2, 0))
-        with pytest.raises(DomainError):
-            InvSeq((0, -1))
+        for bad in ((2, 0), (0, -1), (2,), (0, 4), (0, 1, 6)):
+            with pytest.raises(DomainError):
+                InvSeq(bad)
+
+    def test_unvalidated_objects_equal_validated_ones(self):
+        for n in (1, 2, 3, 4):
+            for sigma in signed_perms(n):
+                assert SignedPerm(sigma.entries) == sigma
+                e = psi(sigma)
+                assert InvSeq(e.entries) == e
+                assert hash(SignedPerm(psi_inverse(e).entries)) == hash(sigma)
+            for e in inversion_sequences(n):
+                assert InvSeq(e.entries) == e
+            for sigma in even_signed_perms(n):
+                assert SignedPerm(sigma.entries) == sigma
 
 
 class TestEnumeration:
@@ -240,3 +252,115 @@ class TestBrutePolynomials:
     def test_cap_applies(self):
         with pytest.raises(EnumerationCapError):
             brute_polynomial("Tq", 9)
+
+
+def _reference_sweep(n):
+    """Every brute family at rank n, from one signed_perms/stats/psi sweep.
+
+    Returns family -> counts, and for the refined families family -> list of
+    counts per last psi entry; keys are des or (des, q exponent).
+    """
+    out = {f: {} for f in ("B", "Bq", "tildeB", "Tq", "Dq", "tildeD", "tildeT_via_B")}
+    for f in ("refined_Tq", "refined_tildeT"):
+        out[f] = [dict() for _ in range(2 * n)]
+
+    def bump(counts, key):
+        counts[key] = counts.get(key, 0) + 1
+
+    for sigma in signed_perms(n):
+        rec = stats(sigma)
+        last = psi(sigma).entries[-1]
+        bump(out["B"], rec.des_B)
+        bump(out["Bq"], (rec.des_B, rec.neg))
+        bump(out["tildeB"], rec.affine_des_B)
+        bump(out["Tq"], (rec.des_D, rec.neg))
+        bump(out["tildeT_via_B"], rec.affine_des_D)
+        bump(out["refined_Tq"][last], (rec.des_D, rec.neg))
+        bump(out["refined_tildeT"][last], rec.affine_des_D)
+        if rec.parity_even:
+            bump(out["Dq"], (rec.des_D, rec.neg_D))
+            bump(out["tildeD"], rec.affine_des_D)
+    return out
+
+
+def _poly_from_counts(counts):
+    if any(isinstance(k, tuple) for k in counts):
+        cols = [[0] * (max(q for _, q in counts) + 1) for _ in range(max(d for d, _ in counts) + 1)]
+        for (d, q), c in counts.items():
+            cols[d][q] += c
+        return qxpoly(*cols)
+    coeffs = [0] * (max(counts, default=0) + 1)
+    for d, c in counts.items():
+        coeffs[d] += c
+    return XPoly(tuple(coeffs))
+
+
+class TestJointTable:
+    """The joint count table against the readable signed_perms/stats/psi route."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_family_matches_reference_sweep(self, n):
+        ref = _reference_sweep(n)
+        for family in ("B", "Bq", "tildeB", "Tq", "Dq", "tildeD", "tildeT_via_B"):
+            assert brute_polynomial(family, n) == _poly_from_counts(ref[family]), family
+        for family in ("refined_Tq", "refined_tildeT"):
+            for i in range(2 * n):
+                want = _poly_from_counts(ref[family][i])
+                assert brute_polynomial(family, n, index=i) == want, (family, i)
+
+    def test_last_psi_entry_depends_only_on_last_entry(self):
+        for n in (2, 3, 4, 5):
+            for sigma in signed_perms(n):
+                last = sigma.entries[-1]
+                a = abs(last)
+                assert psi(sigma).entries[-1] == (n - a if last > 0 else n + a - 1)
+
+    def test_rank1_table_rejected(self):
+        with pytest.raises(DomainError):
+            brute_polynomial("refined_Tq", 1, index=0)
+
+    @pytest.mark.parametrize("family", ["Tq", "Dq"])
+    def test_rank7_recurrence_against_enumeration(self, family):
+        assert assemble(family, 7) == brute_polynomial(family, 7)
+
+
+class TestCapBeforeCache:
+    def test_filled_table_still_honours_cap(self, monkeypatch):
+        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+        brute_polynomial("Tq", 7)
+        hits = weylcomb._joint_table.cache_info().hits
+        with pytest.raises(EnumerationCapError):
+            brute_polynomial("Tq", 7, cap=6)
+        with pytest.raises(EnumerationCapError):
+            brute_polynomial("refined_Tq", 7, index=0, cap=6)
+        monkeypatch.setenv("WEYLPOLY_CAP", "6")
+        with pytest.raises(EnumerationCapError):
+            brute_polynomial("Tq", 7)
+        with pytest.raises(EnumerationCapError):
+            brute_polynomial("tildeT_via_B", 7)
+        assert weylcomb._joint_table.cache_info().hits == hits
+
+    def test_refined_check_order(self, monkeypatch):
+        monkeypatch.setenv("WEYLPOLY_CAP", "6")
+        # a missing index is reported before the cap
+        with pytest.raises(UsageError):
+            brute_polynomial("refined_Tq", 7)
+        # the cap is checked before the index range
+        with pytest.raises(EnumerationCapError):
+            brute_polynomial("refined_tildeT", 7, index=99)
+        with pytest.raises(UsageError):
+            brute_polynomial("refined_tildeT", 7, index=99, cap=7)
+
+
+def test_every_lru_cache_is_bounded():
+    caches = [
+        (module.__name__, name, obj)
+        for module in (weylcomb, recurrences, realroots)
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
+    ]
+    assert {"_joint_table", "refined_T1", "refined_affine_T", "_refined_K_direct"} <= {
+        name for _, name, _ in caches
+    }
+    for module, name, cache in caches:
+        assert cache.cache_info().maxsize is not None, f"{module}.{name} is unbounded"
