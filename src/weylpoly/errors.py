@@ -25,6 +25,10 @@ class PreconditionError(WeylPolyError):
     """A documented precondition (real-rootedness, sign pattern, ...) fails."""
 
 
+class PackingError(WeylPolyError):
+    """A coefficient does not fit a field of the packed integer carrier."""
+
+
 class EnumerationCapError(WeylPolyError):
     """Requested enumeration size exceeds the configured cap."""
 

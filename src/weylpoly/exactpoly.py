@@ -177,6 +177,17 @@ class _DensePoly:
         return f"{type(self).__name__}({str(self)!r})"
 
 
+def _trusted(cls, coeffs: tuple):
+    """A polynomial of kind cls whose coefficients already have the ring's
+    type and no trailing zero.
+
+    Skips ``__post_init__``; public construction still coerces and trims.
+    """
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "coeffs", coeffs)
+    return obj
+
+
 def _long_divide(a: _DensePoly, b: _DensePoly) -> tuple[list, list]:
     """Quotient and remainder coefficient lists of a / b, both of one kind.
 

@@ -6,25 +6,37 @@ rank n, indexed by the last entry of the underlying inversion sequence.
 Only the transform thresholds are 1-based (values in 1..m+1), matching the
 classical statement of the threshold transform; the shift is documented at
 that API boundary.
+
+Every recurrence family is built on one packed-integer carrier (Kronecker
+substitution).  An entry is one Python int whose field i*Q + j, W bits
+wide, holds the coefficient of x^i q^j: Q = n + 1 fields per power of x for
+the two-variable family (its q-degree is at most n), Q = 1 for the others.
+Multiplying by x or by q is a left shift by Q*W or W bits, so a rank
+step is a few big-integer shifts and adds per entry.  The width is proven, not guessed: every
+coefficient counts elements of B_n (the coupled family counts them twice),
+so every coefficient of a rank-n build, and every partial sum formed on the
+way, is a nonnegative integer at most 2|B_n| = 2^(n+1) n!.  W is the bit
+length of that bound rounded up to whole bytes, so no field ever carries
+into the next.  Entries are unpacked to QXPoly or XPoly only at the public
+API, and only for the ranks asked for.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Callable, Optional, Sequence
 
-from .errors import PreconditionError, UsageError
+from .errors import PackingError, PreconditionError, UsageError
 from .exactpoly import (
     ONE_PLUS_Q,
-    Q_VAR,
     QPoly,
     QXPoly,
-    X_ONE,
-    X_VAR,
-    X_ZERO,
     XPoly,
+    _trusted,
     exact_divide,
 )
 from .realroots import interlaces
@@ -61,54 +73,218 @@ def _rank_thresholds(n: int) -> TransformSpec:
     return TransformSpec(tuple(ceil_index(n, i) + 1 for i in range(2 * n)))
 
 
-def _recurrence_rows(n: int, x_entry, one_entry) -> tuple:
-    """The 2n x (2n-2) rank-n recurrence matrix: x_entry left of each row's
-    threshold column, one_entry from it on."""
-    return tuple(
-        tuple(x_entry if j < t - 1 else one_entry for j in range(2 * n - 2))
-        for t in _rank_thresholds(n).thresholds
-    )
+# ---------------------------------------------------------------------------
+# The packed-integer carrier
+# ---------------------------------------------------------------------------
 
 
-def _build_to_rank(cache: dict, n: int, seed_rank: int, seed: Callable, step: Callable) -> RefinedFamily:
-    """Rank n of a family built rank by rank, from the highest cached rank
-    below n (or the seed), caching every rank it passes."""
-    fam = cache.get(n)
-    if fam is not None:
+# Q fields per power of x, each W bits wide (W a multiple of 8).
+_Layout = namedtuple("_Layout", "q_fields width")
+
+
+def _layout(n: int, q_fields: int) -> _Layout:
+    """The layout of a rank-n build: W holds 2|B_n| = 2^(n+1) n!."""
+    bits = (factorial(n) << (n + 1)).bit_length()
+    return _Layout(q_fields, -(-bits // 8) * 8)
+
+
+class _Packed:
+    """One polynomial in x and q with nonnegative coefficients, packed into
+    one int; it has the operations ``interlacing_transform`` uses."""
+
+    __slots__ = ("value", "layout")
+
+    def __init__(self, value: int, layout: _Layout):
+        self.value = value
+        self.layout = layout
+
+    @classmethod
+    def pack(cls, rows: Sequence[Sequence[int]], layout: _Layout) -> "_Packed":
+        """Pack rows[i][j], the coefficient of x^i q^j.
+
+        Raises PackingError for a negative coefficient, one of W bits or
+        more, or a row with more than Q coefficients.
+        """
+        size = layout.width // 8
+        pad = bytes(size)
+        parts = []
+        for row in rows:
+            if len(row) > layout.q_fields:
+                raise PackingError(f"{len(row)} powers of q do not fit {layout.q_fields} fields")
+            try:
+                parts.extend(c.to_bytes(size, "little") for c in row)
+            except OverflowError:
+                raise PackingError(f"a coefficient is negative or wider than {layout.width} bits") from None
+            parts.extend([pad] * (layout.q_fields - len(row)))
+        return cls(int.from_bytes(b"".join(parts), "little"), layout)
+
+    def _bytes(self) -> bytes:
+        """Little-endian bytes up to the last nonzero power of x."""
+        row = self.layout.width // 8 * self.layout.q_fields
+        return self.value.to_bytes(-(-self.value.bit_length() // (8 * row)) * row, "little")
+
+    def fields(self) -> list[int]:
+        """Every field up to the last nonzero power of x, lowest first."""
+        size = self.layout.width // 8
+        data = self._bytes()
+        from_bytes = int.from_bytes
+        return [from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
+
+    def rows(self) -> list[list[int]]:
+        f, q = self.fields(), self.layout.q_fields
+        return [f[k : k + q] for k in range(0, len(f), q)]
+
+    def repack(self, layout: _Layout) -> "_Packed":
+        """The same polynomial in a layout at least as large in Q and W.
+
+        Only zero bytes are inserted, a row or a field at a time, so nothing
+        needs checking; a smaller layout raises PackingError.
+        """
+        old = self.layout
+        if layout == old:
+            return self
+        if layout.q_fields < old.q_fields or layout.width < old.width:
+            raise PackingError("a packed value only moves to a larger layout")
+        size, new_size = old.width // 8, layout.width // 8
+        data = self._bytes()
+        if layout.q_fields > old.q_fields:
+            row = size * old.q_fields
+            pad = bytes(size * (layout.q_fields - old.q_fields))
+            data = b"".join([data[k : k + row] + pad for k in range(0, len(data), row)])
+        if new_size > size:
+            wide = bytearray(len(data) // size * new_size)
+            for b in range(size):
+                wide[b::new_size] = data[b::size]
+            data = wide
+        return _Packed(int.from_bytes(data, "little"), layout)
+
+    def to_qx(self) -> QXPoly:
+        return _trusted(QXPoly, tuple(_trusted(QPoly, _trim(r)) for r in self.rows()))
+
+    def to_x(self) -> XPoly:
+        """The value as a polynomial in x; needs Q = 1."""
+        return _trusted(XPoly, tuple(map(Fraction, self.fields())))
+
+    def __add__(self, other: "_Packed") -> "_Packed":
+        return _Packed(self.value + other.value, self.layout)
+
+    def __sub__(self, other: "_Packed") -> "_Packed":
+        # Exact field by field only when other <= self in every field; the
+        # transform subtracts a prefix sum of nonnegative entries from the
+        # total, so no field borrows.
+        return _Packed(self.value - other.value, self.layout)
+
+    def __mul__(self, k: int) -> "_Packed":
+        return _Packed(self.value * k, self.layout)
+
+    def shift_up(self, k: int = 1) -> "_Packed":
+        """Multiply by x**k."""
+        return _Packed(self.value << (k * self.layout.q_fields * self.layout.width), self.layout)
+
+    def shift_q(self) -> "_Packed":
+        """Multiply by q."""
+        return _Packed(self.value << self.layout.width, self.layout)
+
+
+def _trim(c: list) -> tuple:
+    while c and not c[-1]:
+        c.pop()
+    return tuple(c)
+
+
+_StoreInfo = namedtuple("_StoreInfo", "hits misses maxsize currsize")
+
+
+class _RankStore:
+    """The packed ranks of one recurrence family, least recently used out.
+
+    A rank not stored is built from the highest stored rank below it (or
+    the seed), repacked into the layout of the rank asked for.
+    """
+
+    def __init__(self, seed_rank: int, seed: Callable, step: Callable, layout: Callable, maxsize: int):
+        self._seed_rank = seed_rank
+        self._seed = seed
+        self._step = step
+        self._layout = layout
+        self._ranks: OrderedDict[int, tuple] = OrderedDict()
+        self._hits = self._misses = 0
+        self.maxsize = maxsize
+
+    def rank(self, n: int) -> tuple:
+        fam = self._ranks.get(n)
+        if fam is not None:
+            self._hits += 1
+            self._ranks.move_to_end(n)
+            return fam
+        self._misses += 1
+        k = max((r for r in self._ranks if r < n), default=None)
+        if k is None:
+            k, fam = self._seed_rank, self._seed()
+        else:
+            fam = self._ranks[k]
+        layout = self._layout(n)
+        fam = tuple(p.repack(layout) for p in fam)
+        while k < n:
+            k += 1
+            fam = self._step(k, fam)
+        self._ranks[n] = fam
+        if len(self._ranks) > self.maxsize:
+            self._ranks.popitem(last=False)
         return fam
-    k = max((r for r in cache if r < n), default=None)
-    if k is None:
-        k = seed_rank
-        cache[k] = RefinedFamily(k, seed())
-    while k < n:
-        k += 1
-        cache[k] = RefinedFamily(k, step(k, cache[k - 1].polys))
-    return cache[n]
+
+    def cache_info(self) -> _StoreInfo:
+        return _StoreInfo(self._hits, self._misses, self.maxsize, len(self._ranks))
+
+    def cache_clear(self) -> None:
+        self._ranks.clear()
+        self._hits = self._misses = 0
 
 
-def _seed_Tq() -> tuple[QXPoly, ...]:
-    one_plus_q = QPoly((1, 1))
-    q_plus_q2 = QPoly((0, 1, 1))
-    return (
-        QXPoly((one_plus_q,)),
-        QXPoly((QPoly(), one_plus_q)),
-        QXPoly((QPoly(), q_plus_q2)),
-        QXPoly((QPoly(), QPoly(), q_plus_q2)),
-    )
+# Bound of the per-rank lru caches of the unpacked single-variable families
+# below: far above the ranks built in practice (about 40), so none is
+# evicted during a run, and a rank-n entry holds only about n coefficients.
+_RANK_CACHE_SIZE = 256
+
+# Bound of each packed rank store and of the unpacked two-variable cache.  A
+# two-variable rank n holds about 2n * n^2 coefficients (4 MB packed and
+# 6 MB unpacked at rank 40, 63 and 110 MB at rank 80), so only the few most
+# recently used ranks are kept; any other rank resumes from the highest
+# stored rank below it.
+_LARGE_RANK_CACHE_SIZE = 4
 
 
 def _step_Tq(n: int, prev: tuple) -> tuple:
     out = interlacing_transform(prev, _rank_thresholds(n))
-    return out[:n] + tuple(p * Q_VAR for p in out[n:])
+    return out[:n] + tuple(p.shift_q() for p in out[n:])
 
 
-_TQ_RANKS: dict[int, RefinedFamily] = {}
-
-# Bound of the per-rank lru caches below: far above the ranks built in
-# practice (about 40), so none is evicted during a run.
-_RANK_CACHE_SIZE = 256
+def _step_x(n: int, prev: tuple) -> tuple:
+    return interlacing_transform(prev, _rank_thresholds(n))
 
 
+def _seed(rows: tuple, layout: _Layout) -> tuple:
+    return tuple(_Packed.pack(r, layout) for r in rows)
+
+
+# Rank 2: (1+q, (1+q)x, (q+q^2)x, (q+q^2)x^2) as rows of q-coefficients per
+# power of x, and its value at q = 1.
+_TQ_SEED = (((1, 1),), ((), (1, 1)), ((), (0, 1, 1)), ((), (), (0, 1, 1)))
+_T1_SEED = (((2,),), ((), (2,)), ((), (2,)), ((), (), (2,)))
+
+_TQ_STORE = _RankStore(
+    2,
+    lambda: _seed(_TQ_SEED, _layout(2, 3)),
+    _step_Tq,
+    lambda n: _layout(n, n + 1),
+    _LARGE_RANK_CACHE_SIZE,
+)
+_T1_STORE = _RankStore(
+    2, lambda: _seed(_T1_SEED, _layout(2, 1)), _step_x, lambda n: _layout(n, 1), _LARGE_RANK_CACHE_SIZE
+)
+
+
+@lru_cache(maxsize=_LARGE_RANK_CACHE_SIZE)
 def refined_Tq(n: int) -> RefinedFamily:
     """The q-refined family at rank n, built by the threshold recurrence.
 
@@ -118,22 +294,18 @@ def refined_Tq(n: int) -> RefinedFamily:
     """
     if n < 2:
         raise UsageError("refined_Tq needs n >= 2")
-    return _build_to_rank(_TQ_RANKS, n, 2, _seed_Tq, _step_Tq)
+    return RefinedFamily(n, tuple(p.to_qx() for p in _TQ_STORE.rank(n)))
 
 
 @lru_cache(maxsize=_RANK_CACHE_SIZE)
 def refined_T1(n: int) -> tuple[XPoly, ...]:
-    """The rank-n refined family specialized at q = 1."""
-    return tuple(p.eval_q(1) for p in refined_Tq(n).polys)
+    """The rank-n refined family specialized at q = 1.
 
-
-def _affine_entry(n: int, i: int, prev: Sequence[XPoly]) -> XPoly:
-    """Band formula for last entry i <= n-1: weights x^2 / x / 1 by position."""
-    out = XPoly()
-    for j in range(2 * n - 2):
-        weight = (j < i) + (j < 2 * n - i - 2)
-        out = out + prev[j].shift_up(weight)
-    return out
+    Built by the same recurrence from (2, 2x, 2x, 2x^2), with no factor q.
+    """
+    if n < 2:
+        raise UsageError("refined_T1 needs n >= 2")
+    return tuple(p.to_x() for p in _T1_STORE.rank(n))
 
 
 def _affine_entry_upper(n: int, k: int, prev: Sequence[XPoly]) -> XPoly:
@@ -150,13 +322,19 @@ def refined_affine_T(n: int) -> RefinedFamily:
     """The affine refined family at rank n (single variable).
 
     Entries 0..n-1 come from the three-band formula over the rank n-1
-    refined family at q = 1; entries n..2n-1 are filled by the duality
-    entry(2n-1-i) = entry(i).
+    refined family at q = 1, with weights x^2 / x / 1 by position; entries
+    n..2n-1 are filled by the duality entry(2n-1-i) = entry(i).
     """
     if n < 3:
         raise UsageError("refined_affine_T needs n >= 3")
-    prev = refined_T1(n - 1)
-    lower = [_affine_entry(n, i, prev) for i in range(n)]
+    prev = _T1_STORE.rank(n - 1)
+    lower = []
+    for i in range(n):
+        # Each entry sums the rank n-1 family once, so it fits that layout.
+        out = _Packed(0, prev[0].layout)
+        for j, p in enumerate(prev):
+            out = out + p.shift_up((j < i) + (j < 2 * n - i - 2))
+        lower.append(out.to_x())
     out = lower + [lower[2 * n - 1 - k] for k in range(n, 2 * n)]
     return RefinedFamily(n, tuple(out))
 
@@ -174,21 +352,31 @@ def refined_K(n: int, method: str = "direct") -> RefinedFamily:
         return _refined_K_direct(n)
     if method != "recurrence":
         raise UsageError(f"unknown refined_K method {method!r}")
-    return _build_to_rank(
-        _K_RANKS, n, 3, lambda: _refined_K_direct(3).polys,
-        lambda k, prev: interlacing_transform(prev, _rank_thresholds(k)),
+    return _refined_K_recurrence(n)
+
+
+def _packed_K_direct(n: int) -> tuple:
+    t = _T1_STORE.rank(n)
+    return tuple(t[i] + t[n + i] for i in range(n)) + tuple(
+        t[i - n].shift_up(1) + t[i] for i in range(n, 2 * n)
     )
+
+
+_K_STORE = _RankStore(
+    3, lambda: _packed_K_direct(3), _step_x, lambda n: _layout(n, 1), _LARGE_RANK_CACHE_SIZE
+)
 
 
 @lru_cache(maxsize=_RANK_CACHE_SIZE)
 def _refined_K_direct(n: int) -> RefinedFamily:
-    t = refined_T1(n)
-    out = [t[i] + t[n + i] for i in range(n)]
-    out += [t[i - n].shift_up(1) + t[i] for i in range(n, 2 * n)]
-    return RefinedFamily(n, tuple(out))
+    return RefinedFamily(n, tuple(p.to_x() for p in _packed_K_direct(n)))
 
 
-_K_RANKS: dict[int, RefinedFamily] = {}
+@lru_cache(maxsize=_RANK_CACHE_SIZE)
+def _refined_K_recurrence(n: int) -> RefinedFamily:
+    return RefinedFamily(n, tuple(p.to_x() for p in _K_STORE.rank(n)))
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -213,10 +401,8 @@ def assemble(family: str, n: int):
     if family == "Tq":
         if n < 2:
             raise UsageError("Tq needs n >= 2")
-        out = QXPoly()
-        for p in refined_Tq(n).polys:
-            out = out + p
-        return out
+        fam = _TQ_STORE.rank(n)
+        return sum(fam[1:], fam[0]).to_qx()
     if family == "Dq":
         if n < 2:
             raise UsageError("Dq needs n >= 2")
@@ -242,12 +428,15 @@ def assemble(family: str, n: int):
             for i in range(3):
                 out = out + fam[i]
             return out
-        t = refined_T1(n - 1)
-        out = XPoly()
+        # The coefficients sum to n |B_(n-1)| = |B_n| / 2, so the rank-n
+        # layout holds every partial sum.
+        layout = _layout(n, 1)
+        t = [p.repack(layout) for p in _T1_STORE.rank(n - 1)]
+        out = _Packed(0, layout)
         for i in range(n - 1):
-            weight = XPoly((Fraction(i + 1), Fraction(n - i - 1)))
-            out = out + weight * (t[i].shift_up(1) + t[n + i - 1])
-        return out
+            u = t[i].shift_up(1) + t[n + i - 1]
+            out = out + u.shift_up(1) * (n - i - 1) + u * (i + 1)
+        return out.to_x()
     raise UsageError(f"unknown family {family!r}; expected one of {ASSEMBLE_FAMILIES}")
 
 
@@ -337,47 +526,32 @@ def check_identity(name: str, n: int) -> ReportEntry:
     return timed_entry(name, {"n": n}, lambda: evaluate_identity(name, n))
 
 
-def _mat_mul(lhs, rhs):
-    rows = len(lhs)
-    inner = len(rhs)
-    cols = len(rhs[0])
-    out = []
-    for r in range(rows):
-        row = []
-        for c in range(cols):
-            acc = XPoly()
-            for k in range(inner):
-                acc = acc + lhs[r][k] * rhs[k][c]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _matrix_identity_holds(n: int):
     """Commutation of the duplication block with the recurrence block."""
     if n < 3:
         raise UsageError("matrix_identity needs n >= 3")
+    return _duplication_commutes(recurrence_nx_matrix(n), n)
 
-    def block_two(tl, tr, bl, br):
-        top = [tuple(list(tl[r]) + list(tr[r])) for r in range(len(tl))]
-        bot = [tuple(list(bl[r]) + list(br[r])) for r in range(len(bl))]
-        return tuple(top + bot)
 
-    def identity_block(m, scale):
-        return tuple(
-            tuple(scale if r == c else X_ZERO for c in range(m)) for r in range(m)
-        )
+def _duplication_commutes(m: NXMatrix, n: int):
+    """Compare Dup_n * m with m * Dup_(n-1) for a 2n x (2n-2) matrix m of
+    entries 0, 1 and x, where Dup_k is the block matrix
+    [[I_k, I_k], [x I_k, I_k]]; the witness is the first differing cell in
+    row-major order.
 
-    rec = _recurrence_rows(n, X_VAR, X_ONE)
-    dup_big = block_two(identity_block(n, X_ONE), identity_block(n, X_ONE),
-                        identity_block(n, X_VAR), identity_block(n, X_ONE))
-    dup_small = block_two(identity_block(n - 1, X_ONE), identity_block(n - 1, X_ONE),
-                          identity_block(n - 1, X_VAR), identity_block(n - 1, X_ONE))
-    lhs = _mat_mul(dup_big, rec)
-    rhs = _mat_mul(rec, dup_small)
+    x is evaluated at 2^W with W > bit_length(2n).  An entry of either
+    product sums at most 2n terms 0, 1, x or x^2, so its coefficients lie in
+    0..2n < 2^W and two entries agree exactly when their integers do
+    (Kronecker substitution).
+    """
+    x = 1 << ((2 * n).bit_length() + 1)
+    rec = [[int(e.value) * (x if e.is_x else 1) for e in row] for row in m.rows]
+    k = n - 1
     for r in range(2 * n):
-        for c in range(2 * n - 2):
-            if lhs[r][c] != rhs[r][c]:
+        for c in range(2 * k):
+            lhs = rec[r][c] + rec[r + n][c] if r < n else x * rec[r - n][c] + rec[r][c]
+            rhs = rec[r][c] + x * rec[r][c + k] if c < k else rec[r][c - k] + rec[r][c]
+            if lhs != rhs:
                 return False, {"row": r, "col": c}
     return True, None
 
@@ -405,14 +579,15 @@ class TransformSpec:
 def interlacing_transform(fs: Sequence, spec: TransformSpec) -> tuple:
     """Apply the threshold transform g_k = x * sum(fs[:t_k - 1]) + sum(fs[t_k - 1:]).
 
-    fs holds polynomials of one kind (XPoly or QXPoly); the output has that kind.
+    fs holds polynomials of one kind (XPoly or QXPoly, or the packed carrier
+    of the recurrence builds); the output has that kind.
     """
     if not fs:
         raise UsageError("interlacing_transform needs a nonempty sequence")
     m = len(fs)
     if any(t > m + 1 for t in spec.thresholds):
         raise UsageError(f"thresholds must be <= m + 1 = {m + 1}")
-    prefix = [type(fs[0])()]
+    prefix = [fs[0] - fs[0]]
     for p in fs:
         prefix.append(prefix[-1] + p)
     total = prefix[-1]
@@ -500,8 +675,15 @@ class NXMatrix:
 
 
 def recurrence_nx_matrix(n: int) -> NXMatrix:
-    """The 2n x (2n-2) matrix of the rank-n threshold recurrence."""
-    return NXMatrix(_recurrence_rows(n, nx_x(), nx_const(1)))
+    """The 2n x (2n-2) matrix of the rank-n threshold recurrence: x left of
+    each row's threshold column, 1 from it on."""
+    x, one = nx_x(), nx_const(1)
+    return NXMatrix(
+        tuple(
+            tuple(x if j < t - 1 else one for j in range(2 * n - 2))
+            for t in _rank_thresholds(n).thresholds
+        )
+    )
 
 
 def fisk_nx_check(m: NXMatrix) -> tuple[bool, dict | None]:

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -10,6 +11,8 @@ import weylpoly
 
 from weylpoly import (
     PreconditionError,
+    QPoly,
+    QXPoly,
     RefinedFamily,
     TransformSpec,
     UsageError,
@@ -34,7 +37,10 @@ from weylpoly import (
     weighted_combination,
     xpoly,
 )
-from weylpoly.recurrences import NXMatrix
+from weylpoly import recurrences
+from weylpoly.errors import PackingError
+from weylpoly.exactpoly import X_ONE, X_VAR, X_ZERO
+from weylpoly.recurrences import NXMatrix, _layout, _Layout, _Packed
 from weylpoly.tables import K4_TABLE, T4_TABLE, TILDE_D3
 
 
@@ -80,6 +86,8 @@ class TestRefinedTq:
     def test_rank_too_small(self):
         with pytest.raises(UsageError):
             refined_Tq(1)
+        with pytest.raises(UsageError):
+            refined_T1(1)
 
 
 class TestRefinedAffine:
@@ -337,3 +345,208 @@ class TestRefinedFamilyType:
     def test_length_validation(self):
         with pytest.raises(UsageError):
             RefinedFamily(3, (XPoly(),) * 5)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the packed-integer builds: the per-step polynomial routes
+# ---------------------------------------------------------------------------
+
+
+def _prefix_transform(fs, thresholds):
+    """g_k = x * sum(fs[:t_k - 1]) + sum(fs[t_k - 1:]) on polynomial values."""
+    prefix = [type(fs[0])()]
+    for p in fs:
+        prefix.append(prefix[-1] + p)
+    total = prefix[-1]
+    return tuple(prefix[t - 1].shift_up(1) + (total - prefix[t - 1]) for t in thresholds)
+
+
+def _qxpoly_Tq_ranks(top):
+    """The q-refined family at ranks 2..top, one QXPoly transform per rank."""
+    one_plus_q, q_plus_q2 = qpoly(1, 1), qpoly(0, 1, 1)
+    fam = (
+        QXPoly((one_plus_q,)),
+        QXPoly((QPoly(), one_plus_q)),
+        QXPoly((QPoly(), q_plus_q2)),
+        QXPoly((QPoly(), QPoly(), q_plus_q2)),
+    )
+    ranks = {2: fam}
+    for n in range(3, top + 1):
+        out = _prefix_transform(fam, [ceil_index(n, i) + 1 for i in range(2 * n)])
+        fam = ranks[n] = out[:n] + tuple(p * qpoly(0, 1) for p in out[n:])
+    return ranks
+
+
+def _xpoly_affine(n):
+    """The affine refined family by the XPoly band loop over refined_T1(n-1)."""
+    prev = refined_T1(n - 1)
+    lower = []
+    for i in range(n):
+        out = XPoly()
+        for j in range(2 * n - 2):
+            out = out + prev[j].shift_up((j < i) + (j < 2 * n - i - 2))
+        lower.append(out)
+    return tuple(lower + [lower[2 * n - 1 - k] for k in range(n, 2 * n)])
+
+
+def _xpoly_commutes(rec, n):
+    """Dup_n * rec against rec * Dup_(n-1) by XPoly matrix products."""
+
+    def mat_mul(lhs, rhs):
+        return tuple(
+            tuple(
+                sum((lhs[r][k] * rhs[k][c] for k in range(len(rhs))), XPoly())
+                for c in range(len(rhs[0]))
+            )
+            for r in range(len(lhs))
+        )
+
+    def dup(m):
+        # [[I_m, I_m], [x I_m, I_m]]
+        def entry(r, c):
+            if r == c or c == r + m:
+                return X_ONE
+            return X_VAR if r == c + m else X_ZERO
+
+        return tuple(tuple(entry(r, c) for c in range(2 * m)) for r in range(2 * m))
+
+    lhs = mat_mul(dup(n), rec)
+    rhs = mat_mul(rec, dup(n - 1))
+    for r in range(2 * n):
+        for c in range(2 * n - 2):
+            if lhs[r][c] != rhs[r][c]:
+                return False, {"row": r, "col": c}
+    return True, None
+
+
+def _both_matrix_routes(n, mutations=()):
+    """Verdicts of the integer route and the XPoly route on one recurrence
+    block, with cells (r, c) set to the tagged entry ``v`` by ``mutations``."""
+    rows = [list(r) for r in recurrence_nx_matrix(n).rows]
+    for r, c, v in mutations:
+        rows[r][c] = v
+    packed = recurrences._duplication_commutes(NXMatrix(tuple(map(tuple, rows))), n)
+    poly = _xpoly_commutes([[(X_VAR if e.is_x else X_ONE) * e.value for e in r] for r in rows], n)
+    return packed, poly
+
+
+class TestPackedOracles:
+    def test_Tq_matches_the_qxpoly_route(self):
+        ranks = _qxpoly_Tq_ranks(25)
+        for n in range(2, 26):
+            assert refined_Tq(n).polys == ranks[n], n
+
+    def test_T1_is_Tq_at_q1(self):
+        for n in range(2, 26):
+            assert refined_T1(n) == tuple(p.eval_q(1) for p in refined_Tq(n).polys), n
+
+    def test_k_two_methods_through_rank_25(self):
+        for n in range(3, 26):
+            assert check_identity("k_two_methods", n).verdict == "pass", n
+
+    def test_affine_matches_the_xpoly_band_loop(self):
+        for n in range(3, 21):
+            assert refined_affine_T(n).polys == _xpoly_affine(n), n
+
+    def test_assembled_sums_match_the_polynomial_sums(self):
+        ranks = _qxpoly_Tq_ranks(12)
+        for n in (3, 4, 7, 12):
+            total = QXPoly()
+            for p in ranks[n]:
+                total = total + p
+            assert assemble("Tq", n) == total
+            t = refined_T1(n - 1)
+            weighted = XPoly()
+            for i in range(n - 1):
+                weighted = weighted + xpoly(i + 1, n - i - 1) * (t[i].shift_up(1) + t[n + i - 1])
+            assert assemble("tildeD", n) == weighted
+
+    def test_matrix_identity_matches_the_xpoly_route(self):
+        for n in range(3, 13):
+            packed, poly = _both_matrix_routes(n)
+            assert packed == poly == (True, None)
+            assert recurrences.evaluate_identity("matrix_identity", n) == packed
+
+    def test_mutated_block_gives_the_same_witness(self):
+        for n in (3, 5, 8, 12):
+            last_row, last_col = 2 * n - 1, 2 * n - 3
+            for mutations in (
+                [(0, 0, nx_x())],
+                [(n, n - 1, nx_x())],
+                [(last_row, last_col, nx_const(0))],
+                [(n - 1, 1, nx_const(1)), (last_row, 0, nx_const(1))],
+            ):
+                packed, poly = _both_matrix_routes(n, mutations)
+                assert packed[0] is False, (n, mutations)
+                assert packed == poly, (n, mutations)
+
+
+class TestPackedCarrier:
+    def test_unpacked_values_equal_validated_ones(self):
+        qx = refined_Tq(7).polys + (assemble("Tq", 7),)
+        for p in qx:
+            v = QXPoly(tuple(QPoly(tuple(c.coeffs)) for c in p.coeffs))
+            assert v.coeffs == p.coeffs and hash(v) == hash(p) and v == p
+            assert p.coeffs[-1] and all(not c.coeffs or c.coeffs[-1] for c in p.coeffs)
+            assert all(type(c) is QPoly and all(type(a) is int for a in c.coeffs) for c in p.coeffs)
+        x = (
+            refined_T1(7)
+            + refined_affine_T(7).polys
+            + refined_K(7, "direct").polys
+            + refined_K(7, "recurrence").polys
+            + (assemble("tildeD", 7),)
+        )
+        for p in x:
+            v = XPoly(tuple(p.coeffs))
+            assert v.coeffs == p.coeffs and hash(v) == hash(p) and v == p
+            assert p.coeffs[-1] and all(type(c) is Fraction for c in p.coeffs)
+
+    def test_width_holds_twice_the_group_order(self):
+        for n in range(2, 41):
+            order = 2**n * factorial(n)
+            layout = _layout(n, 1)
+            assert layout.width % 8 == 0
+            assert _Packed.pack([[2 * order]], layout).rows() == [[2 * order]]
+
+    def test_negative_coefficient_raises_typed_error(self):
+        with pytest.raises(PackingError):
+            _Packed.pack([[3], [-1]], _layout(3, 1))
+
+    def test_too_wide_coefficient_raises_typed_error(self):
+        layout = _Layout(2, 16)
+        assert _Packed.pack([[0, (1 << 16) - 1]], layout).rows() == [[0, (1 << 16) - 1]]
+        with pytest.raises(PackingError):
+            _Packed.pack([[0, 1 << 16]], layout)
+        with pytest.raises(PackingError):
+            _Packed.pack([[0, 1, 1]], layout)
+
+    def test_repack_inserts_zero_fields_only(self):
+        fam = recurrences._TQ_STORE.rank(10)
+        width = fam[0].layout.width
+        for layout in (_Layout(11, width + 8), _Layout(14, width), _layout(13, 17)):
+            for p in fam:
+                wide = p.repack(layout)
+                assert wide.value == _Packed.pack(p.rows(), layout).value
+                assert wide.to_qx() == p.to_qx()
+        for layout in (_Layout(10, width), _Layout(11, width - 8)):
+            with pytest.raises(PackingError):
+                fam[0].repack(layout)
+
+    def test_resumed_rank_equals_cold_rank(self):
+        store = recurrences._TQ_STORE
+        store.cache_clear()
+        cold = [p.to_qx() for p in store.rank(12)]
+        store.cache_clear()
+        store.rank(5)
+        resumed = [p.to_qx() for p in store.rank(12)]
+        assert resumed == cold
+        assert store.cache_info() == (0, 2, store.maxsize, 2)
+        store.rank(5)
+        assert store.cache_info().hits == 1
+
+    def test_rank_store_stays_bounded(self):
+        store = recurrences._T1_STORE
+        for n in range(2, 3 * store.maxsize + 2):
+            store.rank(n)
+            assert store.cache_info().currsize <= store.maxsize
+        assert refined_T1(9) == tuple(p.to_x() for p in store.rank(9))

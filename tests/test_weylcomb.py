@@ -357,10 +357,24 @@ def test_every_lru_cache_is_bounded():
         (module.__name__, name, obj)
         for module in (weylcomb, recurrences, realroots)
         for name, obj in vars(module).items()
-        if hasattr(obj, "cache_info")
+        if hasattr(obj, "cache_info") and not isinstance(obj, type)
     ]
-    assert {"_joint_table", "refined_T1", "refined_affine_T", "_refined_K_direct"} <= {
-        name for _, name, _ in caches
-    }
+    assert {
+        "_joint_table",
+        "refined_Tq",
+        "refined_T1",
+        "refined_affine_T",
+        "_refined_K_direct",
+        "_refined_K_recurrence",
+        "_TQ_STORE",
+        "_T1_STORE",
+        "_K_STORE",
+    } <= {name for _, name, _ in caches}
     for module, name, cache in caches:
         assert cache.cache_info().maxsize is not None, f"{module}.{name} is unbounded"
+    rank_dicts = [
+        name
+        for name, obj in vars(recurrences).items()
+        if not name.startswith("__") and isinstance(obj, dict)
+    ]
+    assert rank_dicts == [], f"module-level dicts in recurrences: {rank_dicts}"
