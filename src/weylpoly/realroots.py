@@ -6,21 +6,47 @@ denominators and made primitive, and each chain member is the primitive part
 of minus a pseudo-remainder, a primitive polynomial remainder sequence
 (Collins 1967, Brown 1978).  The pseudo-remainder scales by a positive power
 of the divisor's leading coefficient, so sign variations are preserved.  Sign
-evaluations at a rational point num/den run entirely in integer arithmetic.
-Root counts use the half-open convention: the Sturm variation difference
-V(lo) - V(hi) counts distinct roots in (lo, hi].
+evaluations at a rational point num/den run entirely in integer arithmetic,
+with shifts in place of the powers of den at a dyadic point.  Root counts use
+the half-open convention: the Sturm variation difference V(lo) - V(hi)
+counts distinct roots in (lo, hi].
 
-Isolating intervals start from a power-of-two bracket at least as large as
-the Cauchy bound 1 + max|a_i / a_n|, so every bisection midpoint is dyadic
-and stays cheap to evaluate.  Multiplicities come from a Yun square-free
-decomposition, whose gcds run on the same primitive remainder sequence.
-Each polynomial's root profile is cached in a bounded LRU, and
-real-rootedness is read from it.
+Isolation.  The Sturm chain of p ends in gcd(p, p'); when that is a
+constant, p is its own square-free radical, and otherwise a Yun
+decomposition gives the radical and the factors.  The radical is bisected
+from the bracket (-2^b, 2^b], where 2^b is at least the Cauchy bound
+1 + max|a_i / a_n|.  Every cell is dyadic: (i 2^w - 2^b, (i+1) 2^w - 2^b].
+Full Sturm counts split the bracket until each cell holds one root, and
+decide each root's multiplicity (one count per Yun factor); at a point
+beyond Fujiwara's root bound the count is read from the leading
+coefficients of the chain.  The root profile of a polynomial is cached in
+a bounded LRU, and real-rootedness is read from it.
+
+Refinement is sign-only.  A cell holding one root of the square-free radical
+holds a simple root, so the radical's sign at the midpoint, against its sign
+at hi (kept with the cell), picks the half: the upper half when the radical
+vanishes at hi, otherwise the lower half when the midpoint sign is 0 or
+equals the sign at hi.  A root exactly at a midpoint thus goes to the lower
+half, as in the half-open Sturm count, so every cell is the one a full Sturm
+count would choose.  ``isolate_roots`` reports, for each root, the coarsest
+cell of its bisection path that is at most ``width`` wide.  That path
+depends only on the root, so the report depends only on the polynomial and
+the width, however far earlier calls refined the cached cells.
+
+Interlacing.  ``interlaces`` and ``mutually_interlacing`` share one merged
+sweep.  The initial cells of every member are copied, sorted, and only
+neighbours whose cells overlap are worked on: the wider cell is halved until
+both are equally wide; then the gcd of the two radicals, computed once per
+pair of members and only for a pair whose cells still overlap, decides with
+one Sturm count on the overlap whether they hold the same root; distinct
+roots are halved until their cells part.  The result is the ascending order
+of all distinct roots, with exact ties, and each relation is read off it
+(Fisk, *Polynomials, roots, and interlacing*, arXiv:math/0612833).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -41,15 +67,35 @@ def _int_derivative(ints: Sequence[int]) -> tuple[int, ...]:
 
 
 def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
-    """Sign of the polynomial at num/den (den > 0), integer arithmetic only."""
-    if not ints:
-        return 0
+    """Sign of the polynomial at num/den (den > 0), integer arithmetic only.
+
+    Horner's rule on den^d p(num/den) = sum c_t num^t den^(d-t); when den is
+    a power of two 2^k, as at every bisection point, den^s is a shift by k s.
+    """
     acc = ints[-1]
-    dp = 1
-    for k in range(len(ints) - 2, -1, -1):
-        dp *= den
-        acc = acc * num + ints[k] * dp
+    k = den.bit_length() - 1
+    if den == 1 << k:
+        for s, c in enumerate(reversed(ints[:-1]), 1):
+            acc = acc * num + (c << k * s)
+    else:
+        dp = 1
+        for c in reversed(ints[:-1]):
+            dp *= den
+            acc = acc * num + c * dp
     return (acc > 0) - (acc < 0)
+
+
+def _dyadic(n: int, e: int, b: int) -> tuple[int, int]:
+    """(num, den) of the grid point n 2^e - 2^b, den a power of two."""
+    if e >= 0:
+        return (n << e) - (1 << b), 1
+    return n - (1 << (b - e)), 1 << -e
+
+
+def _floor_log2(width: Fraction) -> int:
+    """The largest e with 2^e <= width (width > 0)."""
+    e = width.numerator.bit_length() - width.denominator.bit_length()  # 2^(e-1) < width < 2^(e+1)
+    return e if Fraction(2) ** e <= width else e - 1
 
 
 @lru_cache(maxsize=4096)
@@ -77,13 +123,12 @@ def _variations(signs: Sequence[int]) -> int:
     return out
 
 
-def _var_at(chain, point: Fraction) -> int:
-    num, den = point.numerator, point.denominator
+def _var_at(chain, num: int, den: int) -> int:
     return _variations([_sign_at(m, num, den) for m in chain])
 
 
 def _count_half_open(chain, lo: Fraction, hi: Fraction) -> int:
-    return _var_at(chain, lo) - _var_at(chain, hi)
+    return _var_at(chain, lo.numerator, lo.denominator) - _var_at(chain, hi.numerator, hi.denominator)
 
 
 def _cauchy_pow2_bound(ints: Sequence[int]) -> int:
@@ -95,6 +140,21 @@ def _cauchy_pow2_bound(ints: Sequence[int]) -> int:
     while b < bound:
         b *= 2
     return b
+
+
+def _fujiwara_exp(ints: Sequence[int]) -> int:
+    """An f >= 1 with every root |z| < 2^f.
+
+    Fujiwara's bound |z| < 2 max_k |a_(d-k) / a_d|^(1/k) gives it once
+    |a_(d-k)| <= |a_d| 2^((f-1) k) for every k.
+    """
+    d = len(ints) - 1
+    lead = abs(ints[-1])
+    e = 0
+    for k in range(1, d + 1):
+        while abs(ints[d - k]) > lead << (e * k):
+            e += 1
+    return e + 1
 
 
 # ---------------------------------------------------------------------------
@@ -209,49 +269,79 @@ class InterlacingVerdict:
 
 @dataclass
 class _Rec:
-    lo: Fraction
-    hi: Fraction
-    v_lo: int
-    v_hi: int
+    """The cell (i 2^w - 2^b, (i+1) 2^w - 2^b] holding one root of the radical."""
+
+    b: int
+    i: int
+    w: int
+    s_hi: int  # sign of the radical at hi
     mult: int = 1
+
+    def end(self, upper: int) -> tuple[int, int]:
+        """(num, den) of the low (upper=0) or high (upper=1) end."""
+        return _dyadic(self.i + upper, self.w, self.b)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(*self.end(0))
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(*self.end(1))
 
 
 class _Profile:
-    """Radical, Sturm chain, and isolating records for one polynomial."""
+    """Radical, Sturm chain, and isolating cells for one polynomial.
+
+    ``records`` are the cells of the initial isolation and are never
+    refined; ``intervals`` refines its own copies of them.
+    """
 
     def __init__(self, p: XPoly):
         if p.is_zero():
             raise UsageError("the zero polynomial has no root profile")
         self.poly = p
-        self.factors = _yun(p)
-        self.radical = X_ONE
-        for _, fac in self.factors:
-            self.radical = self.radical * fac
-        self.rad_ints = _int_coeffs(self.radical) if self.radical.degree >= 1 else ()
-        self.chain = _sturm_chain(self.rad_ints) if self.rad_ints else ()
+        monic = p.monic()
+        ints = _int_coeffs(monic) if p.degree >= 1 else ()
+        chain = _sturm_chain(ints) if ints else ()
+        if chain and len(chain[-1]) == 1:
+            # The chain ends in gcd(p, p'); a constant one makes p square-free.
+            self.factors = [(1, monic)]
+            self.radical, self.rad_ints, self.chain = monic, ints, chain
+        else:
+            self.factors = _yun(p)
+            self.radical = X_ONE
+            for _, fac in self.factors:
+                self.radical = self.radical * fac
+            self.rad_ints = _int_coeffs(self.radical) if self.radical.degree >= 1 else ()
+            self.chain = _sturm_chain(self.rad_ints) if self.rad_ints else ()
         self.records: list[_Rec] = self._isolate() if self.rad_ints else []
         self._assign_multiplicities()
+        self._refined = [replace(rec) for rec in self.records]
 
     def _isolate(self) -> list[_Rec]:
-        if len(self.rad_ints) - 1 < 1:
-            return []
-        bound = _cauchy_pow2_bound(self.rad_ints)
-        lo, hi = Fraction(-bound), Fraction(bound)
-        v_lo, v_hi = _var_at(self.chain, lo), _var_at(self.chain, hi)
-        stack = [(lo, hi, v_lo, v_hi)]
+        b = _cauchy_pow2_bound(self.rad_ints).bit_length() - 1
+        f = _fujiwara_exp(self.rad_ints)
+        leads = [((m[-1] > 0) - (m[-1] < 0), len(m) - 1) for m in self.chain]
+        at_inf = [_variations([s * t**d for s, d in leads]) for t in (-1, 1)]
+
+        def var(n: int, e: int) -> int:
+            num, den = _dyadic(n, e, b)
+            if abs(num) >= den << f:  # beyond every root: the count at -inf or +inf
+                return at_inf[num > 0]
+            return _var_at(self.chain, num, den)
+
+        stack = [(0, b + 1, var(0, b + 1), var(1, b + 1))]
         out: list[_Rec] = []
         while stack:
-            lo, hi, vl, vh = stack.pop()
+            i, w, vl, vh = stack.pop()
             count = vl - vh
-            if count == 0:
-                continue
             if count == 1:
-                out.append(_Rec(lo, hi, vl, vh))
-                continue
-            mid = (lo + hi) / 2
-            vm = _var_at(self.chain, mid)
-            stack.append((lo, mid, vl, vm))
-            stack.append((mid, hi, vm, vh))
+                out.append(_Rec(b, i, w, _sign_at(self.rad_ints, *_dyadic(i + 1, w, b))))
+            elif count > 1:
+                vm = var(2 * i + 1, w - 1)
+                stack.append((2 * i, w - 1, vl, vm))
+                stack.append((2 * i + 1, w - 1, vm, vh))
         out.sort(key=lambda r: r.lo)
         return out
 
@@ -264,24 +354,32 @@ class _Profile:
                 factor_chains.append((mult, _sturm_chain(_int_coeffs(fac))))
         for rec in self.records:
             for mult, chain in factor_chains:
-                if _count_half_open(chain, rec.lo, rec.hi) == 1:
+                if _var_at(chain, *rec.end(0)) - _var_at(chain, *rec.end(1)) == 1:
                     rec.mult = mult
                     break
 
     def refine_once(self, rec: _Rec) -> None:
-        mid = (rec.lo + rec.hi) / 2
-        vm = _var_at(self.chain, mid)
-        if rec.v_lo - vm == 1:
-            rec.hi, rec.v_hi = mid, vm
-        else:
-            rec.lo, rec.v_lo = mid, vm
+        """Halve rec's cell, keeping the half that holds its root (sign-only)."""
+        n, w = 2 * rec.i, rec.w - 1
+        if rec.s_hi:
+            s = _sign_at(self.rad_ints, *_dyadic(n + 1, w, rec.b))
+            if s == 0 or s == rec.s_hi:  # no sign change on (mid, hi]
+                rec.i, rec.w, rec.s_hi = n, w, s
+                return
+        rec.i, rec.w = n + 1, w
 
     def intervals(self, width: Fraction) -> tuple[RootInterval, ...]:
-        """The records, each refined to at most ``width``."""
-        for rec in self.records:
-            while rec.hi - rec.lo > width:
-                self.refine_once(rec)
-        return tuple(RootInterval(rec.lo, rec.hi, rec.mult) for rec in self.records)
+        """For each root, the coarsest cell of its bisection path at most ``width`` wide."""
+        top = _floor_log2(width)
+        out = []
+        for rec, deep in zip(self.records, self._refined):
+            w = min(rec.w, top)
+            while deep.w > w:
+                self.refine_once(deep)
+            i = deep.i >> (w - deep.w)
+            lo, hi = _dyadic(i, w, rec.b), _dyadic(i + 1, w, rec.b)
+            out.append(RootInterval(Fraction(*lo), Fraction(*hi), rec.mult))
+        return tuple(out)
 
     @property
     def real_root_count(self) -> int:
@@ -326,11 +424,16 @@ def count_roots_in(p: XPoly, lo: Fraction, hi: Fraction) -> int:
 def isolate_roots(p: XPoly, width: Fraction = DEFAULT_WIDTH) -> RootIsolation:
     """Disjoint rational isolating intervals for all distinct real roots.
 
-    Intervals are refined by bisection until each is at most ``width`` wide.
+    Each interval is the coarsest cell of its root's bisection path that is
+    at most ``width`` wide (``width`` > 0), so the result depends only on p
+    and ``width``.
     """
     if p.is_zero():
         raise UsageError("isolate_roots of the zero polynomial")
-    return RootIsolation(_profile(p).intervals(Fraction(width)), int(p.degree))
+    width = Fraction(width)
+    if width <= 0:
+        raise UsageError("isolate_roots requires a positive width")
+    return RootIsolation(_profile(p).intervals(width), int(p.degree))
 
 
 def is_real_rooted(p: XPoly) -> bool:
@@ -343,67 +446,119 @@ def is_real_rooted(p: XPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Interlacing
+# Interlacing: one merged sweep over the roots of every member
 # ---------------------------------------------------------------------------
 
-_F_EVENT, _G_EVENT, _BOTH_EVENT = 0, 1, 2
-_MAX_SEPARATION_BISECTIONS = 4000
+_MAX_SEPARATION_BISECTIONS = 4000  # halvings of one cell in one sweep before it gives up
 
 
-def _merged_events(f: XPoly, g: XPoly):
-    """Ascending merged root events for f and g with exact tie detection.
+def _below(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """p < q for grid points given as (num, den)."""
+    return p[0] * q[1] < q[0] * p[1]
 
-    Returns a list of (origin, rec_f, rec_g) triples in increasing root
-    order, where origin says whether the root value belongs to f, to g, or
-    to both.  Ties are decided by counting roots of gcd(radical_f,
-    radical_g) inside interval overlaps; distinct roots are separated by
-    bisection refinement of the cached records.
+
+def _merged_positions(polys: Sequence[XPoly]) -> list[list[tuple[int, _Rec]]]:
+    """Per member, (position in the merged root order, cell) for each root.
+
+    Roots are listed with multiplicity and ascending; equal positions mean
+    the same root.  The sweep works on copies of the cached initial cells.
+    A group [owner, cell, members, start] is one distinct root: ``cell``,
+    held by member ``owner`` and refined from level ``start``, is the one
+    compared with the neighbours.  ``order`` stays sorted by the low ends of
+    the cells, and every group left of index k lies wholly left of all the
+    groups after it.
     """
-    pf, pg = _profile(f), _profile(g)
-    common = poly_gcd(pf.radical, pg.radical)
-    common_chain = _sturm_chain(_int_coeffs(common)) if common.degree >= 1 else None
-    events = []
-    i = j = 0
-    budget = _MAX_SEPARATION_BISECTIONS
-    while i < len(pf.records) or j < len(pg.records):
-        if i == len(pf.records):
-            events.append((_G_EVENT, None, pg.records[j]))
-            j += 1
+    profiles = [_profile(p) for p in polys]
+    order = []
+    for owner, prof in enumerate(profiles):
+        for rec in prof.records:
+            cell = replace(rec)
+            order.append([owner, cell, [(owner, cell)], cell.w])
+    order.sort(key=lambda group: group[1].lo)
+    common: dict[tuple[int, int], tuple] = {}
+    k = 0
+    while k + 1 < len(order):
+        a, b = order[k], order[k + 1]
+        ca, cb = a[1], b[1]
+        if not _below(cb.end(0), ca.end(1)):
+            k += 1
             continue
-        if j == len(pg.records):
-            events.append((_F_EVENT, pf.records[i], None))
-            i += 1
+        if ca.w == cb.w and _same_root(profiles, common, a[0], ca, b[0], cb):
+            a[2].extend(b[2])
+            del order[k + 1]
             continue
-        rf, rg = pf.records[i], pg.records[j]
-        if rf.hi <= rg.lo:
-            events.append((_F_EVENT, rf, None))
-            i += 1
-        elif rg.hi <= rf.lo:
-            events.append((_G_EVENT, None, rg))
-            j += 1
-        else:
-            olo, ohi = max(rf.lo, rg.lo), min(rf.hi, rg.hi)
-            if common_chain is not None and _count_half_open(common_chain, olo, ohi) == 1:
-                events.append((_BOTH_EVENT, rf, rg))
-                i += 1
+        wide = max(ca.w, cb.w)
+        del order[k : k + 2]
+        for group in (a, b):
+            cell = group[1]
+            if cell.w == wide:
+                profiles[group[0]].refine_once(cell)
+                if group[3] - cell.w >= _MAX_SEPARATION_BISECTIONS:
+                    raise WeylPolyError("root separation did not converge within the bisection budget")
+            j, lo = k, cell.end(0)
+            while j < len(order) and _below(order[j][1].end(0), lo):
                 j += 1
-                continue
-            pf.refine_once(rf)
-            pg.refine_once(rg)
-            budget -= 1
-            if budget <= 0:
-                raise WeylPolyError("root separation did not converge within the bisection budget")
-    return events
+            order.insert(j, group)
+    positions: list[list[tuple[int, _Rec]]] = [[] for _ in profiles]
+    for idx, (_, _, members, _) in enumerate(order):
+        for owner, cell in members:
+            positions[owner].extend([(idx, cell)] * cell.mult)
+    return positions
 
 
-def _expand_positions(events, for_f: bool):
-    """(event index, record) per root with multiplicity, ascending."""
-    out = []
-    for idx, (origin, rec_f, rec_g) in enumerate(events):
-        rec = rec_f if for_f else rec_g
-        if rec is not None:
-            out.extend([(idx, rec)] * rec.mult)
-    return out
+def _same_root(profiles, common, x: int, cx: _Rec, y: int, cy: _Rec) -> bool:
+    """Whether equally wide, overlapping cells of members x and y hold the same root.
+
+    A radical that vanishes at the cells' common upper end has its root
+    there, so then the cells share their root iff both radicals vanish.
+    Otherwise the gcd of the two radicals, computed once per pair of
+    members, decides: a root of it in the overlap is the one root of each
+    cell.
+    """
+    if (cx.s_hi == 0 or cy.s_hi == 0) and cx.hi == cy.hi:
+        return cx.s_hi == cy.s_hi
+    key = (min(x, y), max(x, y))
+    if key not in common:
+        g = poly_gcd(profiles[x].radical, profiles[y].radical)
+        common[key] = _sturm_chain(_int_coeffs(g)) if g.degree >= 1 else ()
+    chain = common[key]
+    return bool(chain) and _count_half_open(chain, max(cx.lo, cy.lo), min(cx.hi, cy.hi)) == 1
+
+
+def _relation(v, u) -> InterlacingVerdict:
+    """Whether g interlaces f, from the merged positions v of g's roots and u of f's."""
+    dg, df = len(v), len(u)
+    if (dg == 0 and df == 0) or df - dg not in (0, 1):
+        return InterlacingVerdict(INCOMPARABLE)
+    if dg == 0:
+        return InterlacingVerdict(WEAK)
+    chain = [u[0]] if df > dg else []
+    for k in range(dg):
+        chain += [v[k], u[k + df - dg]]
+    strict = True
+    for (ia, ra), (ib, rb) in zip(chain, chain[1:]):
+        if ia > ib:
+            return InterlacingVerdict(NONE, ((ra.lo, ra.hi), (rb.lo, rb.hi)))
+        strict = strict and ia < ib
+    return InterlacingVerdict(STRICT if strict else WEAK)
+
+
+def _mutual_order_holds(positions) -> bool:
+    """Whether every member interlaces every later one, read off the merged order.
+
+    Each member short of the top degree gets roots at -inf in front; then
+    f_1..f_m interlace mutually iff r_(1,0), ..., r_(m,0), r_(1,1), ...,
+    r_(m,1), ... is nondecreasing.  A bad degree pattern (a later member of
+    lower degree, or one two short) puts a -inf after a root.  Only two
+    constants, which are incomparable, need their own test.
+    """
+    degrees = [len(p) for p in positions]
+    if degrees.count(0) > 1:
+        return False
+    top = max(degrees)
+    padded = [[(-1, None)] * (top - len(p)) + p for p in positions]
+    seq = [p[k][0] for k in range(top) for p in padded]
+    return all(a <= b for a, b in zip(seq, seq[1:]))
 
 
 def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
@@ -414,6 +569,13 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
     chain downgrade strict to weak.  A positive constant weakly interlaces
     any real-rooted polynomial of degree one; two constants are
     incomparable.
+
+    This is the two-member case of the merged sweep: the roots of g and f
+    are put in one order by sign-only halving of copies of their cells (a
+    root exactly at a midpoint stays in the lower half).  gcd(radical g,
+    radical f) is computed only if two equally wide cells still overlap and
+    neither radical vanishes at their common upper end.  A ``none`` witness
+    holds the cells of the first two roots out of order.
     """
     for name, p in (("g", g), ("f", f)):
         if p.is_zero():
@@ -422,43 +584,7 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
             raise PreconditionError(f"{name} must have a positive leading coefficient")
     if not is_real_rooted(g) or not is_real_rooted(f):
         raise PreconditionError("interlaces requires real-rooted inputs")
-    dg, df = g.degree, f.degree
-    if dg == 0 and df == 0:
-        return InterlacingVerdict(INCOMPARABLE)
-    if df - dg not in (0, 1):
-        return InterlacingVerdict(INCOMPARABLE)
-    if dg == 0:
-        return InterlacingVerdict(WEAK)
-
-    events = _merged_events(f, g)
-    u = _expand_positions(events, for_f=True)
-    v = _expand_positions(events, for_f=False)
-    if len(u) != df or len(v) != dg:
-        raise WeylPolyError("root multiplicities must exhaust the degrees")
-
-    def check(pairs):
-        strict = True
-        for (ia, ra), (ib, rb) in pairs:
-            if ia > ib:
-                witness = ((ra.lo, ra.hi), (rb.lo, rb.hi))
-                return NONE, witness
-            if ia == ib:
-                strict = False
-        return (STRICT if strict else WEAK), None
-
-    if df == dg:
-        pairs = []
-        for k in range(len(u)):
-            pairs.append((v[k], u[k]))
-            if k + 1 < len(v):
-                pairs.append((u[k], v[k + 1]))
-    else:
-        pairs = []
-        for k in range(len(v)):
-            pairs.append((u[k], v[k]))
-            pairs.append((v[k], u[k + 1]))
-    relation, witness = check(pairs)
-    return InterlacingVerdict(relation, witness)
+    return _relation(*_merged_positions([g, f]))
 
 
 def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -466,6 +592,13 @@ def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, Optional[tuple[int,
 
     Entries must be real-rooted with nonnegative coefficients, or positive
     constants.  Returns (True, None) or (False, first failing index pair).
+
+    One merged sweep orders the roots of all entries, halving only cells
+    that overlap a neighbour's and computing the gcd of two entries'
+    radicals only for a pair whose equally wide cells still overlap (see
+    ``interlaces``).  The mutual condition is read off that order; only
+    when it fails does a scan of the pairs (i, j) in order, on the same
+    positions, name the first failing one.
     """
     if not fs:
         raise UsageError("mutually_interlacing of an empty sequence")
@@ -480,9 +613,12 @@ def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, Optional[tuple[int,
             raise PreconditionError(f"entry {k} has negative coefficients")
         if not is_real_rooted(p):
             raise PreconditionError(f"entry {k} is not real-rooted")
+    positions = _merged_positions(fs)
+    if _mutual_order_holds(positions):
+        return True, None
     n = len(fs)
     for i in range(n):
         for j in range(i + 1, n):
-            if not interlaces(fs[i], fs[j]).holds:
+            if not _relation(positions[i], positions[j]).holds:
                 return False, (i, j)
-    return True, None
+    raise WeylPolyError("the merged order and the pairwise scan disagree")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import sympy as sp
 
 from weylpoly import (
     PreconditionError,
+    RootInterval,
     assemble,
     UsageError,
     WeylPolyError,
@@ -16,6 +18,7 @@ from weylpoly import (
     is_real_rooted,
     isolate_roots,
     mutually_interlacing,
+    poly_gcd,
     refined_K,
     refined_T1,
     square_free,
@@ -215,6 +218,16 @@ class TestSturmChain:
                 continue
             ints = _int_coeffs(p)
             assert _sturm_chain(ints) == fraction_sturm_chain(ints), str(p)
+
+
+    def test_sign_at_matches_fraction_evaluation(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            ints = tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 9))) + (rng.choice([-3, 1, 7]),)
+            num = rng.randint(-10**6, 10**6)
+            den = rng.choice([1, 2, 8, 2**40, 3, 12, 10**9 + 7])
+            value = XPoly(ints).evaluate(Fraction(num, den))
+            assert realroots._sign_at(ints, num, den) == (value > 0) - (value < 0), (ints, num, den)
 
 
 def _primitive_ref(ints):
@@ -436,3 +449,309 @@ class TestInvariants:
             theirs = sp.Poly(sum(c * X**k for k, c in enumerate(coeffs)), X).real_roots()
             assert mine == len(theirs)
             assert is_real_rooted(p) == (len(theirs) == p.degree)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the fast paths: the full-chain isolation and the pairwise sweep
+# ---------------------------------------------------------------------------
+
+
+def horner_sign(ints, num, den):
+    """Sign at num/den by Horner's rule with the powers of den multiplied out."""
+    acc = ints[-1]
+    dp = 1
+    for c in reversed(ints[:-1]):
+        dp *= den
+        acc = acc * num + c * dp
+    return (acc > 0) - (acc < 0)
+
+
+def chain_variations(chain, x: Fraction) -> int:
+    signs = [s for s in (horner_sign(m, x.numerator, x.denominator) for m in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def full_chain_isolation(p: XPoly, width: Fraction = realroots.DEFAULT_WIDTH):
+    """Isolation with a full Sturm count at every bisection, on Fraction endpoints.
+
+    This is the refinement the sign-only one replaces: the half (lo, mid] is
+    kept iff the count there is one.
+    """
+    factors = _yun(p)
+    radical = _radical(p)
+    if radical.degree < 1:
+        return ()
+    chain = _sturm_chain(_int_coeffs(radical))
+    bound = Fraction(_cauchy_pow2_bound(_int_coeffs(radical)))
+    stack = [(-bound, bound, chain_variations(chain, -bound), chain_variations(chain, bound))]
+    cells = []
+    while stack:
+        lo, hi, vl, vh = stack.pop()
+        if vl - vh == 1:
+            cells.append([lo, hi, vl, vh])
+        elif vl - vh > 1:
+            mid = (lo + hi) / 2
+            vm = chain_variations(chain, mid)
+            stack += [(lo, mid, vl, vm), (mid, hi, vm, vh)]
+    factor_chains = [(m, _sturm_chain(_int_coeffs(fac))) for m, fac in factors if fac.degree >= 1]
+    out = []
+    for lo, hi, vl, vh in sorted(cells):
+        mult = next(m for m, ch in factor_chains if chain_variations(ch, lo) - chain_variations(ch, hi) == 1)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            vm = chain_variations(chain, mid)
+            if vl - vm == 1:
+                hi, vh = mid, vm
+            else:
+                lo, vl = mid, vm
+        out.append(RootInterval(lo, hi, mult))
+    return tuple(out)
+
+
+def random_root_products(seed: int, count: int):
+    """Seeded products of linear factors with multiplicities, some times a complex pair."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = xpoly(Fraction(rng.choice([1, 2, 3]), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 4)):
+            root = Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3, 4, 8]))
+            p = p * xpoly(-root, 1) ** rng.randint(1, 3)
+        if rng.random() < 0.3:
+            p = p * xpoly(1, 0, 1)
+        out.append(p)
+    return out
+
+
+# Roots exactly at bisection midpoints and cell ends: 0, -1, -1/2, 2, 1/4.
+DYADIC_ROOTS = [
+    xpoly(0, 1) * xpoly(1, 1) * xpoly(1, 2) * xpoly(-2, 1),
+    xpoly(0, 1) ** 2 * xpoly(-1, 4) * xpoly(1, 2) ** 3,
+    xpoly(-2, 1) * xpoly(2, 1) * xpoly(0, 1),
+]
+
+
+class TestSignOnlyRefinement:
+    def cold(self, p, width=realroots.DEFAULT_WIDTH):
+        realroots._profile.cache_clear()
+        return isolate_roots(p, width).intervals
+
+    def test_tildeD_bit_identical_to_full_chain(self):
+        for n in range(3, 31):
+            p = assemble("tildeD", n)
+            assert self.cold(p) == full_chain_isolation(p), n
+
+    def test_tildeB_D_bit_identical_to_full_chain(self):
+        for n in range(3, 21):
+            for family in ("tildeB", "D"):
+                p = assemble(family, n)
+                assert self.cold(p) == full_chain_isolation(p), (family, n)
+
+    def test_refined_T1_members_bit_identical_to_full_chain(self):
+        for n in range(4, 11):
+            for k, p in enumerate(refined_T1(n)):
+                assert self.cold(p) == full_chain_isolation(p), (n, k)
+
+    def test_random_products_and_dyadic_roots_bit_identical(self):
+        for p in random_root_products(31, 40) + DYADIC_ROOTS:
+            assert self.cold(p) == full_chain_isolation(p), str(p)
+            width = Fraction(1, 1000)
+            assert self.cold(p, width) == full_chain_isolation(p, width), str(p)
+
+    def test_dyadic_roots_sit_at_the_upper_end(self):
+        iso = self.cold(DYADIC_ROOTS[0])
+        assert [r.hi for r in iso] == [-1, Fraction(-1, 2), 0, 2]
+
+    def test_output_depends_only_on_polynomial_and_width(self):
+        p = assemble("tildeD", 5)
+        cold = self.cold(p)
+        assert all(r.hi - r.lo == Fraction(1, 2**30) for r in cold)
+        deep = isolate_roots(p, Fraction(1, 2**40)).intervals
+        assert all(r.hi - r.lo == Fraction(1, 2**40) for r in deep)
+        assert isolate_roots(p).intervals == cold
+        assert isolate_roots(p, Fraction(1, 2**40)).intervals == deep
+
+    def test_interlacing_does_not_move_reported_intervals(self):
+        fam = refined_T1(5)
+        cold = [self.cold(p) for p in fam]
+        cold_coarse = [self.cold(p, Fraction(1, 8)) for p in fam]
+        realroots._profile.cache_clear()
+        assert mutually_interlacing(fam) == (True, None)
+        for i in range(len(fam) - 1):
+            interlaces(fam[i], fam[i + 1])
+        assert [isolate_roots(p, Fraction(1, 8)).intervals for p in fam] == cold_coarse
+        assert [isolate_roots(p).intervals for p in fam] == cold
+        assert [isolate_roots(p, Fraction(1, 8)).intervals for p in fam] == cold_coarse
+
+    @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 2), Fraction(0)])
+    def test_nonpositive_width_rejected(self, width):
+        with pytest.raises(UsageError):
+            isolate_roots(xpoly(-2, 0, 1), width)
+
+
+def pairwise_relation(g: XPoly, f: XPoly) -> str:
+    """The pairwise route the merged sweep replaced: one merge of g and f.
+
+    Root events are merged with exact ties from gcd(radical_f, radical_g),
+    counted inside each overlap, and distinct roots are separated by
+    refining copies of both cells.
+    """
+    dg, df = g.degree, f.degree
+    if (dg == 0 and df == 0) or df - dg not in (0, 1):
+        return "incomparable"
+    if dg == 0:
+        return "weak"
+    pf, pg = realroots._profile(f), realroots._profile(g)
+    rf = [dataclasses.replace(r) for r in pf.records]
+    rg = [dataclasses.replace(r) for r in pg.records]
+    common = poly_gcd(pf.radical, pg.radical)
+    common_chain = _sturm_chain(_int_coeffs(common)) if common.degree >= 1 else None
+    events = []
+    i = j = 0
+    while i < len(rf) or j < len(rg):
+        if j == len(rg) or (i < len(rf) and rf[i].hi <= rg[j].lo):
+            events.append((rf[i], None))
+            i += 1
+        elif i == len(rf) or rg[j].hi <= rf[i].lo:
+            events.append((None, rg[j]))
+            j += 1
+        else:
+            olo, ohi = max(rf[i].lo, rg[j].lo), min(rf[i].hi, rg[j].hi)
+            if common_chain is not None and realroots._count_half_open(common_chain, olo, ohi) == 1:
+                events.append((rf[i], rg[j]))
+                i += 1
+                j += 1
+            else:
+                pf.refine_once(rf[i])
+                pg.refine_once(rg[j])
+
+    def expand(for_f):
+        out = []
+        for idx, (a, b) in enumerate(events):
+            rec = a if for_f else b
+            if rec is not None:
+                out.extend([idx] * rec.mult)
+        return out
+
+    u, v = expand(True), expand(False)
+    assert len(u) == df and len(v) == dg
+    if df == dg:
+        pairs = [(v[k], u[k]) for k in range(df)] + [(u[k], v[k + 1]) for k in range(dg - 1)]
+    else:
+        pairs = [(u[k], v[k]) for k in range(dg)] + [(v[k], u[k + 1]) for k in range(dg)]
+    if any(a > b for a, b in pairs):
+        return "none"
+    return "strict" if all(a < b for a, b in pairs) else "weak"
+
+
+def pairwise_mutual(fs):
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            if pairwise_relation(fs[i], fs[j]) not in ("strict", "weak"):
+                return False, (i, j)
+    return True, None
+
+
+def planted_family(rng: random.Random, members: int, degree: int):
+    """Roots r_(i,k) = s[k m + i] from one sorted list s: mutually interlacing.
+
+    Then, at random: a shared root (two neighbours of s made equal); the
+    first member one degree short (still mutually interlacing) or two
+    degrees short; another member one degree short and moved to the front;
+    two roots of different members swapped; a positive constant, or two,
+    in front.
+    """
+    s = sorted(Fraction(-rng.randint(1, 400), rng.choice([1, 2, 3, 5])) for _ in range(members * degree))
+    if rng.random() < 0.5:
+        t = rng.randrange(len(s) - 1)
+        s[t + 1] = s[t]
+    roots = [[s[k * members + i] for k in range(degree)] for i in range(members)]
+    gap = rng.random()
+    if gap < 0.3:
+        roots[0] = roots[0][1:]
+    elif gap < 0.4:
+        roots[0] = roots[0][2:]
+    elif gap < 0.5:
+        roots.insert(0, roots.pop(rng.randrange(1, members))[1:])
+    if rng.random() < 0.4:
+        a, b = rng.sample([i for i, rs in enumerate(roots) if rs], 2)
+        ka, kb = rng.randrange(len(roots[a])), rng.randrange(len(roots[b]))
+        roots[a][ka], roots[b][kb] = roots[b][kb], roots[a][ka]
+    fam = []
+    for rs in roots:
+        p = xpoly(rng.randint(1, 3))
+        for r in rs:
+            p = p * xpoly(-r, 1)
+        fam.append(p)
+    if rng.random() < 0.2:
+        fam.insert(0, xpoly(rng.randint(1, 5)))
+        if rng.random() < 0.3:
+            fam.insert(0, xpoly(1))
+    return fam
+
+
+class TestMergedSweep:
+    def test_mutual_matches_pairwise_oracle_on_planted_families(self):
+        rng = random.Random(4242)
+        outcomes = set()
+        for _ in range(120):
+            fam = planted_family(rng, rng.randint(2, 6), rng.randint(1, 4))
+            realroots._profile.cache_clear()
+            got = mutually_interlacing(fam)
+            assert got == pairwise_mutual(fam), [str(p) for p in fam]
+            outcomes.add(got[0])
+        assert outcomes == {True, False}
+
+    def test_mutual_matches_pairwise_oracle_on_built_families(self):
+        fams = [refined_T1(n) for n in range(3, 8)] + [list(refined_K(n, "direct").polys) for n in range(3, 7)]
+        fams += [list(reversed(f)) for f in fams[:3]]
+        fams += [[assemble("tildeB", n), assemble("tildeB", n + 1)] for n in range(3, 8)]
+        for fam in fams:
+            assert mutually_interlacing(fam) == pairwise_mutual(fam)
+
+    def test_every_relation_matches_the_pairwise_oracle(self):
+        rng = random.Random(77)
+        for _ in range(25):
+            fam = planted_family(rng, rng.randint(2, 5), rng.randint(1, 4))
+            for g in fam:
+                for f in fam:
+                    assert interlaces(g, f).relation == pairwise_relation(g, f), (str(g), str(f))
+
+    def test_none_witness_brackets_the_offending_roots(self):
+        rng = random.Random(2468)
+        pool = [Fraction(n, d) for n in range(-6, 1) for d in (1, 2, 3)]
+
+        def product(degree):
+            p = xpoly(rng.randint(1, 3))
+            for _ in range(degree):
+                p = p * xpoly(-rng.choice(pool), 1)
+            return p
+
+        seen = 0
+        for _ in range(150):
+            dg = rng.randint(1, 3)
+            g, f = product(dg), product(dg + rng.randint(0, 1))
+            verdict = interlaces(g, f)
+            assert verdict.relation == sympy_relation(g, f), (str(g), str(f))
+            if verdict.relation != "none":
+                continue
+            seen += 1
+            first, second = first_violation(g, f)
+            (lo1, hi1), (lo2, hi2) = (tuple(map(rational, cell)) for cell in verdict.witness)
+            assert lo1 < first <= hi1 and lo2 < second <= hi2
+            assert hi2 <= lo1
+        assert seen > 10
+
+
+def rational(x: Fraction) -> sp.Rational:
+    return sp.Rational(x.numerator, x.denominator)
+
+
+def first_violation(g: XPoly, f: XPoly):
+    """The first adjacent pair of the alternation chain out of order, as sympy roots."""
+    rg, rf = to_sympy(g).real_roots(), to_sympy(f).real_roots()
+    if len(rf) == len(rg):
+        chain = [r for pair in zip(rg, rf) for r in pair]
+    else:
+        chain = [rf[0]] + [r for pair in zip(rg, rf[1:]) for r in pair]
+    return next((a, b) for a, b in zip(chain, chain[1:]) if a > b)
