@@ -15,9 +15,9 @@ All operations are pure and exact; mixing kinds in ring operations raises
 ``TypeError``.  JSON serialization uses decimal strings for every integer so
 round-trips are bit-exact.
 
-One integer kernel (``_int_coeffs``, ``_primitive``, ``_prem``) works on
-primitive integer coefficient tuples; ``poly_gcd`` and the Sturm chains of
-``realroots`` both run on it.
+One integer kernel (``_int_coeffs``, ``_primitive``, ``_prem``, ``_int_gcd``)
+works on primitive integer coefficient tuples; ``poly_gcd`` and the Sturm
+chains and square-free decomposition of ``realroots`` all run on it.
 """
 
 from __future__ import annotations
@@ -394,21 +394,31 @@ def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return rem
 
 
-def poly_gcd(a: XPoly, b: XPoly) -> XPoly:
-    """Monic greatest common divisor over the rationals.
+def _positive_primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The primitive part with a positive leading coefficient (ints nonzero)."""
+    out = _primitive(list(ints))
+    return out if out[-1] > 0 else tuple(-c for c in out)
+
+
+def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """gcd of two integer polynomials, not both zero, primitive with lc > 0.
 
     Computed as a primitive polynomial remainder sequence (Collins 1967,
-    Brown 1978) on primitive integer coefficient tuples: each pseudo-remainder
-    is divided by its content, so no rational arithmetic enters the loop.
+    Brown 1978): each pseudo-remainder is divided by its content, so no
+    rational arithmetic enters the loop.
     """
-    if a.is_zero() and b.is_zero():
-        raise UsageError("gcd of two zero polynomials is undefined")
-    f, g = _int_coeffs(a), _int_coeffs(b)
     if len(f) < len(g):
         f, g = g, f
     while g:
         f, g = g, _primitive(_prem(f, g))
-    return XPoly(f).monic()
+    return _positive_primitive(f)
+
+
+def poly_gcd(a: XPoly, b: XPoly) -> XPoly:
+    """Monic greatest common divisor over the rationals, by ``_int_gcd``."""
+    if a.is_zero() and b.is_zero():
+        raise UsageError("gcd of two zero polynomials is undefined")
+    return XPoly(_int_gcd(_int_coeffs(a), _int_coeffs(b))).monic()
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ the half-open convention: the Sturm variation difference V(lo) - V(hi)
 counts distinct roots in (lo, hi].
 
 Isolation.  The Sturm chain of p ends in gcd(p, p'); when that is a
-constant, p is its own square-free radical, and otherwise a Yun
-decomposition gives the radical and the factors.  The radical is bisected
-from the bracket (-2^b, 2^b], where 2^b is at least the Cauchy bound
+constant, p is its own square-free radical.  Otherwise Yun's algorithm,
+seeded with that last chain member, runs on primitive integer tuples and
+gives the radical p / gcd(p, p') and the square-free factors; its exact
+quotients stay integral by Gauss's lemma.  The radical is bisected from the
+bracket (-2^b, 2^b], where 2^b is at least the Cauchy bound
 1 + max|a_i / a_n|.  Every cell is dyadic: (i 2^w - 2^b, (i+1) 2^w - 2^b].
 Full Sturm counts split the bracket until each cell holds one root, and
 decide each root's multiplicity (one count per Yun factor); at a point
@@ -52,7 +54,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, UsageError, WeylPolyError
-from .exactpoly import X_ONE, XPoly, _int_coeffs, _prem, _primitive, exact_divide, poly_gcd
+from .exactpoly import X_ONE, QPoly, XPoly, _int_coeffs, _int_gcd, _positive_primitive, _prem, _primitive
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -132,14 +134,13 @@ def _count_half_open(chain, lo: Fraction, hi: Fraction) -> int:
 
 
 def _cauchy_pow2_bound(ints: Sequence[int]) -> int:
-    """Power of two at least 1 + max|a_i/a_n|, so it exceeds every root."""
+    """The least power of two b with b |a_n| >= |a_n| + max|a_i|.
+
+    So b >= 1 + max|a_i / a_n|, the Cauchy bound, and b exceeds every root.
+    """
     lead = abs(ints[-1])
-    top = max((abs(c) for c in ints[:-1]), default=0)
-    bound = 1 + Fraction(top, lead)
-    b = 1
-    while b < bound:
-        b *= 2
-    return b
+    need = lead + max((abs(c) for c in ints[:-1]), default=0)
+    return 1 << (-(-need // lead) - 1).bit_length()
 
 
 def _fujiwara_exp(ints: Sequence[int]) -> int:
@@ -158,54 +159,39 @@ def _fujiwara_exp(ints: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Square-free decomposition (Yun) over the rationals
+# Square-free decomposition (Yun) over the integers
 # ---------------------------------------------------------------------------
 
 
-def _yun(p: XPoly) -> list[tuple[int, XPoly]]:
-    """Monic square-free factors with multiplicities: p ~ prod f_m ** m."""
-    g = _gcd_with_derivative(p)
-    if g.degree == 0:
-        return [(1, p.monic())]
-    out: list[tuple[int, XPoly]] = []
-    w = exact_divide(p, g)
-    y = exact_divide(p.derivative(), g)
-    z = y - w.derivative()
+def _square_free(ints: tuple[int, ...]):
+    """Radical and Yun factors of p, primitive with lc > 0 and degree >= 1.
+
+    Returns (r, ((m, f_m), ...)) with p = prod f_m ** m and r = p / gcd(p, p');
+    r and every f_m are primitive with a positive leading coefficient.  The
+    loop starts from gcd(p, p'), the last member of p's cached Sturm chain,
+    and divides exactly over the integers: every divisor is primitive, so by
+    Gauss's lemma each quotient over the rationals is an integer polynomial.
+    """
+    g = _positive_primitive(_sturm_chain(ints)[-1])
+    if len(g) == 1:
+        return ints, ((1, ints),)
+    g = QPoly(g)
+    w = QPoly(ints).exact_div(g)
+    radical = w.coeffs
+    z = QPoly(_int_derivative(ints)).exact_div(g) - QPoly(_int_derivative(radical))
+    factors = []
     m = 1
     while w.degree >= 1:
         if z.is_zero():
-            out.append((m, w.monic()))
+            factors.append((m, w.coeffs))
             break
-        a = poly_gcd(w, z)
+        a = QPoly(_int_gcd(w.coeffs, z.coeffs))
         if a.degree >= 1:
-            out.append((m, a))
-        w = exact_divide(w, a)
-        y = exact_divide(z, a)
-        z = y - w.derivative()
+            factors.append((m, a.coeffs))
+        w = w.exact_div(a)
+        z = z.exact_div(a) - QPoly(_int_derivative(w.coeffs))
         m += 1
-    return out
-
-
-def _gcd_with_derivative(p: XPoly) -> XPoly:
-    d = p.derivative()
-    if d.is_zero():
-        return X_ONE
-    return poly_gcd(p, d)
-
-
-def _radical(p: XPoly) -> XPoly:
-    out = X_ONE
-    for _, fac in _yun(p):
-        out = out * fac
-    return out
-
-
-def is_square_free(p: XPoly) -> bool:
-    if p.is_zero():
-        return False
-    if p.degree == 0:
-        return True
-    return _gcd_with_derivative(p).degree == 0
+    return radical, tuple(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +286,11 @@ class _Profile:
     def __init__(self, p: XPoly):
         if p.is_zero():
             raise UsageError("the zero polynomial has no root profile")
-        self.poly = p
-        monic = p.monic()
-        ints = _int_coeffs(monic) if p.degree >= 1 else ()
-        chain = _sturm_chain(ints) if ints else ()
-        if chain and len(chain[-1]) == 1:
-            # The chain ends in gcd(p, p'); a constant one makes p square-free.
-            self.factors = [(1, monic)]
-            self.radical, self.rad_ints, self.chain = monic, ints, chain
+        if p.degree >= 1:
+            self.rad_ints, self.factors = _square_free(_int_coeffs(p.monic()))
+            self.chain = _sturm_chain(self.rad_ints)
         else:
-            self.factors = _yun(p)
-            self.radical = X_ONE
-            for _, fac in self.factors:
-                self.radical = self.radical * fac
-            self.rad_ints = _int_coeffs(self.radical) if self.radical.degree >= 1 else ()
-            self.chain = _sturm_chain(self.rad_ints) if self.rad_ints else ()
+            self.rad_ints, self.factors, self.chain = (), (), ()
         self.records: list[_Rec] = self._isolate() if self.rad_ints else []
         self._assign_multiplicities()
         self._refined = [replace(rec) for rec in self.records]
@@ -348,10 +324,7 @@ class _Profile:
     def _assign_multiplicities(self) -> None:
         if len(self.factors) == 1 and self.factors[0][0] == 1:
             return
-        factor_chains = []
-        for mult, fac in self.factors:
-            if fac.degree >= 1:
-                factor_chains.append((mult, _sturm_chain(_int_coeffs(fac))))
+        factor_chains = [(mult, _sturm_chain(fac)) for mult, fac in self.factors]
         for rec in self.records:
             for mult, chain in factor_chains:
                 if _var_at(chain, *rec.end(0)) - _var_at(chain, *rec.end(1)) == 1:
@@ -403,21 +376,19 @@ def square_free(p: XPoly) -> tuple[XPoly, tuple[RootInterval, ...]]:
     if p.is_zero():
         raise UsageError("square_free of the zero polynomial")
     prof = _profile(p)
-    return prof.radical if prof.radical.degree >= 1 else X_ONE, prof.intervals(DEFAULT_WIDTH)
+    return XPoly(prof.rad_ints).monic() if prof.rad_ints else X_ONE, prof.intervals(DEFAULT_WIDTH)
 
 
 def count_roots_in(p: XPoly, lo: Fraction, hi: Fraction) -> int:
     """Exact number of distinct real roots of square-free p in (lo, hi]."""
     if p.is_zero():
         raise UsageError("count_roots_in of the zero polynomial")
-    if not is_square_free(p):
+    chain = _sturm_chain(_int_coeffs(p)) if p.degree >= 1 else ()
+    if chain and len(chain[-1]) > 1:  # the chain ends in gcd(p, p')
         raise UsageError("count_roots_in requires a square-free polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise UsageError("count_roots_in requires lo < hi")
-    if p.degree == 0:
-        return 0
-    chain = _sturm_chain(_int_coeffs(p))
     return _count_half_open(chain, lo, hi)
 
 
@@ -519,8 +490,8 @@ def _same_root(profiles, common, x: int, cx: _Rec, y: int, cy: _Rec) -> bool:
         return cx.s_hi == cy.s_hi
     key = (min(x, y), max(x, y))
     if key not in common:
-        g = poly_gcd(profiles[x].radical, profiles[y].radical)
-        common[key] = _sturm_chain(_int_coeffs(g)) if g.degree >= 1 else ()
+        g = _int_gcd(profiles[x].rad_ints, profiles[y].rad_ints)
+        common[key] = _sturm_chain(g) if len(g) >= 2 else ()
     chain = common[key]
     return bool(chain) and _count_half_open(chain, max(cx.lo, cy.lo), min(cx.hi, cy.hi)) == 1
 

@@ -24,14 +24,14 @@ from .errors import (
     StabilityInapplicableError,
     UsageError,
 )
-from .exactpoly import ONE_PLUS_Q, Q_ZERO, QPoly, QXPoly, XPoly, _int_coeffs, _int_quot, poly_gcd
+from .exactpoly import ONE_PLUS_Q, Q_ZERO, QPoly, QXPoly, XPoly, _int_quot, _positive_primitive, poly_gcd
 from .realroots import (
     InterlacingVerdict,
     STRICT,
     WEAK,
     _count_half_open,
     _cauchy_pow2_bound,
-    _radical,
+    _square_free,
     _sturm_chain,
     interlaces,
     is_real_rooted,
@@ -246,13 +246,11 @@ def q_positive_on_positive_reals(p: QPoly) -> bool:
         raise UsageError("q_positive_on_positive_reals of the zero polynomial")
     if all(c >= 0 for c in p.coeffs):
         return True
-    as_x = XPoly(tuple(Fraction(c) for c in p.coeffs))
-    radical = _radical(as_x)
-    if radical.degree >= 1:
-        ints = _int_coeffs(radical)
-        chain = _sturm_chain(ints)
-        bound = _cauchy_pow2_bound(ints)
-        if _count_half_open(chain, Fraction(0), Fraction(bound)) != 0:
+    ints = _positive_primitive(p.coeffs)
+    if len(ints) >= 2:
+        radical = _square_free(ints)[0]
+        bound = _cauchy_pow2_bound(radical)
+        if _count_half_open(_sturm_chain(radical), Fraction(0), Fraction(bound)) != 0:
             return False
     return p.evaluate(1) > 0
 

@@ -84,10 +84,10 @@ def _check_K4_roots(i: int):
     if len(iso.intervals) != len(printed):
         return False, {"expected_roots": len(printed), "isolated": len(iso.intervals)}
     for rec, value in zip(iso.intervals, printed):
-        mid = (rec.lo + rec.hi) / 2
+        mid, exact = (rec.lo + rec.hi) / 2, Fraction(value)
         # 5e-4 is the worst-case relative half-ulp of a 4-significant-figure
         # value; sub-unit values get it as an absolute floor.
-        if abs(float(mid) - value) > 5e-4 * max(1.0, abs(value)):
+        if abs(mid - exact) > Fraction(5, 10**4) * max(1, abs(exact)):
             return False, {"interval": rec.to_json(), "printed": value}
     return True, None
 

@@ -1,10 +1,13 @@
+import ast
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
+import weylpoly
 from weylpoly import (
     DivisibilityError,
     QPoly,
@@ -356,3 +359,15 @@ class TestRendering:
     def test_two_variable(self):
         t2 = qxpoly((1, 1), (1, 2, 1), (0, 1, 1))
         assert str(t2) == "(1 + q) + (1 + 2q + q^2)x + (q + q^2)x^2"
+
+
+class TestExactOnly:
+    def test_no_float_call_in_src(self):
+        """No decision in the package goes through floating point; the one float is NEG_INF."""
+        found = []
+        for path in sorted(Path(weylpoly.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                is_float = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+                if is_float and ast.unparse(node) != "float('-inf')":
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []

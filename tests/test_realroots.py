@@ -24,9 +24,9 @@ from weylpoly import (
     square_free,
     xpoly,
 )
-from weylpoly import realroots
-from weylpoly.exactpoly import _int_coeffs
-from weylpoly.realroots import _cauchy_pow2_bound, _int_derivative, _radical, _sturm_chain, _yun
+from weylpoly import exactpoly, realroots
+from weylpoly.exactpoly import X_ONE, _int_coeffs, exact_divide
+from weylpoly.realroots import _cauchy_pow2_bound, _int_derivative, _square_free, _sturm_chain
 from weylpoly.tables import K4_TABLE, K4_ROOTS
 
 X = sp.symbols("x")
@@ -261,12 +261,54 @@ def fraction_sturm_chain(ints):
     return tuple(chain)
 
 
+def fraction_yun(p: XPoly) -> list[tuple[int, XPoly]]:
+    """Reference Yun decomposition over Fraction: monic square-free factors, p ~ prod f_m ** m."""
+    d = p.derivative()
+    g = poly_gcd(p, d) if not d.is_zero() else X_ONE
+    if g.degree == 0:
+        return [(1, p.monic())]
+    out: list[tuple[int, XPoly]] = []
+    w = exact_divide(p, g)
+    y = exact_divide(d, g)
+    z = y - w.derivative()
+    m = 1
+    while w.degree >= 1:
+        if z.is_zero():
+            out.append((m, w.monic()))
+            break
+        a = poly_gcd(w, z)
+        if a.degree >= 1:
+            out.append((m, a))
+        w = exact_divide(w, a)
+        y = exact_divide(z, a)
+        z = y - w.derivative()
+        m += 1
+    return out
+
+
+def fraction_radical(p: XPoly) -> XPoly:
+    """Reference monic radical: the product of the Fraction Yun factors."""
+    out = X_ONE
+    for _, fac in fraction_yun(p):
+        out = out * fac
+    return out
+
+
+def fraction_cauchy_bound(ints) -> int:
+    """Reference: the least power of two at least 1 + max|a_i/a_n|, in Fraction."""
+    bound = 1 + Fraction(max((abs(c) for c in ints[:-1]), default=0), abs(ints[-1]))
+    b = 1
+    while b < bound:
+        b *= 2
+    return b
+
+
 def yun_full_line_real_rooted(p: XPoly) -> bool:
     """Reference: Yun factors, each counted on the whole line by its Sturm chain."""
     if p.degree == 0:
         return True
     total = 0
-    for mult, fac in _yun(p):
+    for mult, fac in fraction_yun(p):
         if fac.degree >= 1:
             chain = fraction_sturm_chain(_int_coeffs(fac))
             total += mult * (sign_changes_at_infinity(chain, -1) - sign_changes_at_infinity(chain, 1))
@@ -279,6 +321,104 @@ def sign_changes_at_infinity(chain, direction: int) -> int:
         s = (m[-1] > 0) - (m[-1] < 0)
         signs.append(s * direction ** (len(m) - 1))
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def from_sympy(f: sp.Poly) -> XPoly:
+    return xpoly(*(Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())))
+
+
+def sqf_cases():
+    """Seeded products with repeated roots, and the shapes the integer Yun must normalise."""
+    rng = random.Random(303)
+    cases = [
+        xpoly(0, 0, 0, 5),  # c x^k: p' divides p, so the chain ends in p' itself
+        xpoly(0, 0, Fraction(-3, 7)),
+        xpoly(7),
+        xpoly(Fraction(-1, 3)),
+        xpoly(1, 0, 1) ** 2,
+        xpoly(1, -1, 1) ** 3 * xpoly(-2, 0, 1) ** 2,
+        -(xpoly(1, 1) ** 3) * xpoly(-1, 1) ** 2,
+        xpoly(Fraction(1, 2), Fraction(-3, 4), 1) ** 2 * xpoly(0, 1),
+    ]
+    cases += [assemble("tildeD", n) * xpoly(1, 1) ** 2 for n in (3, 7, 12)]
+    for _ in range(50):
+        p = xpoly(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 4)):
+            root = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            p = p * xpoly(-root, 1) ** rng.randint(1, 3)
+        if rng.random() < 0.4:
+            p = p * xpoly(rng.randint(1, 5), rng.randint(-2, 2), 1) ** rng.randint(1, 2)
+        cases.append(p)
+    return cases
+
+
+class TestIntegerSquareFree:
+    def test_matches_fraction_yun_and_sympy(self):
+        for p in sqf_cases():
+            if p.degree < 1:
+                continue
+            radical, factors = _square_free(_int_coeffs(p.monic()))
+            assert list(factors) == [(m, _int_coeffs(f)) for m, f in fraction_yun(p)], str(p)
+            assert radical == _int_coeffs(fraction_radical(p)), str(p)
+            _, sym = sp.sqf_list(to_sympy(p))
+            assert dict(factors) == {m: _int_coeffs(from_sympy(f).monic()) for f, m in sym}, str(p)
+
+    def test_public_answers_match_the_fraction_route(self):
+        for p in sqf_cases():
+            realroots._profile.cache_clear()
+            radical, intervals = square_free(p)
+            assert radical == fraction_radical(p), str(p)
+            assert intervals == full_chain_isolation(p), str(p)
+            width = Fraction(1, 1000)
+            assert isolate_roots(p, width).intervals == full_chain_isolation(p, width), str(p)
+            assert is_real_rooted(p) == yun_full_line_real_rooted(p), str(p)
+            if fraction_yun(p) != [(1, p.monic())]:
+                with pytest.raises(UsageError):
+                    count_roots_in(p, -1, 1)
+                continue
+            roots = to_sympy(p).real_roots()
+            for lo, hi in ((-1, 0), (-10, 10), (Fraction(-1, 2), Fraction(1, 3))):
+                want = sum(1 for r in roots if rational(Fraction(lo)) < r <= rational(Fraction(hi)))
+                assert count_roots_in(p, lo, hi) == want, (str(p), lo, hi)
+
+    def test_integer_cauchy_bound_matches_fraction_formula(self):
+        rng = random.Random(17)
+        polys = sqf_cases() + random_root_products(31, 40) + DYADIC_ROOTS + list(K4_TABLE)
+        polys += [assemble("tildeD", n) for n in range(3, 31)] + [xpoly(3, 1), xpoly(-7, 0, 1), xpoly(8, 0, 2)]
+        for _ in range(200):
+            polys.append(xpoly(*[rng.randint(-2**40, 2**40) for _ in range(rng.randint(1, 6))], rng.choice([-5, -1, 1, 3, 2**41])))
+        for p in polys:
+            if p.degree >= 1:
+                ints = _int_coeffs(p)
+                assert _cauchy_pow2_bound(ints) == fraction_cauchy_bound(ints), str(p)
+
+
+class TestOneChainPerPolynomial:
+    """gcd(p, p') comes from p's one Sturm chain: one pseudo-remainder sequence starts at p."""
+
+    def remainder_sequences_from(self, monkeypatch, p, call) -> int:
+        ints = _int_coeffs(p)
+        starts = []
+        prem = exactpoly._prem
+
+        def counting(f, g):
+            starts.append(tuple(f) == ints)
+            return prem(f, g)
+
+        monkeypatch.setattr(exactpoly, "_prem", counting)
+        monkeypatch.setattr(realroots, "_prem", counting)
+        realroots._profile.cache_clear()
+        _sturm_chain.cache_clear()
+        call()
+        return sum(starts)
+
+    def test_profile_of_a_repeated_root_polynomial(self, monkeypatch):
+        p = assemble("tildeD", 12) * xpoly(1, 1) ** 2
+        assert self.remainder_sequences_from(monkeypatch, p, lambda: realroots._profile(p)) == 1
+
+    def test_count_roots_in(self, monkeypatch):
+        p = assemble("tildeD", 12)
+        assert self.remainder_sequences_from(monkeypatch, p, lambda: count_roots_in(p, -1, 0)) == 1
 
 
 class TestInterlaces:
@@ -356,14 +496,14 @@ class TestMutuallyInterlacing:
 class TestInvariants:
     def test_full_bracket_count_matches_interval_count(self):
         for p in K4_TABLE:
-            radical = _radical(p)
-            bound = Fraction(_cauchy_pow2_bound(_int_coeffs(radical)))
+            radical = fraction_radical(p)
+            bound = Fraction(fraction_cauchy_bound(_int_coeffs(radical)))
             iso = isolate_roots(p)
             assert count_roots_in(radical, -bound, bound) == len(iso.intervals)
 
     def test_sign_change_across_each_interval(self):
         for p in (K4_TABLE[0], K4_TABLE[3], xpoly(-2, 0, 1), xpoly(0, 1) * xpoly(1, 1)):
-            radical = _radical(p)
+            radical = fraction_radical(p)
             for rec in isolate_roots(p).intervals:
                 s_lo = radical.evaluate(rec.lo)
                 s_hi = radical.evaluate(rec.hi)
@@ -373,8 +513,8 @@ class TestInvariants:
     def test_nonnegative_family_roots_are_nonpositive(self):
         for fam in (refined_T1(5), refined_K(5, "direct").polys):
             for p in fam:
-                radical = _radical(p)
-                bound = Fraction(_cauchy_pow2_bound(_int_coeffs(radical)))
+                radical = fraction_radical(p)
+                bound = Fraction(fraction_cauchy_bound(_int_coeffs(radical)))
                 assert count_roots_in(radical, 0, bound) == 0
 
     def test_partial_sums_of_mutually_interlacing_family(self):
@@ -477,12 +617,12 @@ def full_chain_isolation(p: XPoly, width: Fraction = realroots.DEFAULT_WIDTH):
     This is the refinement the sign-only one replaces: the half (lo, mid] is
     kept iff the count there is one.
     """
-    factors = _yun(p)
-    radical = _radical(p)
+    factors = fraction_yun(p)
+    radical = fraction_radical(p)
     if radical.degree < 1:
         return ()
     chain = _sturm_chain(_int_coeffs(radical))
-    bound = Fraction(_cauchy_pow2_bound(_int_coeffs(radical)))
+    bound = Fraction(fraction_cauchy_bound(_int_coeffs(radical)))
     stack = [(-bound, bound, chain_variations(chain, -bound), chain_variations(chain, bound))]
     cells = []
     while stack:
@@ -604,7 +744,7 @@ def pairwise_relation(g: XPoly, f: XPoly) -> str:
     pf, pg = realroots._profile(f), realroots._profile(g)
     rf = [dataclasses.replace(r) for r in pf.records]
     rg = [dataclasses.replace(r) for r in pg.records]
-    common = poly_gcd(pf.radical, pg.radical)
+    common = poly_gcd(XPoly(pf.rad_ints), XPoly(pg.rad_ints))
     common_chain = _sturm_chain(_int_coeffs(common)) if common.degree >= 1 else None
     events = []
     i = j = 0

@@ -360,6 +360,26 @@ class TestQPositivity:
         with pytest.raises(UsageError):
             q_positive_on_positive_reals(QPoly())
 
+    def test_matches_sympy_on_repeated_and_signed_factors(self):
+        rng = random.Random(88)
+        cases = [qpoly(0, 0, 0, 5), qpoly(0, 0, -3), qpoly(7), qpoly(-2), qpoly(1, -1, 1) ** 2]
+        cases += [qpoly(1, -1, 1) ** 3 * qpoly(-2, 0, 1) ** 2, -(qpoly(1, 1) ** 3) * qpoly(-1, 1) ** 2]
+        for _ in range(60):
+            p = qpoly(rng.choice([-3, -1, 1, 2]))
+            for _ in range(rng.randint(1, 4)):
+                p = p * qpoly(rng.randint(-6, 6), rng.randint(1, 4)) ** rng.randint(1, 3)
+            if rng.random() < 0.4:
+                p = p * qpoly(rng.randint(1, 5), rng.randint(-4, 2), 1) ** rng.randint(1, 2)
+            cases.append(p)
+        q = sp.symbols("q")
+        verdicts = set()
+        for p in cases:
+            sym = sp.Poly([sp.Integer(c) for c in reversed(p.coeffs)], q)
+            want = sym.eval(1) > 0 and not any(r > 0 for r in sym.real_roots())
+            assert q_positive_on_positive_reals(p) == want, str(p)
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
     @pytest.mark.parametrize(
         "check", [_positive_except_even_zero_at_one, verify._positive_except_even_zero_at_one],
         ids=["test_copy", "verify"],
