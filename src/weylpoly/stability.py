@@ -1,13 +1,21 @@
 """Even/odd splits, Hurwitz determinants, and stability-based interlacing.
 
-The Hurwitz matrix of p(z) = sum a_{n-k} z^k is H[r][c] = a_{2c - r + 1}
-(0-based, entries outside 0..n read as zero); Delta_k is its k-th leading
-principal minor.  H is built once, over the integers (numeric p, scaled by
-the lcm of its denominators) or over the integer polynomials in q
-(symbolic p), and Delta_1..Delta_n are read off as the pivots of one
-fraction-free Bareiss elimination without pivoting.  Only after a zero
-pivot are the remaining minors computed one by one, by Bareiss elimination
-with row pivoting over the same ring.
+The Hurwitz matrix of p(z) = a_0 z^n + a_1 z^(n-1) + ... + a_n is
+H[r][c] = a_{2c - r + 1} (0-based, entries outside 0..n read as zero);
+Delta_k is its k-th leading principal minor.  The minors come from Routh's
+array, fraction-free, over the integers (numeric p, scaled by the lcm of its
+denominators) or over the integer polynomials in q (symbolic p).  Its rows
+start R_0 = (a_0, a_2, ...) and R_1 = (a_1, a_3, ...), and
+
+    R_{k+1}[j] = (R_k[0] R_{k-1}[j+1] - R_{k-1}[0] R_k[j+1]) / d_k,
+
+with d_1 = d_2 = 1 and d_k = Delta_{k-2} for k >= 3; then Delta_k = R_k[0].
+Each R_k is Delta_{k-1} times the rational Routh row k, and its entries are
+minors of H, so every division is exact; it goes through the ring's exact
+quotient, which raises DivisibilityError on a remainder.  That is O(n^2)
+ring operations for all n minors.  The array divides by Delta_{k-2}, so a
+zero Delta_k with k < n stops it; the remaining minors are then computed one
+by one, by Bareiss elimination with row pivoting over the same ring.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .errors import (
     StabilityInapplicableError,
     UsageError,
 )
-from .exactpoly import ONE_PLUS_Q, Q_ZERO, QPoly, QXPoly, XPoly, _int_quot, _positive_primitive, poly_gcd
+from .exactpoly import ONE_PLUS_Q, Q_ZERO, QPoly, QXPoly, XPoly, _int_quot, _positive_primitive
 from .realroots import (
     InterlacingVerdict,
     STRICT,
@@ -138,25 +146,25 @@ def _det_bareiss(mat, quot):
     return det if sign > 0 else -det
 
 
-def _leading_minors(mat, quot):
-    """All leading principal minors of a square matrix, smallest first.
+def _routh_minors(a, zero, quot):
+    """Delta_1..Delta_n of a[0] z^n + ... + a[n] from the fraction-free Routh array.
 
-    Without pivoting, the k-th pivot of one fraction-free elimination is the
-    k-th leading principal minor.  A zero pivot stops the pass; the larger
-    minors then come one by one from _det_bareiss.
+    Row R_{k+1} comes from R_k and R_{k-1}; the first zero Delta_k with k < n
+    stops the array, and the larger minors then come one by one from
+    _det_bareiss on the leading blocks of the Hurwitz matrix.
     """
-    m = [list(row) for row in mat]
-    n = len(m)
-    minors = []
-    prev = None
-    for k in range(n):
-        pivot = m[k][k]
-        minors.append(pivot)
-        if not pivot:
-            minors += [_det_bareiss([row[:s] for row in mat[:s]], quot) for s in range(k + 2, n + 1)]
-            break
-        _eliminate(m, k, prev, quot)
-        prev = pivot
+    n = len(a) - 1
+    older, row = list(a[0::2]), list(a[1::2])
+    minors = [row[0]]
+    for k in range(1, n):
+        if not row[0]:
+            h = [[a[2 * c - r + 1] if 0 <= 2 * c - r + 1 <= n else zero for c in range(n)] for r in range(n)]
+            return minors + [_det_bareiss([r[:s] for r in h[:s]], quot) for s in range(k + 1, n + 1)]
+        new = [row[0] * x - older[0] * y for x, y in zip(older[1:], row[1:] + [zero])]
+        if k >= 3:  # d_k = Delta_{k-2}; d_1 = d_2 = 1
+            new = [quot(v, minors[k - 3]) for v in new]
+        older, row = row, new
+        minors.append(row[0])
     return minors
 
 
@@ -184,8 +192,7 @@ def hurwitz_determinants(p: Union[XPoly, QXPoly]) -> StabilityReport:
         den = lcm(*(c.denominator for c in a))
         a = [c.numerator * (den // c.denominator) for c in a]
         zero, quot = 0, _int_quot
-    hurwitz = [[a[2 * c - r + 1] if 0 <= 2 * c - r + 1 <= n else zero for c in range(n)] for r in range(n)]
-    minors = _leading_minors(hurwitz, quot)
+    minors = _routh_minors(a, zero, quot)
     if symbolic:
         return StabilityReport(tuple(minors), None)
     dets = tuple(Fraction(d, den**k) for k, d in enumerate(minors, start=1))
@@ -261,12 +268,14 @@ def q_positive_on_positive_reals(p: QPoly) -> bool:
 
 
 def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
-    """Decide whether f interlaces g through the stability of g(z^2) + z f(z^2).
+    """Decide whether f interlaces g through the stability of P = g(z^2) + z f(z^2).
 
-    A strictly stable coupled polynomial certifies strict interlacing; one
-    stable after stripping a z power is weak exactly when f and g share the
-    root at zero.  Boundary and degenerate cases fall back to the direct
-    root-isolation test, so the two routes always agree.
+    If P / z^m is strictly stable, with z^m the largest power of z dividing
+    P, then f interlaces g, weakly iff z^2 divides P.  A shared root r < 0
+    would put the roots +-i sqrt(-r) of P on the imaginary axis, so the only
+    root f and g can share is 0, and f(0) = g(0) = 0 exactly when m >= 2.
+    Boundary and degenerate cases fall back to the direct root-isolation
+    test, so the two routes always agree.
     """
     for name, p in (("f", f), ("g", g)):
         if p.is_zero():
@@ -284,8 +293,5 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
     m, stripped = _strip_z(_interleave(g, f))
     report = hurwitz_determinants(stripped)
     if report.verdict == HURWITZ_STABLE:
-        if m == 0:
-            return InterlacingVerdict(STRICT)
-        shared = poly_gcd(f, g)
-        return InterlacingVerdict(WEAK if shared.degree >= 1 else STRICT)
+        return InterlacingVerdict(WEAK if m >= 2 else STRICT)
     return interlaces(f, g)

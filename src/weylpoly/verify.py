@@ -489,6 +489,9 @@ def run_suite(
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; expected one of {SUITES}")
     samples = tuple(q_samples) if q_samples else DEFAULT_Q_SAMPLES
+    for q in samples:
+        if q <= 0:
+            raise UsageError(f"q sample {q} is not positive")
     non_unit = tuple(q for q in samples if q != 1)
     checks: list[_Check] = []
     if suite in ("paper_tables", "all"):

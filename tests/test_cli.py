@@ -6,6 +6,7 @@ from weylpoly.cli import main
 from weylpoly.errors import EnumerationCapError
 from weylpoly.exactpoly import poly_from_json
 from weylpoly.report import ReportEntry, VerificationReport, timed_entry
+from weylpoly import verify
 from weylpoly.verify import suite_identities, suite_oracles
 
 
@@ -124,6 +125,17 @@ class TestVerify:
     def test_bad_q_samples_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "interlacing", "--q-samples", "a,b")
         assert code == 2
+
+    @pytest.mark.parametrize("suite", ["stability", "interlacing"])
+    @pytest.mark.parametrize("samples, bad", [("0", "0"), ("-1", "-1"), ("1/2,0", "0"), ("2,-1/3", "-1/3")])
+    def test_nonpositive_q_sample_exits_2_before_any_check(self, capsys, monkeypatch, suite, samples, bad):
+        ran = []
+        monkeypatch.setattr(verify, "timed_entry", lambda *args: ran.append(args))
+        code, out, err = run(capsys, "verify", "--suite", suite, f"--q-samples={samples}")
+        assert code == 2
+        assert out == ""
+        assert ran == []
+        assert f"q sample {bad} is not positive" in err
 
 
 class TestReport:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy as sp
@@ -17,6 +18,7 @@ from weylpoly import (
     hurwitz_determinants,
     interlace_via_stability,
     interlaces,
+    poly_gcd,
     q_positive_on_positive_reals,
     qpoly,
     refined_K,
@@ -24,9 +26,9 @@ from weylpoly import (
     refined_Tq,
     xpoly,
 )
-from weylpoly import verify
+from weylpoly import stability, verify
 from weylpoly.exactpoly import QPoly, QXPoly, _int_quot
-from weylpoly.stability import _eliminate, _interleave, _strip_z
+from weylpoly.stability import _det_bareiss, _eliminate, _interleave, _strip_z
 from weylpoly.tables import (
     C01_POLY,
     C06_DELTA4_QUINTIC,
@@ -158,11 +160,17 @@ def _ref_det_bareiss(mat, zero, one):
     return det if sign > 0 else -det
 
 
+def _hurwitz_matrix(a, zero):
+    """The n x n Hurwitz matrix of a[0] z^n + ... + a[n]."""
+    n = len(a) - 1
+    return [[a[2 * c - r + 1] if 0 <= 2 * c - r + 1 <= n else zero for c in range(n)] for r in range(n)]
+
+
 def _hurwitz_minor_matrices(a, zero):
     """The leading k x k blocks of the Hurwitz matrix, k = 1..n; a[0] leads."""
-    n = len(a) - 1
-    for k in range(1, n + 1):
-        yield [[a[2 * c - r + 1] if 0 <= 2 * c - r + 1 <= n else zero for c in range(k)] for r in range(k)]
+    h = _hurwitz_matrix(a, zero)
+    for k in range(1, len(h) + 1):
+        yield [row[:k] for row in h[:k]]
 
 
 def _reference_minors(p):
@@ -171,6 +179,38 @@ def _reference_minors(p):
     for mat in _hurwitz_minor_matrices(p.coeffs[::-1], zero):
         out.append(_ref_det_cofactor(mat, zero) if len(mat) <= 4 else _ref_det_bareiss(mat, zero, one))
     return tuple(out)
+
+
+# Reference: the one-pass Bareiss elimination used before the Routh array.
+# Without pivoting, the k-th pivot is Delta_k; a zero pivot stops the pass
+# and the larger minors come one by one from _det_bareiss.
+
+
+def _leading_minors(mat, quot):
+    m = [list(row) for row in mat]
+    n = len(m)
+    minors = []
+    prev = None
+    for k in range(n):
+        pivot = m[k][k]
+        minors.append(pivot)
+        if not pivot:
+            minors += [_det_bareiss([row[:s] for row in mat[:s]], quot) for s in range(k + 2, n + 1)]
+            break
+        _eliminate(m, k, prev, quot)
+        prev = pivot
+    return minors
+
+
+def _bareiss_pass_minors(p):
+    """Delta_1..Delta_n of p by the one-pass elimination, as Fractions or QPolys."""
+    a = p.coeffs[::-1]
+    if isinstance(p, QXPoly):
+        return tuple(_leading_minors(_hurwitz_matrix(a, QPoly()), QPoly.exact_div))
+    den = lcm(*(c.denominator for c in a))
+    ints = [c.numerator * (den // c.denominator) for c in a]
+    minors = _leading_minors(_hurwitz_matrix(ints, 0), _int_quot)
+    return tuple(Fraction(d, den**k) for k, d in enumerate(minors, start=1))
 
 
 Q = sp.Symbol("q")
@@ -251,12 +291,43 @@ ZERO_PIVOT_CASES = [
 ]
 
 
+def _planted_zero_pivot(rng, n, k):
+    """A degree-n polynomial whose first zero Hurwitz minor is Delta_k, 1 <= k < n.
+
+    Routh's rows, read as z-polynomials p_0 (even part), p_1 (odd part),
+    p_2, ..., satisfy p_{j-1} = c_j z p_j + p_{j+1}, and Delta_j is
+    Delta_{j-1} times the z^(n-j) coefficient of p_j.  So start from a
+    p_{k-1} of degree n-k+1 and a p_k without its z^(n-k) term, and run the
+    relation upwards with nonzero c_j.
+    """
+
+    def nonzero():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3)))
+
+    def one_parity(deg, lead):
+        coeffs = [Fraction(0)] * (deg + 1)
+        for e in range(deg % 2, deg, 2):
+            coeffs[e] = rng.choice((0, nonzero()))
+        coeffs[deg] = lead
+        return XPoly(tuple(coeffs))
+
+    z = xpoly(0, 1)
+    upper, lower = one_parity(n - k + 1, nonzero()), one_parity(n - k, 0)
+    for _ in range(k - 1):
+        upper, lower = nonzero() * z * upper + lower, upper
+    p = upper + lower
+    return p if p.leading > 0 else -p
+
+
 class TestHurwitzOracles:
-    def check(self, p):
+    def check(self, p, per_minor=True):
+        """Compare with the one-pass elimination, and per minor with the reference and sympy."""
         report = hurwitz_determinants(p)
-        want = _reference_minors(p)
+        want = _bareiss_pass_minors(p)
         assert report.determinants == want, str(p)
-        assert report.determinants == _sympy_minors(p), str(p)
+        if per_minor:
+            assert report.determinants == _reference_minors(p), str(p)
+            assert report.determinants == _sympy_minors(p), str(p)
         if isinstance(p, XPoly):
             assert report.verdict == _verdict(want), str(p)
         else:
@@ -283,6 +354,36 @@ class TestHurwitzOracles:
         for pair in pairs:
             self.check(build_C(*pair).poly)
 
+    def test_every_rank4_coupling_divisible_by_one_plus_q(self):
+        checked = 0
+        for pair in itertools.combinations(range(8), 2):
+            try:
+                c = build_C(*pair)
+            except DivisibilityError:
+                continue
+            self.check(c.poly)
+            checked += 1
+        assert checked >= 15
+
+    def test_random_rational_degrees_1_to_30(self):
+        rng = random.Random(20261018)
+        for degree in range(1, 31):
+            for _ in range(3):
+                self.check(_random_rational_poly(rng, degree), per_minor=degree <= 16)
+
+    def test_planted_zero_pivot_at_every_position(self):
+        rng = random.Random(611)
+        covered = set()
+        for n in range(2, 17):
+            for k in range(1, n):
+                p = _planted_zero_pivot(rng, n, k)
+                assert p.degree == n
+                dets = self.check(p, per_minor=n <= 12).determinants
+                first_zero = dets.index(0) + 1
+                assert all(dets[: first_zero - 1])
+                covered.add((n, first_zero))
+        assert covered == {(n, k) for n in range(2, 17) for k in range(1, n)}
+
     @pytest.mark.parametrize(
         "m, prev, quot",
         [
@@ -295,13 +396,36 @@ class TestHurwitzOracles:
         with pytest.raises(DivisibilityError):
             _eliminate(m, 0, prev, quot)
 
-    @pytest.mark.parametrize("n", range(4, 9))
+    @pytest.mark.parametrize("n", range(4, 13))
     def test_stripped_couplings_of_refined_K(self, n):
         fam = refined_K(n).polys
         for f, g in itertools.combinations(fam, 2):
             if f.is_zero() or g.is_zero():
                 continue
-            self.check(_strip_z(_interleave(g, f))[1])
+            self.check(_strip_z(_interleave(g, f))[1], per_minor=n <= 8)
+
+    def test_nonsingular_matrix_never_reaches_det_bareiss(self, monkeypatch):
+        sizes = []
+
+        def counting(mat, quot):
+            sizes.append(len(mat))
+            return _det_bareiss(mat, quot)
+
+        monkeypatch.setattr(stability, "_det_bareiss", counting)
+        rng = random.Random(4242)
+        inputs = [_random_rational_poly(rng, 1 + t % 30) for t in range(90)]
+        inputs += [build_C(*pair).poly for pair in itertools.combinations(REDUCED_INDEX_SET, 2)]
+        for n in range(4, 11):
+            fam = [p for p in refined_K(n).polys if not p.is_zero()]
+            inputs += [_strip_z(_interleave(g, f))[1] for f, g in itertools.combinations(fam, 2)]
+        nonsingular = 0
+        for p in inputs:
+            if all(_bareiss_pass_minors(p)):
+                hurwitz_determinants(p)
+                nonsingular += 1
+        assert sizes == [] and nonsingular >= 300
+        hurwitz_determinants(_planted_zero_pivot(rng, 9, 4))
+        assert sizes == [5, 6, 7, 8, 9]
 
 
 class TestHurwitzSymbolic:
@@ -404,7 +528,70 @@ class TestQPositivity:
                         assert q_positive_on_positive_reals(d), (pair, str(d))
 
 
+def _gcd_rule(f, g):
+    """The stable branch's relation by the shared-root gcd, or None off that branch."""
+    m, stripped = _strip_z(_interleave(g, f))
+    if hurwitz_determinants(stripped).verdict != "hurwitz_stable":
+        return None
+    return "weak" if m and poly_gcd(f, g).degree >= 1 else "strict"
+
+
+def _from_roots(*roots):
+    p = xpoly(1)
+    for r in roots:
+        p = p * xpoly(-r, 1)
+    return p
+
+
+# (f, g, m, stable branch taken): m is the power of z stripped from
+# g(z^2) + z f(z^2), which is 2 or more exactly when f(0) = g(0) = 0.
+WEAK_RULE_CASES = [
+    (_from_roots(-2), _from_roots(-1, -3), 0, True),
+    (_from_roots(0, -2), _from_roots(-1, -3), 0, False),  # f(0) = 0 only
+    (_from_roots(-1), _from_roots(0, -2), 1, True),  # g(0) = 0 only
+    (_from_roots(-1, -2), _from_roots(0, -1, -3), 1, False),
+    (_from_roots(0, -2), _from_roots(0, -1, -3), 2, True),  # both
+    (_from_roots(0, -2), _from_roots(0, -1), 2, True),
+    (_from_roots(0, 0), _from_roots(0, -1), 2, False),
+    (_from_roots(0, -1), _from_roots(0, 0, -2), 3, True),  # double root of g at 0
+    (_from_roots(0, 0), _from_roots(0, 0, -1), 4, True),  # double root of both at 0
+    (_from_roots(0, 0, -1), _from_roots(0, 0, -1), 4, False),
+    (_from_roots(-1, -2), _from_roots(-1, -3), 0, False),  # shared root off zero
+]
+
+
 class TestInterlaceViaStability:
+    @pytest.mark.parametrize("f, g, m, stable", WEAK_RULE_CASES, ids=lambda v: str(v))
+    def test_weak_rule_on_planted_pairs(self, f, g, m, stable):
+        assert _strip_z(_interleave(g, f))[0] == m
+        old = _gcd_rule(f, g)
+        assert (old is not None) == stable
+        got = interlace_via_stability(f, g).relation
+        assert got == interlaces(f, g).relation
+        if stable:
+            assert got == old == ("weak" if m >= 2 else "strict")
+
+    def test_weak_rule_on_families(self):
+        families = [refined_K(n).polys for n in range(3, 11)]
+        # the recurrence route builds the same entries, so its pairs get the same verdicts
+        assert families == [refined_K(n, "recurrence").polys for n in range(3, 11)]
+        families += [
+            [p.eval_q(q) for p in refined_Tq(n).polys]
+            for q in (Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(3))
+            for n in range(4, 8)
+        ]
+        stable_branch = set()
+        for fam in families:
+            fam = [p for p in fam if not p.is_zero()]
+            for f, g in itertools.permutations(fam, 2):
+                got = interlace_via_stability(f, g).relation
+                assert got == interlaces(f, g).relation, (str(f), str(g))
+                old = _gcd_rule(f, g)
+                if old is not None:
+                    assert got == old, (str(f), str(g))
+                    stable_branch.add((min(_strip_z(_interleave(g, f))[0], 2), got))
+        assert {(1, "strict"), (2, "weak")} <= stable_branch
+
     def test_strict_hand_example(self):
         v = interlace_via_stability(xpoly(2, 1), xpoly(1, 3, 1))
         assert v.relation == "strict"
