@@ -366,10 +366,15 @@ def _primitive(ints: list[int]) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, den * coeffs) with den the lcm of the denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 def _int_coeffs(p: XPoly) -> tuple[int, ...]:
     """Clear denominators and divide out the content, preserving sign."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _primitive(_clear_denominators(p.coeffs)[1])
 
 
 def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:

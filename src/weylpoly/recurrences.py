@@ -392,9 +392,8 @@ def assemble(family: str, n: int):
     Tq: sum of the rank-n refined family (two variables).
     Dq: Tq divided exactly by 1 + q.
     D: half the 0-indexed entry of the rank n+1 family at q = 1.
-    tildeD: rank 3 from the affine refined sum; rank >= 4 from the weighted
-        decomposition sum((n-i-1)x + i+1) * (x*T(i) + T(n+i-1)) over the
-        rank n-1 family at q = 1.
+    tildeD: the weighted decomposition sum((n-i-1)x + i+1) * (x*T(i) + T(n+i-1))
+        over the rank n-1 family at q = 1, n >= 3.
     tildeB: entry n+1 of the rank n+1 family at q = 1.
     A: the q -> 0 specialization of Dq at rank n+1.
     """
@@ -422,12 +421,6 @@ def assemble(family: str, n: int):
     if family == "tildeD":
         if n < 3:
             raise UsageError("tildeD needs n >= 3")
-        if n == 3:
-            fam = refined_affine_T(3).polys
-            out = XPoly()
-            for i in range(3):
-                out = out + fam[i]
-            return out
         # The coefficients sum to n |B_(n-1)| = |B_n| / 2, so the rank-n
         # layout holds every partial sum.
         layout = _layout(n, 1)

@@ -2,10 +2,10 @@
 
 The Hurwitz matrix of p(z) = a_0 z^n + a_1 z^(n-1) + ... + a_n is
 H[r][c] = a_{2c - r + 1} (0-based, entries outside 0..n read as zero);
-Delta_k is its k-th leading principal minor.  The minors come from Routh's
-array, fraction-free, over the integers (numeric p, scaled by the lcm of its
-denominators) or over the integer polynomials in q (symbolic p).  Its rows
-start R_0 = (a_0, a_2, ...) and R_1 = (a_1, a_3, ...), and
+Delta_k is its k-th leading principal minor.  Every minor comes from
+Routh's array, fraction-free, over the integers (numeric p, scaled by the
+lcm of its denominators) or over the integer polynomials in q (symbolic p).
+Its rows start R_0 = (a_0, a_2, ...) and R_1 = (a_1, a_3, ...), and
 
     R_{k+1}[j] = (R_k[0] R_{k-1}[j+1] - R_{k-1}[0] R_k[j+1]) / d_k,
 
@@ -13,9 +13,16 @@ with d_1 = d_2 = 1 and d_k = Delta_{k-2} for k >= 3; then Delta_k = R_k[0].
 Each R_k is Delta_{k-1} times the rational Routh row k, and its entries are
 minors of H, so every division is exact; it goes through the ring's exact
 quotient, which raises DivisibilityError on a remainder.  That is O(n^2)
-ring operations for all n minors.  The array divides by Delta_{k-2}, so a
-zero Delta_k with k < n stops it; the remaining minors are then computed one
-by one, by Bareiss elimination with row pivoting over the same ring.
+ring operations for all n minors.
+
+The array divides by Delta_{k-2}, so a zero Delta_k with k < n would stop
+it.  It then reruns on p + eps (z+1)^n, over the polynomials in a new
+variable eps with coefficients in the same ring.  H is linear in the
+coefficients of p, so Delta_j(p + eps (z+1)^n) is a polynomial in eps with
+constant term Delta_j(p) and eps^j coefficient Delta_j((z+1)^n) > 0, since
+(z+1)^n is stable.  No lifted minor is zero, the lifted entries are still
+minors, so each division stays exact, and the constant terms of the lifted
+Delta_{k+1}, ..., Delta_n are the remaining minors of p.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb
 from typing import Optional, Union
 
 from .errors import (
@@ -32,7 +39,7 @@ from .errors import (
     StabilityInapplicableError,
     UsageError,
 )
-from .exactpoly import ONE_PLUS_Q, Q_ZERO, QPoly, QXPoly, XPoly, _int_quot, _positive_primitive
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _int_quot, _positive_primitive
 from .realroots import (
     InterlacingVerdict,
     STRICT,
@@ -112,60 +119,33 @@ class StabilityReport:
         return {"determinants": dets, "verdict": self.verdict}
 
 
-def _eliminate(m, k, prev, quot):
-    """Clear column k below the pivot m[k][k] by one fraction-free step.
+def _routh_minors(a):
+    """Delta_1, ..., Delta_n of a[0] z^n + ... + a[n], in order, from the fraction-free Routh array.
 
-    prev is the previous pivot, or None at the first step.  By Sylvester's
-    identity it divides every new entry exactly (Bareiss 1968); quot is the
-    exact quotient of the entries' ring and raises DivisibilityError on a
-    remainder.
+    The entries are ints or QPolys.  At the first zero Delta_k with k < n the
+    array reruns on p + eps (z+1)^n, with entries QPoly or QXPoly read as
+    polynomials in eps, whose minors are never zero; the constant terms of
+    its Delta_{k+1}, ..., Delta_n follow.
     """
-    pivot, top = m[k][k], m[k][k + 1 :]
-    for row in m[k + 1 :]:
-        lead = row[k]
-        new = [pivot * x - lead * t for x, t in zip(row[k + 1 :], top)]
-        row[k + 1 :] = new if prev is None else [quot(v, prev) for v in new]
-
-
-def _det_bareiss(mat, quot):
-    """Determinant of a square matrix by fraction-free elimination with row pivoting."""
-    m = [list(row) for row in mat]
-    k = len(m)
-    sign = 1
-    prev = None
-    for col in range(k - 1):
-        pivot_row = next((r for r in range(col, k) if m[r][col]), None)
-        if pivot_row is None:
-            return m[col][col]  # a zero of the entries' ring
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        _eliminate(m, col, prev, quot)
-        prev = m[col][col]
-    det = m[k - 1][k - 1]
-    return det if sign > 0 else -det
-
-
-def _routh_minors(a, zero, quot):
-    """Delta_1..Delta_n of a[0] z^n + ... + a[n] from the fraction-free Routh array.
-
-    Row R_{k+1} comes from R_k and R_{k-1}; the first zero Delta_k with k < n
-    stops the array, and the larger minors then come one by one from
-    _det_bareiss on the leading blocks of the Hurwitz matrix.
-    """
+    ring = type(a[0])
+    zero, quot = (0, _int_quot) if ring is int else (ring(), ring.exact_div)
     n = len(a) - 1
     older, row = list(a[0::2]), list(a[1::2])
     minors = [row[0]]
+    yield row[0]
     for k in range(1, n):
         if not row[0]:
-            h = [[a[2 * c - r + 1] if 0 <= 2 * c - r + 1 <= n else zero for c in range(n)] for r in range(n)]
-            return minors + [_det_bareiss([r[:s] for r in h[:s]], quot) for s in range(k + 1, n + 1)]
+            lift = QPoly if ring is int else QXPoly
+            lifted = _routh_minors([lift((c, comb(n, i))) for i, c in enumerate(a)])
+            for d in itertools.islice(lifted, k, None):
+                yield d.coeff(0)
+            return
         new = [row[0] * x - older[0] * y for x, y in zip(older[1:], row[1:] + [zero])]
         if k >= 3:  # d_k = Delta_{k-2}; d_1 = d_2 = 1
             new = [quot(v, minors[k - 3]) for v in new]
         older, row = row, new
         minors.append(row[0])
-    return minors
+        yield row[0]
 
 
 def hurwitz_determinants(p: Union[XPoly, QXPoly]) -> StabilityReport:
@@ -178,24 +158,16 @@ def hurwitz_determinants(p: Union[XPoly, QXPoly]) -> StabilityReport:
     """
     if p.is_zero():
         raise UsageError("hurwitz_determinants of the zero polynomial")
-    n = int(p.degree)
-    if n < 1:
+    if p.degree < 1:
         raise UsageError("hurwitz_determinants needs degree >= 1")
     a = p.coeffs[::-1]
-    symbolic = isinstance(p, QXPoly)
-    if symbolic:
-        zero, quot = Q_ZERO, QPoly.exact_div
-    else:
-        if a[0] <= 0:
-            raise PreconditionError("leading coefficient must be positive")
-        # Delta_k(den * p) = den**k * Delta_k(p)
-        den = lcm(*(c.denominator for c in a))
-        a = [c.numerator * (den // c.denominator) for c in a]
-        zero, quot = 0, _int_quot
-    minors = _routh_minors(a, zero, quot)
-    if symbolic:
-        return StabilityReport(tuple(minors), None)
-    dets = tuple(Fraction(d, den**k) for k, d in enumerate(minors, start=1))
+    if isinstance(p, QXPoly):
+        return StabilityReport(tuple(_routh_minors(a)), None)
+    if a[0] <= 0:
+        raise PreconditionError("leading coefficient must be positive")
+    # Delta_k(den * p) = den**k * Delta_k(p)
+    den, ints = _clear_denominators(a)
+    dets = tuple(Fraction(d, den**k) for k, d in enumerate(_routh_minors(ints), start=1))
     if all(d > 0 for d in dets):
         verdict = HURWITZ_STABLE
     elif any(d < 0 for d in dets):
@@ -291,7 +263,8 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
         return interlaces(f, g)
 
     m, stripped = _strip_z(_interleave(g, f))
-    report = hurwitz_determinants(stripped)
-    if report.verdict == HURWITZ_STABLE:
+    # den**k * Delta_k has the sign of Delta_k; all() stops at the first
+    # minor that is not positive, before any lift.
+    if all(d > 0 for d in _routh_minors(_clear_denominators(stripped.coeffs[::-1])[1])):
         return InterlacingVerdict(WEAK if m >= 2 else STRICT)
     return interlaces(f, g)

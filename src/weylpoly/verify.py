@@ -52,6 +52,7 @@ from .weylcomb import (
 SUITES = ("paper_tables", "oracles", "identities", "interlacing", "stability", "all")
 
 DEFAULT_Q_SAMPLES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5))
+INTERLACING_Q_SAMPLES = (Fraction(1, 2), Fraction(2), Fraction(5))  # q = 1 is the T-at-1 check
 
 _Check = tuple[str, dict, Optional[Callable]]
 
@@ -332,7 +333,7 @@ def _check_coeff_shape(poly, need_log_concave: bool):
     }
 
 
-def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = (Fraction(1, 2), Fraction(2), Fraction(5))) -> list[_Check]:
+def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = INTERLACING_Q_SAMPLES) -> list[_Check]:
     checks: list[_Check] = []
     top = max(max_n, 4)
     for n in range(4, top + 1):
@@ -488,6 +489,8 @@ def run_suite(
     """Run one named suite (or all of them) and return the report."""
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if max_n is not None and max_n < 2:
+        raise UsageError(f"max_n {max_n} is below the smallest rank 2")
     samples = tuple(q_samples) if q_samples else DEFAULT_Q_SAMPLES
     for q in samples:
         if q <= 0:
@@ -497,11 +500,11 @@ def run_suite(
     if suite in ("paper_tables", "all"):
         checks += suite_paper_tables()
     if suite in ("oracles", "all"):
-        checks += suite_oracles(max_n=max_n or 6, cap=cap)
+        checks += suite_oracles(max_n=6 if max_n is None else max_n, cap=cap)
     if suite in ("identities", "all"):
-        checks += suite_identities(max_n=max_n or 10, cap=cap)
+        checks += suite_identities(max_n=10 if max_n is None else max_n, cap=cap)
     if suite in ("interlacing", "all"):
-        checks += suite_interlacing(max_n=max_n or 7, q_samples=non_unit or (Fraction(1, 2), Fraction(2), Fraction(5)))
+        checks += suite_interlacing(max_n=7 if max_n is None else max_n, q_samples=non_unit or INTERLACING_Q_SAMPLES)
     if suite in ("stability", "all"):
-        checks += suite_stability(max_n=max_n or 6, q_samples=samples)
+        checks += suite_stability(max_n=6 if max_n is None else max_n, q_samples=samples)
     return VerificationReport(tuple(timed_entry(cid, params, check) for cid, params, check in checks))

@@ -37,7 +37,10 @@ def resolve_cap(cap: int | None = None) -> int:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise UsageError(f"{CAP_ENV_VAR}={env!r} is not an integer") from None
     return DEFAULT_CAP
 
 

@@ -137,6 +137,24 @@ class TestVerify:
         assert ran == []
         assert f"q sample {bad} is not positive" in err
 
+    @pytest.mark.parametrize("max_n", ["1", "0", "-2"])
+    @pytest.mark.parametrize("suite", ["oracles", "interlacing", "all"])
+    def test_max_n_below_2_exits_2_before_any_check(self, capsys, monkeypatch, suite, max_n):
+        ran = []
+        monkeypatch.setattr(verify, "timed_entry", lambda *args: ran.append(args))
+        code, out, err = run(capsys, "verify", "--suite", suite, f"--max-n={max_n}")
+        assert code == 2
+        assert out == ""
+        assert ran == []
+        assert f"max_n {max_n} is below" in err
+
+    def test_malformed_cap_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("WEYLPOLY_CAP", "abc")
+        code, out, err = run(capsys, "verify", "--suite", "oracles")
+        assert code == 2
+        assert out == ""
+        assert "WEYLPOLY_CAP='abc'" in err
+
 
 class TestReport:
     def _sample_report(self):

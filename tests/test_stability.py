@@ -27,8 +27,8 @@ from weylpoly import (
     xpoly,
 )
 from weylpoly import stability, verify
-from weylpoly.exactpoly import QPoly, QXPoly, _int_quot
-from weylpoly.stability import _det_bareiss, _eliminate, _interleave, _strip_z
+from weylpoly.exactpoly import QPoly, QXPoly, _int_quot, qxpoly
+from weylpoly.stability import _interleave, _strip_z
 from weylpoly.tables import (
     C01_POLY,
     C06_DELTA4_QUINTIC,
@@ -184,6 +184,40 @@ def _reference_minors(p):
 # Reference: the one-pass Bareiss elimination used before the Routh array.
 # Without pivoting, the k-th pivot is Delta_k; a zero pivot stops the pass
 # and the larger minors come one by one from _det_bareiss.
+
+
+def _eliminate(m, k, prev, quot):
+    """Clear column k below the pivot m[k][k] by one fraction-free step.
+
+    prev is the previous pivot, or None at the first step.  By Sylvester's
+    identity it divides every new entry exactly (Bareiss 1968); quot is the
+    exact quotient of the entries' ring and raises DivisibilityError on a
+    remainder.
+    """
+    pivot, top = m[k][k], m[k][k + 1 :]
+    for row in m[k + 1 :]:
+        lead = row[k]
+        new = [pivot * x - lead * t for x, t in zip(row[k + 1 :], top)]
+        row[k + 1 :] = new if prev is None else [quot(v, prev) for v in new]
+
+
+def _det_bareiss(mat, quot):
+    """Determinant of a square matrix by fraction-free elimination with row pivoting."""
+    m = [list(row) for row in mat]
+    k = len(m)
+    sign = 1
+    prev = None
+    for col in range(k - 1):
+        pivot_row = next((r for r in range(col, k) if m[r][col]), None)
+        if pivot_row is None:
+            return m[col][col]  # a zero of the entries' ring
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+            sign = -sign
+        _eliminate(m, col, prev, quot)
+        prev = m[col][col]
+    det = m[k - 1][k - 1]
+    return det if sign > 0 else -det
 
 
 def _leading_minors(mat, quot):
@@ -374,7 +408,7 @@ class TestHurwitzOracles:
     def test_planted_zero_pivot_at_every_position(self):
         rng = random.Random(611)
         covered = set()
-        for n in range(2, 17):
+        for n in range(2, 25):
             for k in range(1, n):
                 p = _planted_zero_pivot(rng, n, k)
                 assert p.degree == n
@@ -382,19 +416,38 @@ class TestHurwitzOracles:
                 first_zero = dets.index(0) + 1
                 assert all(dets[: first_zero - 1])
                 covered.add((n, first_zero))
-        assert covered == {(n, k) for n in range(2, 17) for k in range(1, n)}
+        assert covered == {(n, k) for n in range(2, 25) for k in range(1, n)}
+
+    def test_planted_symbolic_zero_minor(self):
+        # Delta_j is homogeneous of degree j in the coefficients, so scaling
+        # an integer polynomial by lam in Z[q] scales Delta_j by lam**j.
+        rng = random.Random(612)
+        lams = [qpoly(1, 1), qpoly(0, 1), qpoly(2, -1, 3), qpoly(-1, 0, 0, 1)]
+        for n in range(2, 9):
+            for k in range(1, n):
+                p = _planted_zero_pivot(rng, n, k)
+                den = lcm(*(c.denominator for c in p.coeffs))
+                ints = [int(c * den) for c in p.coeffs]
+                lam = lams[(n + k) % len(lams)]
+                dets = self.check(QXPoly(tuple(lam * c for c in ints))).determinants
+                want = hurwitz_determinants(XPoly(tuple(ints))).determinants
+                assert dets == tuple(lam**j * int(d) for j, d in enumerate(want, start=1)), (n, k)
+                assert dets.index(QPoly()) == k - 1
 
     @pytest.mark.parametrize(
-        "m, prev, quot",
+        "a, b, quot",
         [
-            ([[1, 1], [1, 2]], 2, _int_quot),
-            ([[qpoly(1), qpoly(1)], [qpoly(1), qpoly(2)]], qpoly(0, 2), QPoly.exact_div),
+            (7, 2, _int_quot),
+            (qpoly(1, 1), qpoly(0, 2), QPoly.exact_div),
+            (qxpoly((1,), (1,)), qxpoly((0, 2), (1,)), QXPoly.exact_div),
+            (qxpoly((1,), (1,)), qxpoly((0,), (2,)), QXPoly.exact_div),
         ],
-        ids=["int", "qpoly"],
+        ids=["int", "qpoly", "qxpoly", "qxpoly_lead"],
     )
-    def test_inexact_division_raises_typed_error(self, m, prev, quot):
+    def test_inexact_division_raises_typed_error(self, a, b, quot):
+        # the exact quotients of the Routh array: Z, Z[q] or Z[eps], Z[q][eps]
         with pytest.raises(DivisibilityError):
-            _eliminate(m, 0, prev, quot)
+            quot(a, b)
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_stripped_couplings_of_refined_K(self, n):
@@ -404,14 +457,8 @@ class TestHurwitzOracles:
                 continue
             self.check(_strip_z(_interleave(g, f))[1], per_minor=n <= 8)
 
-    def test_nonsingular_matrix_never_reaches_det_bareiss(self, monkeypatch):
-        sizes = []
-
-        def counting(mat, quot):
-            sizes.append(len(mat))
-            return _det_bareiss(mat, quot)
-
-        monkeypatch.setattr(stability, "_det_bareiss", counting)
+    def test_lifts_only_past_a_zero_minor(self, monkeypatch):
+        calls = _count_routh_calls(monkeypatch)
         rng = random.Random(4242)
         inputs = [_random_rational_poly(rng, 1 + t % 30) for t in range(90)]
         inputs += [build_C(*pair).poly for pair in itertools.combinations(REDUCED_INDEX_SET, 2)]
@@ -421,11 +468,35 @@ class TestHurwitzOracles:
         nonsingular = 0
         for p in inputs:
             if all(_bareiss_pass_minors(p)):
+                calls.clear()
                 hurwitz_determinants(p)
+                assert len(calls) == 1, str(p)
                 nonsingular += 1
-        assert sizes == [] and nonsingular >= 300
-        hurwitz_determinants(_planted_zero_pivot(rng, 9, 4))
-        assert sizes == [5, 6, 7, 8, 9]
+        assert nonsingular >= 300
+        calls.clear()
+        dets = hurwitz_determinants(_planted_zero_pivot(rng, 9, 4)).determinants
+        assert dets.index(0) == 3 and any(dets[4:])
+        assert [(kind, n) for kind, n, _ in calls] == [(int, 9), (QPoly, 9)]
+
+
+def _count_routh_calls(monkeypatch):
+    """Record (entry type, degree, minors yielded) for every Routh array run.
+
+    The lifted rerun calls _routh_minors through the module, so it is
+    recorded too, with its polynomials in eps as entries.
+    """
+    calls = []
+    original = stability._routh_minors
+
+    def counting(a):
+        seen = []
+        calls.append((type(a[0]), len(a) - 1, seen))
+        for d in original(a):
+            seen.append(d)
+            yield d
+
+    monkeypatch.setattr(stability, "_routh_minors", counting)
+    return calls
 
 
 class TestHurwitzSymbolic:
@@ -591,6 +662,27 @@ class TestInterlaceViaStability:
                     assert got == old, (str(f), str(g))
                     stable_branch.add((min(_strip_z(_interleave(g, f))[0], 2), got))
         assert {(1, "strict"), (2, "weak")} <= stable_branch
+
+    def test_stops_at_the_first_nonpositive_minor(self, monkeypatch):
+        calls = _count_routh_calls(monkeypatch)
+        stable = stopped = stopped_at_zero = 0
+        for n in range(4, 11):
+            fam = [p for p in refined_K(n).polys if not p.is_zero()]
+            for f, g in itertools.permutations(fam, 2):
+                calls.clear()
+                interlace_via_stability(f, g)
+                if not calls:  # the degree rule went straight to interlaces
+                    continue
+                [(kind, degree, seen)] = calls  # one run, never lifted
+                assert kind is int
+                assert all(d > 0 for d in seen[:-1])
+                if seen[-1] > 0:
+                    assert len(seen) == degree
+                    stable += 1
+                else:
+                    stopped += len(seen) < degree
+                    stopped_at_zero += seen[-1] == 0 and len(seen) < degree
+        assert stable and stopped and stopped_at_zero
 
     def test_strict_hand_example(self):
         v = interlace_via_stability(xpoly(2, 1), xpoly(1, 3, 1))

@@ -86,6 +86,12 @@ class TestEnumeration:
         monkeypatch.setenv("WEYLPOLY_CAP", "9")
         assert next(signed_perms(9)) is not None
 
+    @pytest.mark.parametrize("value", ["abc", "", "7.5"])
+    def test_malformed_cap_env_raises_usage_error(self, monkeypatch, value):
+        monkeypatch.setenv("WEYLPOLY_CAP", value)
+        with pytest.raises(UsageError, match=f"WEYLPOLY_CAP={value!r}"):
+            brute_polynomial("Tq", 3)
+
 
 class TestStats:
     def test_identity_permutation(self):
