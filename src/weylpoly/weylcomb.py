@@ -3,8 +3,15 @@ generating polynomials.
 
 Signed permutations are written in one-line notation (sigma_1, ..., sigma_n)
 with |sigma_1|, ..., |sigma_n| a permutation of 1..n.  Inversion sequences e
-satisfy 0 <= e_i <= 2i - 1.  All rational comparisons between statistics are
-done by integer cross-multiplication; there is no floating point anywhere.
+satisfy 0 <= e_i <= 2i - 1.  Both take integer entries only; a float or a
+string is a DomainError, never truncated.  All rational comparisons between
+statistics are done by integer cross-multiplication; there is no floating
+point anywhere.
+
+The bijection psi reads t_i, the number of earlier entries of larger
+absolute value, as the popcount of a bitmask of the absolute values already
+placed, shifted past |sigma_i|; each entry costs O(1), and each statistic is
+one pass over the entries.
 
 Enumeration streams are exhaustive and duplicate-free, ordered
 lexicographically by (sign pattern, underlying permutation), and yield one
@@ -19,6 +26,7 @@ enumerations; it is checked before any walk or cache lookup.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,10 +74,18 @@ class SignedPerm:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        e = tuple(int(v) for v in self.entries)
-        object.__setattr__(self, "entries", e)
-        if sorted(abs(v) for v in e) != list(range(1, len(e) + 1)):
+        e = _index_entries(self.entries, "signed permutation")
+        n = len(e)
+        seen = 0
+        for v in e:
+            a = abs(v)
+            if a > n:
+                break
+            seen |= 1 << a
+        # n entries set n distinct bits 1..n exactly when they are a signed permutation.
+        if seen != (2 << n) - 2:
             raise DomainError(f"not a signed permutation: {e}")
+        object.__setattr__(self, "entries", e)
 
     @property
     def n(self) -> int:
@@ -83,15 +99,23 @@ class InvSeq:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        e = tuple(int(v) for v in self.entries)
-        object.__setattr__(self, "entries", e)
+        e = _index_entries(self.entries, "inversion sequence")
         for i, v in enumerate(e, start=1):
             if not 0 <= v <= 2 * i - 1:
                 raise DomainError(f"entry {v} at position {i} violates 0 <= e_i <= 2i-1")
+        object.__setattr__(self, "entries", e)
 
     @property
     def n(self) -> int:
         return len(self.entries)
+
+
+def _index_entries(entries, what: str) -> tuple[int, ...]:
+    """The entries as plain ints; floats, strings and other non-integers are rejected."""
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError:
+        raise DomainError(f"not a {what}: {entries!r}; entries must be integers") from None
 
 
 def _trusted(cls, entries: tuple[int, ...]):
@@ -185,15 +209,20 @@ def stats(sigma) -> StatRecord:
     n = len(s)
     if n < 2:
         raise DomainError("statistics involving sigma_1 + sigma_2 need rank >= 2")
-    neg = sum(1 for v in s if v < 0)
-    neg_d = sum(1 for v in s[1:] if v < 0)
-    inner = sum(1 for i in range(n - 1) if s[i] > s[i + 1])
-    des_b = inner + (1 if s[0] < 0 else 0)
-    des_d = inner + (1 if s[0] + s[1] < 0 else 0)
-    affine = 1 if s[n - 2] + s[n - 1] > 0 else 0
+    # One pass with sigma_0 = 0 counts the type B descents, sigma_1 < 0 included.
+    neg = des_b = prev = 0
+    for v in s:
+        if v < 0:
+            neg += 1
+        if prev > v:
+            des_b += 1
+        prev = v
+    first_b = s[0] < 0
+    des_d = des_b - first_b + (s[0] + s[1] < 0)
+    affine = s[n - 2] + s[n - 1] > 0
     return StatRecord(
         neg=neg,
-        neg_D=neg_d,
+        neg_D=neg - first_b,
         des_B=des_b,
         des_D=des_d,
         affine_des_B=des_b + affine,
@@ -218,11 +247,17 @@ def inv_stats(e) -> InvStatRecord:
     n = len(v)
     if n < 2:
         raise DomainError("ascent statistics need length >= 2")
-    asc = sum(1 for i in range(1, n) if (i + 1) * v[i - 1] < i * v[i])
-    if 2 * v[0] + v[1] >= 3:
-        asc += 1
-    exc = sum(1 for i, x in enumerate(v, start=1) if x >= i)
-    affine = 1 if n * v[n - 2] + (n - 1) * v[n - 1] < (2 * n - 1) * (n - 1) else 0
+    # One pass; an ascent at i >= 2 is e_{i-1}/(i-1) < e_i/i, and at i = 1 the
+    # cross-multiplied test 1 * 0 < 0 * e_1 never fires.
+    exc = asc = prev = 0
+    for i, x in enumerate(v, start=1):
+        if x >= i:
+            exc += 1
+        if i * prev < (i - 1) * x:
+            asc += 1
+        prev = x
+    asc += 2 * v[0] + v[1] >= 3
+    affine = n * v[n - 2] + (n - 1) * v[n - 1] < (2 * n - 1) * (n - 1)
     return InvStatRecord(exc=exc, asc_D=asc, affine_asc_D=asc + affine)
 
 
@@ -236,36 +271,36 @@ def psi(sigma) -> InvSeq:
 
     With t_i the number of earlier entries of larger absolute value, the
     image is e_i = t_i for positive sigma_i and e_i = 2i - t_i - 1 for
-    negative sigma_i.
+    negative sigma_i.  t_i is the popcount of the absolute values already
+    placed, held as a bitmask and shifted past |sigma_i|.
     """
-    s = _entries(sigma)
     out = []
-    for i in range(1, len(s) + 1):
-        a = abs(s[i - 1])
-        t = sum(1 for j in range(i - 1) if abs(s[j]) > a)
-        out.append(t if s[i - 1] > 0 else 2 * i - t - 1)
+    seen = 0
+    top = 1  # 2i - 1 at position i
+    for v in _entries(sigma):
+        if v > 0:
+            out.append((seen >> v).bit_count())
+            seen |= 1 << v
+        else:
+            out.append(top - (seen >> -v).bit_count())
+            seen |= 1 << -v
+        top += 2
     return _trusted(InvSeq, tuple(out))
 
 
 def psi_inverse(e) -> SignedPerm:
-    """Reconstruct the signed permutation position by position."""
+    """Reconstruct the signed permutation from the last position back.
+
+    The absolute values not yet placed, largest first, are those of
+    positions 1..i, so |sigma_i| is the one with t_i of them above it.
+    """
     v = _inv_entries(e)
-    n = len(v)
-    signs = []
-    ts = []
-    for i in range(1, n + 1):
-        ei = v[i - 1]
-        if ei >= i:
-            signs.append(-1)
-            ts.append(2 * i - ei - 1)
-        else:
-            signs.append(1)
-            ts.append(ei)
-    available = list(range(n, 0, -1))
-    abs_vals = [0] * n
-    for i in range(n, 0, -1):
-        abs_vals[i - 1] = available.pop(ts[i - 1])
-    return _trusted(SignedPerm, tuple(s * a for s, a in zip(signs, abs_vals)))
+    available = list(range(len(v), 0, -1))
+    out = [0] * len(v)
+    for i in range(len(v) - 1, -1, -1):
+        x = v[i]
+        out[i] = available.pop(x) if x <= i else -available.pop(2 * i + 1 - x)
+    return _trusted(SignedPerm, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import inspect
 import itertools
+import math
+import random
+import textwrap
 
 import pytest
 
@@ -22,7 +26,7 @@ from weylpoly import (
     stats,
     xpoly,
 )
-from weylpoly import realroots, recurrences, weylcomb
+from weylpoly import realroots, recurrences, verify, weylcomb
 from weylpoly.exactpoly import QXPoly, XPoly
 
 
@@ -38,6 +42,15 @@ class TestObjects:
         for bad in ((2, 0), (0, -1), (2,), (0, 4), (0, 1, 6)):
             with pytest.raises(DomainError):
                 InvSeq(bad)
+
+    @pytest.mark.parametrize(
+        "cls, entries",
+        [(SignedPerm, (1.7, -2.2)), (InvSeq, (0.9, 3.5)), (SignedPerm, ("1", "-2"))],
+    )
+    def test_non_integer_entries_rejected(self, cls, entries):
+        # int() used to truncate these to (1, -2), (0, 3) and (1, -2).
+        with pytest.raises(DomainError):
+            cls(entries)
 
     def test_unvalidated_objects_equal_validated_ones(self):
         for n in (1, 2, 3, 4):
@@ -191,6 +204,15 @@ class TestPsi:
                 assert rec.affine_des_D == inv.affine_asc_D
             assert len(seen) == 2**n * [1, 2, 6, 24][n - 1]
 
+    def test_psi_matches_definition_at_large_ranks(self):
+        rng = random.Random(2014)
+        for n in (9, 10, 11, 12):
+            for _ in range(200):
+                values = list(range(1, n + 1))
+                rng.shuffle(values)
+                sigma = tuple(v if rng.random() < 0.5 else -v for v in values)
+                assert psi(sigma).entries == _psi_definition(sigma), sigma
+
     def test_printed_alternative_threshold_fails(self):
         # witness: the (n-1)/n variant disagrees on sigma = (2, -1)
         sigma = (2, -1)
@@ -199,6 +221,15 @@ class TestPsi:
         group_side = sigma[0] + sigma[1] > 0
         printed_variant = n * e[0] + (n - 1) * e[1] < (n - 1) * (n - 1)
         assert group_side and not printed_variant
+
+
+def _psi_definition(sigma):
+    """psi from its definition: t_i earlier entries of larger absolute value."""
+    out = []
+    for i, v in enumerate(sigma, start=1):
+        t = sum(1 for u in sigma[: i - 1] if abs(u) > abs(v))
+        out.append(t if v > 0 else 2 * i - t - 1)
+    return tuple(out)
 
 
 class TestBrutePolynomials:
@@ -384,3 +415,106 @@ def test_every_lru_cache_is_bounded():
         if not name.startswith("__") and isinstance(obj, dict)
     ]
     assert rank_dicts == [], f"module-level dicts in recurrences: {rank_dicts}"
+
+
+def _mixed_radix_rank(e):
+    rank = 0
+    for i, x in enumerate(e, start=1):
+        rank = rank * 2 * i + x
+    return rank
+
+
+def _mutated_walk(old, new):
+    """verify._psi_walk recompiled with every ``old`` in its source replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(verify._psi_walk))
+    assert old in source
+    namespace = dict(vars(verify))
+    exec(source.replace(old, new), namespace)
+    return namespace["_psi_walk"]
+
+
+class TestPsiWalk:
+    """The walk behind the psi_bijection oracle, against the per-object kernels."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_leaf_values_match_kernels(self, n):
+        """Also: every count the one-pass kernels return is an int, never a bool.
+
+        psi is a bijection, so the leaves reach every inversion sequence too.
+        """
+        leaves = set()
+
+        def leaf(sigma, e, rank, agree, des, asc, affine_des, affine_asc):
+            s, x = tuple(sigma[1:]), tuple(e[1:])
+            leaves.add(s)
+            assert psi(s).entries == x
+            rec, inv = stats(s), inv_stats(x)
+            for name, value in (*vars(rec).items(), *vars(inv).items()):
+                assert type(value) is (bool if name == "parity_even" else int), (s, name)
+            assert (des, affine_des) == (rec.des_D, rec.affine_des_D)
+            assert (asc, affine_asc) == (inv.asc_D, inv.affine_asc_D)
+            assert agree == n
+            assert rank == _mixed_radix_rank(x)
+
+        verify._psi_walk(n, leaf)
+        assert len(leaves) == 2**n * math.factorial(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_check_passes(self, n):
+        assert verify._check_psi_bijection(n, None) == (True, None)
+
+    def test_off_by_one_t_marks_a_rank_twice(self, monkeypatch):
+        # Shifting by a - 1 also counts an earlier |sigma_j| = a - 1: every e_i
+        # stays in range, but two objects share an image.
+        walk = _mutated_walk("(used >> a)", "(used >> (a - 1))")
+        images = []
+        walk(4, lambda sigma, e, *rest: images.append(tuple(e[1:])))
+        assert len(set(images)) < len(images)
+        monkeypatch.setattr(verify, "_psi_walk", walk)
+        self._assert_caught(4)
+
+    @pytest.mark.parametrize(
+        "old, new, affine_witness",
+        [
+            ("des + (p > a)", "des + (p < a)", False),
+            ("affine = (2 * n - 1) * (n - 1)", "affine = (n - 1) * (n - 1)", True),
+            ("rank * radix", "rank * (radix - 1)", False),
+        ],
+        ids=["flipped_des_D_increment", "printed_affine_threshold", "rank_radix"],
+    )
+    def test_mutation_caught(self, monkeypatch, old, new, affine_witness):
+        monkeypatch.setattr(verify, "_psi_walk", _mutated_walk(old, new))
+        for n in (2, 3, 4):
+            witness = self._assert_caught(n)
+            assert ("affine_des_D" in witness) == affine_witness
+
+    def test_sampled_psi_inverse_checked(self, monkeypatch):
+        monkeypatch.setattr(verify, "psi_inverse", lambda e: SignedPerm(tuple(-v for v in psi_inverse(e).entries)))
+        self._assert_caught(3)
+
+    def test_unmarked_rank_named(self, monkeypatch):
+        walk = verify._psi_walk
+        monkeypatch.setattr(
+            verify, "_psi_walk",
+            lambda n, leaf: walk(n, lambda sigma, e, rank, *rest: rank and leaf(sigma, e, rank, *rest)),
+        )
+        assert verify._check_psi_bijection(3, None) == (False, {"e": [0, 0, 0]})
+
+    def test_cap_checked_before_marks_allocated(self, monkeypatch):
+        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+        allocated = []
+        monkeypatch.setattr(verify, "bytearray", lambda size: allocated.append(size), raising=False)
+        for n, cap in ((9, None), (7, 6)):
+            with pytest.raises(EnumerationCapError):
+                verify._check_psi_bijection(n, cap)
+        assert allocated == []
+        with pytest.raises(DomainError):
+            verify._check_psi_bijection(1, None)
+
+    @staticmethod
+    def _assert_caught(n):
+        ok, witness = verify._check_psi_bijection(n, None)
+        assert ok is False
+        assert sorted(abs(v) for v in witness["sigma"]) == list(range(1, n + 1))
+        assert len(witness["e"]) == n
+        return witness
