@@ -12,17 +12,19 @@ the half-open convention: the Sturm variation difference V(lo) - V(hi)
 counts distinct roots in (lo, hi].
 
 Isolation.  The Sturm chain of p ends in gcd(p, p'); when that is a
-constant, p is its own square-free radical.  Otherwise Yun's algorithm,
-seeded with that last chain member, runs on primitive integer tuples and
-gives the radical p / gcd(p, p') and the square-free factors; its exact
-quotients stay integral by Gauss's lemma.  The radical is bisected from the
+constant, p is its own square-free radical and that chain is the radical's.
+Otherwise Yun's algorithm, seeded with that last chain member, runs on
+primitive integer tuples and gives the radical p / gcd(p, p') and the
+square-free factors; its exact quotients stay integral by Gauss's lemma, and
+the radical gets a chain of its own.  The radical is bisected from the
 bracket (-2^b, 2^b], where 2^b is at least the Cauchy bound
 1 + max|a_i / a_n|.  Every cell is dyadic: (i 2^w - 2^b, (i+1) 2^w - 2^b].
 Full Sturm counts split the bracket until each cell holds one root, and
 decide each root's multiplicity (one count per Yun factor); at a point
 beyond Fujiwara's root bound the count is read from the leading
-coefficients of the chain.  The root profile of a polynomial is cached in
-a bounded LRU, and real-rootedness is read from it.
+coefficients of the chain.  The root profile of a polynomial (radical,
+chain, cells) is cached in a bounded LRU and never changes once built;
+real-rootedness is read from it.
 
 Refinement is sign-only.  A cell holding one root of the square-free radical
 holds a simple root, so the radical's sign at the midpoint, against its sign
@@ -32,8 +34,8 @@ equals the sign at hi.  A root exactly at a midpoint thus goes to the lower
 half, as in the half-open Sturm count, so every cell is the one a full Sturm
 count would choose.  ``isolate_roots`` reports, for each root, the coarsest
 cell of its bisection path that is at most ``width`` wide.  That path
-depends only on the root, so the report depends only on the polynomial and
-the width, however far earlier calls refined the cached cells.
+depends only on the root, and each call refines fresh copies of the cached
+cells, so the report depends only on the polynomial and the width.
 
 Interlacing.  ``interlaces`` and ``mutually_interlacing`` share one merged
 sweep.  The initial cells of every member are copied, sorted, and only
@@ -100,7 +102,6 @@ def _floor_log2(width: Fraction) -> int:
     return e if Fraction(2) ** e <= width else e - 1
 
 
-@lru_cache(maxsize=4096)
 def _sturm_chain(ints: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     chain = [ints, _int_derivative(ints)]
     while len(chain[-1]) >= 2:
@@ -164,17 +165,20 @@ def _fujiwara_exp(ints: Sequence[int]) -> int:
 
 
 def _square_free(ints: tuple[int, ...]):
-    """Radical and Yun factors of p, primitive with lc > 0 and degree >= 1.
+    """Radical, Yun factors and the radical's Sturm chain of p, primitive
+    with lc > 0 and degree >= 1.
 
-    Returns (r, ((m, f_m), ...)) with p = prod f_m ** m and r = p / gcd(p, p');
-    r and every f_m are primitive with a positive leading coefficient.  The
-    loop starts from gcd(p, p'), the last member of p's cached Sturm chain,
-    and divides exactly over the integers: every divisor is primitive, so by
-    Gauss's lemma each quotient over the rationals is an integer polynomial.
+    Returns (r, ((m, f_m), ...), chain) with p = prod f_m ** m and
+    r = p / gcd(p, p'); r and every f_m are primitive with a positive leading
+    coefficient.  The loop starts from gcd(p, p'), the last member of p's
+    Sturm chain, which is also r's chain when p is square-free, and divides
+    exactly over the integers: every divisor is primitive, so by Gauss's
+    lemma each quotient over the rationals is an integer polynomial.
     """
-    g = _positive_primitive(_sturm_chain(ints)[-1])
+    chain = _sturm_chain(ints)
+    g = _positive_primitive(chain[-1])
     if len(g) == 1:
-        return ints, ((1, ints),)
+        return ints, ((1, ints),), chain
     g = QPoly(g)
     w = QPoly(ints).exact_div(g)
     radical = w.coeffs
@@ -191,7 +195,7 @@ def _square_free(ints: tuple[int, ...]):
         w = w.exact_div(a)
         z = z.exact_div(a) - QPoly(_int_derivative(w.coeffs))
         m += 1
-    return radical, tuple(factors)
+    return radical, tuple(factors), _sturm_chain(radical)
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +283,19 @@ class _Rec:
 class _Profile:
     """Radical, Sturm chain, and isolating cells for one polynomial.
 
-    ``records`` are the cells of the initial isolation and are never
-    refined; ``intervals`` refines its own copies of them.
+    A profile does not change after construction: ``records`` are the cells
+    of the initial isolation, and every caller refines copies of them.
     """
 
     def __init__(self, p: XPoly):
         if p.is_zero():
             raise UsageError("the zero polynomial has no root profile")
         if p.degree >= 1:
-            self.rad_ints, self.factors = _square_free(_int_coeffs(p.monic()))
-            self.chain = _sturm_chain(self.rad_ints)
+            self.rad_ints, self.factors, self.chain = _square_free(_int_coeffs(p.monic()))
         else:
             self.rad_ints, self.factors, self.chain = (), (), ()
         self.records: list[_Rec] = self._isolate() if self.rad_ints else []
         self._assign_multiplicities()
-        self._refined = [replace(rec) for rec in self.records]
 
     def _isolate(self) -> list[_Rec]:
         b = _cauchy_pow2_bound(self.rad_ints).bit_length() - 1
@@ -345,13 +347,11 @@ class _Profile:
         """For each root, the coarsest cell of its bisection path at most ``width`` wide."""
         top = _floor_log2(width)
         out = []
-        for rec, deep in zip(self.records, self._refined):
-            w = min(rec.w, top)
-            while deep.w > w:
-                self.refine_once(deep)
-            i = deep.i >> (w - deep.w)
-            lo, hi = _dyadic(i, w, rec.b), _dyadic(i + 1, w, rec.b)
-            out.append(RootInterval(Fraction(*lo), Fraction(*hi), rec.mult))
+        for rec in self.records:
+            cell = replace(rec)
+            while cell.w > top:
+                self.refine_once(cell)
+            out.append(RootInterval(cell.lo, cell.hi, rec.mult))
         return tuple(out)
 
     @property

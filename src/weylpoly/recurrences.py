@@ -17,8 +17,11 @@ coefficient counts elements of B_n (the coupled family counts them twice),
 so every coefficient of a rank-n build, and every partial sum formed on the
 way, is a nonnegative integer at most 2|B_n| = 2^(n+1) n!.  W is the bit
 length of that bound rounded up to whole bytes, so no field ever carries
-into the next.  Entries are unpacked to QXPoly or XPoly only at the public
-API, and only for the ranks asked for.
+into the next.
+
+Each family is cached once, packed: a bounded store per family keeps the
+most recently used ranks.  Every public call unpacks its answer to QXPoly
+or XPoly afresh, and only the entries it returns.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import Callable, Optional, Sequence
 
@@ -241,17 +243,11 @@ class _RankStore:
         self._hits = self._misses = 0
 
 
-# Bound of the per-rank lru caches of the unpacked single-variable families
-# below: far above the ranks built in practice (about 40), so none is
-# evicted during a run, and a rank-n entry holds only about n coefficients.
-_RANK_CACHE_SIZE = 256
-
-# Bound of each packed rank store and of the unpacked two-variable cache.  A
-# two-variable rank n holds about 2n * n^2 coefficients (4 MB packed and
-# 6 MB unpacked at rank 40, 63 and 110 MB at rank 80), so only the few most
-# recently used ranks are kept; any other rank resumes from the highest
-# stored rank below it.
-_LARGE_RANK_CACHE_SIZE = 4
+# Bound of each packed rank store.  A two-variable rank n holds about
+# 2n * n^2 coefficients (4 MB packed at rank 40, 63 MB at rank 80), so only
+# the few most recently used ranks are kept; any other rank resumes from the
+# highest stored rank below it.
+_RANK_STORE_SIZE = 4
 
 
 def _step_Tq(n: int, prev: tuple) -> tuple:
@@ -277,14 +273,13 @@ _TQ_STORE = _RankStore(
     lambda: _seed(_TQ_SEED, _layout(2, 3)),
     _step_Tq,
     lambda n: _layout(n, n + 1),
-    _LARGE_RANK_CACHE_SIZE,
+    _RANK_STORE_SIZE,
 )
 _T1_STORE = _RankStore(
-    2, lambda: _seed(_T1_SEED, _layout(2, 1)), _step_x, lambda n: _layout(n, 1), _LARGE_RANK_CACHE_SIZE
+    2, lambda: _seed(_T1_SEED, _layout(2, 1)), _step_x, lambda n: _layout(n, 1), _RANK_STORE_SIZE
 )
 
 
-@lru_cache(maxsize=_LARGE_RANK_CACHE_SIZE)
 def refined_Tq(n: int) -> RefinedFamily:
     """The q-refined family at rank n, built by the threshold recurrence.
 
@@ -297,7 +292,6 @@ def refined_Tq(n: int) -> RefinedFamily:
     return RefinedFamily(n, tuple(p.to_qx() for p in _TQ_STORE.rank(n)))
 
 
-@lru_cache(maxsize=_RANK_CACHE_SIZE)
 def refined_T1(n: int) -> tuple[XPoly, ...]:
     """The rank-n refined family specialized at q = 1.
 
@@ -317,7 +311,6 @@ def _affine_entry_upper(n: int, k: int, prev: Sequence[XPoly]) -> XPoly:
     return out
 
 
-@lru_cache(maxsize=_RANK_CACHE_SIZE)
 def refined_affine_T(n: int) -> RefinedFamily:
     """The affine refined family at rank n (single variable).
 
@@ -349,10 +342,12 @@ def refined_K(n: int, method: str = "direct") -> RefinedFamily:
     if n < 3:
         raise UsageError("refined_K needs n >= 3")
     if method == "direct":
-        return _refined_K_direct(n)
-    if method != "recurrence":
+        fam = _packed_K_direct(n)
+    elif method == "recurrence":
+        fam = _K_STORE.rank(n)
+    else:
         raise UsageError(f"unknown refined_K method {method!r}")
-    return _refined_K_recurrence(n)
+    return RefinedFamily(n, tuple(p.to_x() for p in fam))
 
 
 def _packed_K_direct(n: int) -> tuple:
@@ -363,20 +358,8 @@ def _packed_K_direct(n: int) -> tuple:
 
 
 _K_STORE = _RankStore(
-    3, lambda: _packed_K_direct(3), _step_x, lambda n: _layout(n, 1), _LARGE_RANK_CACHE_SIZE
+    3, lambda: _packed_K_direct(3), _step_x, lambda n: _layout(n, 1), _RANK_STORE_SIZE
 )
-
-
-@lru_cache(maxsize=_RANK_CACHE_SIZE)
-def _refined_K_direct(n: int) -> RefinedFamily:
-    return RefinedFamily(n, tuple(p.to_x() for p in _packed_K_direct(n)))
-
-
-@lru_cache(maxsize=_RANK_CACHE_SIZE)
-def _refined_K_recurrence(n: int) -> RefinedFamily:
-    return RefinedFamily(n, tuple(p.to_x() for p in _K_STORE.rank(n)))
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +392,11 @@ def assemble(family: str, n: int):
     if family == "D":
         if n < 1:
             raise UsageError("D needs n >= 1")
-        return refined_T1(n + 1)[0] * Fraction(1, 2)
+        return _T1_STORE.rank(n + 1)[0].to_x() * Fraction(1, 2)
     if family == "tildeB":
         if n < 1:
             raise UsageError("tildeB needs n >= 1")
-        return refined_T1(n + 1)[n + 1]
+        return _T1_STORE.rank(n + 1)[n + 1].to_x()
     if family == "A":
         if n < 1:
             raise UsageError("A needs n >= 1")
@@ -482,12 +465,12 @@ def evaluate_identity(name: str, n: int, cap: Optional[int] = None) -> tuple[boo
         return True, None
 
     if name == "k_two_methods":
-        a = refined_K(n, "direct").polys
-        b = refined_K(n, "recurrence").polys
-        for i in range(2 * n):
-            ok, witness = poly_equality(a[i], b[i])
-            if not ok:
-                return False, {"index": i, **witness}
+        # Both routes pack in the rank-n layout, so equal entries are equal ints.
+        if n < 3:
+            raise UsageError("refined_K needs n >= 3")
+        for i, (a, b) in enumerate(zip(_packed_K_direct(n), _K_STORE.rank(n))):
+            if a.value != b.value:
+                return False, {"index": i, **poly_equality(a.to_x(), b.to_x())[1]}
         return True, None
 
     if name == "matrix_identity":

@@ -47,9 +47,7 @@ from .realroots import (
     _count_half_open,
     _cauchy_pow2_bound,
     _square_free,
-    _sturm_chain,
     interlaces,
-    is_real_rooted,
 )
 from .recurrences import refined_Tq
 
@@ -227,9 +225,9 @@ def q_positive_on_positive_reals(p: QPoly) -> bool:
         return True
     ints = _positive_primitive(p.coeffs)
     if len(ints) >= 2:
-        radical = _square_free(ints)[0]
+        radical, _, chain = _square_free(ints)
         bound = _cauchy_pow2_bound(radical)
-        if _count_half_open(_sturm_chain(radical), Fraction(0), Fraction(bound)) != 0:
+        if _count_half_open(chain, Fraction(0), Fraction(bound)) != 0:
             return False
     return p.evaluate(1) > 0
 
@@ -247,7 +245,9 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
     would put the roots +-i sqrt(-r) of P on the imaginary axis, so the only
     root f and g can share is 0, and f(0) = g(0) = 0 exactly when m >= 2.
     Boundary and degenerate cases fall back to the direct root-isolation
-    test, so the two routes always agree.
+    test, so the two routes always agree.  Stability itself makes f and g
+    real-rooted (Hermite-Biehler), so only the fallback checks that, and
+    raises PreconditionError otherwise.
     """
     for name, p in (("f", f), ("g", g)):
         if p.is_zero():
@@ -256,8 +256,6 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
             )
         if any(c < 0 for c in p.coeffs):
             raise PreconditionError(f"{name} must have nonnegative coefficients")
-    if not is_real_rooted(f) or not is_real_rooted(g):
-        raise PreconditionError("interlace_via_stability requires real-rooted inputs")
     df, dg = f.degree, g.degree
     if df == 0 or dg == 0 or dg - df not in (0, 1):
         return interlaces(f, g)

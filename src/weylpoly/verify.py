@@ -52,7 +52,6 @@ from .weylcomb import (
 SUITES = ("paper_tables", "oracles", "identities", "interlacing", "stability", "all")
 
 DEFAULT_Q_SAMPLES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5))
-INTERLACING_Q_SAMPLES = (Fraction(1, 2), Fraction(2), Fraction(5))  # q = 1 is the T-at-1 check
 
 _Check = tuple[str, dict, Optional[Callable]]
 
@@ -418,7 +417,7 @@ def _check_coeff_shape(poly, need_log_concave: bool):
     }
 
 
-def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = INTERLACING_Q_SAMPLES) -> list[_Check]:
+def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = DEFAULT_Q_SAMPLES) -> list[_Check]:
     checks: list[_Check] = []
     top = max(max_n, 4)
     for n in range(4, top + 1):
@@ -432,7 +431,7 @@ def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = INTERLACIN
             ("realrooted_tildeD", {"n": n}, lambda n=n: _check_real_rooted(assemble("tildeD", n), "tildeD"))
         )
     for q in q_samples:
-        if q == 1:
+        if q == 1:  # interlacing_T_at_1 covers it
             continue
         for n in range(4, min(top, 8) + 1):
             checks.append(
@@ -580,16 +579,16 @@ def run_suite(
     for q in samples:
         if q <= 0:
             raise UsageError(f"q sample {q} is not positive")
-    non_unit = tuple(q for q in samples if q != 1)
+    rank = {} if max_n is None else {"max_n": max_n}  # None keeps each suite's default
     checks: list[_Check] = []
     if suite in ("paper_tables", "all"):
         checks += suite_paper_tables()
     if suite in ("oracles", "all"):
-        checks += suite_oracles(max_n=6 if max_n is None else max_n, cap=cap)
+        checks += suite_oracles(cap=cap, **rank)
     if suite in ("identities", "all"):
-        checks += suite_identities(max_n=10 if max_n is None else max_n, cap=cap)
+        checks += suite_identities(cap=cap, **rank)
     if suite in ("interlacing", "all"):
-        checks += suite_interlacing(max_n=7 if max_n is None else max_n, q_samples=non_unit or INTERLACING_Q_SAMPLES)
+        checks += suite_interlacing(q_samples=samples, **rank)
     if suite in ("stability", "all"):
-        checks += suite_stability(max_n=6 if max_n is None else max_n, q_samples=samples)
+        checks += suite_stability(q_samples=samples, **rank)
     return VerificationReport(tuple(timed_entry(cid, params, check) for cid, params, check in checks))

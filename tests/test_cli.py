@@ -122,6 +122,13 @@ class TestVerify:
         qs = {e.parameters.get("q") for e in report.entries if "q" in e.parameters}
         assert qs == {"1/3", "3"}
 
+    def test_unit_q_sample_adds_no_other_q(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "interlacing", "--max-n", "4", "--q-samples", "1")
+        assert code == 0
+        ids = {e.check_id for e in VerificationReport.loads(out).entries}
+        assert "interlacing_T_at_1" in ids
+        assert not ids & {"interlacing_T_at_q", "realrooted_Dq"}
+
     def test_bad_q_samples_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "interlacing", "--q-samples", "a,b")
         assert code == 2

@@ -357,7 +357,8 @@ class TestIntegerSquareFree:
         for p in sqf_cases():
             if p.degree < 1:
                 continue
-            radical, factors = _square_free(_int_coeffs(p.monic()))
+            radical, factors, chain = _square_free(_int_coeffs(p.monic()))
+            assert chain == fraction_sturm_chain(radical), str(p)
             assert list(factors) == [(m, _int_coeffs(f)) for m, f in fraction_yun(p)], str(p)
             assert radical == _int_coeffs(fraction_radical(p)), str(p)
             _, sym = sp.sqf_list(to_sympy(p))
@@ -408,7 +409,6 @@ class TestOneChainPerPolynomial:
         monkeypatch.setattr(exactpoly, "_prem", counting)
         monkeypatch.setattr(realroots, "_prem", counting)
         realroots._profile.cache_clear()
-        _sturm_chain.cache_clear()
         call()
         return sum(starts)
 
@@ -710,6 +710,17 @@ class TestSignOnlyRefinement:
         assert all(r.hi - r.lo == Fraction(1, 2**40) for r in deep)
         assert isolate_roots(p).intervals == cold
         assert isolate_roots(p, Fraction(1, 2**40)).intervals == deep
+
+    def test_deeper_isolation_leaves_the_cached_profile_unchanged(self):
+        p = assemble("tildeD", 7) * xpoly(1, 1) ** 2
+        width = Fraction(1, 2**10)
+        realroots._profile.cache_clear()
+        before = isolate_roots(p, width).intervals
+        records = [dataclasses.astuple(r) for r in realroots._profile(p).records]
+        isolate_roots(p, width / 2**20)
+        assert isolate_roots(p, width).intervals == before
+        assert [dataclasses.astuple(r) for r in realroots._profile(p).records] == records
+        assert realroots._profile.cache_info().currsize == 1
 
     def test_interlacing_does_not_move_reported_intervals(self):
         fam = refined_T1(5)

@@ -39,7 +39,7 @@ from weylpoly import (
 )
 from weylpoly import recurrences
 from weylpoly.errors import PackingError
-from weylpoly.exactpoly import X_ONE, X_VAR, X_ZERO
+from weylpoly.exactpoly import X_ONE, X_VAR, X_ZERO, poly_to_json
 from weylpoly.recurrences import NXMatrix, _layout, _Layout, _Packed
 from weylpoly.tables import K4_TABLE, T4_TABLE, TILDE_D3
 
@@ -181,6 +181,30 @@ class TestIdentities:
 
     def test_k_two_methods(self):
         assert check_identity("k_two_methods", 5).verdict == "pass"
+
+    def test_k_two_methods_below_rank_3_rejected(self):
+        with pytest.raises(UsageError):
+            check_identity("k_two_methods", 2)
+
+    def test_k_two_methods_routes_share_the_rank_layout(self):
+        # The identity compares the packed ints, which needs one layout.
+        for n in range(3, 13):
+            fams = recurrences._packed_K_direct(n) + recurrences._K_STORE.rank(n)
+            assert {p.layout for p in fams} == {_layout(n, 1)}, n
+
+    def test_k_two_methods_witness_names_a_perturbed_entry(self):
+        store = recurrences._K_STORE
+        n = 6
+        store.cache_clear()
+        fam = list(store.rank(n))
+        fam[4] = _Packed(fam[4].value + 1, fam[4].layout)  # constant term one too large
+        store._ranks[n] = tuple(fam)
+        try:
+            entry = check_identity("k_two_methods", n)
+        finally:
+            store.cache_clear()
+        assert entry.verdict == "fail"
+        assert entry.witness == {"index": 4, "difference": poly_to_json(xpoly(-1))}
 
     def test_matrix_identity(self):
         for n in (3, 4, 6):
@@ -543,6 +567,14 @@ class TestPackedCarrier:
         assert store.cache_info() == (0, 2, store.maxsize, 2)
         store.rank(5)
         assert store.cache_info().hits == 1
+
+    def test_refined_Tq_unpacks_from_its_one_store(self):
+        store = recurrences._TQ_STORE
+        store.cache_clear()
+        fam = refined_Tq(12)
+        assert store.cache_info() == (0, 1, store.maxsize, 1)
+        assert refined_Tq(12) == fam
+        assert store.cache_info() == (1, 1, store.maxsize, 1)
 
     def test_rank_store_stays_bounded(self):
         store = recurrences._T1_STORE

@@ -18,6 +18,7 @@ from weylpoly import (
     hurwitz_determinants,
     interlace_via_stability,
     interlaces,
+    is_real_rooted,
     poly_gcd,
     q_positive_on_positive_reals,
     qpoly,
@@ -710,6 +711,55 @@ class TestInterlaceViaStability:
     def test_non_real_rooted_rejected(self):
         with pytest.raises(PreconditionError):
             interlace_via_stability(xpoly(1, 0, 1), xpoly(1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (xpoly(1, 0, 1), xpoly(1, 3, 1)),  # degree gap 0
+            (xpoly(1, 2), xpoly(1, 1, 1)),  # gap 1, g not real-rooted
+            (xpoly(1, 1, 1), xpoly(0, 1, 3, 1)),  # gap 1, f not real-rooted
+            (xpoly(1, 1), xpoly(1, 0, 0, 1)),  # gap 2
+            (xpoly(2), xpoly(1, 0, 1)),  # constant f
+        ],
+        ids=["gap0", "gap1_g", "gap1_f", "gap2", "constant"],
+    )
+    def test_non_real_rooted_rejected_at_every_degree_gap(self, f, g):
+        with pytest.raises(PreconditionError):
+            interlace_via_stability(f, g)
+
+    def test_a_holding_verdict_implies_real_rooted_inputs(self):
+        # All positive Hurwitz minors certify real roots (Hermite-Biehler),
+        # so the stability route checks real-rootedness only on its fallback.
+        rng = random.Random(23)
+
+        def sample():
+            # f interlaces g by construction, then maybe a shared root, a
+            # random-coefficient member or the reverse order.
+            pts = sorted({Fraction(-rng.randint(0, 40), rng.randint(1, 4)) for _ in range(rng.randint(2, 9))})
+            f, g = _from_roots(*pts[1::2]), _from_roots(*pts[0::2])
+            if rng.random() < 0.3:
+                shared = xpoly(Fraction(rng.randint(0, 3), 2), 1)
+                f, g = f * shared, g * shared
+            if rng.random() < 0.4:
+                d = rng.choice((f, g)).degree
+                noise = xpoly(*[rng.randint(0, 6) for _ in range(d)], rng.randint(1, 6))
+                f, g = (noise, g) if rng.random() < 0.5 else (f, noise)
+            return (g, f) if rng.random() < 0.2 else (f, g)
+
+        seen = {"holds": 0, "rejected": 0}
+        for _ in range(300):
+            f, g = sample()
+            real_rooted = is_real_rooted(f) and is_real_rooted(g)
+            try:
+                verdict = interlace_via_stability(f, g)
+            except PreconditionError:
+                assert not real_rooted, (str(f), str(g))
+                seen["rejected"] += 1
+                continue
+            assert real_rooted, (str(f), str(g))
+            assert verdict.relation == interlaces(f, g).relation, (str(f), str(g))
+            seen["holds"] += verdict.holds
+        assert min(seen.values()) >= 50, seen
 
     def test_agreement_across_families(self):
         samples = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)]

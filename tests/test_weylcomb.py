@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import itertools
 import math
+import pkgutil
 import random
 import textwrap
 
@@ -26,7 +28,8 @@ from weylpoly import (
     stats,
     xpoly,
 )
-from weylpoly import realroots, recurrences, verify, weylcomb
+import weylpoly
+from weylpoly import recurrences, verify, weylcomb
 from weylpoly.exactpoly import QXPoly, XPoly
 
 
@@ -389,32 +392,49 @@ class TestCapBeforeCache:
             brute_polynomial("refined_tildeT", 7, index=99, cap=7)
 
 
+def _package_caches() -> dict:
+    """Every module-level object of the package with ``cache_info``, by name, once each."""
+    found = {}
+    for info in pkgutil.iter_modules(weylpoly.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"weylpoly.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and not isinstance(obj, type):
+                found.setdefault(id(obj), (f"{module.__name__}.{name}", obj))
+    return dict(found.values())
+
+
 def test_every_lru_cache_is_bounded():
-    caches = [
-        (module.__name__, name, obj)
-        for module in (weylcomb, recurrences, realroots)
-        for name, obj in vars(module).items()
-        if hasattr(obj, "cache_info") and not isinstance(obj, type)
+    caches = _package_caches()
+    assert sorted(caches) == [
+        "weylpoly.realroots._profile",
+        "weylpoly.recurrences._K_STORE",
+        "weylpoly.recurrences._T1_STORE",
+        "weylpoly.recurrences._TQ_STORE",
+        "weylpoly.weylcomb._joint_table",
     ]
-    assert {
-        "_joint_table",
-        "refined_Tq",
-        "refined_T1",
-        "refined_affine_T",
-        "_refined_K_direct",
-        "_refined_K_recurrence",
-        "_TQ_STORE",
-        "_T1_STORE",
-        "_K_STORE",
-    } <= {name for _, name, _ in caches}
-    for module, name, cache in caches:
-        assert cache.cache_info().maxsize is not None, f"{module}.{name} is unbounded"
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, f"{name} is unbounded"
     rank_dicts = [
         name
         for name, obj in vars(recurrences).items()
         if not name.startswith("__") and isinstance(obj, dict)
     ]
     assert rank_dicts == [], f"module-level dicts in recurrences: {rank_dicts}"
+
+
+def test_cold_and_warm_caches_give_the_same_report():
+    def report():
+        entries = verify.run_suite("all", max_n=4).to_json()["entries"]
+        for entry in entries:
+            entry.pop("elapsed_ms")
+        return entries
+
+    for cache in _package_caches().values():
+        cache.cache_clear()
+    cold = report()
+    assert report() == cold
 
 
 def _mixed_radix_rank(e):
