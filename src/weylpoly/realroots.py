@@ -56,7 +56,9 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, UsageError, WeylPolyError
-from .exactpoly import X_ONE, QPoly, XPoly, _int_coeffs, _int_gcd, _positive_primitive, _prem, _primitive
+from .exactpoly import (
+    X_ONE, QPoly, XPoly, _clear_denominators, _int_coeffs, _int_gcd, _positive_primitive, _prem, _primitive
+)
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -291,7 +293,8 @@ class _Profile:
         if p.is_zero():
             raise UsageError("the zero polynomial has no root profile")
         if p.degree >= 1:
-            self.rad_ints, self.factors, self.chain = _square_free(_int_coeffs(p.monic()))
+            ints = _positive_primitive(_clear_denominators(p.coeffs)[1])
+            self.rad_ints, self.factors, self.chain = _square_free(ints)
         else:
             self.rad_ints, self.factors, self.chain = (), (), ()
         self.records: list[_Rec] = self._isolate() if self.rad_ints else []

@@ -3,25 +3,33 @@
 The Hurwitz matrix of p(z) = a_0 z^n + a_1 z^(n-1) + ... + a_n is
 H[r][c] = a_{2c - r + 1} (0-based, entries outside 0..n read as zero);
 Delta_k is its k-th leading principal minor.  Every minor comes from
-Routh's array, fraction-free, over the integers (numeric p, scaled by the
-lcm of its denominators) or over the integer polynomials in q (symbolic p).
-Its rows start R_0 = (a_0, a_2, ...) and R_1 = (a_1, a_3, ...), and
+Routh's array, fraction-free, on Python ints.  Its rows start
+R_0 = (a_0, a_2, ...) and R_1 = (a_1, a_3, ...), and
 
     R_{k+1}[j] = (R_k[0] R_{k-1}[j+1] - R_{k-1}[0] R_k[j+1]) / d_k,
 
 with d_1 = d_2 = 1 and d_k = Delta_{k-2} for k >= 3; then Delta_k = R_k[0].
 Each R_k is Delta_{k-1} times the rational Routh row k, and its entries are
-minors of H, so every division is exact; it goes through the ring's exact
-quotient, which raises DivisibilityError on a remainder.  That is O(n^2)
-ring operations for all n minors.
+minors of H, so every division is exact, and a remainder raises
+DivisibilityError.  That is O(n^2) integer operations for all n minors.
+
+Numeric p is scaled by the lcm D of its denominators: Delta_k(D p) =
+D^k Delta_k(p).  Symbolic p, over Z[q], is packed at q = 2^W (Kronecker
+substitution).  That is a ring map, so the array yields the packed minors,
+and every division exact over Z[q] stays exact.  Row r of H holds each a_i
+with i = r + 1 (mod 2) at most once, so on |q| = 1 no Delta_k exceeds the
+product over the n rows of max(1, sqrt(sum ||a_i||_1^2)) (Hadamard), and
+neither does any coefficient of it (Cauchy's estimate).  With 2^(W-1) above
+that bound, each minor is the balanced base-2^W digits of its packed value,
+which is zero exactly when the minor is.
 
 The array divides by Delta_{k-2}, so a zero Delta_k with k < n would stop
-it.  It then reruns on p + eps (z+1)^n, over the polynomials in a new
-variable eps with coefficients in the same ring.  H is linear in the
-coefficients of p, so Delta_j(p + eps (z+1)^n) is a polynomial in eps with
-constant term Delta_j(p) and eps^j coefficient Delta_j((z+1)^n) > 0, since
-(z+1)^n is stable.  No lifted minor is zero, the lifted entries are still
-minors, so each division stays exact, and the constant terms of the lifted
+it.  It then reruns on p + eps (z+1)^n over Z[eps], with the coefficients
+still packed.  H is linear in the coefficients of p, so
+Delta_j(p + eps (z+1)^n) is a polynomial in eps with constant term
+Delta_j(p) and eps^j coefficient Delta_j((z+1)^n) > 0, since (z+1)^n is
+stable.  No lifted minor is zero, the lifted entries are still minors, so
+each division stays exact, and the constant terms of the lifted
 Delta_{k+1}, ..., Delta_n are the remaining minors of p.
 """
 
@@ -30,24 +38,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from typing import Optional, Union
 
-from .errors import (
-    DivisibilityError,
-    PreconditionError,
-    StabilityInapplicableError,
-    UsageError,
-)
+from .errors import DivisibilityError, PreconditionError, StabilityInapplicableError, UsageError
 from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _int_quot, _positive_primitive
 from .realroots import (
-    InterlacingVerdict,
-    STRICT,
-    WEAK,
-    _count_half_open,
-    _cauchy_pow2_bound,
-    _square_free,
-    interlaces,
+    STRICT, WEAK, InterlacingVerdict, _cauchy_pow2_bound, _count_half_open, _square_free, interlaces
 )
 from .recurrences import refined_Tq
 
@@ -69,21 +66,25 @@ class HBSplit:
     odd_part: XPoly
 
     def reconstruct(self) -> XPoly:
-        return _interleave(self.even_part, self.odd_part)
+        if not (self.even_part or self.odd_part):
+            return XPoly()
+        m, c = _interleave(self.even_part.coeffs, self.odd_part.coeffs)
+        return XPoly(c).shift_up(m)
 
 
 def _interleave(even, odd):
-    """even(z^2) + z * odd(z^2) for two polynomials of one kind."""
-    pairs = itertools.zip_longest(even.coeffs, odd.coeffs, fillvalue=even._zero)
-    return type(even)(tuple(itertools.chain.from_iterable(pairs)))
+    """(m, c) with even(z^2) + z * odd(z^2) = z^m * (c[0] + c[1] z + ...).
 
-
-def _strip_z(p):
-    """(m, p / z^m) for the largest power z^m dividing the nonzero p."""
+    even and odd are trimmed coefficient tuples of one ring, not both
+    empty; c is a list with c[0] and c[-1] nonzero.
+    """
+    c = list(itertools.chain.from_iterable(itertools.zip_longest(even, odd, fillvalue=0)))
+    if not c[-1]:  # the fill after the last coefficient of a longer even part
+        c.pop()
     m = 0
-    while not p.coeffs[m]:
+    while not c[m]:
         m += 1
-    return m, type(p)(p.coeffs[m:])
+    return m, c[m:]
 
 
 def hb_split(p: XPoly) -> HBSplit:
@@ -120,21 +121,19 @@ class StabilityReport:
 def _routh_minors(a):
     """Delta_1, ..., Delta_n of a[0] z^n + ... + a[n], in order, from the fraction-free Routh array.
 
-    The entries are ints or QPolys.  At the first zero Delta_k with k < n the
-    array reruns on p + eps (z+1)^n, with entries QPoly or QXPoly read as
+    The entries are ints.  At the first zero Delta_k with k < n the array
+    reruns on p + eps (z+1)^n, with QPoly entries read as integer
     polynomials in eps, whose minors are never zero; the constant terms of
     its Delta_{k+1}, ..., Delta_n follow.
     """
-    ring = type(a[0])
-    zero, quot = (0, _int_quot) if ring is int else (ring(), ring.exact_div)
+    zero, quot = (0, _int_quot) if type(a[0]) is int else (QPoly(), QPoly.exact_div)
     n = len(a) - 1
     older, row = list(a[0::2]), list(a[1::2])
     minors = [row[0]]
     yield row[0]
     for k in range(1, n):
         if not row[0]:
-            lift = QPoly if ring is int else QXPoly
-            lifted = _routh_minors([lift((c, comb(n, i))) for i, c in enumerate(a)])
+            lifted = _routh_minors([QPoly((c, comb(n, i))) for i, c in enumerate(a)])
             for d in itertools.islice(lifted, k, None):
                 yield d.coeff(0)
             return
@@ -144,6 +143,24 @@ def _routh_minors(a):
         older, row = row, new
         minors.append(row[0])
         yield row[0]
+
+
+def _kronecker_width(a) -> int:
+    """W from the Hadamard bound of the module docstring; rows of H start with the odd-index a_i."""
+    norms = [max(sum(sum(map(abs, c.coeffs)) ** 2 for c in a[par::2]), 1) for par in (1, 0)]
+    n = len(a) - 1
+    squared = norms[0] ** ((n + 1) // 2) * norms[1] ** (n // 2)
+    return isqrt(squared).bit_length() + 1
+
+
+def _unpack(v: int, w: int) -> QPoly:
+    """The QPoly whose coefficients are the balanced base-2^w digits of v."""
+    half, mask, out = 1 << (w - 1), (1 << w) - 1, []
+    while v:
+        d = ((v + half) & mask) - half
+        out.append(d)
+        v = (v - d) >> w
+    return QPoly(tuple(out))
 
 
 def hurwitz_determinants(p: Union[XPoly, QXPoly]) -> StabilityReport:
@@ -160,7 +177,9 @@ def hurwitz_determinants(p: Union[XPoly, QXPoly]) -> StabilityReport:
         raise UsageError("hurwitz_determinants needs degree >= 1")
     a = p.coeffs[::-1]
     if isinstance(p, QXPoly):
-        return StabilityReport(tuple(_routh_minors(a)), None)
+        w = _kronecker_width(a)
+        packed = _routh_minors([sum(x << w * i for i, x in enumerate(c.coeffs)) for c in a])
+        return StabilityReport(tuple(_unpack(d, w) for d in packed), None)
     if a[0] <= 0:
         raise PreconditionError("leading coefficient must be positive")
     # Delta_k(den * p) = den**k * Delta_k(p)
@@ -199,9 +218,9 @@ def build_C(i: int, j: int) -> CPairResult:
     if not 0 <= i < j <= 7:
         raise UsageError("build_C needs 0 <= i < j <= 7")
     fam = refined_Tq(4).polys
-    m, stripped = _strip_z(_interleave(fam[j], fam[i]))
+    m, c = _interleave(fam[j].coeffs, fam[i].coeffs)
     try:
-        normalized = stripped.exact_div(ONE_PLUS_Q)
+        normalized = QXPoly(c).exact_div(ONE_PLUS_Q)
     except DivisibilityError as exc:
         raise DivisibilityError(f"coupling ({i},{j}) is not divisible by 1+q") from exc
     return CPairResult(i, j, m, normalized)
@@ -254,15 +273,15 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
             raise StabilityInapplicableError(
                 f"{name} is zero, so one split part vanishes identically"
             )
-        if any(c < 0 for c in p.coeffs):
+        if any(c.numerator < 0 for c in p.coeffs):  # cheaper than a Fraction comparison
             raise PreconditionError(f"{name} must have nonnegative coefficients")
     df, dg = f.degree, g.degree
     if df == 0 or dg == 0 or dg - df not in (0, 1):
         return interlaces(f, g)
 
-    m, stripped = _strip_z(_interleave(g, f))
+    m, c = _interleave(g.coeffs, f.coeffs)
     # den**k * Delta_k has the sign of Delta_k; all() stops at the first
     # minor that is not positive, before any lift.
-    if all(d > 0 for d in _routh_minors(_clear_denominators(stripped.coeffs[::-1])[1])):
+    if all(d > 0 for d in _routh_minors(_clear_denominators(c[::-1])[1])):
         return InterlacingVerdict(WEAK if m >= 2 else STRICT)
     return interlaces(f, g)

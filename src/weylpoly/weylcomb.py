@@ -124,7 +124,15 @@ def _trusted(cls, entries: tuple[int, ...]):
     Skips ``__post_init__``; public construction still validates.
     """
     obj = object.__new__(cls)
-    object.__setattr__(obj, "entries", entries)
+    obj.__dict__["entries"] = entries
+    return obj
+
+
+def _record(cls, **fields):
+    """A frozen record filled through its ``__dict__``: the frozen ``__init__`` sets
+    each field through ``object.__setattr__``, as costly as computing them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -220,14 +228,9 @@ def stats(sigma) -> StatRecord:
     first_b = s[0] < 0
     des_d = des_b - first_b + (s[0] + s[1] < 0)
     affine = s[n - 2] + s[n - 1] > 0
-    return StatRecord(
-        neg=neg,
-        neg_D=neg - first_b,
-        des_B=des_b,
-        des_D=des_d,
-        affine_des_B=des_b + affine,
-        affine_des_D=des_d + affine,
-        parity_even=(neg % 2 == 0),
+    return _record(
+        StatRecord, neg=neg, neg_D=neg - first_b, des_B=des_b, des_D=des_d,
+        affine_des_B=des_b + affine, affine_des_D=des_d + affine, parity_even=(neg % 2 == 0),
     )
 
 
@@ -258,7 +261,7 @@ def inv_stats(e) -> InvStatRecord:
         prev = x
     asc += 2 * v[0] + v[1] >= 3
     affine = n * v[n - 2] + (n - 1) * v[n - 1] < (2 * n - 1) * (n - 1)
-    return InvStatRecord(exc=exc, asc_D=asc, affine_asc_D=asc + affine)
+    return _record(InvStatRecord, exc=exc, asc_D=asc, affine_asc_D=asc + affine)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 import sympy as sp
@@ -29,7 +29,7 @@ from weylpoly import (
 )
 from weylpoly import stability, verify
 from weylpoly.exactpoly import QPoly, QXPoly, _int_quot, qxpoly
-from weylpoly.stability import _interleave, _strip_z
+from weylpoly.stability import _interleave
 from weylpoly.tables import (
     C01_POLY,
     C06_DELTA4_QUINTIC,
@@ -64,6 +64,10 @@ class TestHBSplit:
     def test_zero_rejected(self):
         with pytest.raises(UsageError):
             hb_split(XPoly())
+
+    def test_reconstruct_zero_parts(self):
+        assert stability.HBSplit(XPoly(), XPoly()).reconstruct() == XPoly()
+        assert stability.HBSplit(XPoly(), xpoly(0, 2)).reconstruct() == xpoly(0, 0, 0, 2)
 
 
 class TestHurwitzNumeric:
@@ -237,6 +241,42 @@ def _leading_minors(mat, quot):
     return minors
 
 
+def _ring_routh_minors(a):
+    """The library's fraction-free Routh array, run over the entries' own ring.
+
+    Symbolic input runs over Z[q] (QPoly entries) and its lift past a zero
+    minor over Z[q][eps] (QXPoly entries read as polynomials in eps), where
+    the library packs Z[q] into the integers.
+    """
+    ring = type(a[0])
+    zero, quot = (0, _int_quot) if ring is int else (ring(), ring.exact_div)
+    n = len(a) - 1
+    older, row = list(a[0::2]), list(a[1::2])
+    minors = [row[0]]
+    for k in range(1, n):
+        if not row[0]:
+            lift = QPoly if ring is int else QXPoly
+            lifted = _ring_routh_minors([lift((c, comb(n, i))) for i, c in enumerate(a)])
+            return minors + [d.coeff(0) for d in lifted[k:]]
+        new = [row[0] * x - older[0] * y for x, y in zip(older[1:], row[1:] + [zero])]
+        if k >= 3:
+            new = [quot(v, minors[k - 3]) for v in new]
+        older, row = row, new
+        minors.append(row[0])
+    return minors
+
+
+def _ring_minors(p):
+    """Delta_1..Delta_n of a symbolic p by the Routh array over Z[q]."""
+    return tuple(_ring_routh_minors(p.coeffs[::-1]))
+
+
+def _stripped(f, g):
+    """(m, g(z^2) + z f(z^2) divided by z^m) with z^m the largest power of z dividing it."""
+    m, c = _interleave(g.coeffs, f.coeffs)
+    return m, XPoly(tuple(c))
+
+
 def _bareiss_pass_minors(p):
     """Delta_1..Delta_n of p by the one-pass elimination, as Fractions or QPolys."""
     a = p.coeffs[::-1]
@@ -356,10 +396,13 @@ def _planted_zero_pivot(rng, n, k):
 
 class TestHurwitzOracles:
     def check(self, p, per_minor=True):
-        """Compare with the one-pass elimination, and per minor with the reference and sympy."""
+        """Compare with the one-pass elimination, symbolic input with the Z[q] Routh
+        array too, and per minor with the reference and sympy."""
         report = hurwitz_determinants(p)
         want = _bareiss_pass_minors(p)
         assert report.determinants == want, str(p)
+        if isinstance(p, QXPoly):
+            assert report.determinants == _ring_minors(p), str(p)
         if per_minor:
             assert report.determinants == _reference_minors(p), str(p)
             assert report.determinants == _sympy_minors(p), str(p)
@@ -424,13 +467,13 @@ class TestHurwitzOracles:
         # an integer polynomial by lam in Z[q] scales Delta_j by lam**j.
         rng = random.Random(612)
         lams = [qpoly(1, 1), qpoly(0, 1), qpoly(2, -1, 3), qpoly(-1, 0, 0, 1)]
-        for n in range(2, 9):
+        for n in range(2, 11):
             for k in range(1, n):
                 p = _planted_zero_pivot(rng, n, k)
                 den = lcm(*(c.denominator for c in p.coeffs))
                 ints = [int(c * den) for c in p.coeffs]
                 lam = lams[(n + k) % len(lams)]
-                dets = self.check(QXPoly(tuple(lam * c for c in ints))).determinants
+                dets = self.check(QXPoly(tuple(lam * c for c in ints)), per_minor=n <= 8).determinants
                 want = hurwitz_determinants(XPoly(tuple(ints))).determinants
                 assert dets == tuple(lam**j * int(d) for j, d in enumerate(want, start=1)), (n, k)
                 assert dets.index(QPoly()) == k - 1
@@ -446,7 +489,8 @@ class TestHurwitzOracles:
         ids=["int", "qpoly", "qxpoly", "qxpoly_lead"],
     )
     def test_inexact_division_raises_typed_error(self, a, b, quot):
-        # the exact quotients of the Routh array: Z, Z[q] or Z[eps], Z[q][eps]
+        # the exact quotients of the Routh array: Z and Z[eps] in the library,
+        # Z[q] and Z[q][eps] in the ring oracle
         with pytest.raises(DivisibilityError):
             quot(a, b)
 
@@ -456,7 +500,7 @@ class TestHurwitzOracles:
         for f, g in itertools.combinations(fam, 2):
             if f.is_zero() or g.is_zero():
                 continue
-            self.check(_strip_z(_interleave(g, f))[1], per_minor=n <= 8)
+            self.check(_stripped(f, g)[1], per_minor=n <= 8)
 
     def test_lifts_only_past_a_zero_minor(self, monkeypatch):
         calls = _count_routh_calls(monkeypatch)
@@ -465,7 +509,7 @@ class TestHurwitzOracles:
         inputs += [build_C(*pair).poly for pair in itertools.combinations(REDUCED_INDEX_SET, 2)]
         for n in range(4, 11):
             fam = [p for p in refined_K(n).polys if not p.is_zero()]
-            inputs += [_strip_z(_interleave(g, f))[1] for f, g in itertools.combinations(fam, 2)]
+            inputs += [_stripped(f, g)[1] for f, g in itertools.combinations(fam, 2)]
         nonsingular = 0
         for p in inputs:
             if all(_bareiss_pass_minors(p)):
@@ -478,18 +522,73 @@ class TestHurwitzOracles:
         dets = hurwitz_determinants(_planted_zero_pivot(rng, 9, 4)).determinants
         assert dets.index(0) == 3 and any(dets[4:])
         assert [(kind, n) for kind, n, _ in calls] == [(int, 9), (QPoly, 9)]
+        calls.clear()
+        p = _planted_zero_pivot(rng, 9, 4)
+        den = lcm(*(c.denominator for c in p.coeffs))
+        ints = [int(c * den) for c in p.coeffs]
+        dets = hurwitz_determinants(QXPoly(tuple(qpoly(1, 1) * c for c in ints))).determinants
+        assert dets.index(QPoly()) == 3
+        assert [(kind, n) for kind, n, _ in calls] == [(int, 9), (QPoly, 9)]
+
+    def test_random_symbolic_against_the_ring_oracle(self):
+        # Z[q] coefficients up to 2^40 in size, about a quarter zero (a zero
+        # a_1 makes Delta_1 = 0), some without a constant term, and leading
+        # coefficients of either sign.
+        rng = random.Random(20261019)
+        big = 2**40
+
+        def entry():
+            if rng.random() < 0.25:
+                return QPoly()
+            coeffs = [rng.choice((0, rng.randint(-big, big))) for _ in range(rng.randint(0, 4))]
+            return QPoly(tuple(coeffs) + (rng.choice((-1, 1)) * rng.randint(1, big),))
+
+        lifted = negative_lead = 0
+        for trial in range(150):
+            degree = 1 + trial % 12
+            p = QXPoly(tuple(entry() for _ in range(degree)) + (entry() or qpoly(-3, 0, 1),))
+            if p.degree < 1:
+                continue
+            dets = hurwitz_determinants(p).determinants
+            assert dets == _ring_minors(p), str(p)
+            if degree <= 6:
+                assert dets == _bareiss_pass_minors(p), str(p)
+            lifted += QPoly() in dets[:-1]
+            negative_lead += p.leading.leading < 0
+        assert lifted >= 10 and negative_lead >= 30
+
+    def test_too_narrow_a_packing_fails_the_ring_oracle(self, monkeypatch):
+        # Mutation check: every minor coefficient c needs -2^(W-1) <= c < 2^(W-1).
+        # The library's W meets that; one bit less than the least such W must
+        # misread some minor.
+        rng = random.Random(77)
+        inputs = [build_C(*pair).poly for pair in itertools.combinations(REDUCED_INDEX_SET, 2)]
+        for _ in range(20):
+            coeffs = [[rng.randint(-(2**30), 2**30) for _ in range(3)] for _ in range(7)]
+            inputs.append(QXPoly(tuple(QPoly(tuple(c)) for c in coeffs)))
+        for p in inputs:
+            want = _ring_minors(p)
+            need = 1 + max((c if c >= 0 else ~c).bit_length() for d in want for c in d.coeffs)
+            assert stability._kronecker_width(p.coeffs[::-1]) >= need
+            with monkeypatch.context() as m:
+                m.setattr(stability, "_kronecker_width", lambda a: need - 1)
+                assert hurwitz_determinants(p).determinants != want, str(p)
 
 
 def _count_routh_calls(monkeypatch):
     """Record (entry type, degree, minors yielded) for every Routh array run.
 
     The lifted rerun calls _routh_minors through the module, so it is
-    recorded too, with its polynomials in eps as entries.
+    recorded too, with its polynomials in eps as entries.  Every run's
+    entries share one type: int, symbolic input included (packed at
+    q = 2^W), or QPoly in eps for a lift.
     """
     calls = []
     original = stability._routh_minors
 
     def counting(a):
+        kinds = {type(c) for c in a}
+        assert kinds == {int} or (kinds == {QPoly} and calls), kinds
         seen = []
         calls.append((type(a[0]), len(a) - 1, seen))
         for d in original(a):
@@ -513,6 +612,13 @@ class TestHurwitzSymbolic:
         for pair in ((0, 1), (0, 6)):
             dets = hurwitz_determinants(build_C(*pair).poly).determinants
             assert dets[4] == dets[5]
+
+    def test_symbolic_input_reaches_the_array_as_ints(self, monkeypatch):
+        calls = _count_routh_calls(monkeypatch)
+        for pair in itertools.combinations(REDUCED_INDEX_SET, 2):
+            calls.clear()
+            hurwitz_determinants(build_C(*pair).poly)
+            assert [kind for kind, _, _ in calls] == [int], pair
 
     def test_symbolic_json(self):
         report = hurwitz_determinants(build_C(0, 1).poly)
@@ -602,7 +708,7 @@ class TestQPositivity:
 
 def _gcd_rule(f, g):
     """The stable branch's relation by the shared-root gcd, or None off that branch."""
-    m, stripped = _strip_z(_interleave(g, f))
+    m, stripped = _stripped(f, g)
     if hurwitz_determinants(stripped).verdict != "hurwitz_stable":
         return None
     return "weak" if m and poly_gcd(f, g).degree >= 1 else "strict"
@@ -635,7 +741,7 @@ WEAK_RULE_CASES = [
 class TestInterlaceViaStability:
     @pytest.mark.parametrize("f, g, m, stable", WEAK_RULE_CASES, ids=lambda v: str(v))
     def test_weak_rule_on_planted_pairs(self, f, g, m, stable):
-        assert _strip_z(_interleave(g, f))[0] == m
+        assert _stripped(f, g)[0] == m
         old = _gcd_rule(f, g)
         assert (old is not None) == stable
         got = interlace_via_stability(f, g).relation
@@ -661,7 +767,7 @@ class TestInterlaceViaStability:
                 old = _gcd_rule(f, g)
                 if old is not None:
                     assert got == old, (str(f), str(g))
-                    stable_branch.add((min(_strip_z(_interleave(g, f))[0], 2), got))
+                    stable_branch.add((min(_stripped(f, g)[0], 2), got))
         assert {(1, "strict"), (2, "weak")} <= stable_branch
 
     def test_stops_at_the_first_nonpositive_minor(self, monkeypatch):
