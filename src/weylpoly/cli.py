@@ -57,11 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
-    try:
-        poly = assemble(args.family, args.n)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+    poly = assemble(args.family, args.n)
     if args.q is not None:
         if not isinstance(poly, QXPoly):
             print(f"error: family {args.family} has no q parameter", file=sys.stderr)

@@ -15,9 +15,10 @@ All operations are pure and exact; mixing kinds in ring operations raises
 ``TypeError``.  JSON serialization uses decimal strings for every integer so
 round-trips are bit-exact.
 
-One integer kernel (``_int_coeffs``, ``_primitive``, ``_prem``, ``_int_gcd``)
-works on primitive integer coefficient tuples; ``poly_gcd`` and the Sturm
-chains and square-free decomposition of ``realroots`` all run on it.
+One integer kernel (``_int_coeffs``, ``_primitive``, ``_prem``, ``_prs``)
+works on primitive integer coefficient tuples.  ``_prs`` is its one remainder
+sequence: ``poly_gcd`` and the Sturm chains and square-free decomposition of
+``realroots`` all run on it.
 """
 
 from __future__ import annotations
@@ -46,17 +47,20 @@ class _DensePoly:
     """Dense polynomial, ascending coefficients, generic over the ring.
 
     Subclasses set four class constants: ``_coerce`` converts one
-    coefficient, ``_scalars`` lists the types accepted as constants,
-    ``_zero`` is the coefficient zero, and ``_quot`` is the exact quotient
-    of two leading coefficients (raising DivisibilityError when there is
-    none).  Subclasses are not decorated again, so they keep ``__eq__`` and
+    coefficient (a TypeError from it becomes UsageError), ``_scalars`` lists
+    the types accepted as constants, ``_zero`` is the coefficient zero, and
+    ``_quot`` is the exact quotient of two leading coefficients (raising
+    DivisibilityError when there is none).  Subclasses are not decorated again, so they keep ``__eq__`` and
     the cached ``__hash__`` defined here.
     """
 
     coeffs: tuple = ()
 
     def __post_init__(self):
-        c = tuple(map(self._coerce, self.coeffs))
+        try:
+            c = tuple(map(self._coerce, self.coeffs))
+        except TypeError:
+            raise UsageError(f"{type(self).__name__} coefficients of the wrong kind: {self.coeffs!r}") from None
         while c and not c[-1]:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -236,7 +240,7 @@ def _int_quot(a: int, b: int) -> int:
 class QPoly(_DensePoly):
     """Dense integer polynomial in q, ascending coefficients."""
 
-    _coerce = int
+    _coerce = operator.index  # rejects floats and strings rather than truncating or parsing them
     _scalars = (int,)
     _zero = 0
     _quot = staticmethod(_int_quot)
@@ -246,8 +250,6 @@ class QPoly(_DensePoly):
 
 
 Q_ZERO = QPoly()
-Q_ONE = QPoly((1,))
-Q_VAR = QPoly((0, 1))
 ONE_PLUS_Q = QPoly((1, 1))
 
 
@@ -266,7 +268,7 @@ class XPoly(_DensePoly):
 
     def derivative(self) -> "XPoly":
         """Formal derivative."""
-        return XPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
+        return XPoly(_derivative(self.coeffs))
 
     def monic(self) -> "XPoly":
         if not self.coeffs:
@@ -289,7 +291,7 @@ def xpoly(*coeffs) -> XPoly:
 
 
 def qpoly(*coeffs) -> QPoly:
-    return QPoly(tuple(int(c) for c in coeffs))
+    return QPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +407,31 @@ def _positive_primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return out if out[-1] > 0 else tuple(-c for c in out)
 
 
-def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    """gcd of two integer polynomials, not both zero, primitive with lc > 0.
+def _derivative(coeffs: Sequence) -> tuple:
+    """Formal derivative of an ascending coefficient sequence."""
+    return tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
 
-    Computed as a primitive polynomial remainder sequence (Collins 1967,
-    Brown 1978): each pseudo-remainder is divided by its content, so no
-    rational arithmetic enters the loop.
+
+def _prs(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """f, g (left out if zero), then the primitive part of minus each pseudo-remainder.
+
+    A primitive remainder sequence (Collins 1967, Brown 1971): it stops at a
+    constant or before a zero remainder, and its last member is gcd(f, g) up
+    to sign and content.  ``_prem`` keeps the signs of the rational
+    remainders, so ``_prs(p, p')`` is the Sturm chain of p.
     """
-    if len(f) < len(g):
-        f, g = g, f
+    seq = [f]
     while g:
-        f, g = g, _primitive(_prem(f, g))
-    return _positive_primitive(f)
+        seq.append(g)
+        if len(g) == 1:
+            break
+        f, g = g, _primitive([-c for c in _prem(f, g)])
+    return tuple(seq)
+
+
+def _int_gcd(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """gcd of two integer polynomials, not both zero, primitive with lc > 0."""
+    return _positive_primitive(_prs(f, g)[-1])
 
 
 def poly_gcd(a: XPoly, b: XPoly) -> XPoly:

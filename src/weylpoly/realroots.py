@@ -2,29 +2,30 @@
 
 Everything here is driven by Sturm chains with integer coefficients, built
 on the integer kernel of ``exactpoly``: input polynomials are cleared of
-denominators and made primitive, and each chain member is the primitive part
-of minus a pseudo-remainder, a primitive polynomial remainder sequence
-(Collins 1967, Brown 1978).  The pseudo-remainder scales by a positive power
-of the divisor's leading coefficient, so sign variations are preserved.  Sign
-evaluations at a rational point num/den run entirely in integer arithmetic,
-with shifts in place of the powers of den at a dyadic point.  Root counts use
-the half-open convention: the Sturm variation difference V(lo) - V(hi)
-counts distinct roots in (lo, hi].
+denominators and made primitive, and the chain of p is ``_prs(p, p')``, the
+kernel's one primitive polynomial remainder sequence (Collins 1967, Brown
+1971).  The pseudo-remainder scales by a positive power of the divisor's
+leading coefficient, so sign variations are preserved.  Sign evaluations at
+a rational point num/den run entirely in integer arithmetic, with shifts in
+place of the powers of den at a dyadic point.  Root counts use the half-open
+convention: the Sturm variation difference V(lo) - V(hi) counts distinct
+roots in (lo, hi].
 
 Isolation.  The Sturm chain of p ends in gcd(p, p'); when that is a
-constant, p is its own square-free radical and that chain is the radical's.
-Otherwise Yun's algorithm, seeded with that last chain member, runs on
-primitive integer tuples and gives the radical p / gcd(p, p') and the
-square-free factors; its exact quotients stay integral by Gauss's lemma, and
-the radical gets a chain of its own.  The radical is bisected from the
-bracket (-2^b, 2^b], where 2^b is at least the Cauchy bound
-1 + max|a_i / a_n|.  Every cell is dyadic: (i 2^w - 2^b, (i+1) 2^w - 2^b].
-Full Sturm counts split the bracket until each cell holds one root, and
-decide each root's multiplicity (one count per Yun factor); at a point
-beyond Fujiwara's root bound the count is read from the leading
-coefficients of the chain.  The root profile of a polynomial (radical,
-chain, cells) is cached in a bounded LRU and never changes once built;
-real-rootedness is read from it.
+constant, p is its own square-free radical and that chain is the radical's
+(a constant p has the radical 1 and no cell).  Otherwise Yun's algorithm,
+seeded with that last chain member, runs on primitive integer tuples and
+gives the radical p / gcd(p, p') and the square-free factors; its exact
+quotients stay integral by Gauss's lemma, and the radical gets a chain of
+its own.  The radical is bisected from the bracket (-2^b, 2^b], where 2^b is
+at least the Cauchy bound 1 + max|a_i / a_n|.  Every cell is dyadic:
+(i 2^w - 2^b, (i+1) 2^w - 2^b].  Full Sturm counts split the bracket, lower
+half first, until each cell holds one root, so the cells come out in
+ascending order, and decide each root's multiplicity (one count per Yun
+factor); at a point beyond Fujiwara's root bound the count is read from the
+leading coefficients of the chain.  The root profile of a polynomial
+(radical, chain, cells) is cached in a bounded LRU and never changes once
+built; real-rootedness is read from it.
 
 Refinement is sign-only.  A cell holding one root of the square-free radical
 holds a simple root, so the radical's sign at the midpoint, against its sign
@@ -44,8 +45,10 @@ both are equally wide; then the gcd of the two radicals, computed once per
 pair of members and only for a pair whose cells still overlap, decides with
 one Sturm count on the overlap whether they hold the same root; distinct
 roots are halved until their cells part.  The result is the ascending order
-of all distinct roots, with exact ties, and each relation is read off it
-(Fisk, *Polynomials, roots, and interlacing*, arXiv:math/0612833).
+of all distinct roots, with exact ties.  Each relation is read off it by
+one pairwise test of the alternation chain (Fisk, *Polynomials, roots, and
+interlacing*, arXiv:math/0612833); ``mutually_interlacing`` runs that test
+on the pairs (i, j) in order and stops at the first that fails.
 """
 
 from __future__ import annotations
@@ -56,9 +59,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, UsageError, WeylPolyError
-from .exactpoly import (
-    X_ONE, QPoly, XPoly, _clear_denominators, _int_coeffs, _int_gcd, _positive_primitive, _prem, _primitive
-)
+from .exactpoly import QPoly, XPoly, _clear_denominators, _derivative, _int_coeffs, _int_gcd, _positive_primitive, _prs
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -66,10 +67,6 @@ DEFAULT_WIDTH = Fraction(1, 2**30)
 # ---------------------------------------------------------------------------
 # Integer-level primitives
 # ---------------------------------------------------------------------------
-
-
-def _int_derivative(ints: Sequence[int]) -> tuple[int, ...]:
-    return tuple(k * c for k, c in enumerate(ints) if k >= 1)
 
 
 def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
@@ -105,15 +102,7 @@ def _floor_log2(width: Fraction) -> int:
 
 
 def _sturm_chain(ints: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    chain = [ints, _int_derivative(ints)]
-    while len(chain[-1]) >= 2:
-        nxt = _primitive([-c for c in _prem(chain[-2], chain[-1])])
-        if not nxt:
-            break
-        chain.append(nxt)
-    if not chain[-1]:
-        chain.pop()
-    return tuple(chain)
+    return _prs(ints, _derivative(ints))
 
 
 def _variations(signs: Sequence[int]) -> int:
@@ -168,7 +157,7 @@ def _fujiwara_exp(ints: Sequence[int]) -> int:
 
 def _square_free(ints: tuple[int, ...]):
     """Radical, Yun factors and the radical's Sturm chain of p, primitive
-    with lc > 0 and degree >= 1.
+    with lc > 0.
 
     Returns (r, ((m, f_m), ...), chain) with p = prod f_m ** m and
     r = p / gcd(p, p'); r and every f_m are primitive with a positive leading
@@ -184,7 +173,7 @@ def _square_free(ints: tuple[int, ...]):
     g = QPoly(g)
     w = QPoly(ints).exact_div(g)
     radical = w.coeffs
-    z = QPoly(_int_derivative(ints)).exact_div(g) - QPoly(_int_derivative(radical))
+    z = QPoly(_derivative(ints)).exact_div(g) - QPoly(_derivative(radical))
     factors = []
     m = 1
     while w.degree >= 1:
@@ -195,7 +184,7 @@ def _square_free(ints: tuple[int, ...]):
         if a.degree >= 1:
             factors.append((m, a.coeffs))
         w = w.exact_div(a)
-        z = z.exact_div(a) - QPoly(_int_derivative(w.coeffs))
+        z = z.exact_div(a) - QPoly(_derivative(w.coeffs))
         m += 1
     return radical, tuple(factors), _sturm_chain(radical)
 
@@ -292,12 +281,9 @@ class _Profile:
     def __init__(self, p: XPoly):
         if p.is_zero():
             raise UsageError("the zero polynomial has no root profile")
-        if p.degree >= 1:
-            ints = _positive_primitive(_clear_denominators(p.coeffs)[1])
-            self.rad_ints, self.factors, self.chain = _square_free(ints)
-        else:
-            self.rad_ints, self.factors, self.chain = (), (), ()
-        self.records: list[_Rec] = self._isolate() if self.rad_ints else []
+        ints = _positive_primitive(_clear_denominators(p.coeffs)[1])
+        self.rad_ints, self.factors, self.chain = _square_free(ints)
+        self.records: list[_Rec] = self._isolate()
         self._assign_multiplicities()
 
     def _isolate(self) -> list[_Rec]:
@@ -314,16 +300,15 @@ class _Profile:
 
         stack = [(0, b + 1, var(0, b + 1), var(1, b + 1))]
         out: list[_Rec] = []
-        while stack:
+        while stack:  # the lower half pops first, so cells come out ascending
             i, w, vl, vh = stack.pop()
             count = vl - vh
             if count == 1:
                 out.append(_Rec(b, i, w, _sign_at(self.rad_ints, *_dyadic(i + 1, w, b))))
             elif count > 1:
                 vm = var(2 * i + 1, w - 1)
-                stack.append((2 * i, w - 1, vl, vm))
                 stack.append((2 * i + 1, w - 1, vm, vh))
-        out.sort(key=lambda r: r.lo)
+                stack.append((2 * i, w - 1, vl, vm))
         return out
 
     def _assign_multiplicities(self) -> None:
@@ -370,6 +355,14 @@ _profile = lru_cache(maxsize=4096)(_Profile)
 # ---------------------------------------------------------------------------
 
 
+def _rational(v, name: str) -> Fraction:
+    """v as a Fraction; NaN, infinities and unparsable values are a UsageError."""
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise UsageError(f"{name} must be a rational number, got {v!r}") from None
+
+
 def square_free(p: XPoly) -> tuple[XPoly, tuple[RootInterval, ...]]:
     """Monic radical of p plus isolating intervals tagged with multiplicities.
 
@@ -379,17 +372,17 @@ def square_free(p: XPoly) -> tuple[XPoly, tuple[RootInterval, ...]]:
     if p.is_zero():
         raise UsageError("square_free of the zero polynomial")
     prof = _profile(p)
-    return XPoly(prof.rad_ints).monic() if prof.rad_ints else X_ONE, prof.intervals(DEFAULT_WIDTH)
+    return XPoly(prof.rad_ints).monic(), prof.intervals(DEFAULT_WIDTH)
 
 
 def count_roots_in(p: XPoly, lo: Fraction, hi: Fraction) -> int:
     """Exact number of distinct real roots of square-free p in (lo, hi]."""
     if p.is_zero():
         raise UsageError("count_roots_in of the zero polynomial")
-    chain = _sturm_chain(_int_coeffs(p)) if p.degree >= 1 else ()
-    if chain and len(chain[-1]) > 1:  # the chain ends in gcd(p, p')
+    chain = _sturm_chain(_int_coeffs(p))
+    if len(chain[-1]) > 1:  # the chain ends in gcd(p, p')
         raise UsageError("count_roots_in requires a square-free polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _rational(lo, "lo"), _rational(hi, "hi")
     if not lo < hi:
         raise UsageError("count_roots_in requires lo < hi")
     return _count_half_open(chain, lo, hi)
@@ -404,7 +397,7 @@ def isolate_roots(p: XPoly, width: Fraction = DEFAULT_WIDTH) -> RootIsolation:
     """
     if p.is_zero():
         raise UsageError("isolate_roots of the zero polynomial")
-    width = Fraction(width)
+    width = _rational(width, "width")
     if width <= 0:
         raise UsageError("isolate_roots requires a positive width")
     return RootIsolation(_profile(p).intervals(width), int(p.degree))
@@ -414,8 +407,6 @@ def is_real_rooted(p: XPoly) -> bool:
     """True iff the real roots, counted with multiplicity, exhaust the degree."""
     if p.is_zero():
         raise UsageError("is_real_rooted of the zero polynomial")
-    if p.degree == 0:
-        return True
     return _profile(p).real_root_count == p.degree
 
 
@@ -517,24 +508,6 @@ def _relation(v, u) -> InterlacingVerdict:
     return InterlacingVerdict(STRICT if strict else WEAK)
 
 
-def _mutual_order_holds(positions) -> bool:
-    """Whether every member interlaces every later one, read off the merged order.
-
-    Each member short of the top degree gets roots at -inf in front; then
-    f_1..f_m interlace mutually iff r_(1,0), ..., r_(m,0), r_(1,1), ...,
-    r_(m,1), ... is nondecreasing.  A bad degree pattern (a later member of
-    lower degree, or one two short) puts a -inf after a root.  Only two
-    constants, which are incomparable, need their own test.
-    """
-    degrees = [len(p) for p in positions]
-    if degrees.count(0) > 1:
-        return False
-    top = max(degrees)
-    padded = [[(-1, None)] * (top - len(p)) + p for p in positions]
-    seq = [p[k][0] for k in range(top) for p in padded]
-    return all(a <= b for a, b in zip(seq, seq[1:]))
-
-
 def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
     """Decide whether g interlaces f (the roots of g sit below/between f's).
 
@@ -570,9 +543,9 @@ def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, Optional[tuple[int,
     One merged sweep orders the roots of all entries, halving only cells
     that overlap a neighbour's and computing the gcd of two entries'
     radicals only for a pair whose equally wide cells still overlap (see
-    ``interlaces``).  The mutual condition is read off that order; only
-    when it fails does a scan of the pairs (i, j) in order, on the same
-    positions, name the first failing one.
+    ``interlaces``).  The pairs (i, j) are then tested in order on those
+    positions, each by the alternation chain that ``interlaces`` reads, and
+    the first that fails is returned.
     """
     if not fs:
         raise UsageError("mutually_interlacing of an empty sequence")
@@ -588,11 +561,8 @@ def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, Optional[tuple[int,
         if not is_real_rooted(p):
             raise PreconditionError(f"entry {k} is not real-rooted")
     positions = _merged_positions(fs)
-    if _mutual_order_holds(positions):
-        return True, None
-    n = len(fs)
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
             if not _relation(positions[i], positions[j]).holds:
                 return False, (i, j)
-    raise WeylPolyError("the merged order and the pairwise scan disagree")
+    return True, None

@@ -26,6 +26,7 @@ or XPoly afresh, and only the entries it returns.
 
 from __future__ import annotations
 
+import operator
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -474,7 +475,9 @@ def evaluate_identity(name: str, n: int, cap: Optional[int] = None) -> tuple[boo
         return True, None
 
     if name == "matrix_identity":
-        return _matrix_identity_holds(n)
+        if n < 3:
+            raise UsageError("matrix_identity needs n >= 3")
+        return _duplication_commutes(recurrence_nx_matrix(n), n)
 
     if name == "q0_reduction":
         return poly_equality(assemble("Dq", n).eval_q(0), brute_polynomial("A", n - 1, cap=cap))
@@ -500,13 +503,6 @@ def evaluate_identity(name: str, n: int, cap: Optional[int] = None) -> tuple[boo
 def check_identity(name: str, n: int) -> ReportEntry:
     """Run one named identity at rank n and report pass/fail with witness."""
     return timed_entry(name, {"n": n}, lambda: evaluate_identity(name, n))
-
-
-def _matrix_identity_holds(n: int):
-    """Commutation of the duplication block with the recurrence block."""
-    if n < 3:
-        raise UsageError("matrix_identity needs n >= 3")
-    return _duplication_commutes(recurrence_nx_matrix(n), n)
 
 
 def _duplication_commutes(m: NXMatrix, n: int):
@@ -544,7 +540,10 @@ class TransformSpec:
     thresholds: tuple[int, ...]
 
     def __post_init__(self):
-        t = tuple(int(v) for v in self.thresholds)
+        try:
+            t = tuple(map(operator.index, self.thresholds))
+        except TypeError:
+            raise UsageError(f"thresholds must be integers, got {self.thresholds!r}") from None
         object.__setattr__(self, "thresholds", t)
         if any(v < 1 for v in t):
             raise UsageError("thresholds must be >= 1")

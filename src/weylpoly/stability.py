@@ -242,12 +242,10 @@ def q_positive_on_positive_reals(p: QPoly) -> bool:
         raise UsageError("q_positive_on_positive_reals of the zero polynomial")
     if all(c >= 0 for c in p.coeffs):
         return True
-    ints = _positive_primitive(p.coeffs)
-    if len(ints) >= 2:
-        radical, _, chain = _square_free(ints)
-        bound = _cauchy_pow2_bound(radical)
-        if _count_half_open(chain, Fraction(0), Fraction(bound)) != 0:
-            return False
+    radical, _, chain = _square_free(_positive_primitive(p.coeffs))
+    bound = _cauchy_pow2_bound(radical)
+    if _count_half_open(chain, Fraction(0), Fraction(bound)) != 0:
+        return False
     return p.evaluate(1) > 0
 
 

@@ -29,6 +29,7 @@ from weylpoly.exactpoly import (
     _DensePoly,
     _int_coeffs,
     _prem,
+    _prs,
     poly_to_json,
     qxpoly_from_json,
     qxpoly_to_json,
@@ -98,6 +99,21 @@ class TestArith:
     def test_kind_mismatch_raises(self):
         with pytest.raises(TypeError):
             xpoly(1, 1) + qxpoly((1,), (1,))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QPoly((1.5,)),
+            lambda: qpoly(1.5),
+            lambda: QPoly(("3",)),
+            lambda: qpoly(2, Fraction(1)),
+            lambda: qxpoly((1, 0.5)),
+        ],
+    )
+    def test_non_integer_q_coefficient_rejected(self, build):
+        # a float used to be truncated and a string parsed
+        with pytest.raises(UsageError):
+            build()
 
     def test_zero_degree_sentinel(self):
         assert XPoly().degree == NEG_INF
@@ -255,6 +271,9 @@ class TestGcd:
             want = sp.Poly(to_sympy(a), X, domain="QQ").gcd(sp.Poly(to_sympy(b), X, domain="QQ"))
             assert got == from_sympy(want.monic()), (str(a), str(b))
             assert got == fraction_euclid_gcd(a, b)
+            for f, g in ((a, b), (b, a)):
+                last = _prs(_int_coeffs(f), _int_coeffs(g))[-1]
+                assert XPoly(last).monic() == from_sympy(want.monic()), (str(f), str(g))
 
     def test_zero_or_constant_operand(self):
         p = xpoly(-6, 3, 3)

@@ -25,8 +25,8 @@ from weylpoly import (
     xpoly,
 )
 from weylpoly import exactpoly, realroots
-from weylpoly.exactpoly import X_ONE, _int_coeffs, exact_divide
-from weylpoly.realroots import _cauchy_pow2_bound, _int_derivative, _square_free, _sturm_chain
+from weylpoly.exactpoly import X_ONE, _derivative, _int_coeffs, exact_divide
+from weylpoly.realroots import _cauchy_pow2_bound, _square_free, _sturm_chain
 from weylpoly.tables import K4_TABLE, K4_ROOTS
 
 X = sp.symbols("x")
@@ -88,6 +88,10 @@ class TestSquareFree:
         with pytest.raises(UsageError):
             square_free(XPoly())
 
+    def test_constant(self):
+        assert square_free(xpoly(3)) == (X_ONE, ())
+        assert square_free(xpoly(Fraction(-2, 7))) == (X_ONE, ())
+
 
 class TestCountRoots:
     def test_one_root_right_of_zero(self):
@@ -111,6 +115,14 @@ class TestCountRoots:
     def test_requires_ordered_bounds(self):
         with pytest.raises(UsageError):
             count_roots_in(xpoly(-2, 0, 1), 2, 0)
+
+    @pytest.mark.parametrize("lo, hi", [("a", 1), (0, float("nan")), (float("-inf"), 1), (None, 1), ("1/0", 1)])
+    def test_non_rational_bounds_rejected(self, lo, hi):
+        with pytest.raises(UsageError):
+            count_roots_in(xpoly(-2, 0, 1), lo, hi)
+
+    def test_constant_has_no_roots(self):
+        assert count_roots_in(xpoly(-4), -10, 10) == 0
 
 
 class TestIsolateRoots:
@@ -165,6 +177,8 @@ class TestIsRealRooted:
 
     def test_constant(self):
         assert is_real_rooted(xpoly(3))
+        assert is_real_rooted(xpoly(-3))
+        assert is_real_rooted(xpoly(Fraction(-1, 3)))
 
     def test_zero_rejected(self):
         with pytest.raises(UsageError):
@@ -241,7 +255,7 @@ def _primitive_ref(ints):
 
 def fraction_sturm_chain(ints):
     """Reference Sturm chain: -rem over Fraction, then primitive integer form."""
-    chain = [tuple(ints), _int_derivative(ints)]
+    chain = [tuple(ints), _derivative(ints)]
     while len(chain[-1]) >= 2:
         f, g = chain[-2], chain[-1]
         rem = [Fraction(c) for c in f]
@@ -407,7 +421,6 @@ class TestOneChainPerPolynomial:
             return prem(f, g)
 
         monkeypatch.setattr(exactpoly, "_prem", counting)
-        monkeypatch.setattr(realroots, "_prem", counting)
         realroots._profile.cache_clear()
         call()
         return sum(starts)
@@ -739,6 +752,12 @@ class TestSignOnlyRefinement:
         with pytest.raises(UsageError):
             isolate_roots(xpoly(-2, 0, 1), width)
 
+    @pytest.mark.parametrize("width", [float("nan"), float("inf"), "a", None])
+    def test_non_rational_width_rejected(self, width):
+        # NaN raised ValueError and infinity OverflowError
+        with pytest.raises(UsageError):
+            isolate_roots(xpoly(-2, 0, 1), width)
+
 
 def pairwise_relation(g: XPoly, f: XPoly) -> str:
     """The pairwise route the merged sweep replaced: one merge of g and f.
@@ -859,6 +878,23 @@ class TestMergedSweep:
         fams += [[assemble("tildeB", n), assemble("tildeB", n + 1)] for n in range(3, 8)]
         for fam in fams:
             assert mutually_interlacing(fam) == pairwise_mutual(fam)
+
+    def test_first_failing_pair_matches_the_pairwise_oracle(self):
+        fams = [
+            [xpoly(1, 1), xpoly(2, 1), xpoly(3, 1)],  # every pair fails
+            [xpoly(3, 1), xpoly(2), xpoly(1, 1), xpoly(5)],  # two constants, and a linear before a constant
+            [xpoly(4), xpoly(2, 3, 1), xpoly(1, 1), xpoly(6, 5, 1)],
+            [xpoly(2, 1), xpoly(1), xpoly(3), xpoly(1, 1) ** 2, xpoly(0, 1)],
+        ]
+        for fam in fams:
+            failing = [
+                (i, j)
+                for i in range(len(fam))
+                for j in range(i + 1, len(fam))
+                if pairwise_relation(fam[i], fam[j]) not in ("strict", "weak")
+            ]
+            assert len(failing) >= 2, [str(p) for p in fam]
+            assert mutually_interlacing(fam) == (False, failing[0]) == pairwise_mutual(fam)
 
     def test_every_relation_matches_the_pairwise_oracle(self):
         rng = random.Random(77)

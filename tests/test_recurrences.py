@@ -268,6 +268,12 @@ class TestTransform:
         with pytest.raises(UsageError):
             interlacing_transform((), TransformSpec((1,)))
 
+    @pytest.mark.parametrize("thresholds", [(1.7, 2), (1, "2"), (Fraction(1), 2)])
+    def test_non_integer_threshold_rejected(self, thresholds):
+        # (1.7, 2) used to become (1, 2)
+        with pytest.raises(UsageError):
+            TransformSpec(thresholds)
+
 
 class TestWeightedCombination:
     def test_hand_example(self):
