@@ -60,13 +60,11 @@ def _cmd_compute(args) -> int:
     poly = assemble(args.family, args.n)
     if args.q is not None:
         if not isinstance(poly, QXPoly):
-            print(f"error: family {args.family} has no q parameter", file=sys.stderr)
-            return USAGE_EXIT
+            raise UsageError(f"family {args.family} has no q parameter")
         try:
             q0 = Fraction(args.q)
         except (ValueError, ZeroDivisionError):
-            print(f"error: bad rational {args.q!r}", file=sys.stderr)
-            return USAGE_EXIT
+            raise UsageError(f"bad rational {args.q!r}") from None
         poly = poly.eval_q(q0)
     if args.format == "json":
         print(json.dumps(poly_to_json(poly)))
@@ -81,8 +79,7 @@ def _cmd_verify(args) -> int:
         try:
             q_samples = tuple(Fraction(part) for part in args.q_samples.split(","))
         except (ValueError, ZeroDivisionError):
-            print(f"error: bad q sample list {args.q_samples!r}", file=sys.stderr)
-            return USAGE_EXIT
+            raise UsageError(f"bad q sample list {args.q_samples!r}") from None
     report = run_suite(args.suite, max_n=args.max_n, q_samples=q_samples, cap=args.cap_override)
     print(report.dumps())
     counts = report.counts

@@ -15,10 +15,13 @@ All operations are pure and exact; mixing kinds in ring operations raises
 ``TypeError``.  JSON serialization uses decimal strings for every integer so
 round-trips are bit-exact.
 
-One integer kernel (``_int_coeffs``, ``_primitive``, ``_prem``, ``_prs``)
-works on primitive integer coefficient tuples.  ``_prs`` is its one remainder
-sequence: ``poly_gcd`` and the Sturm chains and square-free decomposition of
-``realroots`` all run on it.
+Every number from outside passes one gate: ``_rational`` (an int or a
+Fraction) or ``_rank`` (an integer rank); anything else raises UsageError.
+One integer kernel (``_int_coeffs``, ``_primitive``, ``_prem``, ``_prs``,
+``_horner``) works on integer coefficient tuples.  ``_prs`` is its one
+remainder sequence, for ``poly_gcd`` and the Sturm chains and square-free
+decomposition of ``realroots``; ``_horner`` is its one evaluation, for
+``evaluate``, ``eval_q`` and every Sturm sign.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence, Union
 
@@ -35,6 +39,27 @@ from .errors import DivisibilityError, UsageError
 NEG_INF = float("-inf")
 
 Rational = Fraction
+
+
+def _rational(v, what: str) -> Fraction:
+    """v as a Fraction from an int, or v itself if it is a Fraction; anything
+    else (a float, a string, NaN, None) raises UsageError naming ``what``."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int):
+        return Fraction(v)
+    raise UsageError(f"{what} must be an int or a Fraction, got {v!r}")
+
+
+def _rank(n, least: int, what: str) -> int:
+    """n as an int (by ``operator.index``), at least ``least``; else UsageError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise UsageError(f"{what} must be an integer, got {n!r}") from None
+    if n < least:
+        raise UsageError(f"{what} {n} is below the smallest rank {least}")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +168,7 @@ class _DensePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise UsageError("negative powers of polynomials are undefined")
+        n = _rank(n, 0, "power")
         out = type(self)((1,))
         base = self
         while n:
@@ -156,16 +180,17 @@ class _DensePoly:
 
     def shift_up(self, k: int = 1):
         """Multiply by the variable to the k-th power."""
+        k = _rank(k, 0, "shift")
         if not self.coeffs:
             return self
         return type(self)((self._zero,) * k + self.coeffs)
 
     def evaluate(self, v0) -> Fraction:
-        """Evaluate at a rational point by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v0 + c
-        return acc
+        """The value at v0, an int or a Fraction, by ``_horner`` (QPoly and XPoly)."""
+        v0 = _rational(v0, "the evaluation point")
+        scale, ints = _clear_denominators(self.coeffs)
+        den = v0.denominator
+        return Fraction(_horner(ints, v0.numerator, den), scale * den ** max(len(ints) - 1, 0))
 
     def exact_div(self, other):
         """Exact quotient in the same ring; raises DivisibilityError otherwise."""
@@ -261,7 +286,7 @@ ONE_PLUS_Q = QPoly((1, 1))
 class XPoly(_DensePoly):
     """Dense polynomial in x over exact rationals, ascending coefficients."""
 
-    _coerce = Fraction
+    _coerce = partial(_rational, what="an XPoly coefficient")
     _scalars = (int, Fraction)
     _zero = Fraction(0)
     _quot = staticmethod(operator.truediv)
@@ -287,7 +312,7 @@ X_VAR = XPoly((Fraction(0), Fraction(1)))
 
 def xpoly(*coeffs) -> XPoly:
     """Convenience constructor from ascending int/Fraction coefficients."""
-    return XPoly(tuple(Fraction(c) for c in coeffs))
+    return XPoly(coeffs)
 
 
 def qpoly(*coeffs) -> QPoly:
@@ -316,8 +341,12 @@ class QXPoly(_DensePoly):
     _quot = staticmethod(QPoly.exact_div)
 
     def eval_q(self, q0) -> XPoly:
-        """Substitute q := q0 exactly in every coefficient."""
-        return XPoly(tuple(c.evaluate(q0) for c in self.coeffs))
+        """Substitute q := q0 (an int or a Fraction) exactly in every coefficient."""
+        q0 = _rational(q0, "q")
+        num, den = q0.numerator, q0.denominator
+        return XPoly(
+            tuple(Fraction(_horner(c.coeffs, num, den), den ** max(len(c.coeffs) - 1, 0)) for c in self.coeffs)
+        )
 
     def __str__(self) -> str:
         return _render_qx(self.coeffs)
@@ -405,6 +434,27 @@ def _positive_primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """The primitive part with a positive leading coefficient (ints nonzero)."""
     out = _primitive(list(ints))
     return out if out[-1] > 0 else tuple(-c for c in out)
+
+
+def _horner(ints: Sequence[int], num: int, den: int) -> int:
+    """den^d p(num/den) for p = sum ints[t] x^t of degree d (den > 0), in integers only.
+
+    Horner's rule on sum c_t num^t den^(d-t); when den is a power of two 2^k,
+    as at every bisection point, den^s is a shift by k s.
+    """
+    if not ints:
+        return 0
+    acc = ints[-1]
+    k = den.bit_length() - 1
+    if den == 1 << k:
+        for s, c in enumerate(reversed(ints[:-1]), 1):
+            acc = acc * num + (c << k * s)
+    else:
+        dp = 1
+        for c in reversed(ints[:-1]):
+            dp *= den
+            acc = acc * num + c * dp
+    return acc
 
 
 def _derivative(coeffs: Sequence) -> tuple:

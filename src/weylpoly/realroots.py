@@ -6,10 +6,10 @@ denominators and made primitive, and the chain of p is ``_prs(p, p')``, the
 kernel's one primitive polynomial remainder sequence (Collins 1967, Brown
 1971).  The pseudo-remainder scales by a positive power of the divisor's
 leading coefficient, so sign variations are preserved.  Sign evaluations at
-a rational point num/den run entirely in integer arithmetic, with shifts in
-place of the powers of den at a dyadic point.  Root counts use the half-open
-convention: the Sturm variation difference V(lo) - V(hi) counts distinct
-roots in (lo, hi].
+a rational point num/den run on the kernel's integer Horner ``_horner``,
+with shifts in place of the powers of den at a dyadic point.  Root counts
+use the half-open convention: the Sturm variation difference V(lo) - V(hi)
+counts distinct roots in (lo, hi].
 
 Isolation.  The Sturm chain of p ends in gcd(p, p'); when that is a
 constant, p is its own square-free radical and that chain is the radical's
@@ -59,7 +59,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, UsageError, WeylPolyError
-from .exactpoly import QPoly, XPoly, _clear_denominators, _derivative, _int_coeffs, _int_gcd, _positive_primitive, _prs
+from .exactpoly import QPoly, XPoly, _clear_denominators, _derivative, _horner, _int_coeffs, _int_gcd
+from .exactpoly import _positive_primitive, _prs, _rational
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -70,22 +71,9 @@ DEFAULT_WIDTH = Fraction(1, 2**30)
 
 
 def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
-    """Sign of the polynomial at num/den (den > 0), integer arithmetic only.
-
-    Horner's rule on den^d p(num/den) = sum c_t num^t den^(d-t); when den is
-    a power of two 2^k, as at every bisection point, den^s is a shift by k s.
-    """
-    acc = ints[-1]
-    k = den.bit_length() - 1
-    if den == 1 << k:
-        for s, c in enumerate(reversed(ints[:-1]), 1):
-            acc = acc * num + (c << k * s)
-    else:
-        dp = 1
-        for c in reversed(ints[:-1]):
-            dp *= den
-            acc = acc * num + c * dp
-    return (acc > 0) - (acc < 0)
+    """Sign of the polynomial at num/den (den > 0), by the integer ``_horner``."""
+    v = _horner(ints, num, den)
+    return (v > 0) - (v < 0)
 
 
 def _dyadic(n: int, e: int, b: int) -> tuple[int, int]:
@@ -353,14 +341,6 @@ _profile = lru_cache(maxsize=4096)(_Profile)
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def _rational(v, name: str) -> Fraction:
-    """v as a Fraction; NaN, infinities and unparsable values are a UsageError."""
-    try:
-        return Fraction(v)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise UsageError(f"{name} must be a rational number, got {v!r}") from None
 
 
 def square_free(p: XPoly) -> tuple[XPoly, tuple[RootInterval, ...]]:

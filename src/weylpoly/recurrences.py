@@ -34,14 +34,7 @@ from math import factorial
 from typing import Callable, Optional, Sequence
 
 from .errors import PackingError, PreconditionError, UsageError
-from .exactpoly import (
-    ONE_PLUS_Q,
-    QPoly,
-    QXPoly,
-    XPoly,
-    _trusted,
-    exact_divide,
-)
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _rank, _rational, _trusted, exact_divide
 from .realroots import interlaces
 from .report import ReportEntry, poly_equality, timed_entry
 from .weylcomb import brute_polynomial
@@ -64,8 +57,7 @@ def ceil_index(n: int, i: int) -> int:
 
     Equals i - 1 exactly when i >= n, and i otherwise, for 0 <= i <= 2n-1.
     """
-    if n < 2:
-        raise UsageError("ceil_index needs n >= 2")
+    n = _rank(n, 2, "ceil_index rank")
     if not 0 <= i <= 2 * n - 1:
         raise UsageError(f"index {i} out of range 0..{2 * n - 1}")
     return -((-(n - 1) * i) // n)
@@ -288,8 +280,7 @@ def refined_Tq(n: int) -> RefinedFamily:
     ranks entry i is q**[i >= n] times (x * sum of the previous entries
     below ceil_index(n, i) plus the sum of the rest).
     """
-    if n < 2:
-        raise UsageError("refined_Tq needs n >= 2")
+    n = _rank(n, 2, "refined_Tq rank")
     return RefinedFamily(n, tuple(p.to_qx() for p in _TQ_STORE.rank(n)))
 
 
@@ -298,8 +289,7 @@ def refined_T1(n: int) -> tuple[XPoly, ...]:
 
     Built by the same recurrence from (2, 2x, 2x, 2x^2), with no factor q.
     """
-    if n < 2:
-        raise UsageError("refined_T1 needs n >= 2")
+    n = _rank(n, 2, "refined_T1 rank")
     return tuple(p.to_x() for p in _T1_STORE.rank(n))
 
 
@@ -319,8 +309,7 @@ def refined_affine_T(n: int) -> RefinedFamily:
     refined family at q = 1, with weights x^2 / x / 1 by position; entries
     n..2n-1 are filled by the duality entry(2n-1-i) = entry(i).
     """
-    if n < 3:
-        raise UsageError("refined_affine_T needs n >= 3")
+    n = _rank(n, 3, "refined_affine_T rank")
     prev = _T1_STORE.rank(n - 1)
     lower = []
     for i in range(n):
@@ -340,8 +329,7 @@ def refined_K(n: int, method: str = "direct") -> RefinedFamily:
     from the q = 1 refined family.  recurrence: seed rank 3 directly, then
     iterate the same threshold recurrence as the refined family.
     """
-    if n < 3:
-        raise UsageError("refined_K needs n >= 3")
+    n = _rank(n, 3, "refined_K rank")
     if method == "direct":
         fam = _packed_K_direct(n)
     elif method == "recurrence":
@@ -381,40 +369,29 @@ def assemble(family: str, n: int):
     tildeB: entry n+1 of the rank n+1 family at q = 1.
     A: the q -> 0 specialization of Dq at rank n+1.
     """
+    if family not in ASSEMBLE_FAMILIES:
+        raise UsageError(f"unknown family {family!r}; expected one of {ASSEMBLE_FAMILIES}")
+    n = _rank(n, {"Tq": 2, "Dq": 2, "tildeD": 3}.get(family, 1), f"{family} rank")
     if family == "Tq":
-        if n < 2:
-            raise UsageError("Tq needs n >= 2")
         fam = _TQ_STORE.rank(n)
         return sum(fam[1:], fam[0]).to_qx()
     if family == "Dq":
-        if n < 2:
-            raise UsageError("Dq needs n >= 2")
         return exact_divide(assemble("Tq", n), QXPoly((ONE_PLUS_Q,)))
     if family == "D":
-        if n < 1:
-            raise UsageError("D needs n >= 1")
         return _T1_STORE.rank(n + 1)[0].to_x() * Fraction(1, 2)
     if family == "tildeB":
-        if n < 1:
-            raise UsageError("tildeB needs n >= 1")
         return _T1_STORE.rank(n + 1)[n + 1].to_x()
     if family == "A":
-        if n < 1:
-            raise UsageError("A needs n >= 1")
         return assemble("Dq", n + 1).eval_q(0)
-    if family == "tildeD":
-        if n < 3:
-            raise UsageError("tildeD needs n >= 3")
-        # The coefficients sum to n |B_(n-1)| = |B_n| / 2, so the rank-n
-        # layout holds every partial sum.
-        layout = _layout(n, 1)
-        t = [p.repack(layout) for p in _T1_STORE.rank(n - 1)]
-        out = _Packed(0, layout)
-        for i in range(n - 1):
-            u = t[i].shift_up(1) + t[n + i - 1]
-            out = out + u.shift_up(1) * (n - i - 1) + u * (i + 1)
-        return out.to_x()
-    raise UsageError(f"unknown family {family!r}; expected one of {ASSEMBLE_FAMILIES}")
+    # tildeD: the coefficients sum to n |B_(n-1)| = |B_n| / 2, so the rank-n
+    # layout holds every partial sum.
+    layout = _layout(n, 1)
+    t = [p.repack(layout) for p in _T1_STORE.rank(n - 1)]
+    out = _Packed(0, layout)
+    for i in range(n - 1):
+        u = t[i].shift_up(1) + t[n + i - 1]
+        out = out + u.shift_up(1) * (n - i - 1) + u * (i + 1)
+    return out.to_x()
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +429,6 @@ def evaluate_identity(name: str, n: int, cap: Optional[int] = None) -> tuple[boo
         return poly_equality(lhs, rhs)
 
     if name == "t_n0_equals_prev":
-        if n < 3:
-            raise UsageError("t_n0_equals_prev needs n >= 3")
         return poly_equality(refined_Tq(n).polys[0], assemble("Tq", n - 1))
 
     if name == "tilde_dual":
@@ -467,16 +442,14 @@ def evaluate_identity(name: str, n: int, cap: Optional[int] = None) -> tuple[boo
 
     if name == "k_two_methods":
         # Both routes pack in the rank-n layout, so equal entries are equal ints.
-        if n < 3:
-            raise UsageError("refined_K needs n >= 3")
+        n = _rank(n, 3, "refined_K rank")
         for i, (a, b) in enumerate(zip(_packed_K_direct(n), _K_STORE.rank(n))):
             if a.value != b.value:
                 return False, {"index": i, **poly_equality(a.to_x(), b.to_x())[1]}
         return True, None
 
     if name == "matrix_identity":
-        if n < 3:
-            raise UsageError("matrix_identity needs n >= 3")
+        n = _rank(n, 3, "matrix_identity rank")
         return _duplication_commutes(recurrence_nx_matrix(n), n)
 
     if name == "q0_reduction":
@@ -581,8 +554,8 @@ class WeightedComboSpec:
     b: tuple[Fraction, ...]
 
     def __post_init__(self):
-        a = tuple(Fraction(v) for v in self.a)
-        b = tuple(Fraction(v) for v in self.b)
+        a = tuple(_rational(v, "a weight") for v in self.a)
+        b = tuple(_rational(v, "a weight") for v in self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if len(a) != len(b):
@@ -621,7 +594,7 @@ class NXEntry:
     value: Fraction
 
     def __post_init__(self):
-        v = Fraction(self.value)
+        v = _rational(self.value, "an NXEntry value")
         object.__setattr__(self, "value", v)
         if self.is_x and v <= 0:
             raise UsageError("x-multiples must have positive coefficient")
@@ -630,11 +603,11 @@ class NXEntry:
 
 
 def nx_const(c) -> NXEntry:
-    return NXEntry(False, Fraction(c))
+    return NXEntry(False, c)
 
 
 def nx_x(c=1) -> NXEntry:
-    return NXEntry(True, Fraction(c))
+    return NXEntry(True, c)
 
 
 @dataclass(frozen=True)

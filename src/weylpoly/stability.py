@@ -235,8 +235,8 @@ def q_positive_on_positive_reals(p: QPoly) -> bool:
     """True iff p(q) > 0 for every q > 0, decided exactly.
 
     Nonnegative coefficients with at least one positive short-circuit;
-    otherwise a Sturm count certifies the absence of roots in (0, bound]
-    and one positive sample fixes the sign.
+    otherwise a Sturm count certifies no root in (0, bound], hence none on
+    (0, inf), where the leading coefficient then fixes the sign.
     """
     if p.is_zero():
         raise UsageError("q_positive_on_positive_reals of the zero polynomial")
@@ -244,9 +244,9 @@ def q_positive_on_positive_reals(p: QPoly) -> bool:
         return True
     radical, _, chain = _square_free(_positive_primitive(p.coeffs))
     bound = _cauchy_pow2_bound(radical)
-    if _count_half_open(chain, Fraction(0), Fraction(bound)) != 0:
+    if _count_half_open(chain, 0, bound) != 0:
         return False
-    return p.evaluate(1) > 0
+    return p.leading > 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ so equality tests downstream are coefficient-for-coefficient.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .exactpoly import QPoly, QXPoly, XPoly, qpoly, qxpoly, xpoly
 
 _ONE_PLUS_Q = qpoly(1, 1)
@@ -30,7 +32,7 @@ T4_TABLE: tuple[QXPoly, ...] = (
     _row((0,), (0, 1), (0, 4, 6, 1), (0, 1, 6, 4), (0, 0, 0, 1)),
 )
 
-# Rank-4 coupled family with roots rounded to 4 significant figures.
+# Rank-4 coupled family with roots rounded to 4 significant figures, kept exactly.
 K4_TABLE: tuple[XPoly, ...] = (
     xpoly(2, 32, 50, 12),
     xpoly(0, 26, 52, 18),
@@ -42,15 +44,18 @@ K4_TABLE: tuple[XPoly, ...] = (
     xpoly(0, 2, 32, 50, 12),
 )
 
-K4_ROOTS: tuple[tuple[float, ...], ...] = (
-    (-3.396, -0.7008, -0.07004),
-    (-2.246, -0.6432, 0.0),
-    (-1.555, -0.4453, 0.0),
-    (-14.28, -1.427, -0.2945, 0.0),
-    (-14.28, -1.427, -0.2945, 0.0),
-    (-8.029, -1.331, -0.1404, 0.0),
-    (-7.124, -0.7513, -0.1246, 0.0),
-    (-3.396, -0.7008, -0.07004, 0.0),
+K4_ROOTS: tuple[tuple[Fraction, ...], ...] = tuple(
+    tuple(map(Fraction, row))
+    for row in (
+        ("-3.396", "-0.7008", "-0.07004"),
+        ("-2.246", "-0.6432", "0"),
+        ("-1.555", "-0.4453", "0"),
+        ("-14.28", "-1.427", "-0.2945", "0"),
+        ("-14.28", "-1.427", "-0.2945", "0"),
+        ("-8.029", "-1.331", "-0.1404", "0"),
+        ("-7.124", "-0.7513", "-0.1246", "0"),
+        ("-3.396", "-0.7008", "-0.07004", "0"),
+    )
 )
 
 # Coupled test polynomials, z-coefficients ascending in z, each a q-tuple.

@@ -9,19 +9,14 @@ skipped check has None in place of the thunk.
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Optional, Sequence
 
 from . import tables
 from .errors import DivisibilityError, DomainError, EnumerationCapError, UsageError
-from .exactpoly import (
-    QPoly,
-    XPoly,
-    coeff_props,
-    poly_to_json,
-    qpoly,
-)
+from .exactpoly import QPoly, XPoly, _rank, _rational, coeff_props, poly_to_json, qpoly
 from .realroots import interlaces, is_real_rooted, isolate_roots, mutually_interlacing
 from .recurrences import (
     evaluate_identity,
@@ -84,11 +79,12 @@ def _check_K4_roots(i: int):
     if len(iso.intervals) != len(printed):
         return False, {"expected_roots": len(printed), "isolated": len(iso.intervals)}
     for rec, value in zip(iso.intervals, printed):
-        mid, exact = (rec.lo + rec.hi) / 2, Fraction(value)
+        mid = (rec.lo + rec.hi) / 2
         # 5e-4 is the worst-case relative half-ulp of a 4-significant-figure
         # value; sub-unit values get it as an absolute floor.
-        if abs(mid - exact) > Fraction(5, 10**4) * max(1, abs(exact)):
-            return False, {"interval": rec.to_json(), "printed": value}
+        if abs(mid - value) > Fraction(5, 10**4) * max(1, abs(value)):
+            text = str(Decimal(value.numerator) / value.denominator)  # exact: value is a decimal
+            return False, {"interval": rec.to_json(), "printed": text}
     return True, None
 
 
@@ -573,9 +569,9 @@ def run_suite(
     """Run one named suite (or all of them) and return the report."""
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    if max_n is not None and max_n < 2:
-        raise UsageError(f"max_n {max_n} is below the smallest rank 2")
-    samples = tuple(q_samples) if q_samples else DEFAULT_Q_SAMPLES
+    if max_n is not None:
+        max_n = _rank(max_n, 2, "max_n")
+    samples = tuple(_rational(q, "a q sample") for q in q_samples) if q_samples else DEFAULT_Q_SAMPLES
     for q in samples:
         if q <= 0:
             raise UsageError(f"q sample {q} is not positive")

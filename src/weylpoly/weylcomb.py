@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, EnumerationCapError, UsageError
-from .exactpoly import QPoly, QXPoly, XPoly
+from .exactpoly import QPoly, QXPoly, XPoly, _rank
 
 DEFAULT_CAP = 8
 CAP_ENV_VAR = "WEYLPOLY_CAP"
@@ -53,8 +53,7 @@ def resolve_cap(cap: int | None = None) -> int:
 
 
 def _check_cap(n: int, cap: int | None) -> None:
-    if n < 1:
-        raise UsageError("rank must be a positive integer")
+    n = _rank(n, 1, "rank")
     limit = resolve_cap(cap)
     if n > limit:
         raise EnumerationCapError(
@@ -427,8 +426,7 @@ def brute_polynomial(family: str, n: int, index: int | None = None, cap: int | N
     refined slices refined_Tq / refined_tildeT, which need ``index``.
     """
     if family == "A":
-        if n < 0:
-            raise UsageError("family A needs n >= 0")
+        n = _rank(n, 0, "family A rank")
         _check_cap(n + 1, cap)
         counts: dict[int, int] = {}
         for perm in itertools.permutations(range(1, n + 2)):

@@ -23,10 +23,26 @@ from weylpoly import (
     qxpoly,
     xpoly,
 )
-from weylpoly import realroots
+from weylpoly import (
+    WeightedComboSpec,
+    assemble,
+    brute_polynomial,
+    ceil_index,
+    count_roots_in,
+    eval_q,
+    isolate_roots,
+    nx_const,
+    nx_x,
+    realroots,
+    refined_K,
+    refined_Tq,
+    run_suite,
+    verify,
+)
 from weylpoly.exactpoly import (
     NEG_INF,
     _DensePoly,
+    _rational,
     _int_coeffs,
     _prem,
     _prs,
@@ -390,3 +406,101 @@ class TestExactOnly:
                 if is_float and ast.unparse(node) != "float('-inf')":
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
+
+    def test_no_float_literal_outside_report(self):
+        """Float literals appear only in report.py, which formats timings."""
+        found = []
+        for path in sorted(Path(weylpoly.__file__).parent.glob("*.py")):
+            if path.name == "report.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+
+_LINE = xpoly(-1, 1)
+
+# Every public entry point that takes a rational from outside, by name.
+_RATIONAL_ENTRIES = {
+    "XPoly": lambda v: XPoly((v,)),
+    "xpoly": lambda v: xpoly(1, v),
+    "evaluate": lambda v: _LINE.evaluate(v),
+    "eval_q": lambda v: eval_q(qxpoly((1, 1), (0, 1)), v),
+    "WeightedComboSpec": lambda v: WeightedComboSpec((v,), (1,)),
+    "nx_const": nx_const,
+    "nx_x": nx_x,
+    "isolate_roots width": lambda v: isolate_roots(_LINE, v),
+    "count_roots_in lo": lambda v: count_roots_in(_LINE, v, 10),
+    "count_roots_in hi": lambda v: count_roots_in(_LINE, 0, v),
+    "run_suite q samples": lambda v: run_suite("interlacing", max_n=4, q_samples=(Fraction(1, 2), v)),
+}
+
+
+class TestGate:
+    """One gate for numbers from outside: ints and Fractions pass, nothing else."""
+
+    @pytest.mark.parametrize("entry", sorted(_RATIONAL_ENTRIES))
+    @pytest.mark.parametrize("bad", [0.1, "1/2", "a", float("nan"), float("inf"), None], ids=repr)
+    def test_non_rational_rejected(self, entry, bad, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "timed_entry", lambda *args: ran.append(args))
+        with pytest.raises(UsageError):
+            _RATIONAL_ENTRIES[entry](bad)
+        assert ran == []  # run_suite raises before any check runs
+
+    @pytest.mark.parametrize("entry", sorted(_RATIONAL_ENTRIES))
+    def test_ints_and_fractions_accepted(self, entry, monkeypatch):
+        monkeypatch.setattr(verify, "timed_entry", lambda *args: None)
+        for good in (3, Fraction(7, 2)):
+            _RATIONAL_ENTRIES[entry](good)
+
+    def test_fraction_passes_through_unchanged(self):
+        v = Fraction(5, 3)
+        assert _rational(v, "v") is v
+        assert XPoly((v,)).coeffs[0] is v
+        assert type(_rational(True, "v")) is Fraction
+
+    def test_float_q_sample_raises_where_the_fraction_passes(self):
+        with pytest.raises(UsageError, match="q sample"):
+            run_suite("interlacing", max_n=4, q_samples=(0.1,))
+        report = run_suite("interlacing", max_n=4, q_samples=(Fraction(1, 10),))
+        assert report.all_passed
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: assemble("Tq", 2.5),
+            lambda: refined_Tq("4"),
+            lambda: brute_polynomial("B", 2.5),
+            lambda: brute_polynomial("A", "2"),
+            lambda: run_suite("identities", 3.5),
+            lambda: ceil_index(4.0, 1),
+            lambda: refined_K(None),
+        ],
+        ids=["assemble", "refined_Tq", "brute_B", "brute_A", "run_suite", "ceil_index", "refined_K"],
+    )
+    def test_non_integer_rank_rejected(self, call):
+        # each raised an untyped TypeError (or ran on) before the gate
+        with pytest.raises(UsageError, match="must be an integer"):
+            call()
+
+    def test_rank_below_the_least_rejected(self):
+        with pytest.raises(UsageError, match="Tq rank 1 is below the smallest rank 2"):
+            assemble("Tq", 1)
+        with pytest.raises(UsageError, match="max_n 1 is below the smallest rank 2"):
+            run_suite("identities", 1)
+
+    def test_negative_shift_rejected(self):
+        # shift_up(-1) used to return the polynomial unchanged
+        with pytest.raises(UsageError):
+            xpoly(1, 2).shift_up(-1)
+        with pytest.raises(UsageError):
+            qpoly(1, 2).shift_up(-2)
+        assert xpoly(1, 2).shift_up(0) == xpoly(1, 2)
+
+    @pytest.mark.parametrize("n", [1.5, -1, "2", None])
+    def test_non_natural_power_rejected(self, n):
+        with pytest.raises(UsageError):
+            xpoly(1, 2) ** n
+        assert xpoly(1, 1) ** 2 == xpoly(1, 2, 1)

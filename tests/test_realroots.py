@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from weylpoly import (
     assemble,
     UsageError,
     WeylPolyError,
+    QXPoly,
     XPoly,
     count_roots_in,
     interlaces,
@@ -19,6 +21,7 @@ from weylpoly import (
     isolate_roots,
     mutually_interlacing,
     poly_gcd,
+    qxpoly,
     refined_K,
     refined_T1,
     square_free,
@@ -132,6 +135,18 @@ class TestIsolateRoots:
         for mid, printed in zip(mids, K4_ROOTS[0]):
             assert abs(mid - printed) <= 5e-4 * max(1.0, abs(printed))
 
+    def test_printed_roots_are_exact_decimals(self, monkeypatch):
+        from weylpoly import tables, verify
+
+        assert K4_ROOTS[0] == (Fraction(-3396, 1000), Fraction(-7008, 10**4), Fraction(-7004, 10**5))
+        assert all(type(v) is Fraction for row in K4_ROOTS for v in row)
+        assert verify._check_K4_roots(0) == (True, None)
+        wrong = ((Fraction("-3.5"), *K4_ROOTS[0][1:]),) + K4_ROOTS[1:]
+        monkeypatch.setattr(tables, "K4_ROOTS", wrong)
+        ok, witness = verify._check_K4_roots(0)
+        assert not ok and witness["printed"] == "-3.5"
+        json.dumps(witness)
+
     def test_origin_root(self):
         iso = isolate_roots(xpoly(0, 1))
         assert len(iso.intervals) == 1
@@ -240,8 +255,44 @@ class TestSturmChain:
             ints = tuple(rng.randint(-50, 50) for _ in range(rng.randint(1, 9))) + (rng.choice([-3, 1, 7]),)
             num = rng.randint(-10**6, 10**6)
             den = rng.choice([1, 2, 8, 2**40, 3, 12, 10**9 + 7])
-            value = XPoly(ints).evaluate(Fraction(num, den))
+            value = fraction_horner(ints, Fraction(num, den))
             assert realroots._sign_at(ints, num, den) == (value > 0) - (value < 0), (ints, num, den)
+
+
+def fraction_horner(coeffs, v: Fraction) -> Fraction:
+    """Horner's rule over Fraction, independent of the integer kernel."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * v + c
+    return acc
+
+
+# dyadic and non-dyadic denominators, negative points, and integers
+_POINTS = [Fraction(n, d) for n in (-7, -1, 0, 1, 5) for d in (1, 2, 8, 2**40, 3, 12, 10**9 + 7)]
+
+
+class TestEvaluationOracle:
+    def test_xpoly_evaluate_matches_fraction_horner(self):
+        rng = random.Random(8)
+        polys = [XPoly(), xpoly(0), xpoly(Fraction(-5, 3)), xpoly(4)]
+        for _ in range(60):
+            polys.append(xpoly(*(Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(rng.randint(1, 9)))))
+        for p in polys:
+            for v in _POINTS:
+                got = p.evaluate(v)
+                assert type(got) is Fraction and got == fraction_horner(p.coeffs, v), (str(p), v)
+            assert p.evaluate(-3) == fraction_horner(p.coeffs, Fraction(-3))
+
+    def test_eval_q_matches_fraction_horner(self):
+        rng = random.Random(9)
+        polys = [QXPoly(), qxpoly((7,)), qxpoly((), (1, -1)), qxpoly((0, 1), (), (-2, 0, 3))]
+        for _ in range(30):
+            polys.append(qxpoly(*(tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 6))) for _ in range(rng.randint(1, 6)))))
+        polys.append(assemble("Tq", 6))
+        for p in polys:
+            for q in _POINTS:
+                want = XPoly(tuple(fraction_horner(c.coeffs, q) for c in p.coeffs))
+                assert p.eval_q(q) == want, (str(p), q)
 
 
 def _primitive_ref(ints):
