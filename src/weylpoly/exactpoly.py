@@ -15,8 +15,8 @@ All operations are pure and exact; mixing kinds in ring operations raises
 ``TypeError``.  JSON serialization uses decimal strings for every integer so
 round-trips are bit-exact.
 
-Every number from outside passes one gate: ``_rational`` (an int or a
-Fraction) or ``_rank`` (an integer rank); anything else raises UsageError.
+Every number from outside passes one gate, ``_rational`` (an int or a
+Fraction), ``_integer`` or ``_rank``; anything else raises UsageError.
 One integer kernel (``_int_coeffs``, ``_primitive``, ``_prem``, ``_prs``,
 ``_horner``) works on integer coefficient tuples.  ``_prs`` is its one
 remainder sequence, for ``poly_gcd`` and the Sturm chains and square-free
@@ -51,12 +51,17 @@ def _rational(v, what: str) -> Fraction:
     raise UsageError(f"{what} must be an int or a Fraction, got {v!r}")
 
 
-def _rank(n, least: int, what: str) -> int:
-    """n as an int (by ``operator.index``), at least ``least``; else UsageError."""
+def _integer(v, what: str) -> int:
+    """v as an int by ``operator.index``; a float, a string or None raises UsageError."""
     try:
-        n = operator.index(n)
+        return operator.index(v)
     except TypeError:
-        raise UsageError(f"{what} must be an integer, got {n!r}") from None
+        raise UsageError(f"{what} must be an integer, got {v!r}") from None
+
+
+def _rank(n, least: int, what: str) -> int:
+    """n through ``_integer``, at least ``least``; else UsageError."""
+    n = _integer(n, what)
     if n < least:
         raise UsageError(f"{what} {n} is below the smallest rank {least}")
     return n

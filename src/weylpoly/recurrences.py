@@ -30,11 +30,12 @@ import operator
 from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Callable, Optional, Sequence
 
 from .errors import PackingError, PreconditionError, UsageError
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _rank, _rational, _trusted, exact_divide
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _integer, _rank, _rational, _trusted, exact_divide
 from .realroots import interlaces
 from .report import ReportEntry, poly_equality, timed_entry
 from .weylcomb import brute_polynomial
@@ -57,7 +58,7 @@ def ceil_index(n: int, i: int) -> int:
 
     Equals i - 1 exactly when i >= n, and i otherwise, for 0 <= i <= 2n-1.
     """
-    n = _rank(n, 2, "ceil_index rank")
+    n, i = _rank(n, 2, "ceil_index rank"), _integer(i, "index")
     if not 0 <= i <= 2 * n - 1:
         raise UsageError(f"index {i} out of range 0..{2 * n - 1}")
     return -((-(n - 1) * i) // n)
@@ -620,6 +621,8 @@ class NXMatrix:
         width = len(self.rows[0])
         if any(len(r) != width for r in self.rows):
             raise UsageError("NXMatrix rows must have equal length")
+        if not all(isinstance(e, NXEntry) for row in self.rows for e in row):
+            raise UsageError("NXMatrix entries must be NXEntry values (nx_const or nx_x)")
 
 
 def recurrence_nx_matrix(n: int) -> NXMatrix:
@@ -634,6 +637,22 @@ def recurrence_nx_matrix(n: int) -> NXMatrix:
     )
 
 
+def _first_turn(cells, sign: int):
+    """[i, j] for the first nonzero vector (j, a_j, b_j) of ``cells`` with
+    sign * (a_i b_j - b_i a_j) < 0 against the last nonzero vector i before
+    it; None if there is none.  In the closed first quadrant that determinant
+    has the sign of the angle difference, so one sign on consecutive vectors
+    is one sign on every pair.
+    """
+    last = None
+    for k, a, b in cells:
+        if a or b:
+            if last is not None and sign * (last[1] * b - last[2] * a) < 0:
+                return [last[0], k]
+            last = (k, a, b)
+    return None
+
+
 def fisk_nx_check(m: NXMatrix) -> tuple[bool, dict | None]:
     """Criterion for a tagged matrix to preserve mutually interlacing input.
 
@@ -643,42 +662,26 @@ def fisk_nx_check(m: NXMatrix) -> tuple[bool, dict | None]:
     (3) 2x2 submatrices with a constant top row over an x row, or an
         x-multiple left column beside a constant column, have
         determinant <= 0.
+
+    (1) is one sweep over the rows; (2) and (3) are one ``_first_turn`` per
+    form on each row pair and column pair: O(r c (r + c)) in all.
     """
     rows = m.rows
-    nr, nc = len(rows), len(rows[0])
-    for r in range(nr):
-        for c in range(nc):
-            if rows[r][c].is_x:
-                for r2 in range(r + 1, nr):
-                    for c2 in range(c):
-                        if not rows[r2][c2].is_x:
-                            return False, {
-                                "kind": "southwest",
-                                "x_cell": [r, c],
-                                "cell": [r2, c2],
-                            }
-    for r1 in range(nr):
-        for r2 in range(r1 + 1, nr):
-            for c1 in range(nc):
-                for c2 in range(c1 + 1, nc):
-                    p, q = rows[r1][c1], rows[r1][c2]
-                    s, t = rows[r2][c1], rows[r2][c2]
-                    det = p.value * t.value - q.value * s.value
-                    forms = (p.is_x, q.is_x, s.is_x, t.is_x)
-                    if forms in ((False, False, False, False), (True, True, True, True)):
-                        if det < 0:
-                            return False, {
-                                "kind": "minor",
-                                "rows": [r1, r2],
-                                "cols": [c1, c2],
-                                "condition": "same-form",
-                            }
-                    elif forms == (False, False, True, True) or forms == (True, False, True, False):
-                        if det > 0:
-                            return False, {
-                                "kind": "minor",
-                                "rows": [r1, r2],
-                                "cols": [c1, c2],
-                                "condition": "mixed-form",
-                            }
+    top = (-1, 0)  # the rightmost x of the rows above, as (column, row)
+    for r, row in enumerate(rows):
+        first_const = next((c for c, e in enumerate(row) if not e.is_x), len(row))
+        if first_const < top[0]:
+            return False, {"kind": "southwest", "x_cell": [top[1], top[0]], "cell": [r, first_const]}
+        top = max(top, (max((c for c, e in enumerate(row) if e.is_x), default=-1), r))
+    for r1, r2 in combinations(range(len(rows)), 2):
+        pairs = list(enumerate(zip(rows[r1], rows[r2])))
+        for forms, sign in (((False, False), 1), ((True, True), 1), ((False, True), -1)):
+            cols = [(c, e.value, f.value) for c, (e, f) in pairs if (e.is_x, f.is_x) == forms]
+            if hit := _first_turn(cols, sign):
+                condition = "same-form" if sign > 0 else "mixed-form"
+                return False, {"kind": "minor", "rows": [r1, r2], "cols": hit, "condition": condition}
+    for c1, c2 in combinations(range(len(rows[0])), 2):
+        cells = [(r, w[c1].value, w[c2].value) for r, w in enumerate(rows) if w[c1].is_x and not w[c2].is_x]
+        if hit := _first_turn(cells, -1):
+            return False, {"kind": "minor", "rows": hit, "cols": [c1, c2], "condition": "mixed-form"}
     return True, None

@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, EnumerationCapError, UsageError
-from .exactpoly import QPoly, QXPoly, XPoly, _rank
+from .exactpoly import QPoly, QXPoly, XPoly, _integer, _rank
 
 DEFAULT_CAP = 8
 CAP_ENV_VAR = "WEYLPOLY_CAP"
@@ -42,7 +42,7 @@ CAP_ENV_VAR = "WEYLPOLY_CAP"
 
 def resolve_cap(cap: int | None = None) -> int:
     if cap is not None:
-        return cap
+        return _integer(cap, "the enumeration cap")
     env = os.environ.get(CAP_ENV_VAR)
     if env is not None:
         try:
@@ -438,6 +438,7 @@ def brute_polynomial(family: str, n: int, index: int | None = None, cap: int | N
         if index is None:
             raise UsageError(f"family {family} needs an index")
         _check_cap(n, cap)
+        index = _integer(index, "index")
         if not 0 <= index <= 2 * n - 1:
             raise UsageError("index out of range 0..2n-1")
         return _marginal(family, n, index)

@@ -477,11 +477,32 @@ class TestGate:
             lambda: run_suite("identities", 3.5),
             lambda: ceil_index(4.0, 1),
             lambda: refined_K(None),
+            lambda: brute_polynomial("refined_Tq", 3, index=1.5),
+            lambda: brute_polynomial("refined_Tq", 3, index="1"),
+            lambda: ceil_index(4, 1.5),
+            lambda: brute_polynomial("B", 3, cap="9"),
+            lambda: brute_polynomial("B", 3, cap=2.5),
+            lambda: run_suite("oracles", max_n=3, cap=3.5),
         ],
-        ids=["assemble", "refined_Tq", "brute_B", "brute_A", "run_suite", "ceil_index", "refined_K"],
+        ids=[
+            "assemble",
+            "refined_Tq",
+            "brute_B",
+            "brute_A",
+            "run_suite",
+            "ceil_index",
+            "refined_K",
+            "brute_index",
+            "brute_index_str",
+            "ceil_index_i",
+            "brute_cap_str",
+            "brute_cap",
+            "run_suite_cap",
+        ],
     )
     def test_non_integer_rank_rejected(self, call):
-        # each raised an untyped TypeError (or ran on) before the gate
+        # each raised an untyped TypeError, returned a wrong answer (index=1.5 gave
+        # the zero polynomial, ceil_index(4, 1.5) the float 2.0) or ran on before the gate
         with pytest.raises(UsageError, match="must be an integer"):
             call()
 

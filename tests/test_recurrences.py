@@ -1,4 +1,6 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -56,9 +58,9 @@ class TestCeilIndex:
                 assert ceil_index(n, i) == i - (1 if i >= n else 0)
 
     def test_range_errors(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"index 8 out of range 0\.\.7"):
             ceil_index(4, 8)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"index -1 out of range 0\.\.7"):
             ceil_index(4, -1)
         with pytest.raises(UsageError):
             ceil_index(1, 0)
@@ -342,15 +344,166 @@ class TestFisk:
         assert ok
 
     def test_recurrence_matrices(self):
-        for n in (3, 4, 7):
-            ok, violation = fisk_nx_check(recurrence_nx_matrix(n))
-            assert ok, violation
+        for n in range(2, 9):
+            m = recurrence_nx_matrix(n)
+            assert fisk_nx_check(m) == _fisk_scan(m) == (True, None)
 
     def test_entry_validation(self):
         with pytest.raises(UsageError):
             nx_x(0)
         with pytest.raises(UsageError):
             nx_const(-1)
+
+    @pytest.mark.parametrize("rows", [((1, 2),), ((nx_x(), None),), ((nx_const(1),), ("x",))], ids=repr)
+    def test_untagged_entries_rejected(self, rows):
+        # NXMatrix(((1, 2),)) used to be accepted and fisk_nx_check died with AttributeError
+        with pytest.raises(UsageError, match="NXEntry"):
+            NXMatrix(rows)
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the tagged-matrix criterion: the scan of every 2x2 submatrix
+# ---------------------------------------------------------------------------
+
+
+def _minor(r1, r2, c1, c2, condition):
+    return {"kind": "minor", "rows": [r1, r2], "cols": [c1, c2], "condition": condition}
+
+
+def _fisk_scan(m):
+    """Fisk's criterion by trying every cell pair and every 2x2 submatrix,
+    O(r^2 c^2); the witness is the first violation in row-major order."""
+    rows = m.rows
+    nr, nc = len(rows), len(rows[0])
+    for r in range(nr):
+        for c in range(nc):
+            if rows[r][c].is_x:
+                for r2 in range(r + 1, nr):
+                    for c2 in range(c):
+                        if not rows[r2][c2].is_x:
+                            return False, {"kind": "southwest", "x_cell": [r, c], "cell": [r2, c2]}
+    for r1 in range(nr):
+        for r2 in range(r1 + 1, nr):
+            for c1 in range(nc):
+                for c2 in range(c1 + 1, nc):
+                    p, q = rows[r1][c1], rows[r1][c2]
+                    s, t = rows[r2][c1], rows[r2][c2]
+                    det = p.value * t.value - q.value * s.value
+                    forms = (p.is_x, q.is_x, s.is_x, t.is_x)
+                    if forms in ((False, False, False, False), (True, True, True, True)):
+                        if det < 0:
+                            return False, _minor(r1, r2, c1, c2, "same-form")
+                    elif forms == (False, False, True, True) or forms == (True, False, True, False):
+                        if det > 0:
+                            return False, _minor(r1, r2, c1, c2, "mixed-form")
+    return True, None
+
+
+def _is_violation(m, witness):
+    """Whether ``witness`` names a real violation of the kind it states."""
+    rows = m.rows
+    if witness["kind"] == "southwest":
+        (r, c), (r2, c2) = witness["x_cell"], witness["cell"]
+        return r < r2 and c2 < c and rows[r][c].is_x and not rows[r2][c2].is_x
+    (r1, r2), (c1, c2) = witness["rows"], witness["cols"]
+    if not (r1 < r2 and c1 < c2):
+        return False
+    p, q, s, t = rows[r1][c1], rows[r1][c2], rows[r2][c1], rows[r2][c2]
+    det = p.value * t.value - q.value * s.value
+    forms = (p.is_x, q.is_x, s.is_x, t.is_x)
+    if witness["condition"] == "same-form":
+        return forms in ((False,) * 4, (True,) * 4) and det < 0
+    return forms in ((False, False, True, True), (True, False, True, False)) and det > 0
+
+
+def _violations(m):
+    """Every witness that ``_is_violation`` accepts, by trying them all."""
+    nr, nc = len(m.rows), len(m.rows[0])
+    cells = [[r, c] for r in range(nr) for c in range(nc)]
+    found = [{"kind": "southwest", "x_cell": a, "cell": b} for a in cells for b in cells]
+    pairs = itertools.product(itertools.combinations(range(nr), 2), itertools.combinations(range(nc), 2))
+    for (r1, r2), (c1, c2) in pairs:
+        found += [_minor(r1, r2, c1, c2, condition) for condition in ("same-form", "mixed-form")]
+    return [w for w in found if _is_violation(m, w)]
+
+
+def _random_tagged(rng):
+    """A random tagged matrix of at most 5 x 5: half of them staircases
+    (x left of a nondecreasing threshold per row), some with one form flipped,
+    constants often zero, values small so that minors often vanish."""
+    nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+    cuts = sorted(rng.randint(0, nc) for _ in range(nr)) if rng.random() < 0.5 else None
+    rows = []
+    for r in range(nr):
+        row = []
+        for c in range(nc):
+            is_x = c < cuts[r] if cuts else rng.random() < 0.5
+            if cuts and rng.random() < 0.05:
+                is_x = not is_x  # a broken staircase
+            value = rng.choice((1, 1, 2, Fraction(1, 2))) if is_x else rng.choice((0, 0, 1, 1, 2, Fraction(3, 2)))
+            row.append(nx_x(value) if is_x else nx_const(value))
+        rows.append(tuple(row))
+    return NXMatrix(tuple(rows))
+
+
+def _tagged(*rows):
+    """A tagged matrix from rows of ints (constants) and ("x", c) pairs."""
+    return NXMatrix(tuple(tuple(nx_x(e[1]) if isinstance(e, tuple) else nx_const(e) for e in row) for row in rows))
+
+
+X = ("x", 1)
+
+# Each matrix breaks only the condition it is named for; some of these
+# violations show only on a non-adjacent pair (a zero vector or another
+# vector between them).
+_PLANTED = {
+    "southwest": (_tagged((1, 1, X), (1, 1, 1), (X, X, X)), "southwest", None),
+    "same-form constants": (_tagged((1, 0, 2), (2, 0, 1)), "minor", "same-form"),
+    "same-form x": (_tagged((X, ("x", 2), 1), (X, X, 0)), "minor", "same-form"),
+    "constant row over x row": (_tagged((2, 2, 1), (X, X, X)), "minor", "mixed-form"),
+    "x column beside constant column": (_tagged((X, 1), (X, 2)), "minor", "mixed-form"),
+    "x column beside constant column, rows apart": (
+        _tagged((X, 1, 1), (X, X, 1), (X, 2, 2)),
+        "minor",
+        "mixed-form",
+    ),
+}
+
+
+class TestFiskOracle:
+    """fisk_nx_check against the scan of every 2x2 submatrix."""
+
+    def test_agrees_with_the_scan_on_random_matrices(self):
+        rng = random.Random(20140)
+        verdicts = {True: 0, False: 0}
+        for _ in range(3000):
+            m = _random_tagged(rng)
+            ok, witness = fisk_nx_check(m)
+            expected_ok, expected_witness = _fisk_scan(m)
+            assert ok == expected_ok, m
+            if ok:
+                assert witness is None
+            else:
+                assert _is_violation(m, witness), (m, witness)
+                assert witness["kind"] == expected_witness["kind"], m  # (1) is checked first by both
+            verdicts[ok] += 1
+        assert min(verdicts.values()) >= 600, verdicts
+
+    @pytest.mark.parametrize("name", sorted(_PLANTED))
+    def test_planted_violation_found(self, name):
+        m, kind, condition = _PLANTED[name]
+        ok, witness = fisk_nx_check(m)
+        assert not ok and witness["kind"] == kind and witness.get("condition") == condition
+        assert _is_violation(m, witness)
+        assert {(w["kind"], w.get("condition")) for w in _violations(m)} == {(kind, condition)}
+        assert _fisk_scan(m)[0] is False
+
+    def test_validator_rejects_non_violations(self):
+        m = _tagged((1, 1), (X, 1))
+        assert fisk_nx_check(m) == (True, None)
+        assert not _is_violation(m, {"kind": "southwest", "x_cell": [1, 0], "cell": [0, 1]})
+        assert not _is_violation(m, _minor(0, 1, 0, 1, "same-form"))
+        assert not _is_violation(m, _minor(0, 1, 0, 1, "mixed-form"))
 
 
 class TestDeepRanks:
