@@ -95,8 +95,7 @@ def _cmd_report(args) -> int:
         with open(args.input, "r", encoding="utf-8") as handle:
             report = VerificationReport.loads(handle.read())
     except (OSError, ValueError, UsageError) as exc:
-        print(f"error: cannot read report: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        raise UsageError(f"cannot read report: {exc}") from None
     if args.format == "json":
         print(report.dumps())
     else:

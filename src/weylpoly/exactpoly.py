@@ -17,11 +17,12 @@ round-trips are bit-exact.
 
 Every number from outside passes one gate, ``_rational`` (an int or a
 Fraction), ``_integer`` or ``_rank``; anything else raises UsageError.
-One integer kernel (``_int_coeffs``, ``_primitive``, ``_prem``, ``_prs``,
-``_horner``) works on integer coefficient tuples.  ``_prs`` is its one
-remainder sequence, for ``poly_gcd`` and the Sturm chains and square-free
-decomposition of ``realroots``; ``_horner`` is its one evaluation, for
-``evaluate``, ``eval_q`` and every Sturm sign.
+One integer kernel (``_canonical``, ``_primitive``, ``_prem``, ``_prs``,
+``_horner``) works on integer coefficient tuples.  ``_canonical`` is its one
+reduction of a polynomial, shared by all its nonzero rational multiples;
+``_prs`` its one remainder sequence, for ``poly_gcd`` and the Sturm chains
+and square-free decomposition of ``realroots``; ``_horner`` its one
+evaluation, for ``evaluate``, ``eval_q`` and every Sturm sign.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class _DensePoly:
     coefficient (a TypeError from it becomes UsageError), ``_scalars`` lists
     the types accepted as constants, ``_zero`` is the coefficient zero, and
     ``_quot`` is the exact quotient of two leading coefficients (raising
-    DivisibilityError when there is none).  Subclasses are not decorated again, so they keep ``__eq__`` and
-    the cached ``__hash__`` defined here.
+    DivisibilityError when there is none).  Subclasses are not decorated
+    again, so they keep the dataclass ``__eq__`` and ``__hash__`` (uncached).
     """
 
     coeffs: tuple = ()
@@ -94,15 +95,6 @@ class _DensePoly:
         while c and not c[-1]:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
-
-    def __hash__(self) -> int:
-        # Computed once: polynomials key the root-profile caches, and hashing
-        # a tuple of Fractions on every lookup is not cheap.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.coeffs)
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def _lift(self, v):
         """v as a polynomial of this kind, or NotImplemented."""
@@ -408,11 +400,6 @@ def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def _int_coeffs(p: XPoly) -> tuple[int, ...]:
-    """Clear denominators and divide out the content, preserving sign."""
-    return _primitive(_clear_denominators(p.coeffs)[1])
-
-
 def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """Pseudo-remainder |lc(g)| ** max(deg f - deg g + 1, 0) * rem(f, g).
 
@@ -436,9 +423,15 @@ def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
 
 
 def _positive_primitive(ints: Sequence[int]) -> tuple[int, ...]:
-    """The primitive part with a positive leading coefficient (ints nonzero)."""
+    """The primitive part with a positive leading coefficient; () for zero."""
     out = _primitive(list(ints))
-    return out if out[-1] > 0 else tuple(-c for c in out)
+    return out if not out or out[-1] > 0 else tuple(-c for c in out)
+
+
+def _canonical(p: Union[QPoly, XPoly]) -> tuple[int, ...]:
+    """Denominators cleared, content divided out, leading coefficient
+    positive; () for zero.  Every nonzero rational multiple of p has this form."""
+    return _positive_primitive(_clear_denominators(p.coeffs)[1])
 
 
 def _horner(ints: Sequence[int], num: int, den: int) -> int:
@@ -493,7 +486,7 @@ def poly_gcd(a: XPoly, b: XPoly) -> XPoly:
     """Monic greatest common divisor over the rationals, by ``_int_gcd``."""
     if a.is_zero() and b.is_zero():
         raise UsageError("gcd of two zero polynomials is undefined")
-    return XPoly(_int_gcd(_int_coeffs(a), _int_coeffs(b))).monic()
+    return XPoly(_int_gcd(_canonical(a), _canonical(b))).monic()
 
 
 # ---------------------------------------------------------------------------

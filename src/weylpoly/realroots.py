@@ -1,11 +1,11 @@
 """Certified real-root counting, isolation, and interlacing over exact rationals.
 
 Everything here is driven by Sturm chains with integer coefficients, built
-on the integer kernel of ``exactpoly``: input polynomials are cleared of
-denominators and made primitive, and the chain of p is ``_prs(p, p')``, the
-kernel's one primitive polynomial remainder sequence (Collins 1967, Brown
-1971).  The pseudo-remainder scales by a positive power of the divisor's
-leading coefficient, so sign variations are preserved.  Sign evaluations at
+on the integer kernel of ``exactpoly``: each public entry reduces its input
+once to its canonical integer form ``_canonical``, and the chain of p is
+``_prs(p, p')``, the kernel's one primitive polynomial remainder sequence
+(Collins 1967, Brown 1971).  The pseudo-remainder scales by a positive power
+of the divisor's leading coefficient, so sign variations are preserved.  Sign evaluations at
 a rational point num/den run on the kernel's integer Horner ``_horner``,
 with shifts in place of the powers of den at a dyadic point.  Root counts
 use the half-open convention: the Sturm variation difference V(lo) - V(hi)
@@ -24,8 +24,9 @@ half first, until each cell holds one root, so the cells come out in
 ascending order, and decide each root's multiplicity (one count per Yun
 factor); at a point beyond Fujiwara's root bound the count is read from the
 leading coefficients of the chain.  The root profile of a polynomial
-(radical, chain, cells) is cached in a bounded LRU and never changes once
-built; real-rootedness is read from it.
+(radical, chain, cells) is cached in a bounded LRU keyed by the canonical
+form, so a polynomial and its nonzero rational multiples share one entry; it
+never changes once built, and real-rootedness is read from it.
 
 Refinement is sign-only.  A cell holding one root of the square-free radical
 holds a simple root, so the radical's sign at the midpoint, against its sign
@@ -59,8 +60,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import PreconditionError, UsageError, WeylPolyError
-from .exactpoly import QPoly, XPoly, _clear_denominators, _derivative, _horner, _int_coeffs, _int_gcd
-from .exactpoly import _positive_primitive, _prs, _rational
+from .exactpoly import QPoly, XPoly, _canonical, _derivative, _horner, _int_gcd, _positive_primitive, _prs
+from .exactpoly import _rational
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -260,19 +261,18 @@ class _Rec:
 
 
 class _Profile:
-    """Radical, Sturm chain, and isolating cells for one polynomial.
+    """Radical, Sturm chain, and isolating cells of a nonzero ``_canonical`` form.
 
     A profile does not change after construction: ``records`` are the cells
     of the initial isolation, and every caller refines copies of them.
     """
 
-    def __init__(self, p: XPoly):
-        if p.is_zero():
-            raise UsageError("the zero polynomial has no root profile")
-        ints = _positive_primitive(_clear_denominators(p.coeffs)[1])
+    def __init__(self, ints: tuple[int, ...]):
         self.rad_ints, self.factors, self.chain = _square_free(ints)
         self.records: list[_Rec] = self._isolate()
         self._assign_multiplicities()
+        # real-rooted: the real roots, counted with multiplicity, exhaust the degree
+        self.real_rooted = sum(rec.mult for rec in self.records) == len(ints) - 1
 
     def _isolate(self) -> list[_Rec]:
         b = _cauchy_pow2_bound(self.rad_ints).bit_length() - 1
@@ -330,10 +330,6 @@ class _Profile:
             out.append(RootInterval(cell.lo, cell.hi, rec.mult))
         return tuple(out)
 
-    @property
-    def real_root_count(self) -> int:
-        return sum(rec.mult for rec in self.records)
-
 
 _profile = lru_cache(maxsize=4096)(_Profile)
 
@@ -351,7 +347,7 @@ def square_free(p: XPoly) -> tuple[XPoly, tuple[RootInterval, ...]]:
     """
     if p.is_zero():
         raise UsageError("square_free of the zero polynomial")
-    prof = _profile(p)
+    prof = _profile(_canonical(p))
     return XPoly(prof.rad_ints).monic(), prof.intervals(DEFAULT_WIDTH)
 
 
@@ -359,7 +355,7 @@ def count_roots_in(p: XPoly, lo: Fraction, hi: Fraction) -> int:
     """Exact number of distinct real roots of square-free p in (lo, hi]."""
     if p.is_zero():
         raise UsageError("count_roots_in of the zero polynomial")
-    chain = _sturm_chain(_int_coeffs(p))
+    chain = _sturm_chain(_canonical(p))
     if len(chain[-1]) > 1:  # the chain ends in gcd(p, p')
         raise UsageError("count_roots_in requires a square-free polynomial")
     lo, hi = _rational(lo, "lo"), _rational(hi, "hi")
@@ -380,14 +376,14 @@ def isolate_roots(p: XPoly, width: Fraction = DEFAULT_WIDTH) -> RootIsolation:
     width = _rational(width, "width")
     if width <= 0:
         raise UsageError("isolate_roots requires a positive width")
-    return RootIsolation(_profile(p).intervals(width), int(p.degree))
+    return RootIsolation(_profile(_canonical(p)).intervals(width), int(p.degree))
 
 
 def is_real_rooted(p: XPoly) -> bool:
     """True iff the real roots, counted with multiplicity, exhaust the degree."""
     if p.is_zero():
         raise UsageError("is_real_rooted of the zero polynomial")
-    return _profile(p).real_root_count == p.degree
+    return _profile(_canonical(p)).real_rooted
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +398,8 @@ def _below(p: tuple[int, int], q: tuple[int, int]) -> bool:
     return p[0] * q[1] < q[0] * p[1]
 
 
-def _merged_positions(polys: Sequence[XPoly]) -> list[list[tuple[int, _Rec]]]:
-    """Per member, (position in the merged root order, cell) for each root.
+def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec]]]:
+    """Per member profile, (position in the merged root order, cell) for each root.
 
     Roots are listed with multiplicity and ascending; equal positions mean
     the same root.  The sweep works on copies of the cached initial cells.
@@ -413,7 +409,6 @@ def _merged_positions(polys: Sequence[XPoly]) -> list[list[tuple[int, _Rec]]]:
     the cells, and every group left of index k lies wholly left of all the
     groups after it.
     """
-    profiles = [_profile(p) for p in polys]
     order = []
     for owner, prof in enumerate(profiles):
         for rec in prof.records:
@@ -509,9 +504,10 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
             raise PreconditionError(f"{name} must be nonzero")
         if p.leading <= 0:
             raise PreconditionError(f"{name} must have a positive leading coefficient")
-    if not is_real_rooted(g) or not is_real_rooted(f):
+    profiles = [_profile(_canonical(p)) for p in (g, f)]
+    if not all(prof.real_rooted for prof in profiles):
         raise PreconditionError("interlaces requires real-rooted inputs")
-    return _relation(*_merged_positions([g, f]))
+    return _relation(*_merged_positions(profiles))
 
 
 def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -529,18 +525,18 @@ def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, Optional[tuple[int,
     """
     if not fs:
         raise UsageError("mutually_interlacing of an empty sequence")
+    profiles = []
     for k, p in enumerate(fs):
         if p.is_zero():
             raise PreconditionError(f"entry {k} is the zero polynomial")
-        if p.degree == 0:
-            if p.leading <= 0:
-                raise PreconditionError(f"entry {k} is a nonpositive constant")
-            continue
+        if p.degree == 0 and p.leading <= 0:
+            raise PreconditionError(f"entry {k} is a nonpositive constant")
         if any(c < 0 for c in p.coeffs):
             raise PreconditionError(f"entry {k} has negative coefficients")
-        if not is_real_rooted(p):
+        profiles.append(_profile(_canonical(p)))
+        if not profiles[-1].real_rooted:
             raise PreconditionError(f"entry {k} is not real-rooted")
-    positions = _merged_positions(fs)
+    positions = _merged_positions(profiles)
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             if not _relation(positions[i], positions[j]).holds:

@@ -35,7 +35,8 @@ from math import factorial
 from typing import Callable, Optional, Sequence
 
 from .errors import PackingError, PreconditionError, UsageError
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _integer, _rank, _rational, _trusted, exact_divide
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _integer, _rank, _rational
+from .exactpoly import _trusted, exact_divide
 from .realroots import interlaces
 from .report import ReportEntry, poly_equality, timed_entry
 from .weylcomb import brute_polynomial
@@ -616,13 +617,14 @@ class NXMatrix:
     rows: tuple[tuple[NXEntry, ...], ...]
 
     def __post_init__(self):
+        ok = isinstance(self.rows, Sequence) and all(isinstance(r, Sequence) for r in self.rows)
+        if not ok or not all(isinstance(e, NXEntry) for r in self.rows for e in r):
+            raise UsageError("NXMatrix rows must be sequences of NXEntry values (nx_const or nx_x)")
         if not self.rows:
             raise UsageError("NXMatrix must be nonempty")
         width = len(self.rows[0])
         if any(len(r) != width for r in self.rows):
             raise UsageError("NXMatrix rows must have equal length")
-        if not all(isinstance(e, NXEntry) for row in self.rows for e in row):
-            raise UsageError("NXMatrix entries must be NXEntry values (nx_const or nx_x)")
 
 
 def recurrence_nx_matrix(n: int) -> NXMatrix:
@@ -664,24 +666,27 @@ def fisk_nx_check(m: NXMatrix) -> tuple[bool, dict | None]:
         determinant <= 0.
 
     (1) is one sweep over the rows; (2) and (3) are one ``_first_turn`` per
-    form on each row pair and column pair: O(r c (r + c)) in all.
+    form on each row pair and column pair: O(r c (r + c)) in all.  Each row
+    is read once, as forms and as integers scaled by the lcm of its
+    denominators; a 2x2 minor spans two rows, so that keeps its sign.
     """
-    rows = m.rows
+    forms = [tuple(e.is_x for e in row) for row in m.rows]
+    values = [_clear_denominators([e.value for e in row])[1] for row in m.rows]
     top = (-1, 0)  # the rightmost x of the rows above, as (column, row)
-    for r, row in enumerate(rows):
-        first_const = next((c for c, e in enumerate(row) if not e.is_x), len(row))
+    for r, row in enumerate(forms):
+        first_const = next((c for c, x in enumerate(row) if not x), len(row))
         if first_const < top[0]:
             return False, {"kind": "southwest", "x_cell": [top[1], top[0]], "cell": [r, first_const]}
-        top = max(top, (max((c for c, e in enumerate(row) if e.is_x), default=-1), r))
-    for r1, r2 in combinations(range(len(rows)), 2):
-        pairs = list(enumerate(zip(rows[r1], rows[r2])))
-        for forms, sign in (((False, False), 1), ((True, True), 1), ((False, True), -1)):
-            cols = [(c, e.value, f.value) for c, (e, f) in pairs if (e.is_x, f.is_x) == forms]
+        top = max(top, (max((c for c, x in enumerate(row) if x), default=-1), r))
+    for r1, r2 in combinations(range(len(forms)), 2):
+        pairs = list(enumerate(zip(forms[r1], forms[r2], values[r1], values[r2])))
+        for form, sign in (((False, False), 1), ((True, True), 1), ((False, True), -1)):
+            cols = [(c, a, b) for c, (e, f, a, b) in pairs if (e, f) == form]
             if hit := _first_turn(cols, sign):
                 condition = "same-form" if sign > 0 else "mixed-form"
                 return False, {"kind": "minor", "rows": [r1, r2], "cols": hit, "condition": condition}
-    for c1, c2 in combinations(range(len(rows[0])), 2):
-        cells = [(r, w[c1].value, w[c2].value) for r, w in enumerate(rows) if w[c1].is_x and not w[c2].is_x]
+    for c1, c2 in combinations(range(len(forms[0])), 2):
+        cells = [(r, v[c1], v[c2]) for r, (f, v) in enumerate(zip(forms, values)) if f[c1] and not f[c2]]
         if hit := _first_turn(cells, -1):
             return False, {"kind": "minor", "rows": hit, "cols": [c1, c2], "condition": "mixed-form"}
     return True, None

@@ -42,7 +42,7 @@ from math import comb, isqrt
 from typing import Optional, Union
 
 from .errors import DivisibilityError, PreconditionError, StabilityInapplicableError, UsageError
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _int_quot, _positive_primitive
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _canonical, _clear_denominators, _int_quot
 from .realroots import (
     STRICT, WEAK, InterlacingVerdict, _cauchy_pow2_bound, _count_half_open, _square_free, interlaces
 )
@@ -242,7 +242,7 @@ def q_positive_on_positive_reals(p: QPoly) -> bool:
         raise UsageError("q_positive_on_positive_reals of the zero polynomial")
     if all(c >= 0 for c in p.coeffs):
         return True
-    radical, _, chain = _square_free(_positive_primitive(p.coeffs))
+    radical, _, chain = _square_free(_canonical(p))
     bound = _cauchy_pow2_bound(radical)
     if _count_half_open(chain, 0, bound) != 0:
         return False

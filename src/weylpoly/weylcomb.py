@@ -20,7 +20,8 @@ depth-first walk over the signed prefixes of rank n fills a joint count
 table of a few thousand cells (1188 at rank 6), cached per rank, and every
 family is a marginal of that table.  A cap (default 8, overridable per call
 or via the WEYLPOLY_CAP environment variable) guards against accidental huge
-enumerations; it is checked before any walk or cache lookup.
+enumerations; it is checked before any walk or cache lookup, and when a
+stream is made rather than at its first object.
 """
 
 from __future__ import annotations
@@ -161,26 +162,28 @@ class InvStatRecord:
 def signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
     """All 2^n * n! signed permutations of rank n."""
     _check_cap(n, cap)
-    for signs in itertools.product((1, -1), repeat=n):
-        for perm in itertools.permutations(range(1, n + 1)):
-            yield _trusted(SignedPerm, tuple(s * v for s, v in zip(signs, perm)))
+    return (
+        _trusted(SignedPerm, tuple(s * v for s, v in zip(signs, perm)))
+        for signs in itertools.product((1, -1), repeat=n)
+        for perm in itertools.permutations(range(1, n + 1))
+    )
 
 
 def even_signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
     """Signed permutations with an even number of negative entries."""
     _check_cap(n, cap)
-    for signs in itertools.product((1, -1), repeat=n):
-        if signs.count(-1) % 2:
-            continue
-        for perm in itertools.permutations(range(1, n + 1)):
-            yield _trusted(SignedPerm, tuple(s * v for s, v in zip(signs, perm)))
+    return (
+        _trusted(SignedPerm, tuple(s * v for s, v in zip(signs, perm)))
+        for signs in itertools.product((1, -1), repeat=n)
+        if not signs.count(-1) % 2
+        for perm in itertools.permutations(range(1, n + 1))
+    )
 
 
 def inversion_sequences(n: int, cap: int | None = None) -> Iterator[InvSeq]:
     """All 2^n * n! inversion sequences of length n."""
     _check_cap(n, cap)
-    for e in itertools.product(*(range(2 * i) for i in range(1, n + 1))):
-        yield _trusted(InvSeq, e)
+    return (_trusted(InvSeq, e) for e in itertools.product(*(range(2 * i) for i in range(1, n + 1))))
 
 
 _ENUMERATORS = {

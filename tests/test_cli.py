@@ -194,8 +194,9 @@ class TestReport:
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
-        code, _, _ = run(capsys, "report", str(path))
-        assert code == 2
+        code, out, err = run(capsys, "report", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read report: ")
 
     @pytest.mark.parametrize(
         "payload",
@@ -203,19 +204,21 @@ class TestReport:
             [1, 2],
             {"entries": 5},
             {"entries": [{"check_id": "alpha", "verdict": "pass", "witness": None, "elapsed_ms": 1.0}]},
+            {"entries": [{"check_id": "beta", "parameters": {}, "verdict": "fail", "witness": None, "elapsed_ms": 1.0}]},
         ],
-        ids=["top_level_list", "entries_not_a_list", "entry_without_parameters"],
+        ids=["top_level_list", "entries_not_a_list", "entry_without_parameters", "fail_without_witness"],
     )
     def test_wrong_structure_exits_2(self, tmp_path, capsys, payload):
         path = tmp_path / "report.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        code, _, err = run(capsys, "report", str(path))
-        assert code == 2
-        assert "internal error" not in err
+        code, out, err = run(capsys, "report", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read report: ")
 
-    def test_missing_file_exits_2(self, capsys):
-        code, _, _ = run(capsys, "report", "/nonexistent/report.json")
-        assert code == 2
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "report", str(tmp_path / "absent.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read report: ")
 
 
 class TestReportTypes:

@@ -29,6 +29,7 @@ from weylpoly import (
     brute_polynomial,
     ceil_index,
     count_roots_in,
+    enumerate_objects,
     eval_q,
     isolate_roots,
     nx_const,
@@ -42,8 +43,8 @@ from weylpoly import (
 from weylpoly.exactpoly import (
     NEG_INF,
     _DensePoly,
+    _canonical,
     _rational,
-    _int_coeffs,
     _prem,
     _prs,
     poly_to_json,
@@ -154,9 +155,8 @@ class TestArith:
 
 
 class TestHash:
-    def test_every_kind_uses_the_cached_hash(self):
+    def test_every_kind_uses_the_base_equality(self):
         for cls in (XPoly, QPoly, QXPoly):
-            assert cls.__hash__ is _DensePoly.__hash__
             assert cls.__eq__ is _DensePoly.__eq__
 
     def test_equal_polynomials_hash_equal(self):
@@ -169,27 +169,22 @@ class TestHash:
             assert a == b and a is not b
             assert hash(a) == hash(b)
 
-    def test_second_hash_does_not_recompute(self, monkeypatch):
-        calls = []
-        fraction_hash = Fraction.__hash__
-
-        def counting_hash(self):
-            calls.append(self)
-            return fraction_hash(self)
-
-        p = xpoly(3, Fraction(1, 2), 7, 1)
-        monkeypatch.setattr(Fraction, "__hash__", counting_hash)
-        first = hash(p)
-        assert len(calls) == len(p.coeffs)
-        assert hash(p) == first
-        assert len(calls) == len(p.coeffs)
-
     def test_profile_cache_hits_an_equal_polynomial(self):
+        # an equal copy and every nonzero rational multiple share one profile
         p = xpoly(2, 3, 1) * xpoly(5, 1)
-        realroots._profile(p)
-        hits = realroots._profile.cache_info().hits
-        assert is_real_rooted(xpoly(2, 3, 1) * xpoly(5, 1))
-        assert realroots._profile.cache_info().hits == hits + 1
+        multiples = [
+            xpoly(2, 3, 1) * xpoly(5, 1),
+            p * 2,
+            p * Fraction(1, 3),
+            -p,
+            p * Fraction(-7, 2),
+        ]
+        realroots._profile.cache_clear()
+        assert is_real_rooted(p)
+        for q in multiples:
+            assert is_real_rooted(q), str(q)
+        info = realroots._profile.cache_info()
+        assert (info.misses, info.hits) == (1, len(multiples))
 
 
 class TestExactDivide:
@@ -288,7 +283,7 @@ class TestGcd:
             assert got == from_sympy(want.monic()), (str(a), str(b))
             assert got == fraction_euclid_gcd(a, b)
             for f, g in ((a, b), (b, a)):
-                last = _prs(_int_coeffs(f), _int_coeffs(g))[-1]
+                last = _prs(_canonical(f), _canonical(g))[-1]
                 assert XPoly(last).monic() == from_sympy(want.monic()), (str(f), str(g))
 
     def test_zero_or_constant_operand(self):
@@ -299,10 +294,13 @@ class TestGcd:
 
 
 class TestIntegerKernel:
-    def test_int_coeffs_is_primitive_and_keeps_sign(self):
-        assert _int_coeffs(xpoly(Fraction(-1, 2), Fraction(3, 4), 0)) == (-2, 3)
-        assert _int_coeffs(xpoly(4, -6)) == (2, -3)
-        assert _int_coeffs(XPoly()) == ()
+    def test_canonical_is_primitive_with_positive_leading_coefficient(self):
+        assert _canonical(xpoly(Fraction(-1, 2), Fraction(3, 4), 0)) == (-2, 3)
+        assert _canonical(xpoly(4, -6)) == (-2, 3)
+        assert _canonical(xpoly(Fraction(2, 3), Fraction(-4, 9))) == (-3, 2)
+        assert _canonical(xpoly(Fraction(-5, 7))) == (1,)
+        assert _canonical(qpoly(6, 0, -4)) == (-3, 0, 2)
+        assert _canonical(XPoly()) == ()
 
     def test_prem_is_positive_power_times_rational_remainder(self):
         rng = random.Random(5)
@@ -483,6 +481,7 @@ class TestGate:
             lambda: brute_polynomial("B", 3, cap="9"),
             lambda: brute_polynomial("B", 3, cap=2.5),
             lambda: run_suite("oracles", max_n=3, cap=3.5),
+            lambda: enumerate_objects("signed_perms", 2.5),
         ],
         ids=[
             "assemble",
@@ -498,6 +497,7 @@ class TestGate:
             "brute_cap_str",
             "brute_cap",
             "run_suite_cap",
+            "enumerate_objects",
         ],
     )
     def test_non_integer_rank_rejected(self, call):

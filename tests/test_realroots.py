@@ -28,7 +28,7 @@ from weylpoly import (
     xpoly,
 )
 from weylpoly import exactpoly, realroots
-from weylpoly.exactpoly import X_ONE, _derivative, _int_coeffs, exact_divide
+from weylpoly.exactpoly import X_ONE, _canonical, _derivative, exact_divide
 from weylpoly.realroots import _cauchy_pow2_bound, _square_free, _sturm_chain
 from weylpoly.tables import K4_TABLE, K4_ROOTS
 
@@ -245,7 +245,7 @@ class TestSturmChain:
         for p in inputs:
             if p.degree < 1:
                 continue
-            ints = _int_coeffs(p)
+            ints = _canonical(p)
             assert _sturm_chain(ints) == fraction_sturm_chain(ints), str(p)
 
 
@@ -375,7 +375,7 @@ def yun_full_line_real_rooted(p: XPoly) -> bool:
     total = 0
     for mult, fac in fraction_yun(p):
         if fac.degree >= 1:
-            chain = fraction_sturm_chain(_int_coeffs(fac))
+            chain = fraction_sturm_chain(_canonical(fac))
             total += mult * (sign_changes_at_infinity(chain, -1) - sign_changes_at_infinity(chain, 1))
     return total == p.degree
 
@@ -422,12 +422,12 @@ class TestIntegerSquareFree:
         for p in sqf_cases():
             if p.degree < 1:
                 continue
-            radical, factors, chain = _square_free(_int_coeffs(p.monic()))
+            radical, factors, chain = _square_free(_canonical(p.monic()))
             assert chain == fraction_sturm_chain(radical), str(p)
-            assert list(factors) == [(m, _int_coeffs(f)) for m, f in fraction_yun(p)], str(p)
-            assert radical == _int_coeffs(fraction_radical(p)), str(p)
+            assert list(factors) == [(m, _canonical(f)) for m, f in fraction_yun(p)], str(p)
+            assert radical == _canonical(fraction_radical(p)), str(p)
             _, sym = sp.sqf_list(to_sympy(p))
-            assert dict(factors) == {m: _int_coeffs(from_sympy(f).monic()) for f, m in sym}, str(p)
+            assert dict(factors) == {m: _canonical(from_sympy(f).monic()) for f, m in sym}, str(p)
 
     def test_public_answers_match_the_fraction_route(self):
         for p in sqf_cases():
@@ -455,7 +455,7 @@ class TestIntegerSquareFree:
             polys.append(xpoly(*[rng.randint(-2**40, 2**40) for _ in range(rng.randint(1, 6))], rng.choice([-5, -1, 1, 3, 2**41])))
         for p in polys:
             if p.degree >= 1:
-                ints = _int_coeffs(p)
+                ints = _canonical(p)
                 assert _cauchy_pow2_bound(ints) == fraction_cauchy_bound(ints), str(p)
 
 
@@ -463,7 +463,7 @@ class TestOneChainPerPolynomial:
     """gcd(p, p') comes from p's one Sturm chain: one pseudo-remainder sequence starts at p."""
 
     def remainder_sequences_from(self, monkeypatch, p, call) -> int:
-        ints = _int_coeffs(p)
+        ints = _canonical(p)
         starts = []
         prem = exactpoly._prem
 
@@ -478,7 +478,7 @@ class TestOneChainPerPolynomial:
 
     def test_profile_of_a_repeated_root_polynomial(self, monkeypatch):
         p = assemble("tildeD", 12) * xpoly(1, 1) ** 2
-        assert self.remainder_sequences_from(monkeypatch, p, lambda: realroots._profile(p)) == 1
+        assert self.remainder_sequences_from(monkeypatch, p, lambda: realroots._profile(_canonical(p))) == 1
 
     def test_count_roots_in(self, monkeypatch):
         p = assemble("tildeD", 12)
@@ -561,7 +561,7 @@ class TestInvariants:
     def test_full_bracket_count_matches_interval_count(self):
         for p in K4_TABLE:
             radical = fraction_radical(p)
-            bound = Fraction(fraction_cauchy_bound(_int_coeffs(radical)))
+            bound = Fraction(fraction_cauchy_bound(_canonical(radical)))
             iso = isolate_roots(p)
             assert count_roots_in(radical, -bound, bound) == len(iso.intervals)
 
@@ -578,7 +578,7 @@ class TestInvariants:
         for fam in (refined_T1(5), refined_K(5, "direct").polys):
             for p in fam:
                 radical = fraction_radical(p)
-                bound = Fraction(fraction_cauchy_bound(_int_coeffs(radical)))
+                bound = Fraction(fraction_cauchy_bound(_canonical(radical)))
                 assert count_roots_in(radical, 0, bound) == 0
 
     def test_partial_sums_of_mutually_interlacing_family(self):
@@ -685,8 +685,8 @@ def full_chain_isolation(p: XPoly, width: Fraction = realroots.DEFAULT_WIDTH):
     radical = fraction_radical(p)
     if radical.degree < 1:
         return ()
-    chain = _sturm_chain(_int_coeffs(radical))
-    bound = Fraction(fraction_cauchy_bound(_int_coeffs(radical)))
+    chain = _sturm_chain(_canonical(radical))
+    bound = Fraction(fraction_cauchy_bound(_canonical(radical)))
     stack = [(-bound, bound, chain_variations(chain, -bound), chain_variations(chain, bound))]
     cells = []
     while stack:
@@ -697,7 +697,7 @@ def full_chain_isolation(p: XPoly, width: Fraction = realroots.DEFAULT_WIDTH):
             mid = (lo + hi) / 2
             vm = chain_variations(chain, mid)
             stack += [(lo, mid, vl, vm), (mid, hi, vm, vh)]
-    factor_chains = [(m, _sturm_chain(_int_coeffs(fac))) for m, fac in factors if fac.degree >= 1]
+    factor_chains = [(m, _sturm_chain(_canonical(fac))) for m, fac in factors if fac.degree >= 1]
     out = []
     for lo, hi, vl, vh in sorted(cells):
         mult = next(m for m, ch in factor_chains if chain_variations(ch, lo) - chain_variations(ch, hi) == 1)
@@ -780,10 +780,10 @@ class TestSignOnlyRefinement:
         width = Fraction(1, 2**10)
         realroots._profile.cache_clear()
         before = isolate_roots(p, width).intervals
-        records = [dataclasses.astuple(r) for r in realroots._profile(p).records]
+        records = [dataclasses.astuple(r) for r in realroots._profile(_canonical(p)).records]
         isolate_roots(p, width / 2**20)
         assert isolate_roots(p, width).intervals == before
-        assert [dataclasses.astuple(r) for r in realroots._profile(p).records] == records
+        assert [dataclasses.astuple(r) for r in realroots._profile(_canonical(p)).records] == records
         assert realroots._profile.cache_info().currsize == 1
 
     def test_interlacing_does_not_move_reported_intervals(self):
@@ -822,11 +822,11 @@ def pairwise_relation(g: XPoly, f: XPoly) -> str:
         return "incomparable"
     if dg == 0:
         return "weak"
-    pf, pg = realroots._profile(f), realroots._profile(g)
+    pf, pg = realroots._profile(_canonical(f)), realroots._profile(_canonical(g))
     rf = [dataclasses.replace(r) for r in pf.records]
     rg = [dataclasses.replace(r) for r in pg.records]
     common = poly_gcd(XPoly(pf.rad_ints), XPoly(pg.rad_ints))
-    common_chain = _sturm_chain(_int_coeffs(common)) if common.degree >= 1 else None
+    common_chain = _sturm_chain(_canonical(common)) if common.degree >= 1 else None
     events = []
     i = j = 0
     while i < len(rf) or j < len(rg):

@@ -354,9 +354,14 @@ class TestFisk:
         with pytest.raises(UsageError):
             nx_const(-1)
 
-    @pytest.mark.parametrize("rows", [((1, 2),), ((nx_x(), None),), ((nx_const(1),), ("x",))], ids=repr)
+    @pytest.mark.parametrize(
+        "rows",
+        [((1, 2),), ((nx_x(), None),), ((nx_const(1),), ("x",)), (1,), ((nx_const(1),), 5), 5, None],
+        ids=repr,
+    )
     def test_untagged_entries_rejected(self, rows):
-        # NXMatrix(((1, 2),)) used to be accepted and fisk_nx_check died with AttributeError
+        # NXMatrix(((1, 2),)) used to be accepted and fisk_nx_check died with AttributeError;
+        # a row or a matrix that is not a sequence, such as (1,) or 5, raised an untyped TypeError
         with pytest.raises(UsageError, match="NXEntry"):
             NXMatrix(rows)
 
@@ -430,7 +435,8 @@ def _violations(m):
 def _random_tagged(rng):
     """A random tagged matrix of at most 5 x 5: half of them staircases
     (x left of a nondecreasing threshold per row), some with one form flipped,
-    constants often zero, values small so that minors often vanish."""
+    constants often zero, values small so that minors often vanish, and
+    halves and thirds mixed so that rows differ in their denominators."""
     nr, nc = rng.randint(1, 5), rng.randint(1, 5)
     cuts = sorted(rng.randint(0, nc) for _ in range(nr)) if rng.random() < 0.5 else None
     rows = []
@@ -440,7 +446,10 @@ def _random_tagged(rng):
             is_x = c < cuts[r] if cuts else rng.random() < 0.5
             if cuts and rng.random() < 0.05:
                 is_x = not is_x  # a broken staircase
-            value = rng.choice((1, 1, 2, Fraction(1, 2))) if is_x else rng.choice((0, 0, 1, 1, 2, Fraction(3, 2)))
+            if is_x:
+                value = rng.choice((1, 1, 2, Fraction(1, 2), Fraction(2, 3)))
+            else:
+                value = rng.choice((0, 0, 1, 1, 2, Fraction(3, 2), Fraction(5, 3)))
             row.append(nx_x(value) if is_x else nx_const(value))
         rows.append(tuple(row))
     return NXMatrix(tuple(rows))

@@ -89,6 +89,16 @@ class TestEnumeration:
         with pytest.raises(UsageError):
             list(enumerate_objects("nope", 2))
 
+    @pytest.mark.parametrize("stream", [signed_perms, even_signed_perms, inversion_sequences])
+    def test_cap_checked_when_the_stream_is_made(self, stream):
+        # each of these used to return a generator and raise only at its first next()
+        with pytest.raises(EnumerationCapError):
+            stream(50)
+        with pytest.raises(UsageError):
+            stream(2.5)
+        with pytest.raises(EnumerationCapError):
+            enumerate_objects(stream.__name__, 50)
+
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
             next(signed_perms(9))
