@@ -64,6 +64,7 @@ from .recurrences import (
     refined_affine_T,
     weighted_combination,
 )
+from . import realroots, recurrences, weylcomb
 from .report import ReportEntry, VerificationReport
 from .stability import (
     CPairResult,
@@ -93,3 +94,15 @@ from .weylcomb import (
 )
 
 __version__ = "0.1.0"
+
+
+def cache_info() -> dict[str, dict[str, int]]:
+    """Hits, misses, maxsize and currsize of each of the package's five caches, by name."""
+    caches = {
+        "weylcomb._joint_table": weylcomb._joint_table,
+        "recurrences._TQ_STORE": recurrences._TQ_STORE,
+        "recurrences._T1_STORE": recurrences._T1_STORE,
+        "recurrences._K_STORE": recurrences._K_STORE,
+        "realroots._profile": realroots._profile,
+    }
+    return {name: dict(zip(("hits", "misses", "maxsize", "currsize"), c.cache_info())) for name, c in caches.items()}

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd as int_gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import DivisibilityError, UsageError
+from .record import Record
 
 NEG_INF = float("-inf")
 
@@ -73,28 +73,30 @@ def _rank(n, least: int, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _DensePoly:
+class _DensePoly(Record):
     """Dense polynomial, ascending coefficients, generic over the ring.
 
-    Subclasses set four class constants: ``_coerce`` converts one
-    coefficient (a TypeError from it becomes UsageError), ``_scalars`` lists
-    the types accepted as constants, ``_zero`` is the coefficient zero, and
-    ``_quot`` is the exact quotient of two leading coefficients (raising
-    DivisibilityError when there is none).  Subclasses are not decorated
-    again, so they keep the dataclass ``__eq__`` and ``__hash__`` (uncached).
+    Subclasses add no field (``__slots__ = ()``) and set four class
+    constants: ``_coerce`` converts one coefficient (a TypeError from it
+    becomes UsageError), ``_scalars`` lists the types accepted as constants,
+    ``_zero`` is the coefficient zero, and ``_quot`` is the exact quotient of
+    two leading coefficients (raising DivisibilityError when there is none).
+    Equal polynomials of one kind hash equal (uncached).
     """
 
-    coeffs: tuple = ()
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
+    def __init__(self, coeffs: tuple = ()):
         try:
-            c = tuple(map(self._coerce, self.coeffs))
+            c = tuple(map(self._coerce, coeffs))
         except TypeError:
-            raise UsageError(f"{type(self).__name__} coefficients of the wrong kind: {self.coeffs!r}") from None
+            raise UsageError(f"{type(self).__name__} coefficients of the wrong kind: {coeffs!r}") from None
         while c and not c[-1]:
             c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
+        self._setters[0](self, c)
+
+    def _values(self) -> tuple:
+        return (self.coeffs,)
 
     def _lift(self, v):
         """v as a polynomial of this kind, or NotImplemented."""
@@ -207,10 +209,10 @@ def _trusted(cls, coeffs: tuple):
     """A polynomial of kind cls whose coefficients already have the ring's
     type and no trailing zero.
 
-    Skips ``__post_init__``; public construction still coerces and trims.
+    Skips the coercion and trimming that public construction does.
     """
     obj = object.__new__(cls)
-    object.__setattr__(obj, "coeffs", coeffs)
+    obj._setters[0](obj, coeffs)
     return obj
 
 
@@ -262,6 +264,7 @@ def _int_quot(a: int, b: int) -> int:
 class QPoly(_DensePoly):
     """Dense integer polynomial in q, ascending coefficients."""
 
+    __slots__ = ()
     _coerce = operator.index  # rejects floats and strings rather than truncating or parsing them
     _scalars = (int,)
     _zero = 0
@@ -283,6 +286,7 @@ ONE_PLUS_Q = QPoly((1, 1))
 class XPoly(_DensePoly):
     """Dense polynomial in x over exact rationals, ascending coefficients."""
 
+    __slots__ = ()
     _coerce = partial(_rational, what="an XPoly coefficient")
     _scalars = (int, Fraction)
     _zero = Fraction(0)
@@ -332,6 +336,7 @@ def _require_qpoly(v) -> QPoly:
 class QXPoly(_DensePoly):
     """Polynomial in x whose coefficients are integer polynomials in q."""
 
+    __slots__ = ()
     _coerce = staticmethod(_require_qpoly)
     _scalars = (int, QPoly)
     _zero = Q_ZERO
@@ -494,8 +499,7 @@ def poly_gcd(a: XPoly, b: XPoly) -> XPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoeffProps:
+class CoeffProps(Record):
     nonnegative: bool
     symmetric: bool
     unimodal: bool

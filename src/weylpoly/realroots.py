@@ -54,7 +54,6 @@ on the pairs (i, j) in order and stops at the first that fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -62,6 +61,7 @@ from typing import Optional, Sequence
 from .errors import PreconditionError, UsageError, WeylPolyError
 from .exactpoly import QPoly, XPoly, _canonical, _derivative, _horner, _int_gcd, _positive_primitive, _prs
 from .exactpoly import _rational
+from .record import Record
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
 
@@ -183,20 +183,22 @@ def _square_free(ints: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(Record):
     """Half-open isolating interval (lo, hi] holding one distinct real root."""
 
-    lo: Fraction
-    hi: Fraction
-    multiplicity: int
+    __slots__ = ("lo", "hi", "multiplicity")
+
+    def __init__(self, lo: Fraction, hi: Fraction, multiplicity: int):
+        set_lo, set_hi, set_multiplicity = self._setters
+        set_lo(self, lo)
+        set_hi(self, hi)
+        set_multiplicity(self, multiplicity)
 
     def to_json(self) -> dict:
         return {"lo": str(self.lo), "hi": str(self.hi), "multiplicity": self.multiplicity}
 
 
-@dataclass(frozen=True)
-class RootIsolation:
+class RootIsolation(Record):
     """Certified disjoint isolating intervals for all distinct real roots."""
 
     intervals: tuple[RootInterval, ...]
@@ -220,12 +222,16 @@ NONE = "none"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class InterlacingVerdict:
+class InterlacingVerdict(Record):
     """Outcome of an ordered interlacing test (first argument vs second)."""
 
-    relation: str
-    witness: Optional[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]] = None
+    __slots__ = ("relation", "witness")
+
+    def __init__(self, relation: str,
+                 witness: Optional[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]] = None):
+        set_relation, set_witness = self._setters
+        set_relation(self, relation)
+        set_witness(self, witness)
 
     @property
     def holds(self) -> bool:
@@ -237,15 +243,19 @@ class InterlacingVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Rec:
-    """The cell (i 2^w - 2^b, (i+1) 2^w - 2^b] holding one root of the radical."""
+class _Rec(Record):
+    """The cell (i 2^w - 2^b, (i+1) 2^w - 2^b] holding one root of the radical,
+    whose sign at hi is s_hi.  It is refined in place, so unlike the other
+    records it is mutable and unhashable."""
 
-    b: int
-    i: int
-    w: int
-    s_hi: int  # sign of the radical at hi
-    mult: int = 1
+    __slots__ = ("b", "i", "w", "s_hi", "mult")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, b: int, i: int, w: int, s_hi: int, mult: int = 1):
+        self.b, self.i, self.w, self.s_hi, self.mult = b, i, w, s_hi, mult
+
+    def copy(self) -> "_Rec":
+        return _Rec(self.b, self.i, self.w, self.s_hi, self.mult)
 
     def end(self, upper: int) -> tuple[int, int]:
         """(num, den) of the low (upper=0) or high (upper=1) end."""
@@ -324,7 +334,7 @@ class _Profile:
         top = _floor_log2(width)
         out = []
         for rec in self.records:
-            cell = replace(rec)
+            cell = rec.copy()
             while cell.w > top:
                 self.refine_once(cell)
             out.append(RootInterval(cell.lo, cell.hi, rec.mult))
@@ -412,7 +422,7 @@ def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec
     order = []
     for owner, prof in enumerate(profiles):
         for rec in prof.records:
-            cell = replace(rec)
+            cell = rec.copy()
             order.append([owner, cell, [(owner, cell)], cell.w])
     order.sort(key=lambda group: group[1].lo)
     common: dict[tuple[int, int], tuple] = {}

@@ -27,8 +27,7 @@ or XPoly afresh, and only the entries it returns.
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict, namedtuple
-from dataclasses import dataclass
+from collections import OrderedDict
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -38,12 +37,12 @@ from .errors import PackingError, PreconditionError, UsageError
 from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _integer, _rank, _rational
 from .exactpoly import _trusted, exact_divide
 from .realroots import interlaces
+from .record import Record
 from .report import ReportEntry, poly_equality, timed_entry
 from .weylcomb import brute_polynomial
 
 
-@dataclass(frozen=True)
-class RefinedFamily:
+class RefinedFamily(Record):
     """A rank-n refined family: exactly 2n polynomials indexed 0..2n-1."""
 
     n: int
@@ -75,8 +74,11 @@ def _rank_thresholds(n: int) -> TransformSpec:
 # ---------------------------------------------------------------------------
 
 
-# Q fields per power of x, each W bits wide (W a multiple of 8).
-_Layout = namedtuple("_Layout", "q_fields width")
+class _Layout(Record):
+    """Q fields per power of x, each W bits wide (W a multiple of 8)."""
+
+    q_fields: int
+    width: int
 
 
 def _layout(n: int, q_fields: int) -> _Layout:
@@ -189,7 +191,11 @@ def _trim(c: list) -> tuple:
     return tuple(c)
 
 
-_StoreInfo = namedtuple("_StoreInfo", "hits misses maxsize currsize")
+class _StoreInfo(tuple):
+    """(hits, misses, maxsize, currsize), named as ``functools.lru_cache`` names them."""
+
+    __slots__ = ()
+    hits, misses, maxsize, currsize = (property(operator.itemgetter(k)) for k in range(4))
 
 
 class _RankStore:
@@ -231,7 +237,7 @@ class _RankStore:
         return fam
 
     def cache_info(self) -> _StoreInfo:
-        return _StoreInfo(self._hits, self._misses, self.maxsize, len(self._ranks))
+        return _StoreInfo((self._hits, self._misses, self.maxsize, len(self._ranks)))
 
     def cache_clear(self) -> None:
         self._ranks.clear()
@@ -508,8 +514,7 @@ def _duplication_commutes(m: NXMatrix, n: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(Record):
     """Nondecreasing 1-based thresholds t_k with 1 <= t_k <= m + 1."""
 
     thresholds: tuple[int, ...]
@@ -548,8 +553,7 @@ def interlacing_transform(fs: Sequence, spec: TransformSpec) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WeightedComboSpec:
+class WeightedComboSpec(Record):
     """Nonnegative weights with a_i * b_{i+1} >= b_i * a_{i+1} throughout."""
 
     a: tuple[Fraction, ...]
@@ -588,8 +592,7 @@ def weighted_combination(fs: Sequence[XPoly], spec: WeightedComboSpec) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NXEntry:
+class NXEntry(Record):
     """Either a nonnegative constant or a positive multiple of x."""
 
     is_x: bool
@@ -612,8 +615,7 @@ def nx_x(c=1) -> NXEntry:
     return NXEntry(True, c)
 
 
-@dataclass(frozen=True)
-class NXMatrix:
+class NXMatrix(Record):
     rows: tuple[tuple[NXEntry, ...], ...]
 
     def __post_init__(self):

@@ -10,22 +10,22 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .errors import UsageError
 from .exactpoly import poly_to_json
+from .record import Record
 
 VERDICTS = ("pass", "fail", "skipped")
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(Record):
     check_id: str
     parameters: dict
     verdict: str
     witness: Optional[Any] = None
     elapsed_ms: float = 0.0
+    __hash__ = None  # parameters is a dict
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
@@ -85,9 +85,8 @@ def timed_entry(check_id: str, params: dict, check: Optional[Callable[[], tuple[
     return ReportEntry(check_id, params, "fail", witness or {"detail": "check failed"}, elapsed)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    entries: tuple[ReportEntry, ...] = field(default_factory=tuple)
+class VerificationReport(Record):
+    entries: tuple[ReportEntry, ...] = ()
 
     @property
     def all_passed(self) -> bool:

@@ -36,7 +36,6 @@ Delta_{k+1}, ..., Delta_n are the remaining minors of p.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional, Union
@@ -46,6 +45,7 @@ from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _canonical, _clear_deno
 from .realroots import (
     STRICT, WEAK, InterlacingVerdict, _cauchy_pow2_bound, _count_half_open, _square_free, interlaces
 )
+from .record import Record
 from .recurrences import refined_Tq
 
 HURWITZ_STABLE = "hurwitz_stable"
@@ -58,8 +58,7 @@ BOUNDARY = "boundary"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HBSplit:
+class HBSplit(Record):
     """Even/odd coefficient split: p(z) = even(z^2) + z * odd(z^2)."""
 
     even_part: XPoly
@@ -101,8 +100,7 @@ def hb_split(p: XPoly) -> HBSplit:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Hurwitz determinants Delta_1..Delta_n plus a verdict (numeric only)."""
 
     determinants: tuple
@@ -199,8 +197,7 @@ def hurwitz_determinants(p: Union[XPoly, QXPoly]) -> StabilityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CPairResult:
+class CPairResult(Record):
     """Stripped, normalized coupling of two rank-4 refined entries.
 
     poly is (entry_j(z^2) + z * entry_i(z^2)) / (z^m * (1+q)) with m the

@@ -29,13 +29,13 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, EnumerationCapError, UsageError
 from .exactpoly import QPoly, QXPoly, XPoly, _integer, _rank
+from .record import Record
 
 DEFAULT_CAP = 8
 CAP_ENV_VAR = "WEYLPOLY_CAP"
@@ -67,14 +67,13 @@ def _check_cap(n: int, cap: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedPerm:
+class SignedPerm(Record):
     """A signed permutation in one-line notation."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        e = _index_entries(self.entries, "signed permutation")
+    def __init__(self, entries: tuple[int, ...]):
+        e = _index_entries(entries, "signed permutation")
         n = len(e)
         seen = 0
         for v in e:
@@ -85,25 +84,30 @@ class SignedPerm:
         # n entries set n distinct bits 1..n exactly when they are a signed permutation.
         if seen != (2 << n) - 2:
             raise DomainError(f"not a signed permutation: {e}")
-        object.__setattr__(self, "entries", e)
+        self._setters[0](self, e)
+
+    def _values(self) -> tuple:
+        return (self.entries,)
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class InvSeq:
+class InvSeq(Record):
     """An inversion sequence with bounds e_i <= 2i - 1."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        e = _index_entries(self.entries, "inversion sequence")
+    def __init__(self, entries: tuple[int, ...]):
+        e = _index_entries(entries, "inversion sequence")
         for i, v in enumerate(e, start=1):
             if not 0 <= v <= 2 * i - 1:
                 raise DomainError(f"entry {v} at position {i} violates 0 <= e_i <= 2i-1")
-        object.__setattr__(self, "entries", e)
+        self._setters[0](self, e)
+
+    def _values(self) -> tuple:
+        return (self.entries,)
 
     @property
     def n(self) -> int:
@@ -121,37 +125,36 @@ def _index_entries(entries, what: str) -> tuple[int, ...]:
 def _trusted(cls, entries: tuple[int, ...]):
     """A SignedPerm or InvSeq whose int entries are valid by construction.
 
-    Skips ``__post_init__``; public construction still validates.
+    Skips the validation that public construction does.
     """
     obj = object.__new__(cls)
-    obj.__dict__["entries"] = entries
+    obj._setters[0](obj, entries)
     return obj
 
 
-def _record(cls, **fields):
-    """A frozen record filled through its ``__dict__``: the frozen ``__init__`` sets
-    each field through ``object.__setattr__``, as costly as computing them."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+class StatRecord(Record):
+    __slots__ = ("neg", "neg_D", "des_B", "des_D", "affine_des_B", "affine_des_D", "parity_even")
+
+    def __init__(self, neg: int, neg_D: int, des_B: int, des_D: int, affine_des_B: int, affine_des_D: int,
+                 parity_even: bool):
+        set_neg, set_neg_D, set_des_B, set_des_D, set_affine_des_B, set_affine_des_D, set_parity = self._setters
+        set_neg(self, neg)
+        set_neg_D(self, neg_D)
+        set_des_B(self, des_B)
+        set_des_D(self, des_D)
+        set_affine_des_B(self, affine_des_B)
+        set_affine_des_D(self, affine_des_D)
+        set_parity(self, parity_even)
 
 
-@dataclass(frozen=True)
-class StatRecord:
-    neg: int
-    neg_D: int
-    des_B: int
-    des_D: int
-    affine_des_B: int
-    affine_des_D: int
-    parity_even: bool
+class InvStatRecord(Record):
+    __slots__ = ("exc", "asc_D", "affine_asc_D")
 
-
-@dataclass(frozen=True)
-class InvStatRecord:
-    exc: int
-    asc_D: int
-    affine_asc_D: int
+    def __init__(self, exc: int, asc_D: int, affine_asc_D: int):
+        set_exc, set_asc_D, set_affine_asc_D = self._setters
+        set_exc(self, exc)
+        set_asc_D(self, asc_D)
+        set_affine_asc_D(self, affine_asc_D)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +233,7 @@ def stats(sigma) -> StatRecord:
     first_b = s[0] < 0
     des_d = des_b - first_b + (s[0] + s[1] < 0)
     affine = s[n - 2] + s[n - 1] > 0
-    return _record(
-        StatRecord, neg=neg, neg_D=neg - first_b, des_B=des_b, des_D=des_d,
-        affine_des_B=des_b + affine, affine_des_D=des_d + affine, parity_even=(neg % 2 == 0),
-    )
+    return StatRecord(neg, neg - first_b, des_b, des_d, des_b + affine, des_d + affine, neg % 2 == 0)
 
 
 def _inv_entries(e) -> tuple[int, ...]:
@@ -263,7 +263,7 @@ def inv_stats(e) -> InvStatRecord:
         prev = x
     asc += 2 * v[0] + v[1] >= 3
     affine = n * v[n - 2] + (n - 1) * v[n - 1] < (2 * n - 1) * (n - 1)
-    return _record(InvStatRecord, exc=exc, asc_D=asc, affine_asc_D=asc + affine)
+    return InvStatRecord(exc, asc, asc + affine)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -780,10 +779,10 @@ class TestSignOnlyRefinement:
         width = Fraction(1, 2**10)
         realroots._profile.cache_clear()
         before = isolate_roots(p, width).intervals
-        records = [dataclasses.astuple(r) for r in realroots._profile(_canonical(p)).records]
+        records = [r.copy() for r in realroots._profile(_canonical(p)).records]
         isolate_roots(p, width / 2**20)
         assert isolate_roots(p, width).intervals == before
-        assert [dataclasses.astuple(r) for r in realroots._profile(_canonical(p)).records] == records
+        assert realroots._profile(_canonical(p)).records == records
         assert realroots._profile.cache_info().currsize == 1
 
     def test_interlacing_does_not_move_reported_intervals(self):
@@ -823,8 +822,8 @@ def pairwise_relation(g: XPoly, f: XPoly) -> str:
     if dg == 0:
         return "weak"
     pf, pg = realroots._profile(_canonical(f)), realroots._profile(_canonical(g))
-    rf = [dataclasses.replace(r) for r in pf.records]
-    rg = [dataclasses.replace(r) for r in pg.records]
+    rf = [r.copy() for r in pf.records]
+    rg = [r.copy() for r in pg.records]
     common = poly_gcd(XPoly(pf.rad_ints), XPoly(pg.rad_ints))
     common_chain = _sturm_chain(_canonical(common)) if common.degree >= 1 else None
     events = []

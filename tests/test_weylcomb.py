@@ -434,6 +434,27 @@ def test_every_lru_cache_is_bounded():
     assert rank_dicts == [], f"module-level dicts in recurrences: {rank_dicts}"
 
 
+def test_cache_info_after_one_cold_call_of_each_family():
+    for cache in _package_caches().values():
+        cache.cache_clear()
+    brute_polynomial("Tq", 4)
+    weylpoly.refined_Tq(5)
+    weylpoly.refined_T1(5)
+    weylpoly.refined_K(5, method="recurrence")  # seeds rank 3 from the T1 store
+    weylpoly.is_real_rooted(xpoly(-2, 0, 1))
+    info = weylpoly.cache_info()
+    assert sorted(f"weylpoly.{name}" for name in info) == sorted(_package_caches())
+    assert info == {
+        "weylcomb._joint_table": {"hits": 0, "misses": 1, "maxsize": 8, "currsize": 1},
+        "recurrences._TQ_STORE": {"hits": 0, "misses": 1, "maxsize": 4, "currsize": 1},
+        "recurrences._T1_STORE": {"hits": 0, "misses": 2, "maxsize": 4, "currsize": 2},
+        "recurrences._K_STORE": {"hits": 0, "misses": 1, "maxsize": 4, "currsize": 1},
+        "realroots._profile": {"hits": 0, "misses": 1, "maxsize": 4096, "currsize": 1},
+    }
+    weylpoly.refined_T1(5)
+    assert weylpoly.cache_info()["recurrences._T1_STORE"]["hits"] == 1
+
+
 def test_cold_and_warm_caches_give_the_same_report():
     def report():
         entries = verify.run_suite("all", max_n=4).to_json()["entries"]
@@ -479,8 +500,9 @@ class TestPsiWalk:
             leaves.add(s)
             assert psi(s).entries == x
             rec, inv = stats(s), inv_stats(x)
-            for name, value in (*vars(rec).items(), *vars(inv).items()):
-                assert type(value) is (bool if name == "parity_even" else int), (s, name)
+            for record in (rec, inv):
+                for name in record.__slots__:
+                    assert type(getattr(record, name)) is (bool if name == "parity_even" else int), (s, name)
             assert (des, affine_des) == (rec.des_D, rec.affine_des_D)
             assert (asc, affine_asc) == (inv.asc_D, inv.affine_asc_D)
             assert agree == n
