@@ -98,11 +98,7 @@ __version__ = "0.1.0"
 
 def cache_info() -> dict[str, dict[str, int]]:
     """Hits, misses, maxsize and currsize of each of the package's five caches, by name."""
-    caches = {
-        "weylcomb._joint_table": weylcomb._joint_table,
-        "recurrences._TQ_STORE": recurrences._TQ_STORE,
-        "recurrences._T1_STORE": recurrences._T1_STORE,
-        "recurrences._K_STORE": recurrences._K_STORE,
-        "realroots._profile": realroots._profile,
-    }
-    return {name: dict(zip(("hits", "misses", "maxsize", "currsize"), c.cache_info())) for name, c in caches.items()}
+    caches = {"weylcomb._joint_table": weylcomb._joint_table, "recurrences._TQ_STORE": recurrences._TQ_STORE,
+              "recurrences._T1_STORE": recurrences._T1_STORE, "recurrences._K_STORE": recurrences._K_STORE,
+              "realroots._profile": realroots._profile}
+    return {name: cache.cache_info()._asdict() for name, cache in caches.items()}

@@ -81,7 +81,7 @@ class _DensePoly(Record):
     becomes UsageError), ``_scalars`` lists the types accepted as constants,
     ``_zero`` is the coefficient zero, and ``_quot`` is the exact quotient of
     two leading coefficients (raising DivisibilityError when there is none).
-    Equal polynomials of one kind hash equal (uncached).
+    ``_trusted(coeffs)`` takes coefficients already of the ring's type, trimmed.
     """
 
     __slots__ = ("coeffs",)
@@ -205,17 +205,6 @@ class _DensePoly(Record):
         return f"{type(self).__name__}({str(self)!r})"
 
 
-def _trusted(cls, coeffs: tuple):
-    """A polynomial of kind cls whose coefficients already have the ring's
-    type and no trailing zero.
-
-    Skips the coercion and trimming that public construction does.
-    """
-    obj = object.__new__(cls)
-    obj._setters[0](obj, coeffs)
-    return obj
-
-
 def _long_divide(a: _DensePoly, b: _DensePoly) -> tuple[list, list]:
     """Quotient and remainder coefficient lists of a / b, both of one kind.
 
@@ -287,7 +276,7 @@ class XPoly(_DensePoly):
     """Dense polynomial in x over exact rationals, ascending coefficients."""
 
     __slots__ = ()
-    _coerce = partial(_rational, what="an XPoly coefficient")
+    _coerce = staticmethod(partial(_rational, what="an XPoly coefficient"))
     _scalars = (int, Fraction)
     _zero = Fraction(0)
     _quot = staticmethod(operator.truediv)

@@ -186,13 +186,9 @@ def _square_free(ints: tuple[int, ...]):
 class RootInterval(Record):
     """Half-open isolating interval (lo, hi] holding one distinct real root."""
 
-    __slots__ = ("lo", "hi", "multiplicity")
-
-    def __init__(self, lo: Fraction, hi: Fraction, multiplicity: int):
-        set_lo, set_hi, set_multiplicity = self._setters
-        set_lo(self, lo)
-        set_hi(self, hi)
-        set_multiplicity(self, multiplicity)
+    lo: Fraction
+    hi: Fraction
+    multiplicity: int
 
     def to_json(self) -> dict:
         return {"lo": str(self.lo), "hi": str(self.hi), "multiplicity": self.multiplicity}
@@ -229,9 +225,8 @@ class InterlacingVerdict(Record):
 
     def __init__(self, relation: str,
                  witness: Optional[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]] = None):
-        set_relation, set_witness = self._setters
-        set_relation(self, relation)
-        set_witness(self, witness)
+        self._setters[0](self, relation)
+        self._setters[1](self, witness)
 
     @property
     def holds(self) -> bool:
@@ -244,9 +239,8 @@ class InterlacingVerdict(Record):
 
 
 class _Rec(Record):
-    """The cell (i 2^w - 2^b, (i+1) 2^w - 2^b] holding one root of the radical,
-    whose sign at hi is s_hi.  It is refined in place, so unlike the other
-    records it is mutable and unhashable."""
+    """The cell (i 2^w - 2^b, (i+1) 2^w - 2^b] holding one root of the radical, whose
+    sign at hi is s_hi; refined in place, so unlike the other records mutable and unhashable."""
 
     __slots__ = ("b", "i", "w", "s_hi", "mult")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None

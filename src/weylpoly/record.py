@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class Record:
-    """A frozen record whose fields are its class's own annotations, in order;
+    """A frozen record whose fields are its class's own annotations, in order (read
+    through ``cls.__annotations__``, so with or without the future import);
     a class attribute named like a field is that field's default.
 
     The base supplies ``__init__`` (positional or keyword arguments, then
@@ -19,12 +20,19 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        own = cls.__dict__
-        if own.get("__slots__"):
-            cls._fields = tuple(own["__slots__"])
-            cls._setters = tuple(own[name].__set__ for name in cls._fields)
-        elif own.get("__annotations__"):
-            cls._fields = tuple(own["__annotations__"])
+        slots = cls.__dict__.get("__slots__")
+        if slots:
+            cls._fields = tuple(slots)
+            cls._setters = tuple(cls.__dict__[name].__set__ for name in slots)
+        elif cls.__annotations__:  # a class's own annotations only, from Python 3.10 on
+            cls._fields = tuple(cls.__annotations__)
+
+    @classmethod
+    def _trusted(cls, value):
+        """An object holding value as its one slotted field, skipping the checks of public construction."""
+        obj = object.__new__(cls)
+        cls._setters[0](obj, value)
+        return obj
 
     def __init__(self, *args, **kwargs):
         cls, names = type(self), self._fields

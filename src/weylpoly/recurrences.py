@@ -29,13 +29,14 @@ from __future__ import annotations
 import operator
 from collections import OrderedDict
 from fractions import Fraction
+from functools import _CacheInfo  # the named tuple lru_cache's cache_info returns
 from itertools import combinations
 from math import factorial
 from typing import Callable, Optional, Sequence
 
 from .errors import PackingError, PreconditionError, UsageError
 from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _integer, _rank, _rational
-from .exactpoly import _trusted, exact_divide
+from .exactpoly import exact_divide
 from .realroots import interlaces
 from .record import Record
 from .report import ReportEntry, poly_equality, timed_entry
@@ -158,11 +159,11 @@ class _Packed:
         return _Packed(int.from_bytes(data, "little"), layout)
 
     def to_qx(self) -> QXPoly:
-        return _trusted(QXPoly, tuple(_trusted(QPoly, _trim(r)) for r in self.rows()))
+        return QXPoly._trusted(tuple(QPoly._trusted(_trim(r)) for r in self.rows()))
 
     def to_x(self) -> XPoly:
         """The value as a polynomial in x; needs Q = 1."""
-        return _trusted(XPoly, tuple(map(Fraction, self.fields())))
+        return XPoly._trusted(tuple(map(Fraction, self.fields())))
 
     def __add__(self, other: "_Packed") -> "_Packed":
         return _Packed(self.value + other.value, self.layout)
@@ -189,13 +190,6 @@ def _trim(c: list) -> tuple:
     while c and not c[-1]:
         c.pop()
     return tuple(c)
-
-
-class _StoreInfo(tuple):
-    """(hits, misses, maxsize, currsize), named as ``functools.lru_cache`` names them."""
-
-    __slots__ = ()
-    hits, misses, maxsize, currsize = (property(operator.itemgetter(k)) for k in range(4))
 
 
 class _RankStore:
@@ -236,8 +230,8 @@ class _RankStore:
             self._ranks.popitem(last=False)
         return fam
 
-    def cache_info(self) -> _StoreInfo:
-        return _StoreInfo((self._hits, self._misses, self.maxsize, len(self._ranks)))
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._ranks))
 
     def cache_clear(self) -> None:
         self._ranks.clear()

@@ -122,16 +122,6 @@ def _index_entries(entries, what: str) -> tuple[int, ...]:
         raise DomainError(f"not a {what}: {entries!r}; entries must be integers") from None
 
 
-def _trusted(cls, entries: tuple[int, ...]):
-    """A SignedPerm or InvSeq whose int entries are valid by construction.
-
-    Skips the validation that public construction does.
-    """
-    obj = object.__new__(cls)
-    obj._setters[0](obj, entries)
-    return obj
-
-
 class StatRecord(Record):
     __slots__ = ("neg", "neg_D", "des_B", "des_D", "affine_des_B", "affine_des_D", "parity_even")
 
@@ -166,7 +156,7 @@ def signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
     """All 2^n * n! signed permutations of rank n."""
     _check_cap(n, cap)
     return (
-        _trusted(SignedPerm, tuple(s * v for s, v in zip(signs, perm)))
+        SignedPerm._trusted(tuple(s * v for s, v in zip(signs, perm)))
         for signs in itertools.product((1, -1), repeat=n)
         for perm in itertools.permutations(range(1, n + 1))
     )
@@ -176,7 +166,7 @@ def even_signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
     """Signed permutations with an even number of negative entries."""
     _check_cap(n, cap)
     return (
-        _trusted(SignedPerm, tuple(s * v for s, v in zip(signs, perm)))
+        SignedPerm._trusted(tuple(s * v for s, v in zip(signs, perm)))
         for signs in itertools.product((1, -1), repeat=n)
         if not signs.count(-1) % 2
         for perm in itertools.permutations(range(1, n + 1))
@@ -186,7 +176,7 @@ def even_signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
 def inversion_sequences(n: int, cap: int | None = None) -> Iterator[InvSeq]:
     """All 2^n * n! inversion sequences of length n."""
     _check_cap(n, cap)
-    return (_trusted(InvSeq, e) for e in itertools.product(*(range(2 * i) for i in range(1, n + 1))))
+    return (InvSeq._trusted(e) for e in itertools.product(*(range(2 * i) for i in range(1, n + 1))))
 
 
 _ENUMERATORS = {
@@ -290,7 +280,7 @@ def psi(sigma) -> InvSeq:
             out.append(top - (seen >> -v).bit_count())
             seen |= 1 << -v
         top += 2
-    return _trusted(InvSeq, tuple(out))
+    return InvSeq._trusted(tuple(out))
 
 
 def psi_inverse(e) -> SignedPerm:
@@ -305,7 +295,7 @@ def psi_inverse(e) -> SignedPerm:
     for i in range(len(v) - 1, -1, -1):
         x = v[i]
         out[i] = available.pop(x) if x <= i else -available.pop(2 * i + 1 - x)
-    return _trusted(SignedPerm, tuple(out))
+    return SignedPerm._trusted(tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from weylpoly import (
     XPoly,
 )
 from weylpoly.realroots import _Rec
+from weylpoly.record import Record
 
 Q1 = QPoly((1, 1))
 X1 = XPoly((Fraction(-1), Fraction(1)))
@@ -236,6 +237,31 @@ def test_rec_copy_is_independent():
     assert cell == rec and cell is not rec
     cell.i = 9
     assert rec.i == 5
+
+
+def test_fields_are_the_own_annotations_without_the_future_import():
+    """This module does not import annotations from __future__, so its annotations are evaluated."""
+
+    class Point(Record):
+        x: int
+        y: int = 0
+
+    class Named(Point):
+        label = "p"
+
+    assert Point._fields == Named._fields == ("x", "y")
+    assert Point(1) == Point(x=1, y=0) != Named(1)
+    assert Named(1, 2).label == "p"
+    with pytest.raises(TypeError):
+        Point()
+
+
+def test_trusted_skips_the_checks():
+    assert SignedPerm._trusted((1, -2)) == SignedPerm((1, -2))
+    assert XPoly._trusted((Fraction(1),)) == XPoly((1,))
+    with pytest.raises(DomainError):
+        SignedPerm((1, 1))
+    assert SignedPerm._trusted((1, 1)).entries == (1, 1)
 
 
 def test_import_loads_no_code_generation_modules():
