@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import partial
 from math import gcd as int_gcd, lcm
-from typing import Iterable, Sequence, Union
 
 from .errors import DivisibilityError, UsageError
 from .record import Record
@@ -107,7 +107,7 @@ class _DensePoly(Record):
         return NotImplemented
 
     @property
-    def degree(self) -> Union[int, float]:
+    def degree(self) -> int | float:
         return len(self.coeffs) - 1 if self.coeffs else NEG_INF
 
     def is_zero(self) -> bool:
@@ -422,7 +422,7 @@ def _positive_primitive(ints: Sequence[int]) -> tuple[int, ...]:
     return out if not out or out[-1] > 0 else tuple(-c for c in out)
 
 
-def _canonical(p: Union[QPoly, XPoly]) -> tuple[int, ...]:
+def _canonical(p: QPoly | XPoly) -> tuple[int, ...]:
     """Denominators cleared, content divided out, leading coefficient
     positive; () for zero.  Every nonzero rational multiple of p has this form."""
     return _positive_primitive(_clear_denominators(p.coeffs)[1])

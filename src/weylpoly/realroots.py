@@ -1,32 +1,55 @@
 """Certified real-root counting, isolation, and interlacing over exact rationals.
 
-Everything here is driven by Sturm chains with integer coefficients, built
-on the integer kernel of ``exactpoly``: each public entry reduces its input
-once to its canonical integer form ``_canonical``, and the chain of p is
-``_prs(p, p')``, the kernel's one primitive polynomial remainder sequence
-(Collins 1967, Brown 1971).  The pseudo-remainder scales by a positive power
-of the divisor's leading coefficient, so sign variations are preserved.  Sign evaluations at
-a rational point num/den run on the kernel's integer Horner ``_horner``,
-with shifts in place of the powers of den at a dyadic point.  Root counts
-use the half-open convention: the Sturm variation difference V(lo) - V(hi)
-counts distinct roots in (lo, hi].
+Everything here runs on the integer kernel of ``exactpoly``: each public
+entry reduces its input once to its canonical integer form ``_canonical``.
+Root counts use the half-open convention: a variation difference
+V(lo) - V(hi) counts distinct roots in (lo, hi].  Sturm chains have integer
+coefficients: the chain of p is ``_prs(p, p')``, the kernel's one primitive
+polynomial remainder sequence (Collins 1967, Brown 1971), whose
+pseudo-remainders scale by a positive power of the divisor's leading
+coefficient, so sign variations are preserved.  Sign evaluations at a
+rational point num/den run on the kernel's integer Horner ``_horner``, with
+shifts in place of the powers of den at a dyadic point.
 
-Isolation.  The Sturm chain of p ends in gcd(p, p'); when that is a
-constant, p is its own square-free radical and that chain is the radical's
-(a constant p has the radical 1 and no cell).  Otherwise Yun's algorithm,
-seeded with that last chain member, runs on primitive integer tuples and
-gives the radical p / gcd(p, p') and the square-free factors; its exact
-quotients stay integral by Gauss's lemma, and the radical gets a chain of
-its own.  The radical is bisected from the bracket (-2^b, 2^b], where 2^b is
-at least the Cauchy bound 1 + max|a_i / a_n|.  Every cell is dyadic:
-(i 2^w - 2^b, (i+1) 2^w - 2^b].  Full Sturm counts split the bracket, lower
-half first, until each cell holds one root, so the cells come out in
-ascending order, and decide each root's multiplicity (one count per Yun
-factor); at a point beyond Fujiwara's root bound the count is read from the
-leading coefficients of the chain.  The root profile of a polynomial
-(radical, chain, cells) is cached in a bounded LRU keyed by the canonical
-form, so a polynomial and its nonzero rational multiples share one entry; it
-never changes once built, and real-rootedness is read from it.
+Square-free part.  Euclid's algorithm modulo the prime l = 2^61 - 1 first
+computes gcd(p, p') mod l.  When l divides neither leading coefficient, its
+degree is at least that of the gcd over the rationals (Brown 1971), so a
+constant proves p square-free: p is its own radical, with no remainder
+sequence.  Otherwise gcd(p, p') is the last member of p's Sturm chain; if
+it is not a constant, Yun's algorithm, seeded with it, runs on primitive
+integer tuples and gives the radical p / gcd(p, p') and the square-free
+factors, its exact quotients integral by Gauss's lemma.  A constant p has
+the radical 1 and no cell.
+
+Isolation counts sign variations of Taylor coefficients (Budan-Fourier).
+The radical is bisected from the bracket (-2^b, 2^b], where 2^b is at
+least the Cauchy bound 1 + max|a_i / a_n|; every cell is dyadic,
+(i 2^w - 2^b, (i+1) 2^w - 2^b], and every cell whose count is at least two
+is split, lower half first, so the cells come out in ascending order.  At a
+bisection point num/2^e one Horner pass of 2^(e d) p((num + u) / 2^e) at
+u = 2^W, W whole bytes above the bound sum |c_k| (2^e + |num|)^d on every
+coefficient, packs all d + 1 scaled Taylor coefficients, read back as
+balanced base-2^W digits; at or beyond Fujiwara's root bound 2^f the count
+is d on the left and 0 on the right, for free.  V(lo) - V(hi) is at least
+the number of roots in (lo, hi], counted with multiplicity, and has the
+same parity.  The excess is never negative and adds up over the real line,
+where the count is d; so for a real-rooted radical it is zero everywhere,
+every count is exact, and the cells are those full Sturm counts give.  If
+the radical is not real-rooted, each cell whose count exceeds its roots has
+a child that does too, and such a path never ends; so at each point the
+Taylor coefficients are tested for what a real-rooted square-free radical
+must satisfy: Newton's inequalities, no two adjacent zeros, and that a cell
+whose count is at least two holds two roots, which fails once the
+coefficients at its midpoint keep p, or p', from vanishing on it.  A
+failure proves the radical not real-rooted, and every path that would not
+end reaches one, since p or p' is nonzero at its limit.  Isolation then
+restarts on Sturm counts, and only then builds the radical's chain, whose
+count beyond Fujiwara's bound is read from its leading coefficients.  Each
+root's multiplicity is one Sturm count per Yun factor.  The root profile of
+a polynomial (radical, factors, cells) is cached in a bounded LRU keyed by
+the canonical form, so a polynomial and its nonzero rational multiples
+share one entry; it never changes once built, and real-rootedness is read
+from it.
 
 Refinement is sign-only.  A cell holding one root of the square-free radical
 holds a simple root, so the radical's sign at the midpoint, against its sign
@@ -54,9 +77,9 @@ on the pairs (i, j) in order and stops at the first that fails.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
 
 from .errors import PreconditionError, UsageError, WeylPolyError
 from .exactpoly import QPoly, XPoly, _canonical, _derivative, _horner, _int_gcd, _positive_primitive, _prs
@@ -94,15 +117,15 @@ def _sturm_chain(ints: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return _prs(ints, _derivative(ints))
 
 
-def _variations(signs: Sequence[int]) -> int:
+def _variations(values: Sequence[int]) -> int:
+    """Sign variations of a sequence of integers, zeros skipped."""
     out = 0
     prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            out += 1
-        prev = s
+    for v in values:
+        if v:
+            if prev and (v > 0) != (prev > 0):
+                out += 1
+            prev = v
     return out
 
 
@@ -143,22 +166,41 @@ def _fujiwara_exp(ints: Sequence[int]) -> int:
 # Square-free decomposition (Yun) over the integers
 # ---------------------------------------------------------------------------
 
+_ELL = (1 << 61) - 1  # a Mersenne prime
 
-def _square_free(ints: tuple[int, ...]):
-    """Radical, Yun factors and the radical's Sturm chain of p, primitive
-    with lc > 0.
 
-    Returns (r, ((m, f_m), ...), chain) with p = prod f_m ** m and
-    r = p / gcd(p, p'); r and every f_m are primitive with a positive leading
-    coefficient.  The loop starts from gcd(p, p'), the last member of p's
-    Sturm chain, which is also r's chain when p is square-free, and divides
-    exactly over the integers: every divisor is primitive, so by Gauss's
-    lemma each quotient over the rationals is an integer polynomial.
+def _coprime_mod_ell(f: Sequence[int], g: Sequence[int]) -> bool:
+    """True only if gcd(f, g) over the rationals is a constant (f, g nonzero).
+
+    Euclid's algorithm over GF(l), l = 2^61 - 1.  When l divides neither
+    leading coefficient, deg gcd(f mod l, g mod l) >= deg gcd(f, g) (Brown
+    1971), so a constant gcd mod l proves it; otherwise the answer is False.
     """
-    chain = _sturm_chain(ints)
-    g = _positive_primitive(chain[-1])
-    if len(g) == 1:
-        return ints, ((1, ints),), chain
+    if f[-1] % _ELL == 0 or g[-1] % _ELL == 0:
+        return False
+    a, b = [c % _ELL for c in f], [c % _ELL for c in g]
+    while len(b) > 1:
+        inv = pow(b[-1], -1, _ELL)
+        low = [c * inv % _ELL for c in b[:-1]]  # b made monic, top term dropped
+        while len(a) >= len(b):
+            t = a.pop()
+            if t:
+                off = len(a) - len(low)
+                a[off:] = [(x - t * y) % _ELL for x, y in zip(a[off:], low)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(b) == 1
+
+
+def _yun(ints: tuple[int, ...], g: tuple[int, ...]):
+    """Radical and Yun factors of p from g = gcd(p, p'), nonconstant, primitive with lc > 0.
+
+    Returns (r, ((m, f_m), ...)) with p = prod f_m ** m and r = p / g, each
+    primitive with a positive leading coefficient.  Every divisor is
+    primitive, so by Gauss's lemma each exact quotient over the rationals is
+    an integer polynomial.
+    """
     g = QPoly(g)
     w = QPoly(ints).exact_div(g)
     radical = w.coeffs
@@ -175,7 +217,94 @@ def _square_free(ints: tuple[int, ...]):
         w = w.exact_div(a)
         z = z.exact_div(a) - QPoly(_derivative(w.coeffs))
         m += 1
-    return radical, tuple(factors), _sturm_chain(radical)
+    return radical, tuple(factors)
+
+
+def _square_free(ints: tuple[int, ...]):
+    """Radical and Yun factors (r, ((m, f_m), ...)) of p, primitive with lc > 0.
+
+    A constant gcd(p, p') mod l proves p square-free without a remainder
+    sequence; otherwise gcd(p, p') comes from p's Sturm chain and, when it
+    is not a constant, seeds ``_yun``.
+    """
+    deriv = _derivative(ints)
+    if len(ints) <= 2 or _coprime_mod_ell(ints, deriv):
+        return ints, ((1, ints),)
+    g = _int_gcd(ints, deriv)
+    return (ints, ((1, ints),)) if len(g) == 1 else _yun(ints, g)
+
+
+def _radical_chain(ints: tuple[int, ...]):
+    """The radical of p and its Sturm chain, from p's own chain and no modular test.
+
+    p's chain ends in gcd(p, p'); when that is a constant, p is its own
+    radical and the chain is the radical's.
+    """
+    chain = _sturm_chain(ints)
+    g = _positive_primitive(chain[-1])
+    if len(g) == 1:
+        return ints, chain
+    radical = _yun(ints, g)[0]
+    return radical, _sturm_chain(radical)
+
+
+# ---------------------------------------------------------------------------
+# Budan-Fourier counts from one packed Taylor expansion
+# ---------------------------------------------------------------------------
+
+
+class _NotRealRooted(Exception):
+    """A Taylor expansion proved the square-free radical not real-rooted."""
+
+
+def _taylor(ints: Sequence[int], num: int, e: int) -> list[int]:
+    """The coefficients b_k of 2^(e d) p((num + u) / 2^e) = sum b_k u^k, degree d >= 1.
+
+    b_k = 2^(e (d - k)) p^(k)(x) / k! at x = num / 2^e: the Taylor
+    coefficients at x, all scaled by the same power of two as Newton's
+    inequalities need.  Every |b_k| is at most B = sum |c_j| (2^e + |num|)^d,
+    so with W whole bytes and 2^(W-1) > B, one Horner pass on
+    sum c_j 2^(e (d - j)) (num + u)^j at u = 2^W packs them all, and the
+    balanced base-2^W digits of the result are the b_k.
+    """
+    d = len(ints) - 1
+    bound = sum(map(abs, ints)) * ((1 << e) + abs(num)) ** d
+    nb = (bound.bit_length() + 8) >> 3  # bytes per digit: 2^(8 nb - 1) > bound
+    w = nb << 3
+    acc = ints[-1]
+    for s in range(1, d + 1):
+        acc = acc * num + (acc << w) + (ints[d - s] << e * s)
+    half = 1 << (w - 1)
+    # adding half to every digit makes each one nonnegative, with no carries
+    raw = (acc + int.from_bytes((bytes(nb - 1) + b"\x80") * (d + 1), "little")).to_bytes(nb * (d + 1), "little")
+    return [int.from_bytes(raw[k : k + nb], "little") - half for k in range(0, nb * (d + 1), nb)]
+
+
+def _newton_holds(b: Sequence[int]) -> bool:
+    """Newton's inequalities k (d-k) b_k^2 >= (k+1) (d-k+1) b_(k-1) b_(k+1), and no two
+    adjacent zeros: both hold for the Taylor coefficients of a real-rooted
+    square-free polynomial at every point (a common scale changes neither).
+    """
+    d = len(b) - 1
+    for k in range(1, d):
+        if k * (d - k) * b[k] * b[k] < (k + 1) * (d - k + 1) * b[k - 1] * b[k + 1]:
+            return False
+    return all(b[k] or b[k + 1] for k in range(d))
+
+
+def _at_most_one_root(b: Sequence[int], s: int) -> bool:
+    """Whether the scaled Taylor coefficients b (degree >= 2) at a cell's midpoint prove at
+    most one root in it.
+
+    With the cell's half-width r, b_k 2^(s k) is a common multiple of
+    a_k r^k, a_k the unscaled coefficients.  |a_0| > sum_(k>=1) |a_k| r^k
+    leaves p no zero on the closed cell; |a_1| > sum_(k>=2) k |a_k| r^(k-1)
+    leaves p' none, so p is monotone there.
+    """
+    a0, a1 = abs(b[0]), abs(b[1])
+    if a0 > a1 << s and a0 > sum(abs(c) << s * k for k, c in enumerate(b) if k):
+        return True
+    return a1 > abs(b[2]) << s + 1 and a1 > sum(k * abs(c) << s * (k - 1) for k, c in enumerate(b) if k > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +353,7 @@ class InterlacingVerdict(Record):
     __slots__ = ("relation", "witness")
 
     def __init__(self, relation: str,
-                 witness: Optional[tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]] = None):
+                 witness: tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]] | None = None):
         self._setters[0](self, relation)
         self._setters[1](self, witness)
 
@@ -264,44 +393,82 @@ class _Rec(Record):
         return Fraction(*self.end(1))
 
 
+def _bisect(rad: tuple[int, ...], outside, at) -> list[_Rec]:
+    """Cells of the square-free ``rad`` from the bracket (-2^b, 2^b], lower half first.
+
+    2^b is at least the Cauchy bound and 2^f is Fujiwara's, so every root
+    lies inside both.  ``outside`` holds the (count, sign) pairs left and
+    right of every root, and at(num, den, e) the pair at the midpoint num/den
+    of a cell of half-width 2^e: a variation count whose differences count
+    the distinct roots in (lo, hi], and the sign of ``rad``.  Every cell
+    whose count is at least two is split at its midpoint.
+    """
+    b = _cauchy_pow2_bound(rad).bit_length() - 1
+    f = _fujiwara_exp(rad)
+    stack = [(0, b + 1, *outside)]
+    out: list[_Rec] = []
+    while stack:  # the lower half pops first, so cells come out ascending
+        i, w, low, high = stack.pop()
+        count = low[0] - high[0]
+        if count == 1:
+            out.append(_Rec(b, i, w, high[1]))
+        elif count > 1:
+            num, den = _dyadic(2 * i + 1, w - 1, b)
+            mid = outside[num > 0] if abs(num) >= den << f else at(num, den, w - 1)
+            stack.append((2 * i + 1, w - 1, mid, high))
+            stack.append((2 * i, w - 1, low, mid))
+    return out
+
+
+def _isolate(rad: tuple[int, ...]) -> list[_Rec]:
+    """Cells of the square-free ``rad`` (lc > 0) by Budan-Fourier counts, or by
+    ``_sturm_cells`` once a Taylor expansion proves ``rad`` not real-rooted.
+
+    Left of every root the count is d and the sign (-1)^d; right of them,
+    0 and 1.
+    """
+    d = len(rad) - 1
+    if d < 1:
+        return []
+
+    def budan_fourier(num: int, den: int, e: int) -> tuple[int, int]:
+        c = _taylor(rad, num, den.bit_length() - 1)
+        if not _newton_holds(c) or _at_most_one_root(c, max(e, 0)):
+            raise _NotRealRooted
+        return _variations(c), (c[0] > 0) - (c[0] < 0)
+
+    try:
+        return _bisect(rad, ((d, (-1) ** d), (0, 1)), budan_fourier)
+    except _NotRealRooted:
+        return _sturm_cells(rad)
+
+
+def _sturm_cells(rad: tuple[int, ...]) -> list[_Rec]:
+    """Cells of the square-free ``rad`` by Sturm counts, from its chain built here."""
+    chain = _sturm_chain(rad)
+    leads = [((m[-1] > 0) - (m[-1] < 0), len(m) - 1) for m in chain]
+    outside = tuple((_variations([s * t**k for s, k in leads]), t ** (len(rad) - 1)) for t in (-1, 1))
+
+    def sturm(num: int, den: int, _: int) -> tuple[int, int]:
+        signs = [_sign_at(m, num, den) for m in chain]
+        return _variations(signs), signs[0]
+
+    return _bisect(rad, outside, sturm)
+
+
 class _Profile:
-    """Radical, Sturm chain, and isolating cells of a nonzero ``_canonical`` form.
+    """Radical, Yun factors and isolating cells of a nonzero ``_canonical`` form.
 
     A profile does not change after construction: ``records`` are the cells
     of the initial isolation, and every caller refines copies of them.
     """
 
     def __init__(self, ints: tuple[int, ...]):
-        self.rad_ints, self.factors, self.chain = _square_free(ints)
-        self.records: list[_Rec] = self._isolate()
+        self.rad_ints, self.factors = _square_free(ints)
+        self.records: list[_Rec] = _isolate(self.rad_ints)
         self._assign_multiplicities()
         # real-rooted: the real roots, counted with multiplicity, exhaust the degree
         self.real_rooted = sum(rec.mult for rec in self.records) == len(ints) - 1
-
-    def _isolate(self) -> list[_Rec]:
-        b = _cauchy_pow2_bound(self.rad_ints).bit_length() - 1
-        f = _fujiwara_exp(self.rad_ints)
-        leads = [((m[-1] > 0) - (m[-1] < 0), len(m) - 1) for m in self.chain]
-        at_inf = [_variations([s * t**d for s, d in leads]) for t in (-1, 1)]
-
-        def var(n: int, e: int) -> int:
-            num, den = _dyadic(n, e, b)
-            if abs(num) >= den << f:  # beyond every root: the count at -inf or +inf
-                return at_inf[num > 0]
-            return _var_at(self.chain, num, den)
-
-        stack = [(0, b + 1, var(0, b + 1), var(1, b + 1))]
-        out: list[_Rec] = []
-        while stack:  # the lower half pops first, so cells come out ascending
-            i, w, vl, vh = stack.pop()
-            count = vl - vh
-            if count == 1:
-                out.append(_Rec(b, i, w, _sign_at(self.rad_ints, *_dyadic(i + 1, w, b))))
-            elif count > 1:
-                vm = var(2 * i + 1, w - 1)
-                stack.append((2 * i + 1, w - 1, vm, vh))
-                stack.append((2 * i, w - 1, vl, vm))
-        return out
 
     def _assign_multiplicities(self) -> None:
         if len(self.factors) == 1 and self.factors[0][0] == 1:
@@ -514,7 +681,7 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
     return _relation(*_merged_positions(profiles))
 
 
-def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, Optional[tuple[int, int]]]:
+def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, tuple[int, int] | None]:
     """Check f_i interlaces f_j for every i < j.
 
     Entries must be real-rooted with nonnegative coefficients, or positive

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import operator
 from collections import OrderedDict
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import _CacheInfo  # the named tuple lru_cache's cache_info returns
 from itertools import combinations
 from math import factorial
-from typing import Callable, Optional, Sequence
 
 from .errors import PackingError, PreconditionError, UsageError
 from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _integer, _rank, _rational
@@ -413,7 +413,7 @@ IDENTITY_NAMES = (
 )
 
 
-def evaluate_identity(name: str, n: int, cap: Optional[int] = None) -> tuple[bool, Optional[dict]]:
+def evaluate_identity(name: str, n: int, cap: int | None = None) -> tuple[bool, dict | None]:
     """Decide one named identity at rank n: (True, None) or (False, witness).
 
     ``cap`` bounds the enumerations of stembridge and q0_reduction as in

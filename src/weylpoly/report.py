@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Optional
+from collections.abc import Callable
 
 from .errors import UsageError
 from .exactpoly import poly_to_json
@@ -23,7 +23,7 @@ class ReportEntry(Record):
     check_id: str
     parameters: dict
     verdict: str
-    witness: Optional[Any] = None
+    witness: object | None = None
     elapsed_ms: float = 0.0
     __hash__ = None  # parameters is a dict
 
@@ -62,14 +62,14 @@ class ReportEntry(Record):
         )
 
 
-def poly_equality(got, want) -> tuple[bool, Optional[dict]]:
+def poly_equality(got, want) -> tuple[bool, dict | None]:
     """(True, None) when two polynomials agree, else False and their difference."""
     if got == want:
         return True, None
     return False, {"difference": poly_to_json(got - want)}
 
 
-def timed_entry(check_id: str, params: dict, check: Optional[Callable[[], tuple[bool, Any]]]) -> ReportEntry:
+def timed_entry(check_id: str, params: dict, check: Callable[[], tuple[bool, object]] | None) -> ReportEntry:
     """Run one check and time it; ``check`` returns (ok, witness).
 
     A passing check may carry a witness; a failing one without a witness is

@@ -38,12 +38,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, isqrt
-from typing import Optional, Union
 
 from .errors import DivisibilityError, PreconditionError, StabilityInapplicableError, UsageError
 from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _canonical, _clear_denominators, _int_quot
 from .realroots import (
-    STRICT, WEAK, InterlacingVerdict, _cauchy_pow2_bound, _count_half_open, _square_free, interlaces
+    STRICT, WEAK, InterlacingVerdict, _cauchy_pow2_bound, _count_half_open, _radical_chain, interlaces
 )
 from .record import Record
 from .recurrences import refined_Tq
@@ -104,7 +103,7 @@ class StabilityReport(Record):
     """Hurwitz determinants Delta_1..Delta_n plus a verdict (numeric only)."""
 
     determinants: tuple
-    verdict: Optional[str]
+    verdict: str | None
 
     def to_json(self) -> dict:
         dets = []
@@ -161,7 +160,7 @@ def _unpack(v: int, w: int) -> QPoly:
     return QPoly(tuple(out))
 
 
-def hurwitz_determinants(p: Union[XPoly, QXPoly]) -> StabilityReport:
+def hurwitz_determinants(p: XPoly | QXPoly) -> StabilityReport:
     """All leading Hurwitz minors of p, read as a polynomial in z.
 
     Rational coefficients get a verdict: stable when every minor is
@@ -239,7 +238,7 @@ def q_positive_on_positive_reals(p: QPoly) -> bool:
         raise UsageError("q_positive_on_positive_reals of the zero polynomial")
     if all(c >= 0 for c in p.coeffs):
         return True
-    radical, _, chain = _square_free(_canonical(p))
+    radical, chain = _radical_chain(_canonical(p))
     bound = _cauchy_pow2_bound(radical)
     if _count_half_open(chain, 0, bound) != 0:
         return False

@@ -9,10 +9,10 @@ skipped check has None in place of the thunk.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Optional, Sequence
 
 from . import tables
 from .errors import DivisibilityError, DomainError, EnumerationCapError, UsageError
@@ -48,7 +48,7 @@ SUITES = ("paper_tables", "oracles", "identities", "interlacing", "stability", "
 
 DEFAULT_Q_SAMPLES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5))
 
-_Check = tuple[str, dict, Optional[Callable]]
+_Check = tuple[str, dict, Callable | None]
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +156,11 @@ def suite_paper_tables() -> list[_Check]:
 # ---------------------------------------------------------------------------
 
 
-def _check_oracle(family: str, n: int, cap: Optional[int]):
+def _check_oracle(family: str, n: int, cap: int | None):
     return poly_equality(assemble(family, n), brute_polynomial(family, n, cap=cap))
 
 
-def _check_oracle_refined(n: int, cap: Optional[int]):
+def _check_oracle_refined(n: int, cap: int | None):
     fam = refined_Tq(n).polys
     for i in range(2 * n):
         ok, witness = poly_equality(fam[i], brute_polynomial("refined_Tq", n, index=i, cap=cap))
@@ -169,7 +169,7 @@ def _check_oracle_refined(n: int, cap: Optional[int]):
     return True, None
 
 
-def _check_oracle_affine_refined(n: int, cap: Optional[int]):
+def _check_oracle_affine_refined(n: int, cap: int | None):
     fam = refined_affine_T(n).polys
     total = XPoly()
     for i in range(2 * n):
@@ -246,7 +246,7 @@ def _psi_walk(n: int, leaf: Callable) -> None:
     place(1, 0, 0, 0, 0, 0)
 
 
-def _check_psi_bijection(n: int, cap: Optional[int]):
+def _check_psi_bijection(n: int, cap: int | None):
     """psi on every signed permutation of rank n, in one walk (``_psi_walk``).
 
     Each leaf passes when every e_i lies in the half of [0, 2i) that the sign
@@ -318,7 +318,7 @@ def _check_affine_threshold():
     }
 
 
-def suite_oracles(max_n: int = 6, cap: Optional[int] = None) -> list[_Check]:
+def suite_oracles(max_n: int = 6, cap: int | None = None) -> list[_Check]:
     """Recurrences against enumeration up to rank max_n.
 
     The enumeration cap comes from ``cap``, then the environment, then the
@@ -350,7 +350,7 @@ def suite_oracles(max_n: int = 6, cap: Optional[int] = None) -> list[_Check]:
 # ---------------------------------------------------------------------------
 
 
-def suite_identities(max_n: int = 10, cap: Optional[int] = None) -> list[_Check]:
+def suite_identities(max_n: int = 10, cap: int | None = None) -> list[_Check]:
     """Named identities up to rank max_n.
 
     stembridge(n) and q0_reduction(n) enumerate at rank n.  They are skipped
@@ -562,9 +562,9 @@ def suite_stability(max_n: int = 6, q_samples: Sequence[Fraction] = DEFAULT_Q_SA
 
 def run_suite(
     suite: str,
-    max_n: Optional[int] = None,
-    q_samples: Optional[Sequence[Fraction]] = None,
-    cap: Optional[int] = None,
+    max_n: int | None = None,
+    q_samples: Sequence[Fraction] | None = None,
+    cap: int | None = None,
 ) -> VerificationReport:
     """Run one named suite (or all of them) and return the report."""
     if suite not in SUITES:

@@ -29,9 +29,9 @@ from __future__ import annotations
 import itertools
 import operator
 import os
+from collections.abc import Iterator, Mapping, Sequence
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
 
 from .errors import DomainError, EnumerationCapError, UsageError
 from .exactpoly import QPoly, QXPoly, XPoly, _integer, _rank

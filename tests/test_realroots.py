@@ -23,6 +23,7 @@ from weylpoly import (
     qxpoly,
     refined_K,
     refined_T1,
+    refined_Tq,
     square_free,
     xpoly,
 )
@@ -421,8 +422,8 @@ class TestIntegerSquareFree:
         for p in sqf_cases():
             if p.degree < 1:
                 continue
-            radical, factors, chain = _square_free(_canonical(p.monic()))
-            assert chain == fraction_sturm_chain(radical), str(p)
+            radical, factors = _square_free(_canonical(p.monic()))
+            assert _sturm_chain(radical) == fraction_sturm_chain(radical), str(p)
             assert list(factors) == [(m, _canonical(f)) for m, f in fraction_yun(p)], str(p)
             assert radical == _canonical(fraction_radical(p)), str(p)
             _, sym = sp.sqf_list(to_sympy(p))
@@ -807,6 +808,215 @@ class TestSignOnlyRefinement:
         # NaN raised ValueError and infinity OverflowError
         with pytest.raises(UsageError):
             isolate_roots(xpoly(-2, 0, 1), width)
+
+
+
+# ---------------------------------------------------------------------------
+# Budan-Fourier isolation, its Sturm fallback and the modular square-free test
+# ---------------------------------------------------------------------------
+
+ELL = 2**61 - 1
+WIDE = Fraction(2**64)  # wider than every bracket here: isolate_roots then reports the initial cells
+
+
+def fraction_taylor(ints, x: Fraction) -> list[Fraction]:
+    """p^(k)(x) / k! for k = 0..d over Fraction, by repeated synthetic division by (t - x)."""
+    coeffs, out = [Fraction(c) for c in ints], []
+    while coeffs:
+        acc, quot = Fraction(0), []
+        for c in reversed(coeffs):
+            acc = acc * x + c
+            quot.append(acc)
+        out.append(quot.pop())
+        coeffs = quot[::-1]
+    return out
+
+
+def certified_members():
+    """Members of every family the suites certify: tildeD, T1, K and T at q."""
+    out = [assemble("tildeD", n) for n in range(3, 31)]
+    out += [p for n in range(4, 11) for p in refined_T1(n)]
+    out += [p for n in range(3, 9) for p in refined_K(n, "direct").polys]
+    qs = (Fraction(1, 3), Fraction(1, 2), 1, Fraction(3, 2), 7)
+    out += [p.eval_q(q) for n in range(3, 7) for p in refined_Tq(n).polys for q in qs]
+    return [p for p in out if p.degree >= 1]
+
+
+def complex_pair_inputs():
+    """Seeded inputs with complex roots: cubics (x + r)(x^2 + s x + t), products with a complex
+    pair, a pair near the real axis, and (3x - 1)^4 - 81, whose Newton inequalities hold everywhere."""
+    rng = random.Random(41)
+    out = [xpoly(-1, 3) ** 4 - xpoly(81), xpoly(1, 0, 1), xpoly(1, 0, 0, 0, 1),
+           xpoly(Fraction(1, 2**40) + Fraction(1, 9), Fraction(-2, 3), 1) * xpoly(-1, 3)]
+    while len(out) < 40:
+        r, s, t = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 40)
+        if s * s < 4 * t:
+            out.append(xpoly(r, 1) * xpoly(t, s, 1))
+    for _ in range(20):
+        p = xpoly(rng.randint(1, 5), rng.randint(-4, 4), 1) ** rng.randint(1, 2) * xpoly(1, 0, 1)
+        for _ in range(rng.randint(0, 3)):
+            p = p * xpoly(Fraction(rng.randint(-8, 8), rng.choice([1, 2, 3, 8])), 1)
+        out.append(p)
+    return out
+
+
+def cluster_inputs():
+    """Roots exactly at bisection midpoints, at 0, repeated, and clusters 2^-3k apart."""
+    out = list(DYADIC_ROOTS)
+    for k in range(1, 6):
+        gap = Fraction(1, 2 ** (3 * k))
+        for centre in (Fraction(1, 3), Fraction(0), Fraction(-5, 4)):
+            p = X_ONE
+            for j in range(3):
+                p = p * xpoly(-(centre + j * gap), 1)
+            out += [p, p * xpoly(-centre, 1), p * xpoly(1, 0, 1)]
+    return out
+
+
+def reference_cells(p: XPoly):
+    """(lo, hi, sign of the radical at hi, multiplicity) of the Fraction Sturm reference's initial cells."""
+    radical = _canonical(fraction_radical(p))
+    return [(r.lo, r.hi, horner_sign(radical, r.hi.numerator, r.hi.denominator), r.multiplicity)
+            for r in full_chain_isolation(p, WIDE)]
+
+
+@pytest.fixture
+def taylor_budget(monkeypatch):
+    """Turn a bisection that would not end into a failure: at most 2000 Taylor expansions per profile."""
+    taylor, calls = realroots._taylor, []
+
+    def bounded(*args):
+        calls.append(args)
+        if len(calls) > 2000:
+            raise AssertionError("the Budan-Fourier bisection did not end")
+        return taylor(*args)
+
+    monkeypatch.setattr(realroots, "_taylor", bounded)
+    return calls
+
+
+class TestBudanFourierIsolation:
+    def cold_records(self, p):
+        realroots._profile.cache_clear()
+        return [(r.lo, r.hi, r.s_hi, r.mult) for r in realroots._profile(_canonical(p)).records]
+
+    def test_cells_match_the_fraction_sturm_reference(self, taylor_budget):
+        inputs = certified_members() + cluster_inputs() + complex_pair_inputs() + random_root_products(57, 40)
+        for p in inputs:
+            taylor_budget.clear()
+            assert self.cold_records(p) == reference_cells(p), str(p)
+
+    def test_refined_intervals_match_the_fraction_sturm_reference(self, taylor_budget):
+        # tildeD, tildeB, D and T1 are compared at the default width by TestSignOnlyRefinement
+        inputs = [p for n in range(3, 9) for p in refined_K(n, "direct").polys]
+        inputs += [p.eval_q(q) for p in refined_Tq(5).polys for q in (Fraction(1, 3), 7)]
+        for p in inputs + cluster_inputs() + complex_pair_inputs():
+            taylor_budget.clear()
+            realroots._profile.cache_clear()
+            assert isolate_roots(p).intervals == full_chain_isolation(p), str(p)
+
+    def test_sturm_fallback_runs_exactly_for_complex_roots(self, monkeypatch, taylor_budget):
+        fallbacks = []
+        sturm_cells = realroots._sturm_cells
+
+        def counting(rad):
+            fallbacks.append(rad)
+            return sturm_cells(rad)
+
+        monkeypatch.setattr(realroots, "_sturm_cells", counting)
+        members = certified_members()  # real-rooted by the theorems the suites check
+        for p in members + cluster_inputs() + complex_pair_inputs() + random_root_products(31, 40):
+            taylor_budget.clear()
+            fallbacks.clear()
+            real = p in members or yun_full_line_real_rooted(p)
+            realroots._profile.cache_clear()
+            assert is_real_rooted(p) == real, str(p)
+            assert fallbacks == ([] if real else [_canonical(fraction_radical(p))]), str(p)
+
+    def test_newton_inequalities_alone_do_not_end_the_bisection(self, monkeypatch, taylor_budget):
+        # (3x - 1)^4 - 81 loses two sign variations at 1/3, which no bisection point reaches,
+        # and its Taylor coefficients satisfy Newton's inequalities everywhere
+        p = xpoly(-1, 3) ** 4 - xpoly(81)
+        ints = _canonical(p)
+        realroots._profile.cache_clear()
+        assert [(r.lo, r.hi) for r in isolate_roots(p, 1).intervals] == [(-1, 0), (1, 2)]
+        points = list(taylor_budget)
+        assert points and all(realroots._newton_holds(realroots._taylor(*args)) for args in points)
+        monkeypatch.setattr(realroots, "_at_most_one_root", lambda b, s: False)
+        taylor_budget.clear()
+        with pytest.raises(AssertionError, match="did not end"):
+            realroots._Profile(ints)
+
+    def test_taylor_digits_match_the_fraction_expansion(self):
+        rng = random.Random(23)
+        cases = []
+        for _ in range(400):
+            d = rng.randint(1, 12)
+            ints = tuple(rng.choice([0, rng.randint(-9, 9), rng.randint(-2**70, 2**70)]) for _ in range(d))
+            cases.append(ints + (rng.choice([1, 3, -2**33, 2**80]),))
+        # |b_0| = |num|^d comes within a byte of the bound for x^d at an integer point
+        cases += [(0,) * d + (1,) for d in range(1, 7)] * 40
+        for ints in cases:
+            e = rng.choice([0, 0, 1, 5, rng.randint(0, 70)])
+            num = rng.choice([-1, 1]) * rng.randint(0, 2 ** rng.randint(0, 90))
+            d = len(ints) - 1
+            want = [a * 2 ** (e * (d - k)) for k, a in enumerate(fraction_taylor(ints, Fraction(num, 2**e)))]
+            assert realroots._taylor(ints, num, e) == want, (ints, num, e)
+
+
+class TestModularSquareFree:
+    def gcd_calls(self, monkeypatch):
+        calls = []
+        int_gcd = realroots._int_gcd
+
+        def counting(f, g):
+            calls.append((f, g))
+            return int_gcd(f, g)
+
+        monkeypatch.setattr(realroots, "_int_gcd", counting)
+        return calls
+
+    def test_constant_gcd_mod_ell_skips_the_remainder_sequence(self, monkeypatch):
+        prem = []
+        monkeypatch.setattr(exactpoly, "_prem", lambda f, g: prem.append(f))
+        for n in (3, 12, 25):
+            ints = _canonical(assemble("tildeD", n))
+            realroots._profile.cache_clear()
+            assert realroots._square_free(ints) == (ints, ((1, ints),))
+            assert realroots._profile(ints).real_rooted
+        assert prem == []
+
+    def test_ell_dividing_a_leading_coefficient_runs_the_prs(self, monkeypatch):
+        assert not realroots._coprime_mod_ell((-1, 0, ELL), (0, 2 * ELL))
+        assert not realroots._coprime_mod_ell((1, 0, 1), (0, ELL))
+        assert not realroots._coprime_mod_ell((1, ELL), (ELL,))
+        assert realroots._coprime_mod_ell((1, 0, 1), (0, 2))
+        calls = self.gcd_calls(monkeypatch)
+        ints = (-1, 0, ELL)  # ELL x^2 - 1, square-free
+        assert realroots._square_free(ints) == (ints, ((1, ints),))
+        assert calls == [(ints, (0, 2 * ELL))]
+
+    def test_double_root_mod_ell_only_is_square_free_through_the_prs(self, monkeypatch):
+        p = xpoly(-3, 1) * xpoly(-3 - ELL, 1)  # (x - 3)^2 mod ELL
+        ints = _canonical(p)
+        assert not realroots._coprime_mod_ell(ints, _derivative(ints))
+        calls = self.gcd_calls(monkeypatch)
+        assert realroots._square_free(ints) == (ints, ((1, ints),))
+        assert len(calls) == 1
+        realroots._profile.cache_clear()
+        assert is_real_rooted(p)
+        assert [(r.lo, r.hi) for r in isolate_roots(p).intervals] == [(r.lo, r.hi) for r in full_chain_isolation(p)]
+
+    def test_agrees_with_the_remainder_sequence(self):
+        rng = random.Random(77)
+        polys = sqf_cases() + random_root_products(31, 40) + certified_members()[:40]
+        for _ in range(200):
+            polys.append(xpoly(*[rng.randint(-2**70, 2**70) for _ in range(rng.randint(2, 9))]))
+        for p in polys:
+            if p.degree >= 1:
+                ints = _canonical(p)
+                deriv = _derivative(ints)
+                assert realroots._coprime_mod_ell(ints, deriv) == (len(exactpoly._int_gcd(ints, deriv)) == 1), str(p)
 
 
 def pairwise_relation(g: XPoly, f: XPoly) -> str:
