@@ -3,7 +3,8 @@
 The package computes descent-type generating polynomials (types A, B, D,
 their q-analogues, and the affine variants), verifies their recurrences
 against exhaustive enumeration, and certifies real-rootedness and mutual
-interlacing through Sturm-sequence root isolation and Routh-Hurwitz
+interlacing through root isolation by Budan-Fourier counts (Sturm counts
+where those prove a polynomial not real-rooted) and Routh-Hurwitz
 stability, all over arbitrary-precision rationals.
 """
 

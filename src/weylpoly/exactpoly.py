@@ -16,13 +16,15 @@ All operations are pure and exact; mixing kinds in ring operations raises
 round-trips are bit-exact.
 
 Every number from outside passes one gate, ``_rational`` (an int or a
-Fraction), ``_integer`` or ``_rank``; anything else raises UsageError.
-One integer kernel (``_canonical``, ``_primitive``, ``_prem``, ``_prs``,
-``_horner``) works on integer coefficient tuples.  ``_canonical`` is its one
+Fraction), ``_integer`` or ``_rank``, and every polynomial in one variable
+``_univariate``; anything else raises UsageError.  One integer kernel
+(``_canonical``, ``_primitive``, ``_prem``, ``_prs``, ``_horner``,
+``_digits``) works on integer coefficient tuples.  ``_canonical`` is its one
 reduction of a polynomial, shared by all its nonzero rational multiples;
 ``_prs`` its one remainder sequence, for ``poly_gcd`` and the Sturm chains
 and square-free decomposition of ``realroots``; ``_horner`` its one
-evaluation, for ``evaluate``, ``eval_q`` and every Sturm sign.
+evaluation, for ``evaluate``, ``eval_q`` and every Sturm sign; ``_digits``
+its one reader of packed balanced digits.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ def _rank(n, least: int, what: str) -> int:
     if n < least:
         raise UsageError(f"{what} {n} is below the smallest rank {least}")
     return n
+
+
+def _univariate(p, what: str):
+    """p if it is an XPoly or a QPoly; anything else raises UsageError naming ``what``."""
+    if isinstance(p, (XPoly, QPoly)):
+        return p
+    raise UsageError(f"{what} must be an XPoly or a QPoly, got {type(p).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +458,18 @@ def _horner(ints: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
+def _digits(v: int, nb: int, count: int | None = None) -> list[int]:
+    """The balanced base-2^W digits of v, W = 8 nb, each in [-2^(W-1), 2^(W-1)), least
+    significant first: ``count`` of them, or as many as v needs, the top one perhaps zero."""
+    w = nb << 3
+    if count is None:
+        count = (v.bit_length() + 1) // w + 1  # |v| < 2^(W count - 2)
+    half = 1 << (w - 1)
+    # adding half to every digit makes each one nonnegative, with no carries
+    raw = (v + int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")).to_bytes(nb * count, "little")
+    return [int.from_bytes(raw[k : k + nb], "little") - half for k in range(0, nb * count, nb)]
+
+
 def _derivative(coeffs: Sequence) -> tuple:
     """Formal derivative of an ascending coefficient sequence."""
     return tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
@@ -478,6 +499,7 @@ def _int_gcd(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
 
 def poly_gcd(a: XPoly, b: XPoly) -> XPoly:
     """Monic greatest common divisor over the rationals, by ``_int_gcd``."""
+    a, b = _univariate(a, "a"), _univariate(b, "b")
     if a.is_zero() and b.is_zero():
         raise UsageError("gcd of two zero polynomials is undefined")
     return XPoly(_int_gcd(_canonical(a), _canonical(b))).monic()
@@ -503,7 +525,7 @@ def coeff_props(p: XPoly) -> CoeffProps:
     that same span (zeros inside the span count).  The zero polynomial gets
     all four flags vacuously true.
     """
-    c = p.coeffs
+    c = _univariate(p, "p").coeffs
     if not c:
         return CoeffProps(True, True, True, True)
     nonneg = all(v >= 0 for v in c)

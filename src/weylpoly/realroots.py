@@ -22,15 +22,16 @@ factors, its exact quotients integral by Gauss's lemma.  A constant p has
 the radical 1 and no cell.
 
 Isolation counts sign variations of Taylor coefficients (Budan-Fourier).
-The radical is bisected from the bracket (-2^b, 2^b], where 2^b is at
-least the Cauchy bound 1 + max|a_i / a_n|; every cell is dyadic,
-(i 2^w - 2^b, (i+1) 2^w - 2^b], and every cell whose count is at least two
-is split, lower half first, so the cells come out in ascending order.  At a
-bisection point num/2^e one Horner pass of 2^(e d) p((num + u) / 2^e) at
-u = 2^W, W whole bytes above the bound sum |c_k| (2^e + |num|)^d on every
-coefficient, packs all d + 1 scaled Taylor coefficients, read back as
-balanced base-2^W digits; at or beyond Fujiwara's root bound 2^f the count
-is d on the left and 0 on the right, for free.  V(lo) - V(hi) is at least
+The radical is bisected from the bracket (-2^f, 2^f], where 2^f is above
+Fujiwara's root bound, so by Gauss-Lucas every real root of every
+derivative lies inside it too: the count is d at -2^f and 0 at 2^f.  Every
+cell is dyadic, (i 2^w - 2^f, (i+1) 2^w - 2^f], and every cell whose count
+is at least two is split, lower half first, so the cells come out in
+ascending order.  At a bisection point num/2^e one Horner pass of
+2^(e d) p((num + u) / 2^e) at u = 2^W, W whole bytes above the bound
+sum |c_k| (2^e + |num|)^d on every coefficient, packs all d + 1 scaled
+Taylor coefficients, read back by ``exactpoly._digits`` as balanced
+base-2^W digits.  V(lo) - V(hi) is at least
 the number of roots in (lo, hi], counted with multiplicity, and has the
 same parity.  The excess is never negative and adds up over the real line,
 where the count is d; so for a real-rooted radical it is zero everywhere,
@@ -44,7 +45,7 @@ coefficients at its midpoint keep p, or p', from vanishing on it.  A
 failure proves the radical not real-rooted, and every path that would not
 end reaches one, since p or p' is nonzero at its limit.  Isolation then
 restarts on Sturm counts, and only then builds the radical's chain, whose
-count beyond Fujiwara's bound is read from its leading coefficients.  Each
+counts at the bracket's ends are read from its leading coefficients.  Each
 root's multiplicity is one Sturm count per Yun factor.  The root profile of
 a polynomial (radical, factors, cells) is cached in a bounded LRU keyed by
 the canonical form, so a polynomial and its nonzero rational multiples
@@ -58,9 +59,9 @@ vanishes at hi, otherwise the lower half when the midpoint sign is 0 or
 equals the sign at hi.  A root exactly at a midpoint thus goes to the lower
 half, as in the half-open Sturm count, so every cell is the one a full Sturm
 count would choose.  ``isolate_roots`` reports, for each root, the coarsest
-cell of its bisection path that is at most ``width`` wide.  That path
-depends only on the root, and each call refines fresh copies of the cached
-cells, so the report depends only on the polynomial and the width.
+cell of its bisection path that is at most ``width`` wide.  Each call
+refines fresh copies of the cached cells, so the report depends only on the
+polynomial and the width.
 
 Interlacing.  ``interlaces`` and ``mutually_interlacing`` share one merged
 sweep.  The initial cells of every member are copied, sorted, and only
@@ -82,8 +83,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PreconditionError, UsageError, WeylPolyError
-from .exactpoly import QPoly, XPoly, _canonical, _derivative, _horner, _int_gcd, _positive_primitive, _prs
-from .exactpoly import _rational
+from .exactpoly import QPoly, XPoly, _canonical, _derivative, _digits, _horner, _int_gcd, _prs
+from .exactpoly import _rational, _univariate
 from .record import Record
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
@@ -135,16 +136,6 @@ def _var_at(chain, num: int, den: int) -> int:
 
 def _count_half_open(chain, lo: Fraction, hi: Fraction) -> int:
     return _var_at(chain, lo.numerator, lo.denominator) - _var_at(chain, hi.numerator, hi.denominator)
-
-
-def _cauchy_pow2_bound(ints: Sequence[int]) -> int:
-    """The least power of two b with b |a_n| >= |a_n| + max|a_i|.
-
-    So b >= 1 + max|a_i / a_n|, the Cauchy bound, and b exceeds every root.
-    """
-    lead = abs(ints[-1])
-    need = lead + max((abs(c) for c in ints[:-1]), default=0)
-    return 1 << (-(-need // lead) - 1).bit_length()
 
 
 def _fujiwara_exp(ints: Sequence[int]) -> int:
@@ -234,20 +225,6 @@ def _square_free(ints: tuple[int, ...]):
     return (ints, ((1, ints),)) if len(g) == 1 else _yun(ints, g)
 
 
-def _radical_chain(ints: tuple[int, ...]):
-    """The radical of p and its Sturm chain, from p's own chain and no modular test.
-
-    p's chain ends in gcd(p, p'); when that is a constant, p is its own
-    radical and the chain is the radical's.
-    """
-    chain = _sturm_chain(ints)
-    g = _positive_primitive(chain[-1])
-    if len(g) == 1:
-        return ints, chain
-    radical = _yun(ints, g)[0]
-    return radical, _sturm_chain(radical)
-
-
 # ---------------------------------------------------------------------------
 # Budan-Fourier counts from one packed Taylor expansion
 # ---------------------------------------------------------------------------
@@ -265,7 +242,7 @@ def _taylor(ints: Sequence[int], num: int, e: int) -> list[int]:
     inequalities need.  Every |b_k| is at most B = sum |c_j| (2^e + |num|)^d,
     so with W whole bytes and 2^(W-1) > B, one Horner pass on
     sum c_j 2^(e (d - j)) (num + u)^j at u = 2^W packs them all, and the
-    balanced base-2^W digits of the result are the b_k.
+    d + 1 balanced base-2^W digits of the result are the b_k.
     """
     d = len(ints) - 1
     bound = sum(map(abs, ints)) * ((1 << e) + abs(num)) ** d
@@ -274,10 +251,7 @@ def _taylor(ints: Sequence[int], num: int, e: int) -> list[int]:
     acc = ints[-1]
     for s in range(1, d + 1):
         acc = acc * num + (acc << w) + (ints[d - s] << e * s)
-    half = 1 << (w - 1)
-    # adding half to every digit makes each one nonnegative, with no carries
-    raw = (acc + int.from_bytes((bytes(nb - 1) + b"\x80") * (d + 1), "little")).to_bytes(nb * (d + 1), "little")
-    return [int.from_bytes(raw[k : k + nb], "little") - half for k in range(0, nb * (d + 1), nb)]
+    return _digits(acc, nb, d + 1)
 
 
 def _newton_holds(b: Sequence[int]) -> bool:
@@ -368,8 +342,8 @@ class InterlacingVerdict(Record):
 
 
 class _Rec(Record):
-    """The cell (i 2^w - 2^b, (i+1) 2^w - 2^b] holding one root of the radical, whose
-    sign at hi is s_hi; refined in place, so unlike the other records mutable and unhashable."""
+    """The cell (i 2^w - 2^b, (i+1) 2^w - 2^b] of the bracket (-2^b, 2^b] holding one root of the
+    radical, whose sign at hi is s_hi; refined in place, so unlike the other records mutable."""
 
     __slots__ = ("b", "i", "w", "s_hi", "mult")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
@@ -394,27 +368,25 @@ class _Rec(Record):
 
 
 def _bisect(rad: tuple[int, ...], outside, at) -> list[_Rec]:
-    """Cells of the square-free ``rad`` from the bracket (-2^b, 2^b], lower half first.
+    """Cells of the square-free ``rad`` from the bracket (-2^f, 2^f], lower half first.
 
-    2^b is at least the Cauchy bound and 2^f is Fujiwara's, so every root
-    lies inside both.  ``outside`` holds the (count, sign) pairs left and
-    right of every root, and at(num, den, e) the pair at the midpoint num/den
-    of a cell of half-width 2^e: a variation count whose differences count
-    the distinct roots in (lo, hi], and the sign of ``rad``.  Every cell
-    whose count is at least two is split at its midpoint.
+    Every root lies in |z| < 2^f, f from ``_fujiwara_exp``.  ``outside``
+    holds the (count, sign) pairs at -2^f and 2^f, and at(num, den, e) the
+    pair at the midpoint num/den of a cell of half-width 2^e: a variation
+    count whose differences count the distinct roots in (lo, hi], and the
+    sign of ``rad``.  Every cell whose count is at least two is split at its
+    midpoint.
     """
-    b = _cauchy_pow2_bound(rad).bit_length() - 1
     f = _fujiwara_exp(rad)
-    stack = [(0, b + 1, *outside)]
+    stack = [(0, f + 1, *outside)]
     out: list[_Rec] = []
     while stack:  # the lower half pops first, so cells come out ascending
         i, w, low, high = stack.pop()
         count = low[0] - high[0]
         if count == 1:
-            out.append(_Rec(b, i, w, high[1]))
+            out.append(_Rec(f, i, w, high[1]))
         elif count > 1:
-            num, den = _dyadic(2 * i + 1, w - 1, b)
-            mid = outside[num > 0] if abs(num) >= den << f else at(num, den, w - 1)
+            mid = at(*_dyadic(2 * i + 1, w - 1, f), w - 1)
             stack.append((2 * i + 1, w - 1, mid, high))
             stack.append((2 * i, w - 1, low, mid))
     return out
@@ -424,8 +396,7 @@ def _isolate(rad: tuple[int, ...]) -> list[_Rec]:
     """Cells of the square-free ``rad`` (lc > 0) by Budan-Fourier counts, or by
     ``_sturm_cells`` once a Taylor expansion proves ``rad`` not real-rooted.
 
-    Left of every root the count is d and the sign (-1)^d; right of them,
-    0 and 1.
+    At -2^f the count is d and the sign (-1)^d; at 2^f, 0 and 1.
     """
     d = len(rad) - 1
     if d < 1:
@@ -444,7 +415,8 @@ def _isolate(rad: tuple[int, ...]) -> list[_Rec]:
 
 
 def _sturm_cells(rad: tuple[int, ...]) -> list[_Rec]:
-    """Cells of the square-free ``rad`` by Sturm counts, from its chain built here."""
+    """Cells of the square-free ``rad`` by Sturm counts, from its chain built here; at the
+    bracket's ends they are the counts at -inf and inf, read from the leading coefficients."""
     chain = _sturm_chain(rad)
     leads = [((m[-1] > 0) - (m[-1] < 0), len(m) - 1) for m in chain]
     outside = tuple((_variations([s * t**k for s, k in leads]), t ** (len(rad) - 1)) for t in (-1, 1))
@@ -516,7 +488,7 @@ def square_free(p: XPoly) -> tuple[XPoly, tuple[RootInterval, ...]]:
     The interval list covers the real roots only; complex conjugate pairs do
     not appear.
     """
-    if p.is_zero():
+    if _univariate(p, "p").is_zero():
         raise UsageError("square_free of the zero polynomial")
     prof = _profile(_canonical(p))
     return XPoly(prof.rad_ints).monic(), prof.intervals(DEFAULT_WIDTH)
@@ -524,14 +496,14 @@ def square_free(p: XPoly) -> tuple[XPoly, tuple[RootInterval, ...]]:
 
 def count_roots_in(p: XPoly, lo: Fraction, hi: Fraction) -> int:
     """Exact number of distinct real roots of square-free p in (lo, hi]."""
-    if p.is_zero():
+    if _univariate(p, "p").is_zero():
         raise UsageError("count_roots_in of the zero polynomial")
-    chain = _sturm_chain(_canonical(p))
-    if len(chain[-1]) > 1:  # the chain ends in gcd(p, p')
-        raise UsageError("count_roots_in requires a square-free polynomial")
     lo, hi = _rational(lo, "lo"), _rational(hi, "hi")
     if not lo < hi:
         raise UsageError("count_roots_in requires lo < hi")
+    chain = _sturm_chain(_canonical(p))
+    if len(chain[-1]) > 1:  # the chain ends in gcd(p, p')
+        raise UsageError("count_roots_in requires a square-free polynomial")
     return _count_half_open(chain, lo, hi)
 
 
@@ -542,7 +514,7 @@ def isolate_roots(p: XPoly, width: Fraction = DEFAULT_WIDTH) -> RootIsolation:
     at most ``width`` wide (``width`` > 0), so the result depends only on p
     and ``width``.
     """
-    if p.is_zero():
+    if _univariate(p, "p").is_zero():
         raise UsageError("isolate_roots of the zero polynomial")
     width = _rational(width, "width")
     if width <= 0:
@@ -552,7 +524,7 @@ def isolate_roots(p: XPoly, width: Fraction = DEFAULT_WIDTH) -> RootIsolation:
 
 def is_real_rooted(p: XPoly) -> bool:
     """True iff the real roots, counted with multiplicity, exhaust the degree."""
-    if p.is_zero():
+    if _univariate(p, "p").is_zero():
         raise UsageError("is_real_rooted of the zero polynomial")
     return _profile(_canonical(p)).real_rooted
 
@@ -671,7 +643,7 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
     holds the cells of the first two roots out of order.
     """
     for name, p in (("g", g), ("f", f)):
-        if p.is_zero():
+        if _univariate(p, name).is_zero():
             raise PreconditionError(f"{name} must be nonzero")
         if p.leading <= 0:
             raise PreconditionError(f"{name} must have a positive leading coefficient")
@@ -698,7 +670,7 @@ def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, tuple[int, int] | N
         raise UsageError("mutually_interlacing of an empty sequence")
     profiles = []
     for k, p in enumerate(fs):
-        if p.is_zero():
+        if _univariate(p, f"entry {k}").is_zero():
             raise PreconditionError(f"entry {k} is the zero polynomial")
         if p.degree == 0 and p.leading <= 0:
             raise PreconditionError(f"entry {k} is a nonpositive constant")

@@ -19,9 +19,9 @@ substitution).  That is a ring map, so the array yields the packed minors,
 and every division exact over Z[q] stays exact.  Row r of H holds each a_i
 with i = r + 1 (mod 2) at most once, so on |q| = 1 no Delta_k exceeds the
 product over the n rows of max(1, sqrt(sum ||a_i||_1^2)) (Hadamard), and
-neither does any coefficient of it (Cauchy's estimate).  With 2^(W-1) above
-that bound, each minor is the balanced base-2^W digits of its packed value,
-which is zero exactly when the minor is.
+neither does any coefficient of it (Cauchy's estimate).  With W whole bytes
+and 2^(W-1) above that bound, ``exactpoly._digits`` reads each minor as the
+balanced base-2^W digits of its packed value, zero exactly when it is.
 
 The array divides by Delta_{k-2}, so a zero Delta_k with k < n would stop
 it.  It then reruns on p + eps (z+1)^n over Z[eps], with the coefficients
@@ -40,10 +40,8 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import DivisibilityError, PreconditionError, StabilityInapplicableError, UsageError
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _canonical, _clear_denominators, _int_quot
-from .realroots import (
-    STRICT, WEAK, InterlacingVerdict, _cauchy_pow2_bound, _count_half_open, _radical_chain, interlaces
-)
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _digits, _int_quot, _univariate
+from .realroots import STRICT, WEAK, InterlacingVerdict, interlaces, isolate_roots
 from .record import Record
 from .recurrences import refined_Tq
 
@@ -142,22 +140,12 @@ def _routh_minors(a):
         yield row[0]
 
 
-def _kronecker_width(a) -> int:
-    """W from the Hadamard bound of the module docstring; rows of H start with the odd-index a_i."""
+def _kronecker_bytes(a) -> int:
+    """W / 8, from the Hadamard bound of the module docstring; rows of H start with odd-index a_i."""
     norms = [max(sum(sum(map(abs, c.coeffs)) ** 2 for c in a[par::2]), 1) for par in (1, 0)]
     n = len(a) - 1
     squared = norms[0] ** ((n + 1) // 2) * norms[1] ** (n // 2)
-    return isqrt(squared).bit_length() + 1
-
-
-def _unpack(v: int, w: int) -> QPoly:
-    """The QPoly whose coefficients are the balanced base-2^w digits of v."""
-    half, mask, out = 1 << (w - 1), (1 << w) - 1, []
-    while v:
-        d = ((v + half) & mask) - half
-        out.append(d)
-        v = (v - d) >> w
-    return QPoly(tuple(out))
+    return (isqrt(squared).bit_length() + 8) >> 3  # 2^(W - 1) > the bound
 
 
 def hurwitz_determinants(p: XPoly | QXPoly) -> StabilityReport:
@@ -174,9 +162,9 @@ def hurwitz_determinants(p: XPoly | QXPoly) -> StabilityReport:
         raise UsageError("hurwitz_determinants needs degree >= 1")
     a = p.coeffs[::-1]
     if isinstance(p, QXPoly):
-        w = _kronecker_width(a)
-        packed = _routh_minors([sum(x << w * i for i, x in enumerate(c.coeffs)) for c in a])
-        return StabilityReport(tuple(_unpack(d, w) for d in packed), None)
+        nb = _kronecker_bytes(a)
+        packed = _routh_minors([sum(x << 8 * nb * i for i, x in enumerate(c.coeffs)) for c in a])
+        return StabilityReport(tuple(QPoly(_digits(d, nb)) for d in packed), None)
     if a[0] <= 0:
         raise PreconditionError("leading coefficient must be positive")
     # Delta_k(den * p) = den**k * Delta_k(p)
@@ -230,19 +218,16 @@ def build_C(i: int, j: int) -> CPairResult:
 def q_positive_on_positive_reals(p: QPoly) -> bool:
     """True iff p(q) > 0 for every q > 0, decided exactly.
 
-    Nonnegative coefficients with at least one positive short-circuit;
-    otherwise a Sturm count certifies no root in (0, bound], hence none on
-    (0, inf), where the leading coefficient then fixes the sign.
+    Nonnegative coefficients with at least one positive short-circuit.
+    Otherwise p needs a positive leading coefficient and no root in (0, inf).
+    Every isolating interval at most 1 wide is (k 2^w, (k+1) 2^w], k an
+    integer, so a root is positive exactly when its interval ends above 0.
     """
-    if p.is_zero():
+    if _univariate(p, "p").is_zero():
         raise UsageError("q_positive_on_positive_reals of the zero polynomial")
     if all(c >= 0 for c in p.coeffs):
         return True
-    radical, chain = _radical_chain(_canonical(p))
-    bound = _cauchy_pow2_bound(radical)
-    if _count_half_open(chain, 0, bound) != 0:
-        return False
-    return p.leading > 0
+    return p.leading > 0 and all(r.hi <= 0 for r in isolate_roots(p, 1).intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +248,7 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
     raises PreconditionError otherwise.
     """
     for name, p in (("f", f), ("g", g)):
-        if p.is_zero():
+        if _univariate(p, name).is_zero():
             raise StabilityInapplicableError(
                 f"{name} is zero, so one split part vanishes identically"
             )

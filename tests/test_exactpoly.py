@@ -31,19 +31,25 @@ from weylpoly import (
     count_roots_in,
     enumerate_objects,
     eval_q,
+    interlace_via_stability,
+    interlaces,
     isolate_roots,
+    mutually_interlacing,
     nx_const,
     nx_x,
+    q_positive_on_positive_reals,
     realroots,
     refined_K,
     refined_Tq,
     run_suite,
+    square_free,
     verify,
 )
 from weylpoly.exactpoly import (
     NEG_INF,
     _DensePoly,
     _canonical,
+    _digits,
     _rational,
     _prem,
     _prs,
@@ -433,6 +439,89 @@ _RATIONAL_ENTRIES = {
     "count_roots_in hi": lambda v: count_roots_in(_LINE, 0, v),
     "run_suite q samples": lambda v: run_suite("interlacing", max_n=4, q_samples=(Fraction(1, 2), v)),
 }
+
+
+_POSITIVE = xpoly(1, 1)
+
+# Every public entry point that takes a polynomial in one variable, by name and argument.
+_UNIVARIATE_ENTRIES = {
+    "isolate_roots": isolate_roots,
+    "is_real_rooted": is_real_rooted,
+    "square_free": square_free,
+    "count_roots_in": lambda p: count_roots_in(p, 0, 1),
+    "interlaces g": lambda p: interlaces(p, _POSITIVE),
+    "interlaces f": lambda p: interlaces(_POSITIVE, p),
+    "mutually_interlacing": lambda p: mutually_interlacing([p, _POSITIVE]),
+    "poly_gcd a": lambda p: poly_gcd(p, _POSITIVE),
+    "poly_gcd b": lambda p: poly_gcd(_POSITIVE, p),
+    "coeff_props": coeff_props,
+    "interlace_via_stability f": lambda p: interlace_via_stability(p, _POSITIVE),
+    "interlace_via_stability g": lambda p: interlace_via_stability(_POSITIVE, p),
+    "q_positive_on_positive_reals": q_positive_on_positive_reals,
+}
+
+
+class TestUnivariateGate:
+    """One gate for polynomials in one variable: XPoly and QPoly pass, nothing else."""
+
+    @pytest.mark.parametrize("entry", sorted(_UNIVARIATE_ENTRIES))
+    @pytest.mark.parametrize("bad", [qxpoly((1, 1), (0, 1)), [1, 2], None], ids=["QXPoly", "list", "None"])
+    def test_other_kinds_rejected_before_use(self, entry, bad):
+        # a list raised AttributeError ('list' object has no attribute 'is_zero'), a QXPoly
+        # AttributeError or TypeError
+        realroots._profile.cache_clear()
+        with pytest.raises(UsageError, match="must be an XPoly or a QPoly"):
+            _UNIVARIATE_ENTRIES[entry](bad)
+        assert realroots._profile.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("entry", sorted(_UNIVARIATE_ENTRIES))
+    def test_xpoly_and_qpoly_accepted(self, entry):
+        for good in (xpoly(2, 1), qpoly(2, 1)):
+            _UNIVARIATE_ENTRIES[entry](good)
+
+    def test_count_roots_in_checks_its_bounds_before_any_sturm_chain(self, monkeypatch):
+        chains = []
+        monkeypatch.setattr(realroots, "_sturm_chain", lambda ints: chains.append(ints))
+        for lo, hi in ((1, 0), (0.5, 1), (0, None)):
+            with pytest.raises(UsageError):
+                count_roots_in(xpoly(1, 1) ** 2, lo, hi)
+        assert chains == []
+
+
+class TestDigits:
+    def test_round_trip_on_random_digit_lists(self):
+        rng = random.Random(2026)
+
+        def trim(ds):
+            ds = list(ds)
+            while ds and not ds[-1]:
+                ds.pop()
+            return ds
+
+        for nb in range(1, 10):
+            half = 1 << (8 * nb - 1)
+            assert _digits(0, nb) == [0] and _digits(0, nb, 3) == [0, 0, 0]
+            lists = [[-half], [half - 1], [-half] * 5, [half - 1] * 5, [0, 0, -half], [half - 1, 0, 0]]
+            for _ in range(80):
+                count = rng.randint(1, 12)
+                lists.append([rng.choice((-half, half - 1, 0, rng.randrange(-half, half))) for _ in range(count)])
+            for ds in lists:
+                v = sum(c << 8 * nb * k for k, c in enumerate(ds))
+                assert _digits(v, nb, len(ds)) == ds, (nb, ds)
+                assert _digits(v, nb, len(ds) + 3) == ds + [0, 0, 0], (nb, ds)
+                got = _digits(v, nb)
+                assert trim(got) == trim(ds) and len(got) <= len(trim(ds)) + 1, (nb, ds)
+
+    def test_values_at_powers_of_two_read_back(self):
+        # 2^(W c - 1) - 1 needs c + 1 digits, [-1, ..., -2^(W-1), 1]
+        for nb in range(1, 10):
+            w, half = 8 * nb, 1 << (8 * nb - 1)
+            for c in range(1, 5):
+                for v in (1 << (w * c - 1), -(1 << (w * c - 1))):
+                    for v in (v - 1, v, v + 1):
+                        got = _digits(v, nb)
+                        assert sum(d << w * k for k, d in enumerate(got)) == v, (nb, v)
+                        assert all(-half <= d < half for d in got), (nb, v)
 
 
 class TestGate:

@@ -29,7 +29,7 @@ from weylpoly import (
 )
 from weylpoly import exactpoly, realroots
 from weylpoly.exactpoly import X_ONE, _canonical, _derivative, exact_divide
-from weylpoly.realroots import _cauchy_pow2_bound, _square_free, _sturm_chain
+from weylpoly.realroots import _fujiwara_exp, _square_free, _sturm_chain
 from weylpoly.tables import K4_TABLE, K4_ROOTS
 
 X = sp.symbols("x")
@@ -368,6 +368,16 @@ def fraction_cauchy_bound(ints) -> int:
     return b
 
 
+def fraction_fujiwara_bound(ints) -> int:
+    """Reference: 2 times the least power of two r >= 1 with |a_(d-k) / a_d| <= r^k for every k,
+    in Fraction; every root z then has |z| < 2 max_k |a_(d-k) / a_d|^(1/k) <= 2r (Fujiwara)."""
+    d = len(ints) - 1
+    r = Fraction(1)
+    while any(Fraction(abs(ints[d - k]), abs(ints[d])) > r**k for k in range(1, d + 1)):
+        r *= 2
+    return int(2 * r)
+
+
 def yun_full_line_real_rooted(p: XPoly) -> bool:
     """Reference: Yun factors, each counted on the whole line by its Sturm chain."""
     if p.degree == 0:
@@ -447,16 +457,28 @@ class TestIntegerSquareFree:
                 want = sum(1 for r in roots if rational(Fraction(lo)) < r <= rational(Fraction(hi)))
                 assert count_roots_in(p, lo, hi) == want, (str(p), lo, hi)
 
-    def test_integer_cauchy_bound_matches_fraction_formula(self):
+    def test_taylor_counts_at_the_fujiwara_bracket_ends_are_d_and_0(self):
+        # Gauss-Lucas: every real root of every derivative lies inside |z| < 2^f, so the
+        # Taylor coefficients alternate in sign at -2^f and share one sign at 2^f
         rng = random.Random(17)
         polys = sqf_cases() + random_root_products(31, 40) + DYADIC_ROOTS + list(K4_TABLE)
+        polys += complex_pair_inputs() + cluster_inputs()
         polys += [assemble("tildeD", n) for n in range(3, 31)] + [xpoly(3, 1), xpoly(-7, 0, 1), xpoly(8, 0, 2)]
         for _ in range(200):
             polys.append(xpoly(*[rng.randint(-2**40, 2**40) for _ in range(rng.randint(1, 6))], rng.choice([-5, -1, 1, 3, 2**41])))
+        kinds = set()
         for p in polys:
             if p.degree >= 1:
                 ints = _canonical(p)
-                assert _cauchy_pow2_bound(ints) == fraction_cauchy_bound(ints), str(p)
+                f = _fujiwara_exp(ints)
+                assert 2**f == fraction_fujiwara_bound(ints), str(p)
+                d = len(ints) - 1
+                for x, want in ((-(2**f), d), (2**f, 0)):
+                    taylor = fraction_taylor(ints, Fraction(x))
+                    assert all(taylor), (str(p), x)
+                    assert sum(1 for a, b in zip(taylor, taylor[1:]) if (a > 0) != (b > 0)) == want, (str(p), x)
+                kinds.add((yun_full_line_real_rooted(p), fraction_yun(p) == [(1, p.monic())]))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestOneChainPerPolynomial:
@@ -675,18 +697,20 @@ def chain_variations(chain, x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def full_chain_isolation(p: XPoly, width: Fraction = realroots.DEFAULT_WIDTH):
+def full_chain_isolation(p: XPoly, width: Fraction = realroots.DEFAULT_WIDTH, bracket=fraction_cauchy_bound):
     """Isolation with a full Sturm count at every bisection, on Fraction endpoints.
 
     This is the refinement the sign-only one replaces: the half (lo, mid] is
-    kept iff the count there is one.
+    kept iff the count there is one.  The radical is bisected from
+    (-B, B], B = bracket(radical); below width 2 the cells do not depend on
+    the bracket.
     """
     factors = fraction_yun(p)
     radical = fraction_radical(p)
     if radical.degree < 1:
         return ()
     chain = _sturm_chain(_canonical(radical))
-    bound = Fraction(fraction_cauchy_bound(_canonical(radical)))
+    bound = Fraction(bracket(_canonical(radical)))
     stack = [(-bound, bound, chain_variations(chain, -bound), chain_variations(chain, bound))]
     cells = []
     while stack:
@@ -817,6 +841,10 @@ class TestSignOnlyRefinement:
 
 ELL = 2**61 - 1
 WIDE = Fraction(2**64)  # wider than every bracket here: isolate_roots then reports the initial cells
+# A small positive root beside one below -2^20, so the bracket is wide; roots at 0, +-2^-40 and 1/3;
+# a double root at 1
+WIDE_BRACKET = [xpoly(-1, 2**10) * xpoly(2**20 + 3, 1), xpoly(-1, 2**10) * xpoly(2**20 + 3, 1) * xpoly(1, 0, 1),
+                xpoly(0, 1) * xpoly(-1, 2**40) * xpoly(1, 2**40) * xpoly(-1, 3), xpoly(-1, 1) ** 2 * xpoly(2**30, 1)]
 
 
 def fraction_taylor(ints, x: Fraction) -> list[Fraction]:
@@ -874,10 +902,11 @@ def cluster_inputs():
 
 
 def reference_cells(p: XPoly):
-    """(lo, hi, sign of the radical at hi, multiplicity) of the Fraction Sturm reference's initial cells."""
+    """(lo, hi, sign of the radical at hi, multiplicity) of the initial cells of the Fraction
+    Sturm reference, bisected from the Fujiwara bracket."""
     radical = _canonical(fraction_radical(p))
     return [(r.lo, r.hi, horner_sign(radical, r.hi.numerator, r.hi.denominator), r.multiplicity)
-            for r in full_chain_isolation(p, WIDE)]
+            for r in full_chain_isolation(p, WIDE, fraction_fujiwara_bound)]
 
 
 @pytest.fixture
@@ -902,9 +931,19 @@ class TestBudanFourierIsolation:
 
     def test_cells_match_the_fraction_sturm_reference(self, taylor_budget):
         inputs = certified_members() + cluster_inputs() + complex_pair_inputs() + random_root_products(57, 40)
-        for p in inputs:
+        for p in inputs + WIDE_BRACKET:
             taylor_budget.clear()
             assert self.cold_records(p) == reference_cells(p), str(p)
+
+    def test_narrow_intervals_match_the_cauchy_bracket_reference(self, taylor_budget):
+        # Below width 2 every cell is (k 2^w, (k+1) 2^w], whichever bracket it was bisected from
+        inputs = [p for n in range(3, 7) for p in refined_K(n, "direct").polys] + [assemble("tildeD", n) for n in (8, 16)]
+        inputs += cluster_inputs() + complex_pair_inputs() + random_root_products(57, 40) + WIDE_BRACKET
+        for p in inputs:
+            for width in (Fraction(1, 2**30), Fraction(1, 2), Fraction(1)):
+                taylor_budget.clear()
+                realroots._profile.cache_clear()
+                assert isolate_roots(p, width).intervals == full_chain_isolation(p, width), (str(p), width)
 
     def test_refined_intervals_match_the_fraction_sturm_reference(self, taylor_budget):
         # tildeD, tildeB, D and T1 are compared at the default width by TestSignOnlyRefinement

@@ -558,21 +558,26 @@ class TestHurwitzOracles:
         assert lifted >= 10 and negative_lead >= 30
 
     def test_too_narrow_a_packing_fails_the_ring_oracle(self, monkeypatch):
-        # Mutation check: every minor coefficient c needs -2^(W-1) <= c < 2^(W-1).
-        # The library's W meets that; one bit less than the least such W must
-        # misread some minor.
+        # Mutation check: every minor coefficient c needs -2^(W-1) <= c < 2^(W-1),
+        # W = 8 nb.  The library's nb meets that; one byte less than the least
+        # such nb, where that is more than one byte, must misread some minor.
         rng = random.Random(77)
         inputs = [build_C(*pair).poly for pair in itertools.combinations(REDUCED_INDEX_SET, 2)]
         for _ in range(20):
             coeffs = [[rng.randint(-(2**30), 2**30) for _ in range(3)] for _ in range(7)]
             inputs.append(QXPoly(tuple(QPoly(tuple(c)) for c in coeffs)))
+        narrowed = 0
         for p in inputs:
             want = _ring_minors(p)
-            need = 1 + max((c if c >= 0 else ~c).bit_length() for d in want for c in d.coeffs)
-            assert stability._kronecker_width(p.coeffs[::-1]) >= need
+            need = (max((c if c >= 0 else ~c).bit_length() for d in want for c in d.coeffs) + 8) // 8
+            assert stability._kronecker_bytes(p.coeffs[::-1]) >= need
+            if need == 1:
+                continue
+            narrowed += 1
             with monkeypatch.context() as m:
-                m.setattr(stability, "_kronecker_width", lambda a: need - 1)
+                m.setattr(stability, "_kronecker_bytes", lambda a: need - 1)
                 assert hurwitz_determinants(p).determinants != want, str(p)
+        assert narrowed >= 20
 
 
 def _count_routh_calls(monkeypatch):
@@ -666,6 +671,14 @@ class TestQPositivity:
         rng = random.Random(88)
         cases = [qpoly(0, 0, 0, 5), qpoly(0, 0, -3), qpoly(7), qpoly(-2), qpoly(1, -1, 1) ** 2]
         cases += [qpoly(1, -1, 1) ** 3 * qpoly(-2, 0, 1) ** 2, -(qpoly(1, 1) ** 3) * qpoly(-1, 1) ** 2]
+        # roots at 0, +-2^-40 and 1/3; a small positive root beside one below -2^20,
+        # so the bracket is wide; a double root at 1
+        complex_pair = qpoly(1, -1, 1)
+        cases += [qpoly(0, 1) * complex_pair, qpoly(0, 0, 1) * complex_pair, qpoly(0, -1, 1), -qpoly(0, 1) * complex_pair]
+        cases += [qpoly(1, 2**40) * complex_pair, qpoly(-1, 2**40) * complex_pair, qpoly(-1, 2**40) * qpoly(1, 2**40)]
+        cases += [qpoly(1, 3) * complex_pair, qpoly(-1, 3) * complex_pair, qpoly(-1, 3) ** 2 * qpoly(0, 1)]
+        cases += [qpoly(-1, 2**10) * qpoly(2**20 + 1, 1), qpoly(1, 2**10) * qpoly(2**20 + 1, 1) * complex_pair]
+        cases += [qpoly(-1, 1) ** 2 * complex_pair, qpoly(-1, 1) ** 2 * qpoly(3, 1)]
         for _ in range(60):
             p = qpoly(rng.choice([-3, -1, 1, 2]))
             for _ in range(rng.randint(1, 4)):
