@@ -3,11 +3,9 @@
 Everything here runs on the integer kernel of ``exactpoly``: each public
 entry reduces its input once to its canonical integer form ``_canonical``.
 Root counts use the half-open convention: a variation difference
-V(lo) - V(hi) counts distinct roots in (lo, hi].  Sturm chains have integer
-coefficients: the chain of p is ``_prs(p, p')``, the kernel's one primitive
-polynomial remainder sequence (Collins 1967, Brown 1971), whose
-pseudo-remainders scale by a positive power of the divisor's leading
-coefficient, so sign variations are preserved.  Sign evaluations at a
+V(lo) - V(hi) counts distinct roots in (lo, hi].  The Sturm chain of p is
+the kernel's one remainder sequence ``_prs(p, p')``, with integer
+coefficients and the signs of the rational chain.  Sign evaluations at a
 rational point num/den run on the kernel's integer Horner ``_horner``, with
 shifts in place of the powers of den at a dyadic point.
 
@@ -15,7 +13,7 @@ Square-free part.  Euclid's algorithm modulo the prime l = 2^61 - 1 first
 computes gcd(p, p') mod l.  When l divides neither leading coefficient, its
 degree is at least that of the gcd over the rationals (Brown 1971), so a
 constant proves p square-free: p is its own radical, with no remainder
-sequence.  Otherwise gcd(p, p') is the last member of p's Sturm chain; if
+sequence.  Otherwise gcd(p, p') is the last member of ``_prs(p, p')``; if
 it is not a constant, Yun's algorithm, seeded with it, runs on primitive
 integer tuples and gives the radical p / gcd(p, p') and the square-free
 factors, its exact quotients integral by Gauss's lemma.  A constant p has
@@ -23,34 +21,33 @@ the radical 1 and no cell.
 
 Isolation counts sign variations of Taylor coefficients (Budan-Fourier).
 The radical is bisected from the bracket (-2^f, 2^f], where 2^f is above
-Fujiwara's root bound, so by Gauss-Lucas every real root of every
-derivative lies inside it too: the count is d at -2^f and 0 at 2^f.  Every
-cell is dyadic, (i 2^w - 2^f, (i+1) 2^w - 2^f], and every cell whose count
-is at least two is split, lower half first, so the cells come out in
-ascending order.  At a bisection point num/2^e one Horner pass of
-2^(e d) p((num + u) / 2^e) at u = 2^W, W whole bytes above the bound
-sum |c_k| (2^e + |num|)^d on every coefficient, packs all d + 1 scaled
-Taylor coefficients, read back by ``exactpoly._digits`` as balanced
-base-2^W digits.  V(lo) - V(hi) is at least
-the number of roots in (lo, hi], counted with multiplicity, and has the
-same parity.  The excess is never negative and adds up over the real line,
-where the count is d; so for a real-rooted radical it is zero everywhere,
-every count is exact, and the cells are those full Sturm counts give.  If
-the radical is not real-rooted, each cell whose count exceeds its roots has
-a child that does too, and such a path never ends; so at each point the
-Taylor coefficients are tested for what a real-rooted square-free radical
-must satisfy: Newton's inequalities, no two adjacent zeros, and that a cell
-whose count is at least two holds two roots, which fails once the
-coefficients at its midpoint keep p, or p', from vanishing on it.  A
-failure proves the radical not real-rooted, and every path that would not
-end reaches one, since p or p' is nonzero at its limit.  Isolation then
-restarts on Sturm counts, and only then builds the radical's chain, whose
-counts at the bracket's ends are read from its leading coefficients.  Each
-root's multiplicity is one Sturm count per Yun factor.  The root profile of
-a polynomial (radical, factors, cells) is cached in a bounded LRU keyed by
-the canonical form, so a polynomial and its nonzero rational multiples
-share one entry; it never changes once built, and real-rootedness is read
-from it.
+Fujiwara's root bound, so by Gauss-Lucas every real root of every derivative
+lies inside it too: the count is d at -2^f and 0 at 2^f.  Every cell is
+dyadic, (i 2^w - 2^f, (i+1) 2^w - 2^f], and every cell whose count is at
+least two is split, lower half first, so the cells come out in ascending
+order.  At each bisection point one packed Horner pass (``_taylor``) gives
+all d + 1 scaled Taylor coefficients.  V(lo) - V(hi) is at least the number
+of roots in (lo, hi], counted with multiplicity, and has the same parity.
+The excess is never negative and adds up over the real line, where the count
+is d; so for a real-rooted radical it is zero everywhere, every count is
+exact, and the cells are those full Sturm counts give.  If the radical is
+not real-rooted, each cell whose count exceeds its roots has a child that
+does too, and such a path never ends; so at each point the Taylor
+coefficients are tested for what a real-rooted square-free radical must
+satisfy: Newton's inequalities, no two adjacent zeros, and that a cell whose
+count is at least two holds two roots, which fails once the coefficients at
+its midpoint keep p, or p', from vanishing on it.  A failure proves the
+radical not real-rooted, and every path that would not end reaches one,
+since p or p' is nonzero at its limit.  Isolation then restarts on Sturm
+counts, and only then builds the radical's chain, whose counts at the
+bracket's ends are read from its leading coefficients; no other chain is
+built.  Whether a cell holds the root of a square-free polynomial with at
+most one root there is read from signs at its ends (``_holds_root``), and a
+root's multiplicity is that of the one coprime Yun factor that holds it.
+The root profile of a polynomial (radical, factors, cells) is cached in a
+bounded LRU keyed by the canonical form, so a polynomial and its nonzero
+rational multiples share one entry; it never changes once built, and
+real-rootedness is read from it.
 
 Refinement is sign-only.  A cell holding one root of the square-free radical
 holds a simple root, so the radical's sign at the midpoint, against its sign
@@ -65,15 +62,17 @@ polynomial and the width.
 
 Interlacing.  ``interlaces`` and ``mutually_interlacing`` share one merged
 sweep.  The initial cells of every member are copied, sorted, and only
-neighbours whose cells overlap are worked on: the wider cell is halved until
-both are equally wide; then the gcd of the two radicals, computed once per
-pair of members and only for a pair whose cells still overlap, decides with
-one Sturm count on the overlap whether they hold the same root; distinct
-roots are halved until their cells part.  The result is the ascending order
-of all distinct roots, with exact ties.  Each relation is read off it by
-one pairwise test of the alternation chain (Fisk, *Polynomials, roots, and
-interlacing*, arXiv:math/0612833); ``mutually_interlacing`` runs that test
-on the pairs (i, j) in order and stops at the first that fails.
+neighbours whose cells overlap are worked on: the wider cell is halved, or
+both when equally wide, until the cells are identical (brackets of
+different size give equally wide cells that overlap; below the smaller
+exponent the grids agree).  Then ``_holds_root`` on the gcd of the two
+radicals, computed once per pair of members, decides whether they hold the
+same root; distinct roots are halved until their cells part.  The result is
+the ascending order of all distinct roots, with exact ties.  Each relation
+is read off it by one pairwise test of the alternation chain (Fisk,
+*Polynomials, roots, and interlacing*, arXiv:math/0612833);
+``mutually_interlacing`` runs that test on the pairs (i, j) in order and
+stops at the first that fails.
 """
 
 from __future__ import annotations
@@ -130,12 +129,13 @@ def _variations(values: Sequence[int]) -> int:
     return out
 
 
-def _var_at(chain, num: int, den: int) -> int:
-    return _variations([_sign_at(m, num, den) for m in chain])
+def _holds_root(f: Sequence[int], df: Sequence[int], lo: tuple[int, int], hi: tuple[int, int]) -> bool:
+    """Whether the square-free f, with at most one root in (lo, hi] ((num, den) pairs), has one.
 
-
-def _count_half_open(chain, lo: Fraction, hi: Fraction) -> int:
-    return _var_at(chain, lo.numerator, lo.denominator) - _var_at(chain, hi.numerator, hi.denominator)
+    A root at lo is simple, so just above lo f has the sign of df = f'(lo).
+    """
+    s_hi = _sign_at(f, *hi)
+    return s_hi == 0 or (_sign_at(f, *lo) or _sign_at(df, *lo)) * s_hi < 0
 
 
 def _fujiwara_exp(ints: Sequence[int]) -> int:
@@ -399,8 +399,6 @@ def _isolate(rad: tuple[int, ...]) -> list[_Rec]:
     At -2^f the count is d and the sign (-1)^d; at 2^f, 0 and 1.
     """
     d = len(rad) - 1
-    if d < 1:
-        return []
 
     def budan_fourier(num: int, den: int, e: int) -> tuple[int, int]:
         c = _taylor(rad, num, den.bit_length() - 1)
@@ -438,19 +436,13 @@ class _Profile:
     def __init__(self, ints: tuple[int, ...]):
         self.rad_ints, self.factors = _square_free(ints)
         self.records: list[_Rec] = _isolate(self.rad_ints)
-        self._assign_multiplicities()
+        if self.factors != ((1, self.rad_ints),):  # a cell's root is a root of exactly one coprime Yun factor
+            factors = [(mult, fac, _derivative(fac)) for mult, fac in self.factors]
+            for rec in self.records:
+                lo, hi = rec.end(0), rec.end(1)
+                rec.mult = next(mult for mult, fac, dfac in factors if _holds_root(fac, dfac, lo, hi))
         # real-rooted: the real roots, counted with multiplicity, exhaust the degree
         self.real_rooted = sum(rec.mult for rec in self.records) == len(ints) - 1
-
-    def _assign_multiplicities(self) -> None:
-        if len(self.factors) == 1 and self.factors[0][0] == 1:
-            return
-        factor_chains = [(mult, _sturm_chain(fac)) for mult, fac in self.factors]
-        for rec in self.records:
-            for mult, chain in factor_chains:
-                if _var_at(chain, *rec.end(0)) - _var_at(chain, *rec.end(1)) == 1:
-                    rec.mult = mult
-                    break
 
     def refine_once(self, rec: _Rec) -> None:
         """Halve rec's cell, keeping the half that holds its root (sign-only)."""
@@ -495,16 +487,24 @@ def square_free(p: XPoly) -> tuple[XPoly, tuple[RootInterval, ...]]:
 
 
 def count_roots_in(p: XPoly, lo: Fraction, hi: Fraction) -> int:
-    """Exact number of distinct real roots of square-free p in (lo, hi]."""
+    """Exact number of distinct real roots of square-free p in (lo, hi], one
+    ``_holds_root`` per cached cell that overlaps it."""
     if _univariate(p, "p").is_zero():
         raise UsageError("count_roots_in of the zero polynomial")
     lo, hi = _rational(lo, "lo"), _rational(hi, "hi")
     if not lo < hi:
         raise UsageError("count_roots_in requires lo < hi")
-    chain = _sturm_chain(_canonical(p))
-    if len(chain[-1]) > 1:  # the chain ends in gcd(p, p')
+    ints = _canonical(p)
+    prof = _profile(ints)
+    if prof.rad_ints != ints:
         raise UsageError("count_roots_in requires a square-free polynomial")
-    return _count_half_open(chain, lo, hi)
+    deriv = _derivative(ints)
+    count = 0
+    for rec in prof.records:
+        a, b = max(lo, rec.lo), min(hi, rec.hi)
+        if a < b:
+            count += _holds_root(ints, deriv, (a.numerator, a.denominator), (b.numerator, b.denominator))
+    return count
 
 
 def isolate_roots(p: XPoly, width: Fraction = DEFAULT_WIDTH) -> RootIsolation:
@@ -566,7 +566,7 @@ def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec
         if not _below(cb.end(0), ca.end(1)):
             k += 1
             continue
-        if ca.w == cb.w and _same_root(profiles, common, a[0], ca, b[0], cb):
+        if ca.w == cb.w and ca.end(0) == cb.end(0) and _same_root(profiles, common, a[0], ca, b[0], cb):
             a[2].extend(b[2])
             del order[k + 1]
             continue
@@ -590,22 +590,20 @@ def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec
 
 
 def _same_root(profiles, common, x: int, cx: _Rec, y: int, cy: _Rec) -> bool:
-    """Whether equally wide, overlapping cells of members x and y hold the same root.
+    """Whether the identical cells cx of member x and cy of member y hold the same root.
 
-    A radical that vanishes at the cells' common upper end has its root
-    there, so then the cells share their root iff both radicals vanish.
-    Otherwise the gcd of the two radicals, computed once per pair of
-    members, decides: a root of it in the overlap is the one root of each
-    cell.
+    A radical that vanishes at the cells' upper end has its root there, so
+    then the roots are one iff both vanish.  Otherwise the gcd g of the two
+    radicals (with g', once per pair of members) divides both, so it holds
+    the cell's one root iff that root is common.
     """
-    if (cx.s_hi == 0 or cy.s_hi == 0) and cx.hi == cy.hi:
+    if cx.s_hi == 0 or cy.s_hi == 0:
         return cx.s_hi == cy.s_hi
     key = (min(x, y), max(x, y))
-    if key not in common:
+    if key not in common:  # a constant g holds no root
         g = _int_gcd(profiles[x].rad_ints, profiles[y].rad_ints)
-        common[key] = _sturm_chain(g) if len(g) >= 2 else ()
-    chain = common[key]
-    return bool(chain) and _count_half_open(chain, max(cx.lo, cy.lo), min(cx.hi, cy.hi)) == 1
+        common[key] = g, _derivative(g)
+    return _holds_root(*common[key], cx.end(0), cx.end(1))
 
 
 def _relation(v, u) -> InterlacingVerdict:
@@ -638,8 +636,8 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
     This is the two-member case of the merged sweep: the roots of g and f
     are put in one order by sign-only halving of copies of their cells (a
     root exactly at a midpoint stays in the lower half).  gcd(radical g,
-    radical f) is computed only if two equally wide cells still overlap and
-    neither radical vanishes at their common upper end.  A ``none`` witness
+    radical f) is computed only if two cells are identical, not just equally
+    wide, and neither radical vanishes at their upper end.  A ``none`` witness
     holds the cells of the first two roots out of order.
     """
     for name, p in (("g", g), ("f", f)):
@@ -659,15 +657,13 @@ def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, tuple[int, int] | N
     Entries must be real-rooted with nonnegative coefficients, or positive
     constants.  Returns (True, None) or (False, first failing index pair).
 
-    One merged sweep orders the roots of all entries, halving only cells
-    that overlap a neighbour's and computing the gcd of two entries'
-    radicals only for a pair whose equally wide cells still overlap (see
-    ``interlaces``).  The pairs (i, j) are then tested in order on those
-    positions, each by the alternation chain that ``interlaces`` reads, and
-    the first that fails is returned.
+    One merged sweep orders the roots of all entries (see ``interlaces``).
+    The pairs (i, j) are then tested in order on those positions, each by
+    the alternation chain that ``interlaces`` reads, and the first that
+    fails is returned.
     """
-    if not fs:
-        raise UsageError("mutually_interlacing of an empty sequence")
+    if not isinstance(fs, Sequence) or not fs:
+        raise UsageError(f"fs must be a nonempty sequence of polynomials, got {fs!r:.60}")
     profiles = []
     for k, p in enumerate(fs):
         if _univariate(p, f"entry {k}").is_zero():

@@ -85,7 +85,7 @@ def _interleave(even, odd):
 
 def hb_split(p: XPoly) -> HBSplit:
     """Split into even-index and odd-index coefficient parts."""
-    if p.is_zero():
+    if _univariate(p, "p").is_zero():
         raise UsageError("hb_split of the zero polynomial")
     even = XPoly(p.coeffs[0::2])
     odd = XPoly(p.coeffs[1::2])
@@ -156,6 +156,8 @@ def hurwitz_determinants(p: XPoly | QXPoly) -> StabilityReport:
     without negatives.  Symbolic (q-polynomial) coefficients get verdict
     None.
     """
+    if not isinstance(p, (XPoly, QPoly, QXPoly)):
+        raise UsageError(f"p must be an XPoly, a QPoly or a QXPoly, got {type(p).__name__}")
     if p.is_zero():
         raise UsageError("hurwitz_determinants of the zero polynomial")
     if p.degree < 1:

@@ -31,6 +31,8 @@ from weylpoly import (
     count_roots_in,
     enumerate_objects,
     eval_q,
+    hb_split,
+    hurwitz_determinants,
     interlace_via_stability,
     interlaces,
     isolate_roots,
@@ -458,6 +460,16 @@ _UNIVARIATE_ENTRIES = {
     "interlace_via_stability f": lambda p: interlace_via_stability(p, _POSITIVE),
     "interlace_via_stability g": lambda p: interlace_via_stability(_POSITIVE, p),
     "q_positive_on_positive_reals": q_positive_on_positive_reals,
+    "hb_split": hb_split,
+}
+
+# Entries that take something other than one polynomial in one variable, with the
+# inputs each rejects by name: hurwitz_determinants also takes a QXPoly, and
+# mutually_interlacing takes a sequence of polynomials.
+_OTHER_KIND_ENTRIES = {
+    "hurwitz_determinants": (hurwitz_determinants, [[1, 2], None, (1, 2)], "must be an XPoly, a QPoly or a QXPoly"),
+    "mutually_interlacing": (mutually_interlacing, [qxpoly((1, 1), (0, 1)), xpoly(1, 1), qpoly(1, 1), None, []],
+                             "must be a nonempty sequence of polynomials"),
 }
 
 
@@ -479,13 +491,27 @@ class TestUnivariateGate:
         for good in (xpoly(2, 1), qpoly(2, 1)):
             _UNIVARIATE_ENTRIES[entry](good)
 
-    def test_count_roots_in_checks_its_bounds_before_any_sturm_chain(self, monkeypatch):
-        chains = []
-        monkeypatch.setattr(realroots, "_sturm_chain", lambda ints: chains.append(ints))
+    @pytest.mark.parametrize("entry", sorted(_OTHER_KIND_ENTRIES))
+    def test_other_entries_reject_what_they_do_not_take(self, entry):
+        # each raised AttributeError or TypeError, and mutually_interlacing(None) was "empty"
+        call, bads, message = _OTHER_KIND_ENTRIES[entry]
+        realroots._profile.cache_clear()
+        for bad in bads:
+            with pytest.raises(UsageError, match=message):
+                call(bad)
+        assert realroots._profile.cache_info().currsize == 0
+
+    def test_other_entries_accept_their_kinds(self):
+        for p in (xpoly(2, 1), qpoly(2, 1), qxpoly((2,), (1, 1))):
+            hurwitz_determinants(p)
+        assert mutually_interlacing((xpoly(2, 1), qpoly(2, 1))) == (True, None)
+
+    def test_count_roots_in_checks_its_bounds_before_any_profile(self):
+        realroots._profile.cache_clear()
         for lo, hi in ((1, 0), (0.5, 1), (0, None)):
             with pytest.raises(UsageError):
                 count_roots_in(xpoly(1, 1) ** 2, lo, hi)
-        assert chains == []
+        assert realroots._profile.cache_info().misses == 0
 
 
 class TestDigits:

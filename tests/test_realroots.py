@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -481,6 +482,51 @@ class TestIntegerSquareFree:
         assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
+class TestHoldsRoot:
+    """One sign test answers whether a cell holds the root of a square-free polynomial."""
+
+    def test_yun_factor_vanishing_at_a_cell_low_end(self):
+        # the factor that carries the cell's root also vanishes at the cell's low end, its
+        # other root: just above lo it has the sign of its derivative there
+        cases = [
+            xpoly(0, 1) ** 2 * xpoly(-1, 3) ** 2 * xpoly(5, 1),
+            xpoly(0, 1) * xpoly(-1, 3) * xpoly(5, 1) ** 2,
+            xpoly(2, 1) ** 2 * xpoly(1, 1) ** 2 * xpoly(-1, 1),
+        ]
+        planted = 0
+        for p in cases:
+            realroots._profile.cache_clear()
+            reference = full_chain_isolation(p)
+            assert isolate_roots(p).intervals == reference, str(p)
+            assert square_free(p)[1] == reference, str(p)
+            factors = dict(fraction_yun(p))
+            for rec in realroots._profile(_canonical(p)).records:
+                fac = factors[rec.mult]
+                planted += fac.evaluate(rec.lo) == 0 and fac.evaluate(rec.hi) != 0
+        assert planted == len(cases)
+
+    def test_count_roots_in_at_roots_and_cell_ends_matches_sympy(self):
+        # lo and hi at roots (f(lo) = 0 reads f'(lo), f(hi) = 0 is a root) and at the ends of
+        # the cached cells (an overlap of one point holds no root), on square-free input that
+        # is real-rooted and that is not
+        polys = sqf_cases() + DYADIC_ROOTS + cluster_inputs()[:24] + complex_pair_inputs()[::3]
+        polys = [p for p in polys if p.degree >= 1 and fraction_yun(p) == [(1, p.monic())]]
+        kinds = set()
+        for p in polys:
+            realroots._profile.cache_clear()
+            roots = to_sympy(p).real_roots()
+            cells = realroots._profile(_canonical(p)).records
+            points = {Fraction(int(r.p), int(r.q)) for r in roots if r.is_Rational}
+            points |= {end for rec in cells for end in (rec.lo, rec.hi)}
+            points = sorted(points | {Fraction(-100), Fraction(100)})
+            at_or_below = [[r <= rational(x) for x in points] for r in roots]
+            for i, j in itertools.combinations(range(len(points)), 2):
+                want = sum(1 for below in at_or_below if below[j] and not below[i])
+                assert count_roots_in(p, points[i], points[j]) == want, (str(p), points[i], points[j])
+            kinds.add(len(roots) == p.degree)
+        assert kinds == {True, False}
+
+
 class TestOneChainPerPolynomial:
     """gcd(p, p') comes from p's one Sturm chain: one pseudo-remainder sequence starts at p."""
 
@@ -503,8 +549,12 @@ class TestOneChainPerPolynomial:
         assert self.remainder_sequences_from(monkeypatch, p, lambda: realroots._profile(_canonical(p))) == 1
 
     def test_count_roots_in(self, monkeypatch):
+        # the count is read off the cached cells: a real-rooted square-free p needs no remainder
+        # sequence, and one that is not real-rooted only the chain of the Sturm restart
         p = assemble("tildeD", 12)
-        assert self.remainder_sequences_from(monkeypatch, p, lambda: count_roots_in(p, -1, 0)) == 1
+        assert self.remainder_sequences_from(monkeypatch, p, lambda: count_roots_in(p, -1, 0)) <= 1
+        q = p * xpoly(1, 0, 1)
+        assert self.remainder_sequences_from(monkeypatch, q, lambda: count_roots_in(q, -1, 0)) == 1
 
 
 class TestInterlaces:
@@ -1086,7 +1136,7 @@ def pairwise_relation(g: XPoly, f: XPoly) -> str:
             j += 1
         else:
             olo, ohi = max(rf[i].lo, rg[j].lo), min(rf[i].hi, rg[j].hi)
-            if common_chain is not None and realroots._count_half_open(common_chain, olo, ohi) == 1:
+            if common_chain is not None and chain_variations(common_chain, olo) - chain_variations(common_chain, ohi) == 1:
                 events.append((rf[i], rg[j]))
                 i += 1
                 j += 1
@@ -1227,6 +1277,52 @@ class TestMergedSweep:
             assert lo1 < first <= hi1 and lo2 < second <= hi2
             assert hi2 <= lo1
         assert seen > 10
+
+    def test_same_root_is_asked_only_of_identical_cells(self, monkeypatch):
+        # A member whose bracket (-2^f, 2^f] is its one cell, against one with a larger
+        # bracket: at level f + 1 their cells (-2^f, 2^f] and (-2^(f+1), 0] or (0, 2^(f+1)] are
+        # equally wide and overlap without being equal.  Both are halved until the grids agree;
+        # only identical cells are asked whether they share a root.
+        asked = []
+        same_root = realroots._same_root
+
+        def spy(profiles, common, x, cx, y, cy):
+            asked.append((cx.w, cx.end(0)) == (cy.w, cy.end(0)))
+            return same_root(profiles, common, x, cx, y, cy)
+
+        monkeypatch.setattr(realroots, "_same_root", spy)
+        rng = random.Random(1357)
+        misaligned = relations = 0
+        seen = set()
+        for _ in range(150):
+            z = Fraction(rng.randint(-16, 16), rng.choice([1, 2, 3, 4]))
+            one = xpoly(-z, 1) ** rng.randint(1, 2)
+            scale = rng.choice([2, 8, 32, 128])
+            other = xpoly(-z, 1)
+            for _ in range(rng.randint(1, 2)):
+                other = other * xpoly(-Fraction(rng.randint(-scale, scale), rng.choice([1, 2, 3])), 1)
+            g, f = (one, other) if rng.random() < 0.5 else (other, one)
+            cells = [realroots._profile(_canonical(p)).records for p in (g, f)]
+            misaligned += any(a.w == b.w and a.end(0) != b.end(0) and a.lo < b.hi and b.lo < a.hi
+                              for a in cells[0] for b in cells[1])
+            verdict = interlaces(g, f)
+            assert verdict.relation == sympy_relation(g, f), (str(g), str(f))
+            seen.add(verdict.relation)
+            if verdict.relation == "none":
+                first, second = first_violation(g, f)
+                (lo1, hi1), (lo2, hi2) = (tuple(map(rational, cell)) for cell in verdict.witness)
+                assert lo1 < first <= hi1 and lo2 < second <= hi2 and hi2 <= lo1, (str(g), str(f))
+        assert misaligned >= 10 and seen == {"weak", "none", "incomparable"}
+        assert asked and all(asked)
+
+    def test_misaligned_cells_are_halved_before_they_merge(self):
+        # (x + 1)^2 has the one cell (-2, 2]; the root -1 of g lies in g's cell (-4, 0].  Both
+        # are halved to (-2, 0], where the gcd x + 1 decides that they share the root.
+        g = xpoly(Fraction(-73, 3), Fraction(-70, 3), 1)  # roots -1 and 73/3
+        f = xpoly(1, 1) ** 2
+        verdict = interlaces(g, f)
+        assert verdict.relation == "none"
+        assert verdict.witness == ((Fraction(0), Fraction(64)), (Fraction(-2), Fraction(0)))
 
 
 def rational(x: Fraction) -> sp.Rational:
