@@ -18,13 +18,14 @@ round-trips are bit-exact.
 Every number from outside passes one gate, ``_rational`` (an int or a
 Fraction), ``_integer`` or ``_rank``, and every polynomial in one variable
 ``_univariate``; anything else raises UsageError.  One integer kernel
-(``_canonical``, ``_primitive``, ``_prem``, ``_prs``, ``_horner``,
-``_digits``) works on integer coefficient tuples.  ``_canonical`` is its one
-reduction of a polynomial, shared by all its nonzero rational multiples;
-``_prs`` its one remainder sequence, for ``poly_gcd`` and the Sturm chains
-and square-free decomposition of ``realroots``; ``_horner`` its one
-evaluation, for ``evaluate``, ``eval_q`` and every Sturm sign; ``_digits``
-its one reader of packed balanced digits.
+(``_canonical``, ``_primitive``, ``_prem``, ``_prs``, ``_int_gcd``,
+``_horner``, ``_digits``) works on integer coefficient tuples.
+``_canonical`` is its one reduction of a polynomial, shared by all its
+nonzero rational multiples; ``_int_gcd`` its one gcd, for ``poly_gcd`` and
+``realroots``; ``_prs`` its one remainder sequence, for Sturm chains and the
+gcd's fallback; ``_horner`` its one evaluation, for ``evaluate``,
+``eval_q``, every Sturm sign and the gcd's packing; ``_digits`` its one
+reader of packed balanced digits.
 """
 
 from __future__ import annotations
@@ -492,8 +493,26 @@ def _prs(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(seq)
 
 
-def _int_gcd(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """gcd of two integer polynomials, not both zero, primitive with lc > 0."""
+_GCD_TRIES = 4  # packing widths, a byte apart, that ``_int_gcd`` tries before ``_prs``
+
+
+def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """gcd of two integer polynomials, not both zero, primitive with lc > 0: GCDHEU (Char,
+    Geddes and Gonnet 1989), the primitive part G of the balanced digits of gcd(f(xi), g(xi)) at
+    xi = 2^W, W whole bytes with xi >= 2 min(|f|, |g|) + 2 (max norms).  A common factor G k
+    of f and g has k(xi) dividing the content of G's digits, at most xi / 2, and a nonconstant
+    k has |k(xi)| > xi / 2, its roots below 1 + min(|f|, |g|) <= xi / 2; so G is the gcd if it
+    is a constant or ``_prem`` finds it divides f and g.  Else retry a byte wider, and after
+    ``_GCD_TRIES`` widths use ``_prs``.  Nothing here needs f or g primitive."""
+    if not f or not g:
+        return _positive_primitive(f or g)
+    bound = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
+    least = ((bound - 1).bit_length() + 7) >> 3  # bytes: 2^(8 least) >= bound
+    for nb in range(least, least + _GCD_TRIES):
+        xi = 1 << (nb << 3)
+        h = _positive_primitive(_digits(int_gcd(_horner(f, xi, 1), _horner(g, xi, 1)), nb))
+        if len(h) == 1 or not any(_prem(f, h)) and not any(_prem(g, h)):
+            return h
     return _positive_primitive(_prs(f, g)[-1])
 
 
@@ -554,10 +573,33 @@ def xpoly_to_json(p: XPoly) -> dict:
     return {"var": "x", "coeffs": [[str(c.numerator), str(c.denominator)] for c in p.coeffs]}
 
 
+def _json_rows(d, key: str, value, kind: str) -> list[tuple[int, ...]]:
+    """The rows of d["coeffs"] as ints, if d is a dict with d[key] == value and d["coeffs"] a list of
+    lists of decimal-integer strings as ``str`` writes them; anything else raises UsageError."""
+    if not isinstance(d, dict) or d.get(key) != value:
+        raise UsageError(f"not a serialized {kind}: {d!r:.60}")
+    rows = d.get("coeffs")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise UsageError(f"{kind} coeffs must be a list of lists, got {rows!r:.60}")
+    return [tuple(map(_decimal, row)) for row in rows]
+
+
+def _decimal(v) -> int:
+    """The int n with str(n) == v; for any other v, UsageError naming it."""
+    try:
+        if str(n := int(v)) == v:
+            return n
+    except (TypeError, ValueError):
+        pass
+    raise UsageError(f"a coefficient must be a decimal-integer string, got {v!r:.60}")
+
+
 def xpoly_from_json(d: dict) -> XPoly:
-    if d.get("var") != "x":
-        raise UsageError("not a serialized XPoly")
-    return XPoly(tuple(Fraction(int(num), int(den)) for num, den in d["coeffs"]))
+    rows = _json_rows(d, "var", "x", "XPoly")
+    for row in rows:
+        if len(row) != 2 or not row[1]:
+            raise UsageError(f"an XPoly coefficient must be [numerator, nonzero denominator], got {row}")
+    return XPoly(tuple(Fraction(*row) for row in rows))
 
 
 def qxpoly_to_json(p: QXPoly) -> dict:
@@ -565,9 +607,7 @@ def qxpoly_to_json(p: QXPoly) -> dict:
 
 
 def qxpoly_from_json(d: dict) -> QXPoly:
-    if d.get("vars") != ["x", "q"]:
-        raise UsageError("not a serialized QXPoly")
-    return QXPoly(tuple(QPoly(tuple(int(v) for v in c)) for c in d["coeffs"]))
+    return QXPoly(tuple(map(QPoly, _json_rows(d, "vars", ["x", "q"], "QXPoly"))))
 
 
 def poly_to_json(p) -> dict:
@@ -579,7 +619,7 @@ def poly_to_json(p) -> dict:
 
 
 def poly_from_json(d: dict):
-    if "var" in d:
+    if isinstance(d, dict) and "var" in d:
         return xpoly_from_json(d)
     return qxpoly_from_json(d)
 

@@ -9,15 +9,12 @@ coefficients and the signs of the rational chain.  Sign evaluations at a
 rational point num/den run on the kernel's integer Horner ``_horner``, with
 shifts in place of the powers of den at a dyadic point.
 
-Square-free part.  Euclid's algorithm modulo the prime l = 2^61 - 1 first
-computes gcd(p, p') mod l.  When l divides neither leading coefficient, its
-degree is at least that of the gcd over the rationals (Brown 1971), so a
-constant proves p square-free: p is its own radical, with no remainder
-sequence.  Otherwise gcd(p, p') is the last member of ``_prs(p, p')``; if
-it is not a constant, Yun's algorithm, seeded with it, runs on primitive
-integer tuples and gives the radical p / gcd(p, p') and the square-free
-factors, its exact quotients integral by Gauss's lemma.  A constant p has
-the radical 1 and no cell.
+Square-free part.  gcd(p, p'), like every gcd here, is the kernel's
+``_int_gcd``: a constant, proved by one packed integer gcd with no trial
+division, makes p its own radical.  Otherwise Yun's algorithm, seeded with
+it, runs on primitive integer tuples and gives the radical p / gcd(p, p')
+and the square-free factors, its exact quotients integral by Gauss's lemma.
+A constant p has the radical 1 and no cell.
 
 Isolation counts sign variations of Taylor coefficients (Budan-Fourier).
 The radical is bisected from the bracket (-2^f, 2^f], where 2^f is above
@@ -113,10 +110,6 @@ def _floor_log2(width: Fraction) -> int:
     return e if Fraction(2) ** e <= width else e - 1
 
 
-def _sturm_chain(ints: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return _prs(ints, _derivative(ints))
-
-
 def _variations(values: Sequence[int]) -> int:
     """Sign variations of a sequence of integers, zeros skipped."""
     out = 0
@@ -157,33 +150,6 @@ def _fujiwara_exp(ints: Sequence[int]) -> int:
 # Square-free decomposition (Yun) over the integers
 # ---------------------------------------------------------------------------
 
-_ELL = (1 << 61) - 1  # a Mersenne prime
-
-
-def _coprime_mod_ell(f: Sequence[int], g: Sequence[int]) -> bool:
-    """True only if gcd(f, g) over the rationals is a constant (f, g nonzero).
-
-    Euclid's algorithm over GF(l), l = 2^61 - 1.  When l divides neither
-    leading coefficient, deg gcd(f mod l, g mod l) >= deg gcd(f, g) (Brown
-    1971), so a constant gcd mod l proves it; otherwise the answer is False.
-    """
-    if f[-1] % _ELL == 0 or g[-1] % _ELL == 0:
-        return False
-    a, b = [c % _ELL for c in f], [c % _ELL for c in g]
-    while len(b) > 1:
-        inv = pow(b[-1], -1, _ELL)
-        low = [c * inv % _ELL for c in b[:-1]]  # b made monic, top term dropped
-        while len(a) >= len(b):
-            t = a.pop()
-            if t:
-                off = len(a) - len(low)
-                a[off:] = [(x - t * y) % _ELL for x, y in zip(a[off:], low)]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return len(b) == 1
-
-
 def _yun(ints: tuple[int, ...], g: tuple[int, ...]):
     """Radical and Yun factors of p from g = gcd(p, p'), nonconstant, primitive with lc > 0.
 
@@ -212,16 +178,9 @@ def _yun(ints: tuple[int, ...], g: tuple[int, ...]):
 
 
 def _square_free(ints: tuple[int, ...]):
-    """Radical and Yun factors (r, ((m, f_m), ...)) of p, primitive with lc > 0.
-
-    A constant gcd(p, p') mod l proves p square-free without a remainder
-    sequence; otherwise gcd(p, p') comes from p's Sturm chain and, when it
-    is not a constant, seeds ``_yun``.
-    """
-    deriv = _derivative(ints)
-    if len(ints) <= 2 or _coprime_mod_ell(ints, deriv):
-        return ints, ((1, ints),)
-    g = _int_gcd(ints, deriv)
+    """Radical and Yun factors (r, ((m, f_m), ...)) of p, primitive with lc > 0, by ``_yun``
+    unless gcd(p, p') is a constant."""
+    g = _int_gcd(ints, _derivative(ints))
     return (ints, ((1, ints),)) if len(g) == 1 else _yun(ints, g)
 
 
@@ -415,7 +374,7 @@ def _isolate(rad: tuple[int, ...]) -> list[_Rec]:
 def _sturm_cells(rad: tuple[int, ...]) -> list[_Rec]:
     """Cells of the square-free ``rad`` by Sturm counts, from its chain built here; at the
     bracket's ends they are the counts at -inf and inf, read from the leading coefficients."""
-    chain = _sturm_chain(rad)
+    chain = _prs(rad, _derivative(rad))
     leads = [((m[-1] > 0) - (m[-1] < 0), len(m) - 1) for m in chain]
     outside = tuple((_variations([s * t**k for s, k in leads]), t ** (len(rad) - 1)) for t in (-1, 1))
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -389,6 +390,39 @@ class TestJson:
     def test_wrong_schema(self):
         with pytest.raises(UsageError):
             xpoly_from_json({"var": "y", "coeffs": []})
+
+    @pytest.mark.parametrize(
+        "blob, named",
+        [
+            ({"var": "x", "coeffs": [["1", "0"]]}, "(1, 0)"),  # was ZeroDivisionError
+            ({"var": "x", "coeffs": [["a", "1"]]}, "'a'"),  # was ValueError
+            ({"var": "x", "coeffs": [["1"]]}, "(1,)"),  # was ValueError
+            ({"var": "x", "coeffs": [[1, 2]]}, "1"),
+            ({"var": "x", "coeffs": [["1", "2.0"]]}, "'2.0'"),
+            ({"var": "x", "coeffs": "12"}, "'12'"),
+            ({"var": "x"}, "None"),  # was KeyError
+            ({"vars": ["x", "q"]}, "None"),  # was KeyError
+            ([], "[]"),  # was AttributeError
+            ("x", "'x'"),  # was AttributeError
+            (None, "None"),  # was TypeError
+            ({"vars": ["x", "q"], "coeffs": [[1.5]]}, "1.5"),  # was read as the polynomial 1
+            ({"vars": ["x", "q"], "coeffs": [["1", "+2", "3"]]}, "'+2'"),
+            ({"vars": ["x", "q"], "coeffs": [["1_0"]]}, "'1_0'"),
+            ({"vars": ["x", "q"], "coeffs": [[" 7"]]}, "' 7'"),
+            ({"vars": ["x", "q"], "coeffs": [["07"]]}, "'07'"),
+            ({"vars": ["x", "q"], "coeffs": ["7"]}, "['7']"),
+            ({"vars": ["x", "q"], "coeffs": [[True]]}, "True"),
+        ],
+    )
+    def test_malformed_input_raises_usage_error_naming_it(self, blob, named):
+        with pytest.raises(UsageError, match=re.escape(named)):
+            poly_from_json(blob)
+
+    def test_reads_back_exactly_what_is_written(self):
+        for p in (xpoly(Fraction(-7, 3), 0, Fraction(10**40, 7)), qxpoly((1, -(10**30)), (), (0, 0, 7)), XPoly()):
+            blob = json.loads(json.dumps(poly_to_json(p)))
+            assert poly_from_json(blob) == p
+        assert xpoly_from_json({"var": "x", "coeffs": [["-1", "-2"], ["0", "5"]]}) == xpoly(Fraction(1, 2))
 
 
 class TestRendering:

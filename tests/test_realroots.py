@@ -29,11 +29,15 @@ from weylpoly import (
     xpoly,
 )
 from weylpoly import exactpoly, realroots
-from weylpoly.exactpoly import X_ONE, _canonical, _derivative, exact_divide
-from weylpoly.realroots import _fujiwara_exp, _square_free, _sturm_chain
+from weylpoly.exactpoly import X_ONE, _canonical, _derivative, _prs, exact_divide
+from weylpoly.realroots import _fujiwara_exp, _square_free
 from weylpoly.tables import K4_TABLE, K4_ROOTS
 
 X = sp.symbols("x")
+
+
+def _sturm_chain(ints):
+    return _prs(ints, _derivative(ints))
 
 
 def to_sympy(p: XPoly) -> sp.Poly:
@@ -528,33 +532,32 @@ class TestHoldsRoot:
 
 
 class TestOneChainPerPolynomial:
-    """gcd(p, p') comes from p's one Sturm chain: one pseudo-remainder sequence starts at p."""
+    """No remainder sequence runs outside the Sturm restart: every gcd is the packed heuristic one."""
 
-    def remainder_sequences_from(self, monkeypatch, p, call) -> int:
-        ints = _canonical(p)
-        starts = []
-        prem = exactpoly._prem
+    def remainder_sequences(self, monkeypatch, call) -> int:
+        calls = []
 
         def counting(f, g):
-            starts.append(tuple(f) == ints)
-            return prem(f, g)
+            calls.append(f)
+            return _prs(f, g)
 
-        monkeypatch.setattr(exactpoly, "_prem", counting)
+        monkeypatch.setattr(exactpoly, "_prs", counting)
+        monkeypatch.setattr(realroots, "_prs", counting)
         realroots._profile.cache_clear()
         call()
-        return sum(starts)
+        return len(calls)
 
     def test_profile_of_a_repeated_root_polynomial(self, monkeypatch):
         p = assemble("tildeD", 12) * xpoly(1, 1) ** 2
-        assert self.remainder_sequences_from(monkeypatch, p, lambda: realroots._profile(_canonical(p))) == 1
+        assert self.remainder_sequences(monkeypatch, lambda: realroots._profile(_canonical(p))) == 0
 
     def test_count_roots_in(self, monkeypatch):
         # the count is read off the cached cells: a real-rooted square-free p needs no remainder
         # sequence, and one that is not real-rooted only the chain of the Sturm restart
         p = assemble("tildeD", 12)
-        assert self.remainder_sequences_from(monkeypatch, p, lambda: count_roots_in(p, -1, 0)) <= 1
+        assert self.remainder_sequences(monkeypatch, lambda: count_roots_in(p, -1, 0)) == 0
         q = p * xpoly(1, 0, 1)
-        assert self.remainder_sequences_from(monkeypatch, q, lambda: count_roots_in(q, -1, 0)) == 1
+        assert self.remainder_sequences(monkeypatch, lambda: count_roots_in(q, -1, 0)) == 1
 
 
 class TestInterlaces:
@@ -886,10 +889,9 @@ class TestSignOnlyRefinement:
 
 
 # ---------------------------------------------------------------------------
-# Budan-Fourier isolation, its Sturm fallback and the modular square-free test
+# Budan-Fourier isolation and its Sturm fallback
 # ---------------------------------------------------------------------------
 
-ELL = 2**61 - 1
 WIDE = Fraction(2**64)  # wider than every bracket here: isolate_roots then reports the initial cells
 # A small positive root beside one below -2^20, so the bracket is wide; roots at 0, +-2^-40 and 1/3;
 # a double root at 1
@@ -1053,19 +1055,88 @@ class TestBudanFourierIsolation:
             assert realroots._taylor(ints, num, e) == want, (ints, num, e)
 
 
-class TestModularSquareFree:
-    def gcd_calls(self, monkeypatch):
-        calls = []
-        int_gcd = realroots._int_gcd
+# ---------------------------------------------------------------------------
+# The packed heuristic gcd against the remainder sequence
+# ---------------------------------------------------------------------------
 
-        def counting(f, g):
-            calls.append((f, g))
-            return int_gcd(f, g)
 
-        monkeypatch.setattr(realroots, "_int_gcd", counting)
-        return calls
+def prs_gcd(f, g):
+    """The remainder-sequence gcd the heuristic gcd replaced: primitive, lc > 0."""
+    return exactpoly._positive_primitive(_prs(f, g)[-1])
 
-    def test_constant_gcd_mod_ell_skips_the_remainder_sequence(self, monkeypatch):
+
+# Pairs whose first packed gcd fails its trial division, found by the interlacing suite
+RETRY_PAIRS = [((0, 7, 75, 93, 17), (0, 1, 16, 25, 6)), ((0, 1, 22, 50, 22, 1), (0, 7, 109, 195, 71, 2)),
+               ((32, 6463, 52669, 81534, 31994, 2267, 1), (0, 1387, 15273, 27938, 12638, 1083, 1))]
+
+
+def gcd_pairs():
+    """Integer pairs for the gcd: radicals of refined_T1(20), (p, p') of tildeD(20/30/40)(x+1)^2 and
+    of seeded products, the retry pairs, and seeded products with a planted common factor."""
+    rng = random.Random(88)
+    radicals = [_square_free(_canonical(p))[0] for p in refined_T1(20)]
+    pairs = list(itertools.combinations(radicals, 2))
+    polys = [assemble("tildeD", n) * xpoly(1, 1) ** 2 for n in (20, 30, 40)]
+    polys += sqf_cases() + random_root_products(31, 40) + certified_members()[:40]
+    for p in polys:
+        if p.degree >= 1:
+            ints = _canonical(p)
+            pairs.append((ints, _derivative(ints)))
+    pairs += RETRY_PAIRS
+    for _ in range(150):
+        common = xpoly(*[rng.randint(-2**rng.randint(1, 40), 2**40) for _ in range(rng.randint(1, 4))], rng.randint(1, 9))
+        a, b = (common * xpoly(*[rng.randint(-300, 300) for _ in range(rng.randint(1, 6))]) for _ in range(2))
+        if a and b:
+            pairs.append((_canonical(a), tuple(rng.choice([1, -2, 6]) * c for c in _canonical(b))))
+    return pairs
+
+
+class TestHeuristicGcd:
+    def test_agrees_with_the_remainder_sequence(self):
+        pairs = gcd_pairs()
+        assert len(pairs) >= 500
+        for f, g in pairs:
+            want = prs_gcd(f, g)
+            assert exactpoly._int_gcd(f, g) == exactpoly._int_gcd(g, f) == want, (f, g)
+            assert exactpoly._int_gcd(f, ()) == exactpoly._int_gcd((), f) == prs_gcd(f, ())
+
+    def test_retry_pairs_need_a_second_width(self, monkeypatch):
+        monkeypatch.setattr(exactpoly, "_GCD_TRIES", 1)
+        prs = []
+        monkeypatch.setattr(exactpoly, "_prs", lambda f, g: prs.append(f) or _prs(f, g))
+        for f, g in RETRY_PAIRS:
+            assert exactpoly._int_gcd(f, g) == prs_gcd(f, g)
+        assert len(prs) == len(RETRY_PAIRS)
+
+    def test_planted_factor_at_the_width_bound(self):
+        # 2^W >= 2 min(|f|, |g|) + 2 in the max norm: a byte narrower, x - 255 or x - 65535
+        # would read as 1 at 2^W and the gcd as a constant
+        for root in (255, 65535):
+            common = xpoly(-root, 1)
+            for a, b in ((xpoly(1, 1), xpoly(2, 1)), (xpoly(-1, 1), xpoly(1, 0, 1)), (xpoly(3, 1), xpoly(-7, 2, 1))):
+                f, g = _canonical(common * a), _canonical(common * b)
+                assert exactpoly._int_gcd(f, g) == exactpoly._int_gcd(g, f) == (-root, 1), (a, b)
+
+    def test_a_divisor_of_one_argument_only_is_not_the_gcd(self):
+        # gcd(253, 506) = 253 = 256 - 3 at 2^W = 256: x - 3 divides x - 3 but not x + 250
+        f, g = (-3, 1), (250, 1)
+        assert exactpoly._int_gcd(f, g) == exactpoly._int_gcd(g, f) == (1,)
+        f, g = _canonical(xpoly(-3, 1) * xpoly(5, 1)), _canonical(xpoly(250, 1) * xpoly(5, 1))
+        assert exactpoly._int_gcd(f, g) == exactpoly._int_gcd(g, f) == (5, 1)
+
+    def test_content_of_the_packed_gcd_is_divided_out(self):
+        # gcd((2^W + 1)(2^W + 2), (2^W + 1)(2^W + 4)) = 2 (2^W + 1), whose digits are 2x + 2
+        f, g = _canonical(xpoly(1, 1) * xpoly(2, 1)), _canonical(xpoly(1, 1) * xpoly(4, 1))
+        assert exactpoly._int_gcd(f, g) == (1, 1)
+        assert exactpoly._int_gcd((6, 6), (-4, -4)) == exactpoly._int_gcd((-4, -4), ()) == (1, 1)
+
+    def test_the_remainder_sequence_fallback_gives_the_same_answers(self, monkeypatch):
+        pairs = gcd_pairs()[::5]
+        want = [exactpoly._int_gcd(f, g) for f, g in pairs]
+        monkeypatch.setattr(exactpoly, "_GCD_TRIES", 0)
+        assert [exactpoly._int_gcd(f, g) for f, g in pairs] == want
+
+    def test_square_free_input_runs_no_trial_division(self, monkeypatch):
         prem = []
         monkeypatch.setattr(exactpoly, "_prem", lambda f, g: prem.append(f))
         for n in (3, 12, 25):
@@ -1074,38 +1145,6 @@ class TestModularSquareFree:
             assert realroots._square_free(ints) == (ints, ((1, ints),))
             assert realroots._profile(ints).real_rooted
         assert prem == []
-
-    def test_ell_dividing_a_leading_coefficient_runs_the_prs(self, monkeypatch):
-        assert not realroots._coprime_mod_ell((-1, 0, ELL), (0, 2 * ELL))
-        assert not realroots._coprime_mod_ell((1, 0, 1), (0, ELL))
-        assert not realroots._coprime_mod_ell((1, ELL), (ELL,))
-        assert realroots._coprime_mod_ell((1, 0, 1), (0, 2))
-        calls = self.gcd_calls(monkeypatch)
-        ints = (-1, 0, ELL)  # ELL x^2 - 1, square-free
-        assert realroots._square_free(ints) == (ints, ((1, ints),))
-        assert calls == [(ints, (0, 2 * ELL))]
-
-    def test_double_root_mod_ell_only_is_square_free_through_the_prs(self, monkeypatch):
-        p = xpoly(-3, 1) * xpoly(-3 - ELL, 1)  # (x - 3)^2 mod ELL
-        ints = _canonical(p)
-        assert not realroots._coprime_mod_ell(ints, _derivative(ints))
-        calls = self.gcd_calls(monkeypatch)
-        assert realroots._square_free(ints) == (ints, ((1, ints),))
-        assert len(calls) == 1
-        realroots._profile.cache_clear()
-        assert is_real_rooted(p)
-        assert [(r.lo, r.hi) for r in isolate_roots(p).intervals] == [(r.lo, r.hi) for r in full_chain_isolation(p)]
-
-    def test_agrees_with_the_remainder_sequence(self):
-        rng = random.Random(77)
-        polys = sqf_cases() + random_root_products(31, 40) + certified_members()[:40]
-        for _ in range(200):
-            polys.append(xpoly(*[rng.randint(-2**70, 2**70) for _ in range(rng.randint(2, 9))]))
-        for p in polys:
-            if p.degree >= 1:
-                ints = _canonical(p)
-                deriv = _derivative(ints)
-                assert realroots._coprime_mod_ell(ints, deriv) == (len(exactpoly._int_gcd(ints, deriv)) == 1), str(p)
 
 
 def pairwise_relation(g: XPoly, f: XPoly) -> str:
