@@ -55,6 +55,33 @@ class TestObjects:
         with pytest.raises(DomainError):
             cls(entries)
 
+    @pytest.mark.parametrize(
+        "entry, arg",
+        [(psi, None), (psi, 3), (psi_inverse, None), (psi_inverse, 3), (stats, None), (inv_stats, None)],
+    )
+    def test_non_sequence_arguments_are_domain_errors(self, entry, arg):
+        # these used to raise a raw TypeError from tuple() before the constructor's gate
+        with pytest.raises(DomainError, match="entries must be integers"):
+            entry(arg)
+
+    def test_plain_sequences_still_accepted(self):
+        assert psi([1, -2]) == psi(SignedPerm((1, -2)))
+        assert psi(v for v in (1, -2)) == InvSeq((0, 3))
+        assert psi_inverse([0, 3]) == SignedPerm((1, -2))
+        assert stats([1, -2]) == stats(SignedPerm((1, -2)))
+        assert inv_stats([0, 3]) == inv_stats(InvSeq((0, 3)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: brute_polynomial(["Tq"], 3), lambda: enumerate_objects([], 2),
+         lambda: enumerate_objects({"kind": "signed_perms"}, 2), lambda: brute_polynomial(None, 3)],
+        ids=["brute-list", "enumerate-list", "enumerate-dict", "brute-None"],
+    )
+    def test_unhashable_ids_are_usage_errors(self, call):
+        # the unhashable ones used to raise TypeError: unhashable type
+        with pytest.raises(UsageError, match="unknown"):
+            call()
+
     def test_unvalidated_objects_equal_validated_ones(self):
         for n in (1, 2, 3, 4):
             for sigma in signed_perms(n):
@@ -345,8 +372,51 @@ def _poly_from_counts(counts):
     return XPoly(tuple(coeffs))
 
 
+def _walk_table(n):
+    """The joint table from one depth-first walk over every signed prefix.
+
+    The count by prefix classes in ``weylcomb._joint_table`` must give the
+    same cells; this walk visits each of the 2^n n! signed permutations once.
+    """
+    table = {}
+
+    def close(prev, a, inner, neg, b1, d1_plus, d1_minus):
+        # As |prev| != a: prev + a > 0 iff prev > -a, and prev - a > 0 iff prev > a.
+        above, below = prev > a, prev > -a
+        for key in ((n - a, inner + above, b1, d1_plus, neg, below),
+                    (n + a - 1, inner + below, b1, d1_minus, neg + 1, above)):
+            table[key] = table.get(key, 0) + 1
+
+    def extend(prev, rest, inner, neg, b1, d1):
+        if len(rest) == 1:
+            close(prev, rest[0], inner, neg, b1, d1, d1)
+            return
+        for k, a in enumerate(rest):
+            others = rest[:k] + rest[k + 1:]
+            extend(a, others, inner + (prev > a), neg, b1, d1)
+            extend(-a, others, inner + (prev > -a), neg + 1, b1, d1)
+
+    values = tuple(range(1, n + 1))
+    for k, a in enumerate(values):
+        rest = values[:k] + values[k + 1:]
+        for first in (a, -a):
+            b1 = int(first < 0)
+            if n == 2:
+                # sigma_2 is the last entry, so [sigma_1 + sigma_2 < 0] follows its sign.
+                c = rest[0]
+                close(first, c, 0, b1, b1, int(first + c < 0), int(first - c < 0))
+                continue
+            for j, c in enumerate(rest):
+                others = rest[:j] + rest[j + 1:]
+                for second in (c, -c):
+                    extend(second, others, int(first > second), b1 + (second < 0), b1,
+                           int(first + second < 0))
+    return table
+
+
 class TestJointTable:
-    """The joint count table against the readable signed_perms/stats/psi route."""
+    """The joint count table against the readable signed_perms/stats/psi route,
+    the walk over every signed prefix and the recurrences."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_family_matches_reference_sweep(self, n):
@@ -369,9 +439,32 @@ class TestJointTable:
         with pytest.raises(DomainError):
             brute_polynomial("refined_Tq", 1, index=0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_class_count_matches_the_walk(self, n):
+        table = weylcomb._joint_table(n)
+        assert dict(table) == _walk_table(n)
+        # the affine descent stays a bool, as the walk writes it
+        assert all(type(key[-1]) is bool for key in table)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_cells_sum_to_the_group_orders(self, n):
+        table = weylcomb._joint_table(n)
+        order = 2**n * math.factorial(n)
+        assert sum(table.values()) == order
+        assert sum(c for key, c in table.items() if key[4] % 2 == 0) == order // 2
+
     @pytest.mark.parametrize("family", ["Tq", "Dq"])
     def test_rank7_recurrence_against_enumeration(self, family):
         assert assemble(family, 7) == brute_polynomial(family, 7)
+
+    @pytest.mark.parametrize("family", ["Tq", "Dq", "refined_Tq"])
+    def test_rank8_recurrence_against_enumeration(self, family):
+        # rank 8 is the default cap, so no override is needed
+        if family == "refined_Tq":
+            polys = weylpoly.refined_Tq(8).polys
+            assert [brute_polynomial(family, 8, index=i) for i in range(16)] == list(polys)
+        else:
+            assert assemble(family, 8) == brute_polynomial(family, 8)
 
 
 class TestCapBeforeCache:
