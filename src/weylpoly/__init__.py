@@ -3,8 +3,8 @@
 The package computes descent-type generating polynomials (types A, B, D,
 their q-analogues, and the affine variants), verifies their recurrences
 against exhaustive enumeration, and certifies real-rootedness and mutual
-interlacing through root isolation by Budan-Fourier counts (Sturm counts
-where those prove a polynomial not real-rooted) and Routh-Hurwitz
+interlacing through root isolation by Budan-Fourier counts (their parity
+deciding a cell shown to hold at most one root) and Routh-Hurwitz
 stability, all over arbitrary-precision rationals.
 """
 

@@ -22,10 +22,10 @@ Fraction), ``_integer`` or ``_rank``, and every polynomial in one variable
 ``_horner``, ``_digits``) works on integer coefficient tuples.
 ``_canonical`` is its one reduction of a polynomial, shared by all its
 nonzero rational multiples; ``_int_gcd`` its one gcd, for ``poly_gcd`` and
-``realroots``; ``_prs`` its one remainder sequence, for Sturm chains and the
-gcd's fallback; ``_horner`` its one evaluation, for ``evaluate``,
-``eval_q``, every Sturm sign and the gcd's packing; ``_digits`` its one
-reader of packed balanced digits.
+``realroots``; ``_prs`` its one remainder sequence, only the gcd's fallback;
+``_horner`` its one evaluation, for ``evaluate``, ``eval_q``, every sign of
+a root cell and the gcd's packing; ``_digits`` its one reader of packed
+balanced digits.
 """
 
 from __future__ import annotations
@@ -364,6 +364,8 @@ def qxpoly(*coeffs) -> QXPoly:
 
 
 def eval_q(p: QXPoly, q0) -> XPoly:
+    if not isinstance(p, QXPoly):
+        raise UsageError(f"eval_q needs a QXPoly, got {type(p).__name__}")
     return p.eval_q(q0)
 
 
@@ -380,6 +382,8 @@ def exact_divide(a, b):
 
 
 def derivative(p: XPoly) -> XPoly:
+    if not isinstance(p, XPoly):
+        raise UsageError(f"derivative needs an XPoly, got {type(p).__name__}")
     return p.derivative()
 
 
@@ -481,8 +485,9 @@ def _prs(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
     A primitive remainder sequence (Collins 1967, Brown 1971): it stops at a
     constant or before a zero remainder, and its last member is gcd(f, g) up
-    to sign and content.  ``_prem`` keeps the signs of the rational
-    remainders, so ``_prs(p, p')`` is the Sturm chain of p.
+    to sign and content; ``_int_gcd`` falls back on it.  ``_prem`` keeps the
+    signs of the rational remainders, so ``_prs(p, p')`` is the Sturm chain
+    of p, which only the tests build, as a reference for root isolation.
     """
     seq = [f]
     while g:

@@ -3,9 +3,7 @@
 Everything here runs on the integer kernel of ``exactpoly``: each public
 entry reduces its input once to its canonical integer form ``_canonical``.
 Root counts use the half-open convention: a variation difference
-V(lo) - V(hi) counts distinct roots in (lo, hi].  The Sturm chain of p is
-the kernel's one remainder sequence ``_prs(p, p')``, with integer
-coefficients and the signs of the rational chain.  Sign evaluations at a
+V(lo) - V(hi) counts distinct roots in (lo, hi].  Sign evaluations at a
 rational point num/den run on the kernel's integer Horner ``_horner``, with
 shifts in place of the powers of den at a dyadic point.
 
@@ -20,27 +18,27 @@ Isolation counts sign variations of Taylor coefficients (Budan-Fourier).
 The radical is bisected from the bracket (-2^f, 2^f], where 2^f is above
 Fujiwara's root bound, so by Gauss-Lucas every real root of every derivative
 lies inside it too: the count is d at -2^f and 0 at 2^f.  Every cell is
-dyadic, (i 2^w - 2^f, (i+1) 2^w - 2^f], and every cell whose count is at
-least two is split, lower half first, so the cells come out in ascending
-order.  At each bisection point one packed Horner pass (``_taylor``) gives
-all d + 1 scaled Taylor coefficients.  V(lo) - V(hi) is at least the number
-of roots in (lo, hi], counted with multiplicity, and has the same parity.
-The excess is never negative and adds up over the real line, where the count
-is d; so for a real-rooted radical it is zero everywhere, every count is
-exact, and the cells are those full Sturm counts give.  If the radical is
-not real-rooted, each cell whose count exceeds its roots has a child that
-does too, and such a path never ends; so at each point the Taylor
-coefficients are tested for what a real-rooted square-free radical must
-satisfy: Newton's inequalities, no two adjacent zeros, and that a cell whose
-count is at least two holds two roots, which fails once the coefficients at
-its midpoint keep p, or p', from vanishing on it.  A failure proves the
-radical not real-rooted, and every path that would not end reaches one,
-since p or p' is nonzero at its limit.  Isolation then restarts on Sturm
-counts, and only then builds the radical's chain, whose counts at the
-bracket's ends are read from its leading coefficients; no other chain is
-built.  Whether a cell holds the root of a square-free polynomial with at
-most one root there is read from signs at its ends (``_holds_root``), and a
-root's multiplicity is that of the one coprime Yun factor that holds it.
+dyadic, (i 2^w - 2^f, (i+1) 2^w - 2^f], and cells are split lower half
+first, so they come out in ascending order.  At each bisection point one
+packed Horner pass (``_taylor``) gives all d + 1 scaled Taylor coefficients.
+V(lo) - V(hi) is at least the number of roots in (lo, hi], counted with
+multiplicity, and has the same parity.  The excess is never negative and
+adds up over the real line, where the count is d; so for a real-rooted
+radical it is zero everywhere and every count is exact.  A cell whose count
+is at least two is split at its midpoint, unless the Taylor coefficients
+there keep p, or p', from vanishing on it (``_at_most_one_root``): such a
+cell holds at most one root, so the parity of its count decides, one root if
+odd and none if even, as for a cell whose count is 0 or 1.  Every path of
+splits ends, since p or p' is nonzero at its limit.  Where the radical is
+not real-rooted a cell may end below the one full Sturm counts give, so each
+cell then climbs to its coarsest ancestor in the bracket that holds neither
+adjacent cell.  Cells of one bracket are nested or disjoint, so an ancestor
+holds another root iff it holds that root's cell: the climb ends at the
+coarsest ancestor holding one root, the cell full Sturm counts give, and no
+Sturm chain is built.  Whether a cell holds the root of a square-free
+polynomial with at most one root there is read from signs at its ends
+(``_holds_root``), and a root's multiplicity is that of the one coprime Yun
+factor that holds it.
 The root profile of a polynomial (radical, factors, cells) is cached in a
 bounded LRU keyed by the canonical form, so a polynomial and its nonzero
 rational multiples share one entry; it never changes once built, and
@@ -79,7 +77,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PreconditionError, UsageError, WeylPolyError
-from .exactpoly import QPoly, XPoly, _canonical, _derivative, _digits, _horner, _int_gcd, _prs
+from .exactpoly import QPoly, XPoly, _canonical, _derivative, _digits, _horner, _int_gcd
 from .exactpoly import _rational, _univariate
 from .record import Record
 
@@ -189,17 +187,13 @@ def _square_free(ints: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 
 
-class _NotRealRooted(Exception):
-    """A Taylor expansion proved the square-free radical not real-rooted."""
-
-
 def _taylor(ints: Sequence[int], num: int, e: int) -> list[int]:
     """The coefficients b_k of 2^(e d) p((num + u) / 2^e) = sum b_k u^k, degree d >= 1.
 
     b_k = 2^(e (d - k)) p^(k)(x) / k! at x = num / 2^e: the Taylor
-    coefficients at x, all scaled by the same power of two as Newton's
-    inequalities need.  Every |b_k| is at most B = sum |c_j| (2^e + |num|)^d,
-    so with W whole bytes and 2^(W-1) > B, one Horner pass on
+    coefficients at x, each scaled by a power of two.  Every |b_k| is at
+    most B = sum |c_j| (2^e + |num|)^d, so with W whole bytes and
+    2^(W-1) > B, one Horner pass on
     sum c_j 2^(e (d - j)) (num + u)^j at u = 2^W packs them all, and the
     d + 1 balanced base-2^W digits of the result are the b_k.
     """
@@ -211,18 +205,6 @@ def _taylor(ints: Sequence[int], num: int, e: int) -> list[int]:
     for s in range(1, d + 1):
         acc = acc * num + (acc << w) + (ints[d - s] << e * s)
     return _digits(acc, nb, d + 1)
-
-
-def _newton_holds(b: Sequence[int]) -> bool:
-    """Newton's inequalities k (d-k) b_k^2 >= (k+1) (d-k+1) b_(k-1) b_(k+1), and no two
-    adjacent zeros: both hold for the Taylor coefficients of a real-rooted
-    square-free polynomial at every point (a common scale changes neither).
-    """
-    d = len(b) - 1
-    for k in range(1, d):
-        if k * (d - k) * b[k] * b[k] < (k + 1) * (d - k + 1) * b[k - 1] * b[k + 1]:
-            return False
-    return all(b[k] or b[k + 1] for k in range(d))
 
 
 def _at_most_one_root(b: Sequence[int], s: int) -> bool:
@@ -326,63 +308,43 @@ class _Rec(Record):
         return Fraction(*self.end(1))
 
 
-def _bisect(rad: tuple[int, ...], outside, at) -> list[_Rec]:
-    """Cells of the square-free ``rad`` from the bracket (-2^f, 2^f], lower half first.
-
-    Every root lies in |z| < 2^f, f from ``_fujiwara_exp``.  ``outside``
-    holds the (count, sign) pairs at -2^f and 2^f, and at(num, den, e) the
-    pair at the midpoint num/den of a cell of half-width 2^e: a variation
-    count whose differences count the distinct roots in (lo, hi], and the
-    sign of ``rad``.  Every cell whose count is at least two is split at its
-    midpoint.
-    """
-    f = _fujiwara_exp(rad)
-    stack = [(0, f + 1, *outside)]
-    out: list[_Rec] = []
-    while stack:  # the lower half pops first, so cells come out ascending
-        i, w, low, high = stack.pop()
-        count = low[0] - high[0]
-        if count == 1:
-            out.append(_Rec(f, i, w, high[1]))
-        elif count > 1:
-            mid = at(*_dyadic(2 * i + 1, w - 1, f), w - 1)
-            stack.append((2 * i + 1, w - 1, mid, high))
-            stack.append((2 * i, w - 1, low, mid))
-    return out
-
-
 def _isolate(rad: tuple[int, ...]) -> list[_Rec]:
-    """Cells of the square-free ``rad`` (lc > 0) by Budan-Fourier counts, or by
-    ``_sturm_cells`` once a Taylor expansion proves ``rad`` not real-rooted.
+    """Cells of the square-free ``rad`` (lc > 0) from the bracket (-2^f, 2^f], ascending.
 
-    At -2^f the count is d and the sign (-1)^d; at 2^f, 0 and 1.
+    Every root lies in |z| < 2^f, f from ``_fujiwara_exp``.  A stack entry
+    holds a cell's variation counts at lo and hi and the sign of ``rad`` at
+    hi; at -2^f the count is d, at 2^f it is 0 and the sign 1.  A cell whose
+    count is at least two is split at its midpoint unless the Taylor
+    coefficients there prove at most one root in it; then, as everywhere
+    else, an odd count means one root.  Each cell then climbs to its
+    coarsest ancestor that holds neither adjacent cell.
     """
     d = len(rad) - 1
-
-    def budan_fourier(num: int, den: int, e: int) -> tuple[int, int]:
-        c = _taylor(rad, num, den.bit_length() - 1)
-        if not _newton_holds(c) or _at_most_one_root(c, max(e, 0)):
-            raise _NotRealRooted
-        return _variations(c), (c[0] > 0) - (c[0] < 0)
-
-    try:
-        return _bisect(rad, ((d, (-1) ** d), (0, 1)), budan_fourier)
-    except _NotRealRooted:
-        return _sturm_cells(rad)
-
-
-def _sturm_cells(rad: tuple[int, ...]) -> list[_Rec]:
-    """Cells of the square-free ``rad`` by Sturm counts, from its chain built here; at the
-    bracket's ends they are the counts at -inf and inf, read from the leading coefficients."""
-    chain = _prs(rad, _derivative(rad))
-    leads = [((m[-1] > 0) - (m[-1] < 0), len(m) - 1) for m in chain]
-    outside = tuple((_variations([s * t**k for s, k in leads]), t ** (len(rad) - 1)) for t in (-1, 1))
-
-    def sturm(num: int, den: int, _: int) -> tuple[int, int]:
-        signs = [_sign_at(m, num, den) for m in chain]
-        return _variations(signs), signs[0]
-
-    return _bisect(rad, outside, sturm)
+    f = _fujiwara_exp(rad)
+    stack = [(0, f + 1, d, 0, 1)]
+    cells: list[_Rec] = []
+    while stack:  # the lower half pops first, so cells come out ascending
+        i, w, v_lo, v_hi, s_hi = stack.pop()
+        count = v_lo - v_hi
+        if count > 1:
+            num, den = _dyadic(2 * i + 1, w - 1, f)
+            c = _taylor(rad, num, den.bit_length() - 1)
+            if not _at_most_one_root(c, max(w - 1, 0)):
+                v_mid = _variations(c)
+                stack.append((2 * i + 1, w - 1, v_mid, v_hi, s_hi))
+                stack.append((2 * i, w - 1, v_lo, v_mid, (c[0] > 0) - (c[0] < 0)))
+                continue
+        if count % 2:
+            cells.append(_Rec(f, i, w, s_hi))
+    for k, rec in enumerate(cells):
+        near = [(n.i, n.w) for n in cells[max(k - 1, 0) : k + 2] if n is not rec]
+        i, w = rec.i, rec.w
+        # the parent (i >> 1, w + 1) holds the cell (j, v) iff v <= w + 1 and j >> (w + 1 - v) == i >> 1
+        while w <= f and not any(v <= w + 1 and j >> (w + 1 - v) == i >> 1 for j, v in near):
+            i, w = i >> 1, w + 1
+        if w != rec.w:
+            rec.i, rec.w, rec.s_hi = i, w, _sign_at(rad, *_dyadic(i + 1, w, f))
+    return cells
 
 
 class _Profile:

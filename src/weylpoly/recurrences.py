@@ -533,6 +533,9 @@ def interlacing_transform(fs: Sequence, spec: TransformSpec) -> tuple:
     """
     if not fs:
         raise UsageError("interlacing_transform needs a nonempty sequence")
+    kind = type(fs[0])
+    if kind not in (XPoly, QXPoly, _Packed) or any(type(p) is not kind for p in fs):
+        raise UsageError("interlacing_transform needs entries of one kind: all XPoly or all QXPoly")
     m = len(fs)
     if any(t > m + 1 for t in spec.thresholds):
         raise UsageError(f"thresholds must be <= m + 1 = {m + 1}")
@@ -573,6 +576,8 @@ def weighted_combination(fs: Sequence[XPoly], spec: WeightedComboSpec) -> tuple[
     """Return (sum a_i f_i, sum b_i f_i) for a mutually interlacing input."""
     if len(fs) != len(spec.a):
         raise UsageError("weight length must match the number of polynomials")
+    if not all(isinstance(p, XPoly) for p in fs):
+        raise UsageError("weighted_combination needs XPoly entries")
     fa = XPoly()
     fb = XPoly()
     for p, wa, wb in zip(fs, spec.a, spec.b):

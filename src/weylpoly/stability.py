@@ -40,7 +40,8 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import DivisibilityError, PreconditionError, StabilityInapplicableError, UsageError
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _digits, _int_quot, _univariate
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _digits, _int_quot, _integer
+from .exactpoly import _univariate
 from .realroots import STRICT, WEAK, InterlacingVerdict, interlaces, isolate_roots
 from .record import Record
 from .recurrences import refined_Tq
@@ -201,6 +202,7 @@ class CPairResult(Record):
 
 def build_C(i: int, j: int) -> CPairResult:
     """Couple entries i < j of the rank-4 refined family into one z-polynomial."""
+    i, j = _integer(i, "i"), _integer(j, "j")
     if not 0 <= i < j <= 7:
         raise UsageError("build_C needs 0 <= i < j <= 7")
     fam = refined_Tq(4).polys

@@ -25,16 +25,20 @@ from weylpoly import (
     xpoly,
 )
 from weylpoly import (
+    TransformSpec,
     WeightedComboSpec,
     assemble,
     brute_polynomial,
+    build_C,
     ceil_index,
     count_roots_in,
+    derivative,
     enumerate_objects,
     eval_q,
     hb_split,
     hurwitz_determinants,
     interlace_via_stability,
+    interlacing_transform,
     interlaces,
     isolate_roots,
     mutually_interlacing,
@@ -47,6 +51,7 @@ from weylpoly import (
     run_suite,
     square_free,
     verify,
+    weighted_combination,
 )
 from weylpoly.exactpoly import (
     NEG_INF,
@@ -499,8 +504,20 @@ _UNIVARIATE_ENTRIES = {
 
 # Entries that take something other than one polynomial in one variable, with the
 # inputs each rejects by name: hurwitz_determinants also takes a QXPoly, and
-# mutually_interlacing takes a sequence of polynomials.
+# mutually_interlacing takes a sequence of polynomials.  Before their gates build_C(0.0, 1)
+# and build_C("0", 1) raised TypeError, eval_q and derivative AttributeError, the transform
+# TypeError on mixed kinds and AttributeError on ints, and weighted_combination TypeError on
+# QXPoly entries and returned an XPoly for ints.
 _OTHER_KIND_ENTRIES = {
+    "build_C i": (lambda i: build_C(i, 1), [0.0, "0", None], "i must be an integer"),
+    "build_C j": (lambda j: build_C(0, j), [1.0, "1", Fraction(1)], "j must be an integer"),
+    "eval_q": (lambda p: eval_q(p, 2), [xpoly(1), qpoly(1, 2), None], "eval_q needs a QXPoly"),
+    "derivative": (derivative, [qpoly(1, 2), qxpoly((1,)), None], "derivative needs an XPoly"),
+    "interlacing_transform": (lambda fs: interlacing_transform(fs, TransformSpec((1, 1))),
+                              [[xpoly(1), qxpoly((1,))], [1, 2], [qpoly(1), qpoly(1)], [qxpoly((1,)), xpoly(1)]],
+                              "entries of one kind"),
+    "weighted_combination": (lambda fs: weighted_combination(fs, WeightedComboSpec((1, 1), (1, 1))),
+                             [[qxpoly((1,))] * 2, [1, 2], [xpoly(1), qpoly(1)]], "needs XPoly entries"),
     "hurwitz_determinants": (hurwitz_determinants, [[1, 2], None, (1, 2)], "must be an XPoly, a QPoly or a QXPoly"),
     "mutually_interlacing": (mutually_interlacing, [qxpoly((1, 1), (0, 1)), xpoly(1, 1), qpoly(1, 1), None, []],
                              "must be a nonempty sequence of polynomials"),
@@ -539,6 +556,8 @@ class TestUnivariateGate:
         for p in (xpoly(2, 1), qpoly(2, 1), qxpoly((2,), (1, 1))):
             hurwitz_determinants(p)
         assert mutually_interlacing((xpoly(2, 1), qpoly(2, 1))) == (True, None)
+        assert eval_q(qxpoly((1, 1)), 2) == xpoly(3) and derivative(xpoly(2, 1)) == xpoly(1)
+        assert interlacing_transform([qxpoly((1,))] * 2, TransformSpec((1, 2))) == (qxpoly((2,)), qxpoly((1,), (1,)))
 
     def test_count_roots_in_checks_its_bounds_before_any_profile(self):
         realroots._profile.cache_clear()

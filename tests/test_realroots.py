@@ -532,7 +532,7 @@ class TestHoldsRoot:
 
 
 class TestOneChainPerPolynomial:
-    """No remainder sequence runs outside the Sturm restart: every gcd is the packed heuristic one."""
+    """No remainder sequence runs: every gcd is the packed heuristic one, and no Sturm chain is built."""
 
     def remainder_sequences(self, monkeypatch, call) -> int:
         calls = []
@@ -542,7 +542,6 @@ class TestOneChainPerPolynomial:
             return _prs(f, g)
 
         monkeypatch.setattr(exactpoly, "_prs", counting)
-        monkeypatch.setattr(realroots, "_prs", counting)
         realroots._profile.cache_clear()
         call()
         return len(calls)
@@ -552,12 +551,11 @@ class TestOneChainPerPolynomial:
         assert self.remainder_sequences(monkeypatch, lambda: realroots._profile(_canonical(p))) == 0
 
     def test_count_roots_in(self, monkeypatch):
-        # the count is read off the cached cells: a real-rooted square-free p needs no remainder
-        # sequence, and one that is not real-rooted only the chain of the Sturm restart
+        # the count is read off the cached cells, real-rooted or not: no remainder sequence runs
         p = assemble("tildeD", 12)
         assert self.remainder_sequences(monkeypatch, lambda: count_roots_in(p, -1, 0)) == 0
         q = p * xpoly(1, 0, 1)
-        assert self.remainder_sequences(monkeypatch, lambda: count_roots_in(q, -1, 0)) == 1
+        assert self.remainder_sequences(monkeypatch, lambda: count_roots_in(q, -1, 0)) == 0
 
 
 class TestInterlaces:
@@ -889,7 +887,7 @@ class TestSignOnlyRefinement:
 
 
 # ---------------------------------------------------------------------------
-# Budan-Fourier isolation and its Sturm fallback
+# Budan-Fourier isolation
 # ---------------------------------------------------------------------------
 
 WIDE = Fraction(2**64)  # wider than every bracket here: isolate_roots then reports the initial cells
@@ -897,6 +895,12 @@ WIDE = Fraction(2**64)  # wider than every bracket here: isolate_roots then repo
 # a double root at 1
 WIDE_BRACKET = [xpoly(-1, 2**10) * xpoly(2**20 + 3, 1), xpoly(-1, 2**10) * xpoly(2**20 + 3, 1) * xpoly(1, 0, 1),
                 xpoly(0, 1) * xpoly(-1, 2**40) * xpoly(1, 2**40) * xpoly(-1, 3), xpoly(-1, 1) ** 2 * xpoly(2**30, 1)]
+
+
+# Complex roots beside real ones, so that some cells end deep below their Sturm cell and climb back:
+# tildeD(n)(x^2 + 1), and tildeD(20) times a complex pair 10^-6 / 3 from the real axis at 1/3
+DEEP_CELLS = [assemble("tildeD", n) * xpoly(1, 0, 1) for n in (10, 20)]
+DEEP_CELLS.append(assemble("tildeD", 20) * (xpoly(-1, 3) ** 2 + xpoly(Fraction(1, 10**12))))
 
 
 def fraction_taylor(ints, x: Fraction) -> list[Fraction]:
@@ -983,7 +987,7 @@ class TestBudanFourierIsolation:
 
     def test_cells_match_the_fraction_sturm_reference(self, taylor_budget):
         inputs = certified_members() + cluster_inputs() + complex_pair_inputs() + random_root_products(57, 40)
-        for p in inputs + WIDE_BRACKET:
+        for p in inputs + WIDE_BRACKET + DEEP_CELLS:
             taylor_budget.clear()
             assert self.cold_records(p) == reference_cells(p), str(p)
 
@@ -1006,33 +1010,26 @@ class TestBudanFourierIsolation:
             realroots._profile.cache_clear()
             assert isolate_roots(p).intervals == full_chain_isolation(p), str(p)
 
-    def test_sturm_fallback_runs_exactly_for_complex_roots(self, monkeypatch, taylor_budget):
-        fallbacks = []
-        sturm_cells = realroots._sturm_cells
-
-        def counting(rad):
-            fallbacks.append(rad)
-            return sturm_cells(rad)
-
-        monkeypatch.setattr(realroots, "_sturm_cells", counting)
+    def test_real_rootedness_matches_the_yun_reference(self, monkeypatch, taylor_budget):
+        prs = []
+        monkeypatch.setattr(exactpoly, "_prs", lambda f, g: prs.append(f) or _prs(f, g))
         members = certified_members()  # real-rooted by the theorems the suites check
+        kinds = set()
         for p in members + cluster_inputs() + complex_pair_inputs() + random_root_products(31, 40):
             taylor_budget.clear()
-            fallbacks.clear()
             real = p in members or yun_full_line_real_rooted(p)
             realroots._profile.cache_clear()
             assert is_real_rooted(p) == real, str(p)
-            assert fallbacks == ([] if real else [_canonical(fraction_radical(p))]), str(p)
+            kinds.add(real)
+        assert kinds == {True, False} and prs == []
 
-    def test_newton_inequalities_alone_do_not_end_the_bisection(self, monkeypatch, taylor_budget):
-        # (3x - 1)^4 - 81 loses two sign variations at 1/3, which no bisection point reaches,
-        # and its Taylor coefficients satisfy Newton's inequalities everywhere
+    def test_the_cell_test_ends_the_bisection(self, monkeypatch, taylor_budget):
+        # (3x - 1)^4 - 81 loses two sign variations at 1/3, which no bisection point reaches
         p = xpoly(-1, 3) ** 4 - xpoly(81)
         ints = _canonical(p)
         realroots._profile.cache_clear()
         assert [(r.lo, r.hi) for r in isolate_roots(p, 1).intervals] == [(-1, 0), (1, 2)]
-        points = list(taylor_budget)
-        assert points and all(realroots._newton_holds(realroots._taylor(*args)) for args in points)
+        assert taylor_budget
         monkeypatch.setattr(realroots, "_at_most_one_root", lambda b, s: False)
         taylor_budget.clear()
         with pytest.raises(AssertionError, match="did not end"):
