@@ -15,12 +15,13 @@ and the square-free factors, its exact quotients integral by Gauss's lemma.
 A constant p has the radical 1 and no cell.
 
 Isolation counts sign variations of Taylor coefficients (Budan-Fourier).
-The radical is bisected from the bracket (-2^f, 2^f], where 2^f is above
+The radical is bisected from (-2^f, 0] and (0, 2^f], where 2^f is above
 Fujiwara's root bound, so by Gauss-Lucas every real root of every derivative
-lies inside it too: the count is d at -2^f and 0 at 2^f.  Every cell is
-dyadic, (i 2^w - 2^f, (i+1) 2^w - 2^f], and cells are split lower half
-first, so they come out in ascending order.  At each bisection point one
-packed Horner pass (``_taylor``) gives all d + 1 scaled Taylor coefficients.
+lies inside too: the count is d at -2^f and 0 at 2^f.  Every cell of every
+polynomial is (i 2^w, (i+1) 2^w] on one dyadic grid, so any two are nested
+or disjoint; cells are split lower half first, so they come out in
+ascending order.  At each bisection point one packed Horner pass
+(``_taylor``) gives all d + 1 scaled Taylor coefficients.
 V(lo) - V(hi) is at least the number of roots in (lo, hi], counted with
 multiplicity, and has the same parity.  The excess is never negative and
 adds up over the real line, where the count is d; so for a real-rooted
@@ -31,14 +32,13 @@ cell holds at most one root, so the parity of its count decides, one root if
 odd and none if even, as for a cell whose count is 0 or 1.  Every path of
 splits ends, since p or p' is nonzero at its limit.  Where the radical is
 not real-rooted a cell may end below the one full Sturm counts give, so each
-cell then climbs to its coarsest ancestor in the bracket that holds neither
-adjacent cell.  Cells of one bracket are nested or disjoint, so an ancestor
-holds another root iff it holds that root's cell: the climb ends at the
-coarsest ancestor holding one root, the cell full Sturm counts give, and no
-Sturm chain is built.  Whether a cell holds the root of a square-free
-polynomial with at most one root there is read from signs at its ends
-(``_holds_root``), and a root's multiplicity is that of the one coprime Yun
-factor that holds it.
+cell then climbs to its coarsest ancestor of width at most 2^f that holds
+neither adjacent cell.  An ancestor holds another root iff it holds that
+root's cell: the climb ends at the coarsest ancestor holding one root, the
+cell full Sturm counts give, and no Sturm chain is built.  Whether a cell
+holds the root of a square-free polynomial with at most one root there is
+read from signs at its ends (``_holds_root``), and a root's multiplicity is
+that of the one coprime Yun factor that holds it.
 The root profile of a polynomial (radical, factors, cells) is cached in a
 bounded LRU keyed by the canonical form, so a polynomial and its nonzero
 rational multiples share one entry; it never changes once built, and
@@ -51,16 +51,15 @@ vanishes at hi, otherwise the lower half when the midpoint sign is 0 or
 equals the sign at hi.  A root exactly at a midpoint thus goes to the lower
 half, as in the half-open Sturm count, so every cell is the one a full Sturm
 count would choose.  ``isolate_roots`` reports, for each root, the coarsest
-cell of its bisection path that is at most ``width`` wide.  Each call
-refines fresh copies of the cached cells, so the report depends only on the
-polynomial and the width.
+cell of its bisection path that is at most ``width`` wide; a root alone in
+its bracket is reported as its half-bracket at widths of 2^(f+1) or more.
+Each call refines fresh copies of the cached cells, so the report depends
+only on the polynomial and the width.
 
 Interlacing.  ``interlaces`` and ``mutually_interlacing`` share one merged
-sweep.  The initial cells of every member are copied, sorted, and only
-neighbours whose cells overlap are worked on: the wider cell is halved, or
-both when equally wide, until the cells are identical (brackets of
-different size give equally wide cells that overlap; below the smaller
-exponent the grids agree).  Then ``_holds_root`` on the gcd of the two
+sweep, which walks the dyadic tree over copies of the initial cells of every
+member.  A cell wider than another it overlaps contains it and is halved
+until the two are identical.  Then ``_holds_root`` on the gcd of the two
 radicals, computed once per pair of members, decides whether they hold the
 same root; distinct roots are halved until their cells part.  The result is
 the ascending order of all distinct roots, with exact ties.  Each relation
@@ -95,11 +94,9 @@ def _sign_at(ints: Sequence[int], num: int, den: int) -> int:
     return (v > 0) - (v < 0)
 
 
-def _dyadic(n: int, e: int, b: int) -> tuple[int, int]:
-    """(num, den) of the grid point n 2^e - 2^b, den a power of two."""
-    if e >= 0:
-        return (n << e) - (1 << b), 1
-    return n - (1 << (b - e)), 1 << -e
+def _dyadic(n: int, e: int) -> tuple[int, int]:
+    """(num, den) of the grid point n 2^e, den a power of two."""
+    return (n << e, 1) if e >= 0 else (n, 1 << -e)
 
 
 def _floor_log2(width: Fraction) -> int:
@@ -283,21 +280,21 @@ class InterlacingVerdict(Record):
 
 
 class _Rec(Record):
-    """The cell (i 2^w - 2^b, (i+1) 2^w - 2^b] of the bracket (-2^b, 2^b] holding one root of the
-    radical, whose sign at hi is s_hi; refined in place, so unlike the other records mutable."""
+    """The dyadic cell (i 2^w, (i+1) 2^w] holding one root of the radical, whose sign at hi is
+    s_hi; refined in place, so unlike the other records mutable."""
 
-    __slots__ = ("b", "i", "w", "s_hi", "mult")
+    __slots__ = ("i", "w", "s_hi", "mult")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
-    def __init__(self, b: int, i: int, w: int, s_hi: int, mult: int = 1):
-        self.b, self.i, self.w, self.s_hi, self.mult = b, i, w, s_hi, mult
+    def __init__(self, i: int, w: int, s_hi: int, mult: int = 1):
+        self.i, self.w, self.s_hi, self.mult = i, w, s_hi, mult
 
     def copy(self) -> "_Rec":
-        return _Rec(self.b, self.i, self.w, self.s_hi, self.mult)
+        return _Rec(self.i, self.w, self.s_hi, self.mult)
 
     def end(self, upper: int) -> tuple[int, int]:
         """(num, den) of the low (upper=0) or high (upper=1) end."""
-        return _dyadic(self.i + upper, self.w, self.b)
+        return _dyadic(self.i + upper, self.w)
 
     @property
     def lo(self) -> Fraction:
@@ -309,25 +306,26 @@ class _Rec(Record):
 
 
 def _isolate(rad: tuple[int, ...]) -> list[_Rec]:
-    """Cells of the square-free ``rad`` (lc > 0) from the bracket (-2^f, 2^f], ascending.
+    """Cells of the square-free ``rad`` (lc > 0) from (-2^f, 0] and (0, 2^f], ascending.
 
     Every root lies in |z| < 2^f, f from ``_fujiwara_exp``.  A stack entry
     holds a cell's variation counts at lo and hi and the sign of ``rad`` at
-    hi; at -2^f the count is d, at 2^f it is 0 and the sign 1.  A cell whose
-    count is at least two is split at its midpoint unless the Taylor
+    hi: d at -2^f, the coefficients' at 0, 0 and the sign 1 at 2^f.  A cell
+    whose count is at least two is split at its midpoint unless the Taylor
     coefficients there prove at most one root in it; then, as everywhere
     else, an odd count means one root.  Each cell then climbs to its
-    coarsest ancestor that holds neither adjacent cell.
+    coarsest ancestor up to level f that holds neither adjacent cell.
     """
     d = len(rad) - 1
     f = _fujiwara_exp(rad)
-    stack = [(0, f + 1, d, 0, 1)]
+    v_0 = _variations(rad)
+    stack = [(0, f, v_0, 0, 1), (-1, f, d, v_0, (rad[0] > 0) - (rad[0] < 0))]
     cells: list[_Rec] = []
     while stack:  # the lower half pops first, so cells come out ascending
         i, w, v_lo, v_hi, s_hi = stack.pop()
         count = v_lo - v_hi
         if count > 1:
-            num, den = _dyadic(2 * i + 1, w - 1, f)
+            num, den = _dyadic(2 * i + 1, w - 1)
             c = _taylor(rad, num, den.bit_length() - 1)
             if not _at_most_one_root(c, max(w - 1, 0)):
                 v_mid = _variations(c)
@@ -335,15 +333,15 @@ def _isolate(rad: tuple[int, ...]) -> list[_Rec]:
                 stack.append((2 * i, w - 1, v_lo, v_mid, (c[0] > 0) - (c[0] < 0)))
                 continue
         if count % 2:
-            cells.append(_Rec(f, i, w, s_hi))
+            cells.append(_Rec(i, w, s_hi))
     for k, rec in enumerate(cells):
         near = [(n.i, n.w) for n in cells[max(k - 1, 0) : k + 2] if n is not rec]
         i, w = rec.i, rec.w
         # the parent (i >> 1, w + 1) holds the cell (j, v) iff v <= w + 1 and j >> (w + 1 - v) == i >> 1
-        while w <= f and not any(v <= w + 1 and j >> (w + 1 - v) == i >> 1 for j, v in near):
+        while w < f and not any(v <= w + 1 and j >> (w + 1 - v) == i >> 1 for j, v in near):
             i, w = i >> 1, w + 1
         if w != rec.w:
-            rec.i, rec.w, rec.s_hi = i, w, _sign_at(rad, *_dyadic(i + 1, w, f))
+            rec.i, rec.w, rec.s_hi = i, w, _sign_at(rad, *_dyadic(i + 1, w))
     return cells
 
 
@@ -369,7 +367,7 @@ class _Profile:
         """Halve rec's cell, keeping the half that holds its root (sign-only)."""
         n, w = 2 * rec.i, rec.w - 1
         if rec.s_hi:
-            s = _sign_at(self.rad_ints, *_dyadic(n + 1, w, rec.b))
+            s = _sign_at(self.rad_ints, *_dyadic(n + 1, w))
             if s == 0 or s == rec.s_hi:  # no sign change on (mid, hi]
                 rec.i, rec.w, rec.s_hi = n, w, s
                 return
@@ -457,11 +455,6 @@ def is_real_rooted(p: XPoly) -> bool:
 _MAX_SEPARATION_BISECTIONS = 4000  # halvings of one cell in one sweep before it gives up
 
 
-def _below(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    """p < q for grid points given as (num, den)."""
-    return p[0] * q[1] < q[0] * p[1]
-
-
 def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec]]]:
     """Per member profile, (position in the merged root order, cell) for each root.
 
@@ -469,40 +462,46 @@ def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec
     the same root.  The sweep works on copies of the cached initial cells.
     A group [owner, cell, members, start] is one distinct root: ``cell``,
     held by member ``owner`` and refined from level ``start``, is the one
-    compared with the neighbours.  ``order`` stays sorted by the low ends of
-    the cells, and every group left of index k lies wholly left of all the
-    groups after it.
+    compared with the others.  The sweep walks the dyadic tree, lower child
+    first, each node with the groups whose cells it contains: one group is
+    finished; if every cell equals the node, neighbours sharing a root merge;
+    else the cells equal to the node are halved and the groups go down.
     """
-    order = []
+    groups = []
     for owner, prof in enumerate(profiles):
         for rec in prof.records:
             cell = rec.copy()
-            order.append([owner, cell, [(owner, cell)], cell.w])
-    order.sort(key=lambda group: group[1].lo)
+            groups.append([owner, cell, [(owner, cell)], cell.w])
+    top = max((group[1].w for group in groups), default=0)
+    nodes: dict[int, list] = {}
+    for group in groups:
+        nodes.setdefault(group[1].i >> (top - group[1].w), []).append(group)
+    stack = [(top, nodes[n]) for n in sorted(nodes, reverse=True)]
     common: dict[tuple[int, int], tuple] = {}
-    k = 0
-    while k + 1 < len(order):
-        a, b = order[k], order[k + 1]
-        ca, cb = a[1], b[1]
-        if not _below(cb.end(0), ca.end(1)):
-            k += 1
+    order = []
+    while stack:
+        w, node = stack.pop()
+        if len(node) > 1 and all(group[1].w == w for group in node):
+            merged = node[:1]
+            for b in node[1:]:
+                a = merged[-1]
+                if _same_root(profiles, common, a[0], a[1], b[0], b[1]):
+                    a[2].extend(b[2])
+                else:
+                    merged.append(b)
+            node = merged
+        if len(node) == 1:
+            order.append(node[0])
             continue
-        if ca.w == cb.w and ca.end(0) == cb.end(0) and _same_root(profiles, common, a[0], ca, b[0], cb):
-            a[2].extend(b[2])
-            del order[k + 1]
-            continue
-        wide = max(ca.w, cb.w)
-        del order[k : k + 2]
-        for group in (a, b):
+        halves: tuple[list, list] = ([], [])
+        for group in node:
             cell = group[1]
-            if cell.w == wide:
+            if cell.w == w:
                 profiles[group[0]].refine_once(cell)
                 if group[3] - cell.w >= _MAX_SEPARATION_BISECTIONS:
                     raise WeylPolyError("root separation did not converge within the bisection budget")
-            j, lo = k, cell.end(0)
-            while j < len(order) and _below(order[j][1].end(0), lo):
-                j += 1
-            order.insert(j, group)
+            halves[cell.i >> (w - 1 - cell.w) & 1].append(group)
+        stack += [(w - 1, half) for half in reversed(halves) if half]
     positions: list[list[tuple[int, _Rec]]] = [[] for _ in profiles]
     for idx, (_, _, members, _) in enumerate(order):
         for owner, cell in members:
@@ -557,9 +556,9 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
     This is the two-member case of the merged sweep: the roots of g and f
     are put in one order by sign-only halving of copies of their cells (a
     root exactly at a midpoint stays in the lower half).  gcd(radical g,
-    radical f) is computed only if two cells are identical, not just equally
-    wide, and neither radical vanishes at their upper end.  A ``none`` witness
-    holds the cells of the first two roots out of order.
+    radical f) is computed only if two cells are identical and neither
+    radical vanishes at their upper end.  A ``none`` witness holds the cells
+    of the first two roots out of order.
     """
     for name, p in (("g", g), ("f", f)):
         if _univariate(p, name).is_zero():

@@ -50,7 +50,8 @@ class RefinedFamily(Record):
     polys: tuple
 
     def __post_init__(self):
-        if len(self.polys) != 2 * self.n:
+        n = _integer(self.n, "a refined family's rank")
+        if not isinstance(self.polys, Sequence) or len(self.polys) != 2 * n:
             raise UsageError("a refined family at rank n has exactly 2n entries")
 
 
@@ -531,8 +532,10 @@ def interlacing_transform(fs: Sequence, spec: TransformSpec) -> tuple:
     fs holds polynomials of one kind (XPoly or QXPoly, or the packed carrier
     of the recurrence builds); the output has that kind.
     """
-    if not fs:
-        raise UsageError("interlacing_transform needs a nonempty sequence")
+    if not isinstance(fs, Sequence) or not fs:
+        raise UsageError(f"interlacing_transform needs a nonempty sequence, got {fs!r:.60}")
+    if not isinstance(spec, TransformSpec):
+        raise UsageError(f"interlacing_transform needs a TransformSpec, got {type(spec).__name__}")
     kind = type(fs[0])
     if kind not in (XPoly, QXPoly, _Packed) or any(type(p) is not kind for p in fs):
         raise UsageError("interlacing_transform needs entries of one kind: all XPoly or all QXPoly")
@@ -557,8 +560,11 @@ class WeightedComboSpec(Record):
     b: tuple[Fraction, ...]
 
     def __post_init__(self):
-        a = tuple(_rational(v, "a weight") for v in self.a)
-        b = tuple(_rational(v, "a weight") for v in self.b)
+        try:
+            a = tuple(_rational(v, "a weight") for v in self.a)
+            b = tuple(_rational(v, "a weight") for v in self.b)
+        except TypeError:  # a weight sequence that is not iterable
+            raise UsageError(f"weights must be sequences, got {self.a!r:.60} and {self.b!r:.60}") from None
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if len(a) != len(b):
@@ -574,6 +580,10 @@ class WeightedComboSpec(Record):
 
 def weighted_combination(fs: Sequence[XPoly], spec: WeightedComboSpec) -> tuple[XPoly, XPoly]:
     """Return (sum a_i f_i, sum b_i f_i) for a mutually interlacing input."""
+    if not isinstance(fs, Sequence):
+        raise UsageError(f"weighted_combination needs a sequence of XPoly, got {fs!r:.60}")
+    if not isinstance(spec, WeightedComboSpec):
+        raise UsageError(f"weighted_combination needs a WeightedComboSpec, got {type(spec).__name__}")
     if len(fs) != len(spec.a):
         raise UsageError("weight length must match the number of polynomials")
     if not all(isinstance(p, XPoly) for p in fs):
@@ -631,6 +641,7 @@ class NXMatrix(Record):
 def recurrence_nx_matrix(n: int) -> NXMatrix:
     """The 2n x (2n-2) matrix of the rank-n threshold recurrence: x left of
     each row's threshold column, 1 from it on."""
+    n = _rank(n, 2, "recurrence_nx_matrix rank")
     x, one = nx_x(), nx_const(1)
     return NXMatrix(
         tuple(
@@ -671,6 +682,8 @@ def fisk_nx_check(m: NXMatrix) -> tuple[bool, dict | None]:
     is read once, as forms and as integers scaled by the lcm of its
     denominators; a 2x2 minor spans two rows, so that keeps its sign.
     """
+    if not isinstance(m, NXMatrix):
+        raise UsageError(f"fisk_nx_check needs an NXMatrix, got {type(m).__name__}")
     forms = [tuple(e.is_x for e in row) for row in m.rows]
     values = [_clear_denominators([e.value for e in row])[1] for row in m.rows]
     top = (-1, 0)  # the rightmost x of the rows above, as (column, row)

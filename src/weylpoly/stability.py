@@ -224,8 +224,8 @@ def q_positive_on_positive_reals(p: QPoly) -> bool:
 
     Nonnegative coefficients with at least one positive short-circuit.
     Otherwise p needs a positive leading coefficient and no root in (0, inf).
-    Every isolating interval at most 1 wide is (k 2^w, (k+1) 2^w], k an
-    integer, so a root is positive exactly when its interval ends above 0.
+    Every isolating interval is (k 2^w, (k+1) 2^w], k an integer, so a
+    root is positive exactly when its interval ends above 0.
     """
     if _univariate(p, "p").is_zero():
         raise UsageError("q_positive_on_positive_reals of the zero polynomial")

@@ -571,6 +571,8 @@ def run_suite(
         raise UsageError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if max_n is not None:
         max_n = _rank(max_n, 2, "max_n")
+    if q_samples is not None and not isinstance(q_samples, Sequence):
+        raise UsageError(f"q_samples must be a sequence of q values, got {q_samples!r:.60}")
     samples = tuple(_rational(q, "a q sample") for q in q_samples) if q_samples else DEFAULT_Q_SAMPLES
     for q in samples:
         if q <= 0:

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -8,6 +9,9 @@ from weylpoly.exactpoly import poly_from_json
 from weylpoly.report import ReportEntry, VerificationReport, timed_entry
 from weylpoly import verify
 from weylpoly.verify import suite_identities, suite_oracles
+
+
+GOLDEN_ALL = pathlib.Path(__file__).parent / "data" / "verify_all.json"
 
 
 def run(capsys, *argv):
@@ -70,6 +74,17 @@ class TestVerify:
         keys = [(e.check_id, json.dumps(e.parameters, sort_keys=True)) for e in report.entries]
         assert len(keys) == len(set(keys))
         assert "fail: 0" in err
+
+    def test_suite_all_reproduces_the_golden_report(self, capsys):
+        # tests/data/verify_all.json is `python -m weylpoly verify --suite all` with every
+        # elapsed_ms dropped; a change that keeps the answers keeps this report
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        got = json.loads(out)
+        for entry in got["entries"]:
+            del entry["elapsed_ms"]
+        with open(GOLDEN_ALL, encoding="utf-8") as handle:
+            assert got == json.load(handle)
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "bogus")

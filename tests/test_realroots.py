@@ -752,9 +752,9 @@ def full_chain_isolation(p: XPoly, width: Fraction = realroots.DEFAULT_WIDTH, br
     """Isolation with a full Sturm count at every bisection, on Fraction endpoints.
 
     This is the refinement the sign-only one replaces: the half (lo, mid] is
-    kept iff the count there is one.  The radical is bisected from
-    (-B, B], B = bracket(radical); below width 2 the cells do not depend on
-    the bracket.
+    kept iff the count there is one.  The radical is bisected from the
+    half-brackets (-B, 0] and (0, B], B = bracket(radical); below width 2 the
+    cells do not depend on the bracket.
     """
     factors = fraction_yun(p)
     radical = fraction_radical(p)
@@ -762,7 +762,8 @@ def full_chain_isolation(p: XPoly, width: Fraction = realroots.DEFAULT_WIDTH, br
         return ()
     chain = _sturm_chain(_canonical(radical))
     bound = Fraction(bracket(_canonical(radical)))
-    stack = [(-bound, bound, chain_variations(chain, -bound), chain_variations(chain, bound))]
+    v_lo, v_0, v_hi = (chain_variations(chain, x) for x in (-bound, Fraction(0), bound))
+    stack = [(-bound, Fraction(0), v_lo, v_0), (Fraction(0), bound, v_0, v_hi)]
     cells = []
     while stack:
         lo, hi, vl, vh = stack.pop()
@@ -959,7 +960,7 @@ def cluster_inputs():
 
 def reference_cells(p: XPoly):
     """(lo, hi, sign of the radical at hi, multiplicity) of the initial cells of the Fraction
-    Sturm reference, bisected from the Fujiwara bracket."""
+    Sturm reference, bisected from the two halves of the Fujiwara bracket."""
     radical = _canonical(fraction_radical(p))
     return [(r.lo, r.hi, horner_sign(radical, r.hi.numerator, r.hi.denominator), r.multiplicity)
             for r in full_chain_isolation(p, WIDE, fraction_fujiwara_bound)]
@@ -1022,6 +1023,25 @@ class TestBudanFourierIsolation:
             assert is_real_rooted(p) == real, str(p)
             kinds.add(real)
         assert kinds == {True, False} and prs == []
+
+    def test_cells_of_different_polynomials_are_nested_or_disjoint(self):
+        # Every cell lies on the one dyadic grid (k 2^w, (k+1) 2^w], whatever its bracket
+        rng = random.Random(8642)
+        inputs = random_root_products(57, 40) + complex_pair_inputs() + WIDE_BRACKET
+        inputs += [assemble("tildeD", n) for n in (5, 12)]
+        for _ in range(40):
+            p = xpoly(rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4)):
+                p = p * xpoly(-Fraction(rng.randint(-200, 200), rng.choice([1, 2, 3, 5])), 1)
+            inputs.append(p)
+        cells = [(k, r.lo, r.hi) for k, p in enumerate(inputs) for r in realroots._profile(_canonical(p)).records]
+        assert len({f for f, *_ in cells}) > 100
+        for k, lo, hi in cells:
+            assert not lo < 0 < hi, (str(inputs[k]), lo, hi)
+        for (x, a_lo, a_hi), (y, b_lo, b_hi) in itertools.combinations(cells, 2):
+            if x != y:
+                nested = a_lo <= b_lo and b_hi <= a_hi or b_lo <= a_lo and a_hi <= b_hi
+                assert nested or a_hi <= b_lo or b_hi <= a_lo, (str(inputs[x]), str(inputs[y]))
 
     def test_the_cell_test_ends_the_bisection(self, monkeypatch, taylor_budget):
         # (3x - 1)^4 - 81 loses two sign variations at 1/3, which no bisection point reaches
@@ -1291,34 +1311,38 @@ class TestMergedSweep:
 
     def test_none_witness_brackets_the_offending_roots(self):
         rng = random.Random(2468)
-        pool = [Fraction(n, d) for n in range(-6, 1) for d in (1, 2, 3)]
+        pools = [
+            [Fraction(n, d) for n in range(-6, 1) for d in (1, 2, 3)],
+            # roots in [-40, 40] give the members brackets of different size
+            [Fraction(n, d) for d in (1, 2, 3, 5) for n in range(-40 * d, 40 * d + 1)],
+        ]
+        for pool in pools:
 
-        def product(degree):
-            p = xpoly(rng.randint(1, 3))
-            for _ in range(degree):
-                p = p * xpoly(-rng.choice(pool), 1)
-            return p
+            def product(degree):
+                p = xpoly(rng.randint(1, 3))
+                for _ in range(degree):
+                    p = p * xpoly(-rng.choice(pool), 1)
+                return p
 
-        seen = 0
-        for _ in range(150):
-            dg = rng.randint(1, 3)
-            g, f = product(dg), product(dg + rng.randint(0, 1))
-            verdict = interlaces(g, f)
-            assert verdict.relation == sympy_relation(g, f), (str(g), str(f))
-            if verdict.relation != "none":
-                continue
-            seen += 1
-            first, second = first_violation(g, f)
-            (lo1, hi1), (lo2, hi2) = (tuple(map(rational, cell)) for cell in verdict.witness)
-            assert lo1 < first <= hi1 and lo2 < second <= hi2
-            assert hi2 <= lo1
-        assert seen > 10
+            seen = 0
+            for _ in range(150):
+                dg = rng.randint(1, 3)
+                g, f = product(dg), product(dg + rng.randint(0, 1))
+                verdict = interlaces(g, f)
+                assert verdict.relation == sympy_relation(g, f), (str(g), str(f))
+                if verdict.relation != "none":
+                    continue
+                seen += 1
+                first, second = first_violation(g, f)
+                (lo1, hi1), (lo2, hi2) = (tuple(map(rational, cell)) for cell in verdict.witness)
+                assert lo1 < first <= hi1 and lo2 < second <= hi2
+                assert hi2 <= lo1
+            assert seen > 10
 
     def test_same_root_is_asked_only_of_identical_cells(self, monkeypatch):
-        # A member whose bracket (-2^f, 2^f] is its one cell, against one with a larger
-        # bracket: at level f + 1 their cells (-2^f, 2^f] and (-2^(f+1), 0] or (0, 2^(f+1)] are
-        # equally wide and overlap without being equal.  Both are halved until the grids agree;
-        # only identical cells are asked whether they share a root.
+        # Members with brackets of different size: every cell lies on the one dyadic grid, so
+        # a cell of one that overlaps a cell of the other nests in it.  The wider is halved
+        # until the cells agree; only identical cells are asked whether they share a root.
         asked = []
         same_root = realroots._same_root
 
@@ -1328,7 +1352,7 @@ class TestMergedSweep:
 
         monkeypatch.setattr(realroots, "_same_root", spy)
         rng = random.Random(1357)
-        misaligned = relations = 0
+        nested = 0
         seen = set()
         for _ in range(150):
             z = Fraction(rng.randint(-16, 16), rng.choice([1, 2, 3, 4]))
@@ -1338,9 +1362,11 @@ class TestMergedSweep:
             for _ in range(rng.randint(1, 2)):
                 other = other * xpoly(-Fraction(rng.randint(-scale, scale), rng.choice([1, 2, 3])), 1)
             g, f = (one, other) if rng.random() < 0.5 else (other, one)
-            cells = [realroots._profile(_canonical(p)).records for p in (g, f)]
-            misaligned += any(a.w == b.w and a.end(0) != b.end(0) and a.lo < b.hi and b.lo < a.hi
-                              for a in cells[0] for b in cells[1])
+            profiles = [realroots._profile(_canonical(p)) for p in (g, f)]
+            brackets = {realroots._fujiwara_exp(prof.rad_ints) for prof in profiles}
+            nested += len(brackets) == 2 and any(
+                a.w != b.w and (a.lo <= b.lo and b.hi <= a.hi or b.lo <= a.lo and a.hi <= b.hi)
+                for a in profiles[0].records for b in profiles[1].records)
             verdict = interlaces(g, f)
             assert verdict.relation == sympy_relation(g, f), (str(g), str(f))
             seen.add(verdict.relation)
@@ -1348,12 +1374,13 @@ class TestMergedSweep:
                 first, second = first_violation(g, f)
                 (lo1, hi1), (lo2, hi2) = (tuple(map(rational, cell)) for cell in verdict.witness)
                 assert lo1 < first <= hi1 and lo2 < second <= hi2 and hi2 <= lo1, (str(g), str(f))
-        assert misaligned >= 10 and seen == {"weak", "none", "incomparable"}
+        assert nested >= 10 and seen == {"weak", "none", "incomparable"}
         assert asked and all(asked)
 
     def test_misaligned_cells_are_halved_before_they_merge(self):
-        # (x + 1)^2 has the one cell (-2, 2]; the root -1 of g lies in g's cell (-4, 0].  Both
-        # are halved to (-2, 0], where the gcd x + 1 decides that they share the root.
+        # (x + 1)^2 has the one cell (-2, 0]; the root -1 of g lies in g's cell (-64, 0], which
+        # nests it.  g's cell is halved to (-2, 0], where the gcd x + 1 decides that they share
+        # the root.
         g = xpoly(Fraction(-73, 3), Fraction(-70, 3), 1)  # roots -1 and 73/3
         f = xpoly(1, 1) ** 2
         verdict = interlaces(g, f)

@@ -60,7 +60,7 @@ CASES = [
     (RootInterval, (Fraction(0), Fraction(1, 2), 2), 0, True),
     (RootIsolation, ((RI,), 3), 0, True),
     (InterlacingVerdict, ("strict", None), 1, True),
-    (_Rec, (3, 5, 1, -1, 1), 1, False),
+    (_Rec, (5, 1, -1, 1), 1, False),
     (RefinedFamily, (1, (X1, X1)), 0, True),
     (TransformSpec, ((1, 2, 2),), 0, True),
     (WeightedComboSpec, ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1))), 0, True),
@@ -85,7 +85,7 @@ FIELDS = {
     RootInterval: ("lo", "hi", "multiplicity"),
     RootIsolation: ("intervals", "degree_covered"),
     InterlacingVerdict: ("relation", "witness"),
-    _Rec: ("b", "i", "w", "s_hi", "mult"),
+    _Rec: ("i", "w", "s_hi", "mult"),
     RefinedFamily: ("n", "polys"),
     TransformSpec: ("thresholds",),
     WeightedComboSpec: ("a", "b"),
@@ -232,7 +232,7 @@ def test_poly_kinds_are_distinct_and_default_to_zero():
 
 
 def test_rec_copy_is_independent():
-    rec = _Rec(3, 5, 1, -1, 2)
+    rec = _Rec(5, 1, -1, 2)
     cell = rec.copy()
     assert cell == rec and cell is not rec
     cell.i = 9

@@ -36,6 +36,7 @@ from weylpoly import (
     refined_T1,
     refined_Tq,
     refined_affine_T,
+    run_suite,
     weighted_combination,
     xpoly,
 )
@@ -537,6 +538,32 @@ class TestRefinedFamilyType:
     def test_length_validation(self):
         with pytest.raises(UsageError):
             RefinedFamily(3, (XPoly(),) * 5)
+
+
+# Malformed arguments to the public entries of the recurrence layer: each raised a raw
+# TypeError or AttributeError before it was gated.
+MALFORMED = [None, 1.5, "3", [1, 2], QPoly((1, 2)), XPoly((1, 2)), QXPoly((QPoly((1,)),))]
+MALFORMED_ENTRIES = {
+    "recurrence_nx_matrix": (recurrence_nx_matrix, ()),
+    "fisk_nx_check": (fisk_nx_check, ()),
+    "interlacing_transform": (lambda v: interlacing_transform(v, TransformSpec((1, 2))), ()),
+    "interlacing_transform_spec": (lambda v: interlacing_transform([xpoly(1, 1)], v), ()),
+    "weighted_combination": (lambda v: weighted_combination(v, WeightedComboSpec((1,), (1,))), ()),
+    "weighted_combination_spec": (lambda v: weighted_combination([xpoly(1, 1)], v), ()),
+    "WeightedComboSpec": (lambda v: WeightedComboSpec(v, v), ([1, 2],)),
+    "RefinedFamily": (lambda v: RefinedFamily(v, ()), ()),
+    "run_suite_q_samples": (lambda v: run_suite("paper_tables", q_samples=v), (None, [1, 2])),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(name, v) for name, (_, valid) in MALFORMED_ENTRIES.items() for v in MALFORMED if v not in valid],
+    ids=lambda x: x if isinstance(x, str) and x in MALFORMED_ENTRIES else type(x).__name__,
+)
+def test_malformed_arguments_raise_usage_error(entry, value):
+    with pytest.raises(UsageError):
+        MALFORMED_ENTRIES[entry][0](value)
 
 
 # ---------------------------------------------------------------------------
