@@ -25,13 +25,18 @@ nonzero rational multiples; ``_int_gcd`` its one gcd, for ``poly_gcd`` and
 ``realroots``; ``_prs`` its one remainder sequence, only the gcd's fallback;
 ``_horner`` its one evaluation, for ``evaluate``, ``eval_q``, every sign of
 a root cell and the gcd's packing; ``_digits`` its one reader of packed
-balanced digits.
+balanced digits.  At 8 bytes a digit, the width ``realroots._taylor``
+packs at or above, it reads them all in C: adding 2^63 to every digit and
+flipping that bit back leaves each in two's complement, so one
+``memoryview.cast("q").tolist()`` of the bytes gives the digits; other widths
+slice each digit out with its own ``int.from_bytes``.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import partial
@@ -469,9 +474,13 @@ def _digits(v: int, nb: int, count: int | None = None) -> list[int]:
     w = nb << 3
     if count is None:
         count = (v.bit_length() + 1) // w + 1  # |v| < 2^(W count - 2)
+    # adding half = 2^(W-1) to every digit makes each one nonnegative, with no carries
+    halves = int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
+    if nb == 8:
+        # flipping each top bit back leaves every digit in two's complement, read in C
+        return memoryview(((v + halves) ^ halves).to_bytes(8 * count, sys.byteorder)).cast("q").tolist()
+    raw = (v + halves).to_bytes(nb * count, "little")
     half = 1 << (w - 1)
-    # adding half to every digit makes each one nonnegative, with no carries
-    raw = (v + int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")).to_bytes(nb * count, "little")
     return [int.from_bytes(raw[k : k + nb], "little") - half for k in range(0, nb * count, nb)]
 
 

@@ -189,14 +189,14 @@ def _taylor(ints: Sequence[int], num: int, e: int) -> list[int]:
 
     b_k = 2^(e (d - k)) p^(k)(x) / k! at x = num / 2^e: the Taylor
     coefficients at x, each scaled by a power of two.  Every |b_k| is at
-    most B = sum |c_j| (2^e + |num|)^d, so with W whole bytes and
-    2^(W-1) > B, one Horner pass on
+    most B = sum |c_j| (2^e + |num|)^d, so with W whole bytes, at least 64
+    (the width ``_digits`` reads in C), and 2^(W-1) > B, one Horner pass on
     sum c_j 2^(e (d - j)) (num + u)^j at u = 2^W packs them all, and the
     d + 1 balanced base-2^W digits of the result are the b_k.
     """
     d = len(ints) - 1
     bound = sum(map(abs, ints)) * ((1 << e) + abs(num)) ** d
-    nb = (bound.bit_length() + 8) >> 3  # bytes per digit: 2^(8 nb - 1) > bound
+    nb = max(8, (bound.bit_length() + 8) >> 3)  # bytes per digit: 2^(8 nb - 1) > bound
     w = nb << 3
     acc = ints[-1]
     for s in range(1, d + 1):
@@ -464,8 +464,9 @@ def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec
     held by member ``owner`` and refined from level ``start``, is the one
     compared with the others.  The sweep walks the dyadic tree, lower child
     first, each node with the groups whose cells it contains: one group is
-    finished; if every cell equals the node, neighbours sharing a root merge;
-    else the cells equal to the node are halved and the groups go down.
+    finished; if every cell equals the node, neighbours sharing a root merge
+    (a pair once shown to hold two roots is not tested again); else the cells
+    equal to the node are halved and the groups go down.
     """
     groups = []
     for owner, prof in enumerate(profiles):
@@ -478,6 +479,7 @@ def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec
         nodes.setdefault(group[1].i >> (top - group[1].w), []).append(group)
     stack = [(top, nodes[n]) for n in sorted(nodes, reverse=True)]
     common: dict[tuple[int, int], tuple] = {}
+    distinct: set[tuple[int, int]] = set()  # ids of neighbouring groups shown to hold two roots
     order = []
     while stack:
         w, node = stack.pop()
@@ -485,9 +487,11 @@ def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec
             merged = node[:1]
             for b in node[1:]:
                 a = merged[-1]
-                if _same_root(profiles, common, a[0], a[1], b[0], b[1]):
+                pair = (id(a), id(b))
+                if pair not in distinct and _same_root(profiles, common, a[0], a[1], b[0], b[1]):
                     a[2].extend(b[2])
                 else:
+                    distinct.add(pair)
                     merged.append(b)
             node = merged
         if len(node) == 1:

@@ -16,15 +16,15 @@ one pass over the entries.
 Enumeration streams are exhaustive and duplicate-free, ordered
 lexicographically by (sign pattern, underlying permutation), and yield one
 object at a time.  The brute-force polynomials do not use them: an exact
-count over the signed permutations of rank n fills a joint count table of a
-few thousand cells (1188 at rank 6), cached per rank, and every family is a
-marginal of that table.  The count merges the signed prefixes that continue
-the same way into classes, each holding its counts packed into one int, so
-at rank 8 it visits at most 8064 classes instead of 2^n n! prefixes.  A cap
-(default 8, overridable per call or via the WEYLPOLY_CAP environment
-variable) guards against accidental huge enumerations; it is checked before
-any count or cache lookup, and when a stream is made rather than at its
-first object.
+count over the signed permutations of rank n, cached per rank, merges the
+signed prefixes that continue the same way into classes (at most 8064 at
+rank 8 instead of 2^n n! prefixes) and leaves a few packed sums, whose
+digit k + (n+2) j counts k inner descents and j negative entries.  A family
+masks, shifts and adds those sums, then reads their digits once; type A of
+rank n is the neg = 0 slice at rank n + 1.  A cap (default 8, overridable
+per call or via the WEYLPOLY_CAP environment variable) guards against
+accidental huge enumerations; it is checked before any count or cache
+lookup, and when a stream is made rather than at its first object.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator
 from functools import lru_cache
 from math import factorial
-from types import MappingProxyType
 
 from .errors import DomainError, EnumerationCapError, UsageError
-from .exactpoly import QPoly, QXPoly, XPoly, _digits, _integer, _rank
+from .exactpoly import X_ONE, QPoly, QXPoly, XPoly, _digits, _integer, _rank
 from .record import Record
 
 DEFAULT_CAP = 8
@@ -78,15 +77,7 @@ class SignedPerm(Record):
 
     def __init__(self, entries: tuple[int, ...]):
         e = _index_entries(entries, "a signed permutation")
-        n = len(e)
-        seen = 0
-        for v in e:
-            a = abs(v)
-            if a > n:
-                break
-            seen |= 1 << a
-        # n entries set n distinct bits 1..n exactly when they are a signed permutation.
-        if seen != (2 << n) - 2:
+        if sorted(map(abs, e)) != list(range(1, len(e) + 1)):
             raise DomainError(f"not a signed permutation: {e}")
         self._setters[0](self, e)
 
@@ -160,7 +151,7 @@ def signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
     """All 2^n * n! signed permutations of rank n."""
     _check_cap(n, cap)
     return (
-        SignedPerm._trusted(tuple(s * v for s, v in zip(signs, perm)))
+        SignedPerm._trusted(tuple(map(operator.mul, signs, perm)))
         for signs in itertools.product((1, -1), repeat=n)
         for perm in itertools.permutations(range(1, n + 1))
     )
@@ -170,7 +161,7 @@ def even_signed_perms(n: int, cap: int | None = None) -> Iterator[SignedPerm]:
     """Signed permutations with an even number of negative entries."""
     _check_cap(n, cap)
     return (
-        SignedPerm._trusted(tuple(s * v for s, v in zip(signs, perm)))
+        SignedPerm._trusted(tuple(map(operator.mul, signs, perm)))
         for signs in itertools.product((1, -1), repeat=n)
         if not signs.count(-1) % 2
         for perm in itertools.permutations(range(1, n + 1))
@@ -306,56 +297,32 @@ def psi_inverse(e) -> SignedPerm:
 # ---------------------------------------------------------------------------
 
 
-def _descents_plain(perm: Sequence[int]) -> int:
-    return sum(1 for i in range(len(perm) - 1) if perm[i] > perm[i + 1])
-
-
-def _qx_from_counts(counts: dict[tuple[int, int], int]) -> QXPoly:
-    if not counts:
-        return QXPoly()
-    max_x = max(k for k, _ in counts)
-    cols: list[list[int]] = [[] for _ in range(max_x + 1)]
-    for (xd, qd), c in counts.items():
-        col = cols[xd]
-        if len(col) <= qd:
-            col.extend([0] * (qd + 1 - len(col)))
-        col[qd] += c
-    return QXPoly(tuple(QPoly(tuple(col)) for col in cols))
-
-
-def _x_from_counts(counts: dict[int, int]) -> XPoly:
-    if not counts:
-        return XPoly()
-    out = [0] * (max(counts) + 1)
-    for d, c in counts.items():
-        out[d] += c
-    return XPoly(tuple(out))
-
-
 # Held per rank; eight entries cover every rank up to the default cap.
 @lru_cache(maxsize=8)
-def _joint_table(n: int) -> Mapping[tuple[int, ...], int]:
-    """Count the signed permutations of rank n by the key
-    (e_n, inner, [sigma_1 < 0], [sigma_1 + sigma_2 < 0], neg,
-    [sigma_{n-1} + sigma_n > 0]), where e_n is the last entry of psi(sigma)
-    and inner the number of i < n with sigma_i > sigma_{i+1}.
+def _joint_table(n: int) -> tuple[int, tuple[tuple[tuple[int, int, bool, int], ...], ...]]:
+    """Count the signed permutations of rank n as (nb, sums): sums[e_n] holds
+    one (b1, d1, aff, v) per [sigma_1 < 0], [sigma_1 + sigma_2 < 0] and
+    [sigma_{n-1} + sigma_n > 0] that occurs, where e_n is the last entry of
+    psi(sigma).  The base-2^W digit k + (n+2) j of v, W = 8 nb, counts those
+    with inner = k descents sigma_i > sigma_{i+1} (i < n) and neg = j.  The
+    stride n + 2 leaves room above inner <= n - 1, so shifting v up by the
+    zero and affine descents never carries a count into the next stride.
+    The stride neg = 0 is the permutations of 1..n, type A of rank n - 1.
 
     The signed prefixes are counted by class, not one by one.  A class is
     (used, last, b1, d1): the absolute values placed, the last entry,
     [sigma_1 < 0] and [sigma_1 + sigma_2 < 0]; its prefixes all continue the
-    same way.  It holds one int whose base-2^W digit k + n*j counts its
-    prefixes with inner = k and neg = j, and 2^(W-1) exceeds the group order
-    2^n n!, so no digit overflows.  Appending s shifts the int up one digit
-    when last > s, and n digits more when s < 0.  At depth n-1 one absolute
-    value a is left, and every larger one comes earlier, so e_n = n - a for
-    sigma_n = a and e_n = n + a - 1 for sigma_n = -a.  The ints are summed
-    per (e_n, b1, d1, affine descent) and each sum's digits read once.
+    same way.  It holds one packed int like v, and 2^(W-1) exceeds the group
+    order 2^n n!, so no digit overflows.  Appending s shifts the int up one
+    digit when last > s, and n + 2 digits more when s < 0.  At depth n-1 one
+    absolute value a is left, and every larger one comes earlier, so
+    e_n = n - a for sigma_n = a and e_n = n + a - 1 for sigma_n = -a.
     """
     if n < 2:
         raise DomainError("statistics involving sigma_1 + sigma_2 need rank >= 2")
     nb = ((1 << n) * factorial(n)).bit_length() // 8 + 1
     w = nb << 3
-    neg_shift = w * n  # one more negative entry
+    neg_shift = w * (n + 2)  # one more negative entry
     values = range(1, n + 1)
     # used -> {(last, b1, d1): packed counts}; d1 is None until sigma_2 is placed
     layer = {1 << a: {(a, 0, None): 1, (-a, 1, None): 1 << neg_shift} for a in values}
@@ -373,51 +340,62 @@ def _joint_table(n: int) -> Mapping[tuple[int, ...], int]:
                     key = (-a, b1, int(last - a < 0) if d1 is None else d1)
                     bucket[key] = get(key, 0) + ((v << w if last > -a else v) << neg_shift)
         layer = grown  # the shallower classes are dropped here
-    sums: dict = {}
+    sums: list[dict] = [{} for _ in range(2 * n)]
     full = (2 << n) - 2
     for used, classes in layer.items():
         a = (full ^ used).bit_length() - 1
         for (last, b1, d1), v in classes.items():
             for e_n, s in ((n - a, a), (n + a - 1, -a)):
                 # |last| != a, so last + s is never 0; its sign gives d1 at rank 2 and the affine descent
-                key = (e_n, b1, int(last + s < 0) if d1 is None else d1, last + s > 0)
-                sums[key] = sums.get(key, 0) + ((v << w if last > s else v) << (neg_shift if s < 0 else 0))
-    table: dict[tuple[int, ...], int] = {}
-    for (e_n, b1, d1, aff), v in sums.items():
-        for k, c in enumerate(_digits(v, nb)):
-            if c:
-                table[e_n, k % n, b1, d1, k // n, aff] = c
-    return MappingProxyType(table)  # read-only: every caller shares the cached table
+                key = (b1, int(last + s < 0) if d1 is None else d1, last + s > 0)
+                got = sums[e_n]
+                got[key] = got.get(key, 0) + ((v << w if last > s else v) << (neg_shift if s < 0 else 0))
+    return nb, tuple(tuple(key + (v,) for key, v in got.items()) for got in sums)
 
 
 # How each family reads the joint table: the descent at position 0 (type B:
 # sigma_1 < 0, type D: sigma_1 + sigma_2 < 0), whether the affine descent at
 # position n counts, the q statistic (neg, or neg_D = neg - [sigma_1 < 0]),
-# and whether only even signed permutations count.
+# and which neg strides count: every one, the even ones (even signed
+# permutations), or neg = 0 alone (the permutations of 1..n, type A of rank n - 1).
 _MARGINALS = {
-    "B": ("B", False, None, False),
-    "Bq": ("B", False, "neg", False),
-    "tildeB": ("B", True, None, False),
-    "Tq": ("D", False, "neg", False),
-    "Dq": ("D", False, "neg_D", True),
-    "tildeD": ("D", True, None, True),
-    "tildeT_via_B": ("D", True, None, False),
-    "refined_Tq": ("D", False, "neg", False),
-    "refined_tildeT": ("D", True, None, False),
+    "A": ("B", False, None, "zero"),
+    "B": ("B", False, None, "all"),
+    "Bq": ("B", False, "neg", "all"),
+    "tildeB": ("B", True, None, "all"),
+    "Tq": ("D", False, "neg", "all"),
+    "Dq": ("D", False, "neg_D", "even"),
+    "tildeD": ("D", True, None, "even"),
+    "tildeT_via_B": ("D", True, None, "all"),
+    "refined_Tq": ("D", False, "neg", "all"),
+    "refined_tildeT": ("D", True, None, "all"),
 }
 
 
 def _marginal(family: str, n: int, index: int | None):
-    """Sum the joint table of rank n into one family; ``index`` keeps e_n = index."""
-    zero_descent, affine, q_stat, even_only = _MARGINALS[family]
-    counts: dict = {}
-    for (e_n, inner, b1, d1, neg, aff), c in _joint_table(n).items():
-        if (index is not None and e_n != index) or (even_only and neg % 2):
-            continue
-        des = inner + (b1 if zero_descent == "B" else d1) + (aff if affine else 0)
-        key = des if q_stat is None else (des, neg - b1 if q_stat == "neg_D" else neg)
-        counts[key] = counts.get(key, 0) + c
-    return _x_from_counts(counts) if q_stat is None else _qx_from_counts(counts)
+    """Sum the joint table of rank n into one family; ``index`` keeps e_n = index.
+
+    Each packed sum is masked to the neg strides that count, shifted down a
+    stride for neg_D when sigma_1 < 0 (that sum has no neg = 0 stride) and
+    up by its zero and affine descents; one read gives the digits of the total.
+    """
+    zero_descent, affine, q_stat, negs = _MARGINALS[family]
+    nb, sums = _joint_table(n)
+    w = nb << 3
+    per = n + 2  # digits per neg stride
+    stride = w * per
+    mask = sum(((1 << stride) - 1) << j * stride for j in range(0, n + 1, 2 if negs == "even" else n + 1))
+    total = 0
+    for b1, d1, aff, v in itertools.chain.from_iterable(sums if index is None else (sums[index],)):
+        if negs != "all":
+            v &= mask  # on neg, before the neg_D shift below moves the strides
+        if b1 and q_stat == "neg_D":
+            v >>= stride
+        total += v << w * ((b1 if zero_descent == "B" else d1) + (affine and aff))
+    digits = _digits(total, nb, per * (n + 1))
+    if q_stat is None:
+        return XPoly(tuple(sum(digits[k::per]) for k in range(per)))
+    return QXPoly(tuple(QPoly(tuple(digits[k::per])) for k in range(per)))
 
 
 def brute_polynomial(family: str, n: int, index: int | None = None, cap: int | None = None):
@@ -431,11 +409,7 @@ def brute_polynomial(family: str, n: int, index: int | None = None, cap: int | N
     if family == "A":
         n = _rank(n, 0, "family A rank")
         _check_cap(n + 1, cap)
-        counts: dict[int, int] = {}
-        for perm in itertools.permutations(range(1, n + 2)):
-            d = _descents_plain(perm)
-            counts[d] = counts.get(d, 0) + 1
-        return _x_from_counts(counts)
+        return _marginal("A", n + 1, None) if n else X_ONE
 
     if family in ("refined_Tq", "refined_tildeT"):
         if index is None:

@@ -591,6 +591,27 @@ class TestDigits:
                 got = _digits(v, nb)
                 assert trim(got) == trim(ds) and len(got) <= len(trim(ds)) + 1, (nb, ds)
 
+    @pytest.mark.parametrize("nb", [*range(1, 10), 16])
+    def test_against_a_reference_reader(self, nb):
+        # one balanced remainder at a time; nb = 8 takes the reader's two's complement path
+        w, half = 8 * nb, 1 << (8 * nb - 1)
+
+        def reference(v, count):
+            out = []
+            for _ in range(count):
+                out.append((v + half) % (1 << w) - half)
+                v = (v - out[-1]) >> w
+            assert v == 0
+            return out
+
+        rng = random.Random(nb)
+        values = [0, half - 1, -half, (half - 1) << w, -half << 2 * w, (1 << 3 * w) - 1]
+        values += [sum(rng.choice((-half, half - 1, 0, rng.randrange(-half, half))) << w * k for k in range(6))
+                   for _ in range(60)]
+        for v in values:
+            for count in (7, 9):  # the top digits zero
+                assert _digits(v, nb, count) == reference(v, count), (nb, v)
+
     def test_values_at_powers_of_two_read_back(self):
         # 2^(W c - 1) - 1 needs c + 1 digits, [-1, ..., -2^(W-1), 1]
         for nb in range(1, 10):

@@ -1071,6 +1071,15 @@ class TestBudanFourierIsolation:
             want = [a * 2 ** (e * (d - k)) for k, a in enumerate(fraction_taylor(ints, Fraction(num, 2**e)))]
             assert realroots._taylor(ints, num, e) == want, (ints, num, e)
 
+    def test_taylor_packs_at_no_fewer_than_eight_bytes(self, monkeypatch):
+        # small coefficients at a small point fit in one byte, yet are read by the 8-byte path
+        widths = []
+        digits = realroots._digits
+        monkeypatch.setattr(realroots, "_digits", lambda v, nb, count: widths.append(nb) or digits(v, nb, count))
+        assert realroots._taylor((-2, 0, 1), 1, 0) == [-1, 2, 1]
+        assert realroots._taylor((1,) * 5, -(2**80), 3)[-1] == 1
+        assert widths[0] == 8 and widths[1] > 8
+
 
 # ---------------------------------------------------------------------------
 # The packed heuristic gcd against the remainder sequence
@@ -1338,6 +1347,25 @@ class TestMergedSweep:
                 assert lo1 < first <= hi1 and lo2 < second <= hi2
                 assert hi2 <= lo1
             assert seen > 10
+
+    def test_each_tie_is_tested_once(self, monkeypatch):
+        # neighbouring groups shown to hold two roots are not asked again when both cells
+        # land in the same half; the sweep without that memory asks 356 times here
+        asked = []
+        same_root = realroots._same_root
+
+        def spy(profiles, common, x, cx, y, cy):
+            held = same_root(profiles, common, x, cx, y, cy)
+            asked.append((x, cx.w, cx.i, y, held))
+            return held
+
+        monkeypatch.setattr(realroots, "_same_root", spy)
+        assert mutually_interlacing(refined_T1(10)) == (True, None)
+        assert len(asked) == 172
+        # two roots shown apart in one cell are never compared again in a cell inside it
+        apart = [(x, y, w, i) for x, w, i, y, held in asked if not held]
+        for (x, y, w, i), (x2, y2, w2, i2) in itertools.permutations(apart, 2):
+            assert (x, y) != (x2, y2) or w2 >= w or i2 >> (w - w2) != i
 
     def test_same_root_is_asked_only_of_identical_cells(self, monkeypatch):
         # Members with brackets of different size: every cell lies on the one dyadic grid, so

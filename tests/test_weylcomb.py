@@ -2,6 +2,7 @@ import importlib
 import inspect
 import itertools
 import math
+import operator
 import pkgutil
 import random
 import textwrap
@@ -39,6 +40,21 @@ class TestObjects:
         for bad in ((1, 1), (1, 3), (0, 1), (2, -2), (-3, 1, 3)):
             with pytest.raises(DomainError):
                 SignedPerm(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((2, -2), "not a signed permutation: (2, -2)"),
+            ((1, 0), "not a signed permutation: (1, 0)"),
+            ((3, -1), "not a signed permutation: (3, -1)"),
+            ((1.0, -2), "not a signed permutation: (1.0, -2); entries must be integers"),
+        ],
+        ids=["duplicate", "zero", "out_of_range", "float"],
+    )
+    def test_signed_perm_rejection_message(self, bad, message):
+        with pytest.raises(DomainError) as info:
+            SignedPerm(bad)
+        assert str(info.value) == message
 
     def test_inv_seq_validation(self):
         InvSeq((1, 3, 5))
@@ -276,6 +292,24 @@ class TestBrutePolynomials:
     def test_classical_rank2(self):
         assert brute_polynomial("A", 2) == xpoly(1, 4, 1)
 
+    @pytest.mark.parametrize("n", range(9))
+    def test_type_A_against_the_permutations(self, n):
+        # the permutations of rank n + 1 one by one; the class count reads them as the
+        # neg = 0 slice of its table at rank n + 1, above the default cap at n = 8
+        counts = [0] * (n + 1)
+        for perm in itertools.permutations(range(n + 1)):
+            counts[sum(map(operator.gt, perm, perm[1:]))] += 1
+        assert brute_polynomial("A", n, cap=9) == XPoly(tuple(counts))
+
+    def test_type_A_cap_is_checked_at_rank_n_plus_1_before_any_count(self, monkeypatch):
+        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+        info = weylcomb._joint_table.cache_info()
+        with pytest.raises(EnumerationCapError):
+            brute_polynomial("A", 8)
+        with pytest.raises(EnumerationCapError):
+            brute_polynomial("A", 6, cap=6)
+        assert weylcomb._joint_table.cache_info() == info
+
     def test_q_type_D_rank2(self):
         assert brute_polynomial("Dq", 2) == qxpoly((1,), (1, 1), (0, 1))
 
@@ -414,6 +448,22 @@ def _walk_table(n):
     return table
 
 
+def _expand(n):
+    """The cells {(e_n, inner, b1, d1, neg, aff): count} of ``weylcomb._joint_table(n)``:
+    digit inner + (n + 2) neg of each packed sum, read one digit at a time."""
+    nb, sums = weylcomb._joint_table(n)
+    w = 8 * nb
+    table = {}
+    for e_n, group in enumerate(sums):
+        for b1, d1, aff, v in group:
+            for neg in range(n + 1):
+                for inner in range(n + 2):
+                    c = v >> w * (inner + (n + 2) * neg) & (1 << w) - 1
+                    if c:
+                        table[e_n, inner, b1, d1, neg, aff] = c
+    return table
+
+
 class TestJointTable:
     """The joint count table against the readable signed_perms/stats/psi route,
     the walk over every signed prefix and the recurrences."""
@@ -441,14 +491,16 @@ class TestJointTable:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_class_count_matches_the_walk(self, n):
-        table = weylcomb._joint_table(n)
-        assert dict(table) == _walk_table(n)
+        table = _expand(n)
+        assert table == _walk_table(n)
         # the affine descent stays a bool, as the walk writes it
         assert all(type(key[-1]) is bool for key in table)
+        # inner <= n - 1, so the two top digits of each stride stay free for the descent shifts
+        assert max(key[1] for key in table) == n - 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_cells_sum_to_the_group_orders(self, n):
-        table = weylcomb._joint_table(n)
+        table = _expand(n)
         order = 2**n * math.factorial(n)
         assert sum(table.values()) == order
         assert sum(c for key, c in table.items() if key[4] % 2 == 0) == order // 2
