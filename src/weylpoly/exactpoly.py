@@ -18,18 +18,18 @@ round-trips are bit-exact.
 Every number from outside passes one gate, ``_rational`` (an int or a
 Fraction), ``_integer`` or ``_rank``, and every polynomial in one variable
 ``_univariate``; anything else raises UsageError.  One integer kernel
-(``_canonical``, ``_primitive``, ``_prem``, ``_prs``, ``_int_gcd``,
-``_horner``, ``_digits``) works on integer coefficient tuples.
-``_canonical`` is its one reduction of a polynomial, shared by all its
-nonzero rational multiples; ``_int_gcd`` its one gcd, for ``poly_gcd`` and
-``realroots``; ``_prs`` its one remainder sequence, only the gcd's fallback;
-``_horner`` its one evaluation, for ``evaluate``, ``eval_q``, every sign of
-a root cell and the gcd's packing; ``_digits`` its one reader of packed
-balanced digits.  At 8 bytes a digit, the width ``realroots._taylor``
-packs at or above, it reads them all in C: adding 2^63 to every digit and
-flipping that bit back leaves each in two's complement, so one
-``memoryview.cast("q").tolist()`` of the bytes gives the digits; other widths
-slice each digit out with its own ``int.from_bytes``.
+(``_canonical``, ``_primitive``, ``_prem``, ``_int_gcd``, ``_horner``,
+``_digits``) works on integer coefficient tuples.  ``_canonical`` is its one
+reduction of a polynomial, shared by all its nonzero rational multiples;
+``_int_gcd`` its one gcd, for ``poly_gcd`` and ``realroots``, a heuristic gcd
+whose packing width doubles until a trial division proves it, with no
+remainder sequence behind it; ``_horner`` its one evaluation, for
+``evaluate``, ``eval_q``, every sign of a root cell and the gcd's packing;
+``_digits`` its one reader of packed balanced digits.  At 8 bytes a digit,
+the width ``realroots._taylor`` packs at or above, it reads them all in C:
+adding 2^63 to every digit and flipping that bit back leaves each in two's
+complement, so one ``memoryview.cast("q").tolist()`` of the bytes gives the
+digits; other widths slice each digit out with its own ``int.from_bytes``.
 """
 
 from __future__ import annotations
@@ -489,45 +489,30 @@ def _derivative(coeffs: Sequence) -> tuple:
     return tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
 
 
-def _prs(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """f, g (left out if zero), then the primitive part of minus each pseudo-remainder.
-
-    A primitive remainder sequence (Collins 1967, Brown 1971): it stops at a
-    constant or before a zero remainder, and its last member is gcd(f, g) up
-    to sign and content; ``_int_gcd`` falls back on it.  ``_prem`` keeps the
-    signs of the rational remainders, so ``_prs(p, p')`` is the Sturm chain
-    of p, which only the tests build, as a reference for root isolation.
-    """
-    seq = [f]
-    while g:
-        seq.append(g)
-        if len(g) == 1:
-            break
-        f, g = g, _primitive([-c for c in _prem(f, g)])
-    return tuple(seq)
-
-
-_GCD_TRIES = 4  # packing widths, a byte apart, that ``_int_gcd`` tries before ``_prs``
-
-
 def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     """gcd of two integer polynomials, not both zero, primitive with lc > 0: GCDHEU (Char,
     Geddes and Gonnet 1989), the primitive part G of the balanced digits of gcd(f(xi), g(xi)) at
     xi = 2^W, W whole bytes with xi >= 2 min(|f|, |g|) + 2 (max norms).  A common factor G k
     of f and g has k(xi) dividing the content of G's digits, at most xi / 2, and a nonconstant
     k has |k(xi)| > xi / 2, its roots below 1 + min(|f|, |g|) <= xi / 2; so G is the gcd if it
-    is a constant or ``_prem`` finds it divides f and g.  Else retry a byte wider, and after
-    ``_GCD_TRIES`` widths use ``_prs``.  Nothing here needs f or g primitive."""
+    is a constant or ``_prem`` finds it divides f and g.  Else W doubles, with no limit.
+
+    The loop ends.  With h the gcd, f = h u and g = h v, once xi lies above every root of f g,
+    gcd(f(xi), g(xi)) = h(xi) c, where c = gcd(u(xi), v(xi)) divides res(u, v), an integer
+    combination a u + b v, or is the gcd of two constants; either way |c| has a bound that does
+    not depend on xi.  Once also 2^(W-1) > |c| |h|, the balanced digits are c h, so G = h and
+    the trial accepts it, and doubling W reaches that width in logarithmically many tries.
+    Nothing here needs f or g primitive."""
     if not f or not g:
         return _positive_primitive(f or g)
     bound = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
-    least = ((bound - 1).bit_length() + 7) >> 3  # bytes: 2^(8 least) >= bound
-    for nb in range(least, least + _GCD_TRIES):
+    nb = ((bound - 1).bit_length() + 7) >> 3  # bytes: 2^(8 nb) >= bound
+    while True:
         xi = 1 << (nb << 3)
         h = _positive_primitive(_digits(int_gcd(_horner(f, xi, 1), _horner(g, xi, 1)), nb))
         if len(h) == 1 or not any(_prem(f, h)) and not any(_prem(g, h)):
             return h
-    return _positive_primitive(_prs(f, g)[-1])
+        nb <<= 1
 
 
 def poly_gcd(a: XPoly, b: XPoly) -> XPoly:

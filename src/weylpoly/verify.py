@@ -353,29 +353,29 @@ def suite_oracles(max_n: int = 6, cap: int | None = None) -> list[_Check]:
 def suite_identities(max_n: int = 10, cap: int | None = None) -> list[_Check]:
     """Named identities up to rank max_n.
 
-    stembridge(n) and q0_reduction(n) enumerate at rank n.  They are skipped
-    above ranks 7 and 8 respectively, and above the enumeration cap, which
-    comes from ``cap``, then the environment, then the default.
+    stembridge(n) and q0_reduction(n) count types B and A by classes through
+    ``brute_polynomial``, and are skipped iff n is above the enumeration cap,
+    which comes from ``cap``, then the environment, then the default.
     """
     cap = resolve_cap(cap)
     checks: list[_Check] = []
 
-    def ident(name, n, max_rank=None):
-        if max_rank is not None and n > min(cap, max_rank):
+    def ident(name, n, capped=False):
+        if capped and n > cap:
             return (name, {"n": n}, None)
         return (name, {"n": n}, lambda name=name, n=n: evaluate_identity(name, n, cap))
 
     for n in range(3, max_n + 1):
         checks.append(ident("dilks_62", n))
     for n in range(3, max_n + 1):
-        checks.append(ident("stembridge", n, max_rank=7))
+        checks.append(ident("stembridge", n, capped=True))
     for n in range(3, max_n + 1):
         checks.append(ident("t_n0_equals_prev", n))
         checks.append(ident("tilde_dual", n))
         checks.append(ident("k_two_methods", n))
         checks.append(ident("matrix_identity", n))
     for n in range(2, max_n + 1):
-        checks.append(ident("q0_reduction", n, max_rank=8))
+        checks.append(ident("q0_reduction", n, capped=True))
         checks.append(ident("oneplusq_division", n))
     for n in range(3, max_n + 1):
         checks.append(ident("interlace_chain_prop62", n))

@@ -119,9 +119,18 @@ class TestVerify:
         for cid, params, thunk in suite_identities(max_n=10):
             if thunk is not None:
                 run_ranks.setdefault(cid, []).append(params["n"])
-        assert max(run_ranks["stembridge"]) == 7
-        assert max(run_ranks["q0_reduction"]) == 8
+        assert max(run_ranks["stembridge"]) == max(run_ranks["q0_reduction"]) == 8
         assert max(run_ranks["dilks_62"]) == 10
+
+    def test_identities_skip_only_above_the_cap(self, monkeypatch):
+        # stembridge and q0_reduction are class counts: the cap alone decides, with no rank limit
+        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+
+        def skipped(cap):
+            return {(cid, params["n"]) for cid, params, thunk in suite_identities(max_n=10, cap=cap) if thunk is None}
+
+        assert skipped(None) == {(cid, n) for cid in ("stembridge", "q0_reduction") for n in (9, 10)}
+        assert skipped(10) == set()
 
     def test_small_oracle_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "oracles", "--max-n", "3")

@@ -60,13 +60,13 @@ from weylpoly.exactpoly import (
     _digits,
     _rational,
     _prem,
-    _prs,
     poly_to_json,
     qxpoly_from_json,
     qxpoly_to_json,
     xpoly_from_json,
     xpoly_to_json,
 )
+from prs_reference import prs
 
 K40 = xpoly(2, 32, 50, 12)
 K43 = xpoly(0, 12, 50, 32, 2)
@@ -297,7 +297,7 @@ class TestGcd:
             assert got == from_sympy(want.monic()), (str(a), str(b))
             assert got == fraction_euclid_gcd(a, b)
             for f, g in ((a, b), (b, a)):
-                last = _prs(_canonical(f), _canonical(g))[-1]
+                last = prs(_canonical(f), _canonical(g))[-1]
                 assert XPoly(last).monic() == from_sympy(want.monic()), (str(f), str(g))
 
     def test_zero_or_constant_operand(self):
@@ -449,6 +449,15 @@ class TestExactOnly:
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 is_float = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
                 if is_float and ast.unparse(node) != "float('-inf')":
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
+
+    def test_no_assert_statement_in_src(self):
+        """Runtime conditions raise typed errors; an assert would vanish under python -O."""
+        found = []
+        for path in sorted(Path(weylpoly.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Assert):
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
 

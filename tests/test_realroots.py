@@ -29,15 +29,16 @@ from weylpoly import (
     xpoly,
 )
 from weylpoly import exactpoly, realroots
-from weylpoly.exactpoly import X_ONE, _canonical, _derivative, _prs, exact_divide
+from weylpoly.exactpoly import X_ONE, _canonical, _derivative, exact_divide
 from weylpoly.realroots import _fujiwara_exp, _square_free
 from weylpoly.tables import K4_TABLE, K4_ROOTS
+from prs_reference import prs
 
 X = sp.symbols("x")
 
 
 def _sturm_chain(ints):
-    return _prs(ints, _derivative(ints))
+    return prs(ints, _derivative(ints))
 
 
 def to_sympy(p: XPoly) -> sp.Poly:
@@ -532,30 +533,27 @@ class TestHoldsRoot:
 
 
 class TestOneChainPerPolynomial:
-    """No remainder sequence runs: every gcd is the packed heuristic one, and no Sturm chain is built."""
+    """Every gcd is proven at its first packing width, so no width is spent on a retry."""
 
-    def remainder_sequences(self, monkeypatch, call) -> int:
-        calls = []
-
-        def counting(f, g):
-            calls.append(f)
-            return _prs(f, g)
-
-        monkeypatch.setattr(exactpoly, "_prs", counting)
+    def widths_and_gcds(self, monkeypatch, gcd_widths, call) -> tuple[int, int]:
+        calls, gcd = [], realroots._int_gcd
+        monkeypatch.setattr(realroots, "_int_gcd", lambda f, g: calls.append(f) or gcd(f, g))
         realroots._profile.cache_clear()
+        gcd_widths.clear()
         call()
-        return len(calls)
+        return len(gcd_widths), len(calls)
 
-    def test_profile_of_a_repeated_root_polynomial(self, monkeypatch):
+    def test_profile_of_a_repeated_root_polynomial(self, monkeypatch, gcd_widths):
         p = assemble("tildeD", 12) * xpoly(1, 1) ** 2
-        assert self.remainder_sequences(monkeypatch, lambda: realroots._profile(_canonical(p))) == 0
+        widths, gcds = self.widths_and_gcds(monkeypatch, gcd_widths, lambda: realroots._profile(_canonical(p)))
+        assert widths == gcds > 1
 
-    def test_count_roots_in(self, monkeypatch):
-        # the count is read off the cached cells, real-rooted or not: no remainder sequence runs
+    def test_count_roots_in(self, monkeypatch, gcd_widths):
+        # the count is read off the cached cells, real-rooted or not: one gcd, at one width
         p = assemble("tildeD", 12)
-        assert self.remainder_sequences(monkeypatch, lambda: count_roots_in(p, -1, 0)) == 0
+        assert self.widths_and_gcds(monkeypatch, gcd_widths, lambda: count_roots_in(p, -1, 0)) == (1, 1)
         q = p * xpoly(1, 0, 1)
-        assert self.remainder_sequences(monkeypatch, lambda: count_roots_in(q, -1, 0)) == 0
+        assert self.widths_and_gcds(monkeypatch, gcd_widths, lambda: count_roots_in(q, -1, 0)) == (1, 1)
 
 
 class TestInterlaces:
@@ -1011,9 +1009,7 @@ class TestBudanFourierIsolation:
             realroots._profile.cache_clear()
             assert isolate_roots(p).intervals == full_chain_isolation(p), str(p)
 
-    def test_real_rootedness_matches_the_yun_reference(self, monkeypatch, taylor_budget):
-        prs = []
-        monkeypatch.setattr(exactpoly, "_prs", lambda f, g: prs.append(f) or _prs(f, g))
+    def test_real_rootedness_matches_the_yun_reference(self, taylor_budget):
         members = certified_members()  # real-rooted by the theorems the suites check
         kinds = set()
         for p in members + cluster_inputs() + complex_pair_inputs() + random_root_products(31, 40):
@@ -1022,7 +1018,7 @@ class TestBudanFourierIsolation:
             realroots._profile.cache_clear()
             assert is_real_rooted(p) == real, str(p)
             kinds.add(real)
-        assert kinds == {True, False} and prs == []
+        assert kinds == {True, False}
 
     def test_cells_of_different_polynomials_are_nested_or_disjoint(self):
         # Every cell lies on the one dyadic grid (k 2^w, (k+1) 2^w], whatever its bracket
@@ -1088,12 +1084,30 @@ class TestBudanFourierIsolation:
 
 def prs_gcd(f, g):
     """The remainder-sequence gcd the heuristic gcd replaced: primitive, lc > 0."""
-    return exactpoly._positive_primitive(_prs(f, g)[-1])
+    return exactpoly._positive_primitive(prs(f, g)[-1])
+
+
+@pytest.fixture
+def gcd_widths(monkeypatch):
+    """The packing widths, in bytes, that the heuristic gcd tries; more than 64 since the last
+    clear fail, so a gcd that never widens fails instead of looping."""
+    digits, widths = exactpoly._digits, []
+
+    def spy(v, nb, count=None):
+        widths.append(nb)
+        if len(widths) > 64:
+            raise AssertionError("the heuristic gcd did not end")
+        return digits(v, nb, count)
+
+    monkeypatch.setattr(exactpoly, "_digits", spy)
+    return widths
 
 
 # Pairs whose first packed gcd fails its trial division, found by the interlacing suite
 RETRY_PAIRS = [((0, 7, 75, 93, 17), (0, 1, 16, 25, 6)), ((0, 1, 22, 50, 22, 1), (0, 7, 109, 195, 71, 2)),
                ((32, 6463, 52669, 81534, 31994, 2267, 1), (0, 1387, 15273, 27938, 12638, 1083, 1))]
+# (p, p') of p = (x - 1)(3x + 2)^2 (x^2 + 2), a seeded product of sqf_cases: its first gcd fails too
+SQF_RETRY_PAIR = ((-8, -16, 2, 10, 3, 9), (-16, 4, 30, 12, 45))
 
 
 def gcd_pairs():
@@ -1118,21 +1132,23 @@ def gcd_pairs():
 
 
 class TestHeuristicGcd:
-    def test_agrees_with_the_remainder_sequence(self):
+    def test_agrees_with_the_remainder_sequence(self, gcd_widths):
         pairs = gcd_pairs()
         assert len(pairs) >= 500
         for f, g in pairs:
+            gcd_widths.clear()
             want = prs_gcd(f, g)
             assert exactpoly._int_gcd(f, g) == exactpoly._int_gcd(g, f) == want, (f, g)
+            # one width each way, two for the pairs whose first trial division fails
+            assert len(gcd_widths) == (4 if (f, g) in RETRY_PAIRS + [SQF_RETRY_PAIR] else 2), (f, g)
             assert exactpoly._int_gcd(f, ()) == exactpoly._int_gcd((), f) == prs_gcd(f, ())
 
-    def test_retry_pairs_need_a_second_width(self, monkeypatch):
-        monkeypatch.setattr(exactpoly, "_GCD_TRIES", 1)
-        prs = []
-        monkeypatch.setattr(exactpoly, "_prs", lambda f, g: prs.append(f) or _prs(f, g))
-        for f, g in RETRY_PAIRS:
-            assert exactpoly._int_gcd(f, g) == prs_gcd(f, g)
-        assert len(prs) == len(RETRY_PAIRS)
+    def test_retry_pairs_need_a_second_width(self, gcd_widths):
+        for f, g in RETRY_PAIRS + [SQF_RETRY_PAIR]:
+            for a, b in ((f, g), (g, f)):
+                gcd_widths.clear()
+                assert exactpoly._int_gcd(a, b) == prs_gcd(f, g)
+                assert len(gcd_widths) == 2 and gcd_widths[1] == 2 * gcd_widths[0], (a, b)
 
     def test_planted_factor_at_the_width_bound(self):
         # 2^W >= 2 min(|f|, |g|) + 2 in the max norm: a byte narrower, x - 255 or x - 65535
@@ -1156,11 +1172,18 @@ class TestHeuristicGcd:
         assert exactpoly._int_gcd(f, g) == (1, 1)
         assert exactpoly._int_gcd((6, 6), (-4, -4)) == exactpoly._int_gcd((-4, -4), ()) == (1, 1)
 
-    def test_the_remainder_sequence_fallback_gives_the_same_answers(self, monkeypatch):
-        pairs = gcd_pairs()[::5]
-        want = [exactpoly._int_gcd(f, g) for f, g in pairs]
-        monkeypatch.setattr(exactpoly, "_GCD_TRIES", 0)
-        assert [exactpoly._int_gcd(f, g) for f, g in pairs] == want
+    def test_planted_pairs_widen_once_per_planted_width(self, gcd_widths):
+        # f = (x + 1)(x - 3) packs at 2^8, then 2^16, 2^32, 2^64, ...; with b = 3 - lcm(2^w - 3) over
+        # the first k widths, gcd(f(2^w), g(2^w)) = (2^w + 1)(2^w - 3) there, and (x + 1)(x - 3)
+        # does not divide g = (x + 1)(x - b), so the gcd x + 1 is proven at width k + 1
+        for k in range(5):
+            b = 3 - math.lcm(*(2 ** (8 << j) - 3 for j in range(k)))
+            f, g = _canonical(xpoly(1, 1) * xpoly(-3, 1)), _canonical(xpoly(1, 1) * xpoly(-b, 1))
+            assert prs_gcd(f, g) == (1, 1)
+            for a, c in ((f, g), (g, f)):
+                gcd_widths.clear()
+                assert exactpoly._int_gcd(a, c) == (1, 1), k
+                assert gcd_widths == [1 << j for j in range(k + 1)], k
 
     def test_square_free_input_runs_no_trial_division(self, monkeypatch):
         prem = []
