@@ -19,24 +19,25 @@ Every number from outside passes one gate, ``_rational`` (an int or a
 Fraction), ``_integer`` or ``_rank``, and every polynomial in one variable
 ``_univariate``; anything else raises UsageError.  One integer kernel
 (``_canonical``, ``_primitive``, ``_prem``, ``_int_gcd``, ``_horner``,
-``_digits``) works on integer coefficient tuples.  ``_canonical`` is its one
-reduction of a polynomial, shared by all its nonzero rational multiples;
-``_int_gcd`` its one gcd, for ``poly_gcd`` and ``realroots``, a heuristic gcd
-whose packing width doubles until a trial division proves it, with no
-remainder sequence behind it; ``_horner`` its one evaluation, for
-``evaluate``, ``eval_q``, every sign of a root cell and the gcd's packing;
-``_digits`` its one reader of packed balanced digits.  At 8 bytes a digit,
-the width ``realroots._taylor`` packs at or above, it reads them all in C:
-adding 2^63 to every digit and flipping that bit back leaves each in two's
-complement, so one ``memoryview.cast("q").tolist()`` of the bytes gives the
-digits; other widths slice each digit out with its own ``int.from_bytes``.
+``_fields``, ``_digits``) works on integer coefficient tuples.
+``_canonical`` is its one reduction of a polynomial, shared by all its
+nonzero rational multiples; ``_int_gcd`` its one gcd, for ``poly_gcd`` and
+``realroots``, a heuristic gcd whose packing width doubles until a trial
+division proves it, with no remainder sequence behind it; ``_horner`` its
+one evaluation, for ``evaluate``, ``eval_q``, every sign of a root cell and
+the gcd's packing;
+``_fields`` its one reader of packed unsigned fields, every width in C with
+no loop in Python over the fields, for ``_digits`` and the packed carrier of
+``recurrences``; ``_digits`` its one reader of packed balanced digits: the
+fields of v plus 2^(W-1) in every digit, minus 2^(W-1), or at 8 bytes, the
+floor of ``realroots._taylor``, one read of signed words.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import sys
+import struct
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import partial
@@ -468,6 +469,23 @@ def _horner(ints: Sequence[int], num: int, den: int) -> int:
     return acc
 
 
+def _fields(v: int, nb: int, count: int) -> list[int]:
+    """The ``count`` unsigned nb-byte fields of v >= 0, least significant first, read in C.
+
+    Below 8 bytes, nb strided slice copies widen each field to 8 bytes; up to 8 bytes,
+    ``struct`` reads the words as little-endian ``Q``, on any host; above, ``struct``
+    slices the fields and ``int.from_bytes`` reads each one."""
+    raw = v.to_bytes(nb * count, "little")
+    if nb > 8:
+        return list(map(int.from_bytes, struct.unpack(f"{nb}s" * count, raw), itertools.repeat("little")))
+    if nb < 8:
+        wide = bytearray(count << 3)
+        for b in range(nb):
+            wide[b::8] = raw[b::nb]
+        raw = wide
+    return list(struct.unpack(f"<{count}Q", raw))
+
+
 def _digits(v: int, nb: int, count: int | None = None) -> list[int]:
     """The balanced base-2^W digits of v, W = 8 nb, each in [-2^(W-1), 2^(W-1)), least
     significant first: ``count`` of them, or as many as v needs, the top one perhaps zero."""
@@ -477,11 +495,9 @@ def _digits(v: int, nb: int, count: int | None = None) -> list[int]:
     # adding half = 2^(W-1) to every digit makes each one nonnegative, with no carries
     halves = int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
     if nb == 8:
-        # flipping each top bit back leaves every digit in two's complement, read in C
-        return memoryview(((v + halves) ^ halves).to_bytes(8 * count, sys.byteorder)).cast("q").tolist()
-    raw = (v + halves).to_bytes(nb * count, "little")
-    half = 1 << (w - 1)
-    return [int.from_bytes(raw[k : k + nb], "little") - half for k in range(0, nb * count, nb)]
+        # flipping each top bit back leaves every digit in two's complement, read as signed words
+        return list(struct.unpack(f"<{count}q", ((v + halves) ^ halves).to_bytes(8 * count, "little")))
+    return list(map((-1 << (w - 1)).__add__, _fields(v + halves, nb, count)))
 
 
 def _derivative(coeffs: Sequence) -> tuple:
@@ -629,6 +645,8 @@ def poly_from_json(d: dict):
 
 
 def _render(coeffs: Iterable, var: str) -> str:
+    """Ascending coefficients as text; a fraction before a power of ``var`` is parenthesized,
+    so (1/4)x^3 does not read as 1/(4x^3)."""
     parts = []
     for k, c in enumerate(coeffs):
         if c == 0:
@@ -637,7 +655,7 @@ def _render(coeffs: Iterable, var: str) -> str:
         if k == 0:
             body = str(mag)
         else:
-            head = "" if mag == 1 else str(mag)
+            head = "" if mag == 1 else str(mag) if mag.denominator == 1 else f"({mag})"
             body = f"{head}{var}" if k == 1 else f"{head}{var}^{k}"
         parts.append(("-" if c < 0 else "+", body))
     if not parts:

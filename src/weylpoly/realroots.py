@@ -190,9 +190,9 @@ def _taylor(ints: Sequence[int], num: int, e: int) -> list[int]:
     b_k = 2^(e (d - k)) p^(k)(x) / k! at x = num / 2^e: the Taylor
     coefficients at x, each scaled by a power of two.  Every |b_k| is at
     most B = sum |c_j| (2^e + |num|)^d, so with W whole bytes, at least 64
-    (the width ``_digits`` reads in C), and 2^(W-1) > B, one Horner pass on
-    sum c_j 2^(e (d - j)) (num + u)^j at u = 2^W packs them all, and the
-    d + 1 balanced base-2^W digits of the result are the b_k.
+    (the width ``_digits`` reads as signed words), and 2^(W-1) > B, one
+    Horner pass on sum c_j 2^(e (d - j)) (num + u)^j at u = 2^W packs them
+    all, and the d + 1 balanced base-2^W digits of the result are the b_k.
     """
     d = len(ints) - 1
     bound = sum(map(abs, ints)) * ((1 << e) + abs(num)) ** d

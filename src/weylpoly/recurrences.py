@@ -35,7 +35,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import PackingError, PreconditionError, UsageError
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _integer, _rank, _rational
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _fields, _integer, _rank, _rational
 from .exactpoly import exact_divide
 from .realroots import interlaces
 from .record import Record
@@ -67,8 +67,9 @@ def ceil_index(n: int, i: int) -> int:
 
 
 def _rank_thresholds(n: int) -> TransformSpec:
-    """The 1-based thresholds ceil_index(n, i) + 1 of the rank-n recurrence."""
-    return TransformSpec(tuple(ceil_index(n, i) + 1 for i in range(2 * n)))
+    """The 1-based thresholds ceil_index(n, i) + 1 of the rank-n recurrence: i + 1 below
+    i = n and i from it on."""
+    return TransformSpec(tuple(range(1, n + 1)) + tuple(range(n, 2 * n)))
 
 
 # ---------------------------------------------------------------------------
@@ -119,17 +120,13 @@ class _Packed:
             parts.extend([pad] * (layout.q_fields - len(row)))
         return cls(int.from_bytes(b"".join(parts), "little"), layout)
 
-    def _bytes(self) -> bytes:
-        """Little-endian bytes up to the last nonzero power of x."""
-        row = self.layout.width // 8 * self.layout.q_fields
-        return self.value.to_bytes(-(-self.value.bit_length() // (8 * row)) * row, "little")
+    def _powers(self) -> int:
+        """The number of powers of x up to the last nonzero one."""
+        return -(-self.value.bit_length() // (self.layout.width * self.layout.q_fields))
 
     def fields(self) -> list[int]:
         """Every field up to the last nonzero power of x, lowest first."""
-        size = self.layout.width // 8
-        data = self._bytes()
-        from_bytes = int.from_bytes
-        return [from_bytes(data[k : k + size], "little") for k in range(0, len(data), size)]
+        return _fields(self.value, self.layout.width // 8, self._powers() * self.layout.q_fields)
 
     def rows(self) -> list[list[int]]:
         f, q = self.fields(), self.layout.q_fields
@@ -147,9 +144,9 @@ class _Packed:
         if layout.q_fields < old.q_fields or layout.width < old.width:
             raise PackingError("a packed value only moves to a larger layout")
         size, new_size = old.width // 8, layout.width // 8
-        data = self._bytes()
+        row = size * old.q_fields
+        data = self.value.to_bytes(self._powers() * row, "little")
         if layout.q_fields > old.q_fields:
-            row = size * old.q_fields
             pad = bytes(size * (layout.q_fields - old.q_fields))
             data = b"".join([data[k : k + row] + pad for k in range(0, len(data), row)])
         if new_size > size:

@@ -2,6 +2,7 @@ import ast
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +59,7 @@ from weylpoly.exactpoly import (
     _DensePoly,
     _canonical,
     _digits,
+    _fields,
     _rational,
     _prem,
     poly_to_json,
@@ -436,6 +438,11 @@ class TestRendering:
         assert str(XPoly()) == "0"
         assert str(xpoly(-1, 1)) == "-1 + x"
 
+    def test_fractions_before_a_power_are_parenthesized(self):
+        # 1/4x^3 would read as 1/(4x^3)
+        assert str(assemble("Dq", 3).eval_q(Fraction(1, 2))) == "1 + (29/4)x + 5x^2 + (1/4)x^3"
+        assert str(xpoly(Fraction(-1, 2), Fraction(-3, 2), 2)) == "-1/2 - (3/2)x + 2x^2"
+
     def test_two_variable(self):
         t2 = qxpoly((1, 1), (1, 2, 1), (0, 1, 1))
         assert str(t2) == "(1 + q) + (1 + 2q + q^2)x + (q + q^2)x^2"
@@ -600,9 +607,10 @@ class TestDigits:
                 got = _digits(v, nb)
                 assert trim(got) == trim(ds) and len(got) <= len(trim(ds)) + 1, (nb, ds)
 
-    @pytest.mark.parametrize("nb", [*range(1, 10), 16])
-    def test_against_a_reference_reader(self, nb):
-        # one balanced remainder at a time; nb = 8 takes the reader's two's complement path
+    @pytest.mark.parametrize("nb", [*range(1, 12), 16, 18, 25, 26, 42])
+    def test_against_a_reference_reader(self, nb, monkeypatch):
+        # one balanced remainder at a time; nb = 8 takes the reader's two's complement path,
+        # nb < 8 the fields widened to 8-byte words, nb > 8 the fields sliced by struct
         w, half = 8 * nb, 1 << (8 * nb - 1)
 
         def reference(v, count):
@@ -620,6 +628,26 @@ class TestDigits:
         for v in values:
             for count in (7, 9):  # the top digits zero
                 assert _digits(v, nb, count) == reference(v, count), (nb, v)
+
+        def packed(ds):
+            v = 0
+            for d in reversed(ds):
+                v = (v << w) + d
+            return v
+
+        # long reads of extreme fields: unsigned 0 and 2^W - 1, balanced -2^(W-1) and 2^(W-1) - 1
+        top = (1 << w) - 1
+        for count in (0, 1, 61, 1681):
+            for fs in ([top] * count, [rng.choice((0, top, rng.randrange(top))) for _ in range(count)]):
+                assert _fields(packed(fs), nb, count) == fs, (nb, count)
+            for ds in ([-half] * count, [half - 1] * count,
+                       [rng.choice((-half, half - 1, 0, rng.randrange(-half, half))) for _ in range(count)]):
+                assert _digits(packed(ds), nb, count) == ds, (nb, count)
+        # the reader fixes its byte order, so a big-endian host reads the same fields
+        monkeypatch.setattr(sys, "byteorder", "big")
+        ds = [rng.choice((-half, half - 1, rng.randrange(-half, half))) for _ in range(61)]
+        assert _digits(packed(ds), nb, 61) == ds
+        assert _fields(packed(ds) + packed([half] * 61), nb, 61) == [d + half for d in ds]
 
     def test_values_at_powers_of_two_read_back(self):
         # 2^(W c - 1) - 1 needs c + 1 digits, [-1, ..., -2^(W-1), 1]

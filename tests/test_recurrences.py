@@ -58,6 +58,11 @@ class TestCeilIndex:
             for i in range(2 * n):
                 assert ceil_index(n, i) == i - (1 if i >= n else 0)
 
+    def test_rank_thresholds_are_the_split_points_plus_one(self):
+        for n in range(2, 61):
+            expected = tuple(ceil_index(n, i) + 1 for i in range(2 * n))
+            assert recurrences._rank_thresholds(n) == TransformSpec(expected), n
+
     def test_range_errors(self):
         with pytest.raises(UsageError, match=r"index 8 out of range 0\.\.7"):
             ceil_index(4, 8)
@@ -726,6 +731,10 @@ class TestPackedCarrier:
             layout = _layout(n, 1)
             assert layout.width % 8 == 0
             assert _Packed.pack([[2 * order]], layout).rows() == [[2 * order]]
+        for n in range(2, 61):
+            # a full grid: every field of an (n+1) x (n+1) two-variable entry at the bound
+            grid = [[2**n * factorial(n) * 2] * (n + 1) for _ in range(n + 1)]
+            assert _Packed.pack(grid, _layout(n, n + 1)).rows() == grid, n
 
     def test_negative_coefficient_raises_typed_error(self):
         with pytest.raises(PackingError):
