@@ -17,7 +17,6 @@ from .exactpoly import QXPoly, poly_to_json
 from .recurrences import ASSEMBLE_FAMILIES, assemble
 from .report import VerificationReport
 from .verify import SUITES, run_suite
-from .weylcomb import CAP_ENV_VAR
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
@@ -43,12 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--q-samples", default=None, help="comma-separated rationals, e.g. 1/2,1,2,5"
     )
-    verify.add_argument(
-        "--cap-override",
-        type=int,
-        default=None,
-        help=f"enumeration cap override (also via ${CAP_ENV_VAR})",
-    )
+    verify.add_argument("--cap-override", type=int, default=None, help="enumeration cap override")
 
     report = sub.add_parser("report", help="render a saved verification report")
     report.add_argument("input", help="path to a JSON report produced by verify")
@@ -75,7 +69,7 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     q_samples = None
-    if args.q_samples:
+    if args.q_samples is not None:  # an empty list is malformed, not the defaults
         try:
             q_samples = tuple(Fraction(part) for part in args.q_samples.split(","))
         except (ValueError, ZeroDivisionError):

@@ -18,14 +18,17 @@ round-trips are bit-exact.
 Every number from outside passes one gate, ``_rational`` (an int or a
 Fraction), ``_integer`` or ``_rank``, and every polynomial in one variable
 ``_univariate``; anything else raises UsageError.  One integer kernel
-(``_canonical``, ``_primitive``, ``_prem``, ``_int_gcd``, ``_horner``,
-``_fields``, ``_digits``) works on integer coefficient tuples.
+(``_canonical``, ``_primitive``, ``_int_gcd``, ``_horner``, ``_digit_bytes``,
+``_fields``, ``_digits``) works on integer coefficient tuples, and
+``_long_divide`` is its one division, for every ``exact_div`` and the gcd's trial.
 ``_canonical`` is its one reduction of a polynomial, shared by all its
 nonzero rational multiples; ``_int_gcd`` its one gcd, for ``poly_gcd`` and
-``realroots``, a heuristic gcd whose packing width doubles until a trial
+``realroots``, a heuristic gcd whose packing width doubles until an exact
 division proves it, with no remainder sequence behind it; ``_horner`` its
-one evaluation, for ``evaluate``, ``eval_q``, every sign of a root cell and
-the gcd's packing;
+one evaluation, for ``evaluate``, ``eval_q``, every sign of a root cell,
+and its one packer: a pack at 2^W is the value at 2^W, for the gcd, the
+recurrence seeds and the symbolic Hurwitz minors; ``_digit_bytes`` its one
+width rule, the fewest whole bytes of a balanced digit that holds a bound;
 ``_fields`` its one reader of packed unsigned fields, every width in C with
 no loop in Python over the fields, for ``_digits`` and the packed carrier of
 ``recurrences``; ``_digits`` its one reader of packed balanced digits: the
@@ -414,28 +417,6 @@ def _clear_denominators(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def _prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Pseudo-remainder |lc(g)| ** max(deg f - deg g + 1, 0) * rem(f, g).
-
-    The scaling is a positive power of |lc(g)|, so the integer remainder has
-    the signs of the rational one.  Trailing zeros are not trimmed.
-    """
-    lead = g[-1]
-    scale, sign = abs(lead), (1 if lead > 0 else -1)
-    low = g[:-1]
-    dg = len(low)
-    rem = list(f)
-    while len(rem) > dg:
-        top = sign * rem.pop()
-        if scale != 1:
-            rem = [scale * c for c in rem]
-        if top:
-            shift = len(rem) - dg
-            for k, c in enumerate(low):
-                rem[shift + k] -= top * c
-    return rem
-
-
 def _positive_primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """The primitive part with a positive leading coefficient; () for zero."""
     out = _primitive(list(ints))
@@ -467,6 +448,12 @@ def _horner(ints: Sequence[int], num: int, den: int) -> int:
             dp *= den
             acc = acc * num + c * dp
     return acc
+
+
+def _digit_bytes(bound: int) -> int:
+    """The fewest whole bytes nb with 2^(8 nb - 1) > bound >= 0: the one width rule of the
+    kernel, for a balanced digit that holds every integer of absolute value up to bound."""
+    return (bound.bit_length() + 8) >> 3
 
 
 def _fields(v: int, nb: int, count: int) -> list[int]:
@@ -511,7 +498,8 @@ def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     xi = 2^W, W whole bytes with xi >= 2 min(|f|, |g|) + 2 (max norms).  A common factor G k
     of f and g has k(xi) dividing the content of G's digits, at most xi / 2, and a nonconstant
     k has |k(xi)| > xi / 2, its roots below 1 + min(|f|, |g|) <= xi / 2; so G is the gcd if it
-    is a constant or ``_prem`` finds it divides f and g.  Else W doubles, with no limit.
+    is a constant or it divides f and g exactly, by the ``_long_divide`` of every ``exact_div``.
+    Else W doubles, with no limit.
 
     The loop ends.  With h the gcd, f = h u and g = h v, once xi lies above every root of f g,
     gcd(f(xi), g(xi)) = h(xi) c, where c = gcd(u(xi), v(xi)) divides res(u, v), an integer
@@ -526,9 +514,15 @@ def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     while True:
         xi = 1 << (nb << 3)
         h = _positive_primitive(_digits(int_gcd(_horner(f, xi, 1), _horner(g, xi, 1)), nb))
-        if len(h) == 1 or not any(_prem(f, h)) and not any(_prem(g, h)):
+        if len(h) == 1:
             return h
-        nb <<= 1
+        try:
+            divisor = QPoly._trusted(h)
+            QPoly._trusted(f).exact_div(divisor)
+            QPoly._trusted(g).exact_div(divisor)
+            return h
+        except DivisibilityError:  # at the first leading coefficient with no exact quotient
+            nb <<= 1
 
 
 def poly_gcd(a: XPoly, b: XPoly) -> XPoly:

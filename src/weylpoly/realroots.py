@@ -76,7 +76,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PreconditionError, UsageError, WeylPolyError
-from .exactpoly import QPoly, XPoly, _canonical, _derivative, _digits, _horner, _int_gcd
+from .exactpoly import QPoly, XPoly, _canonical, _derivative, _digit_bytes, _digits, _horner, _int_gcd
 from .exactpoly import _rational, _univariate
 from .record import Record
 
@@ -196,7 +196,7 @@ def _taylor(ints: Sequence[int], num: int, e: int) -> list[int]:
     """
     d = len(ints) - 1
     bound = sum(map(abs, ints)) * ((1 << e) + abs(num)) ** d
-    nb = max(8, (bound.bit_length() + 8) >> 3)  # bytes per digit: 2^(8 nb - 1) > bound
+    nb = max(8, _digit_bytes(bound))
     w = nb << 3
     acc = ints[-1]
     for s in range(1, d + 1):

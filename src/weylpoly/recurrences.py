@@ -15,9 +15,10 @@ Multiplying by x or by q is a left shift by Q*W or W bits, so a rank
 step is a few big-integer shifts and adds per entry.  The width is proven, not guessed: every
 coefficient counts elements of B_n (the coupled family counts them twice),
 so every coefficient of a rank-n build, and every partial sum formed on the
-way, is a nonnegative integer at most 2|B_n| = 2^(n+1) n!.  W is the bit
-length of that bound rounded up to whole bytes, so no field ever carries
-into the next.
+way, is a nonnegative integer at most 2|B_n| = 2^(n+1) n!.  W is the fewest
+whole bytes with 2^W above that bound, ``exactpoly._digit_bytes`` of half of
+it, so no field ever carries into the next.  A seed is packed as its value
+at 2^W by ``exactpoly._horner``.
 
 Each family is cached once, packed: a bounded store per family keeps the
 most recently used ranks.  Every public call unpacks its answer to QXPoly
@@ -35,8 +36,8 @@ from itertools import combinations
 from math import factorial
 
 from .errors import PackingError, PreconditionError, UsageError
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _fields, _integer, _rank, _rational
-from .exactpoly import exact_divide
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _digit_bytes, _fields, _horner
+from .exactpoly import _integer, _rank, _rational, exact_divide
 from .realroots import interlaces
 from .record import Record
 from .report import ReportEntry, poly_equality, timed_entry
@@ -85,9 +86,8 @@ class _Layout(Record):
 
 
 def _layout(n: int, q_fields: int) -> _Layout:
-    """The layout of a rank-n build: W holds 2|B_n| = 2^(n+1) n!."""
-    bits = (factorial(n) << (n + 1)).bit_length()
-    return _Layout(q_fields, -(-bits // 8) * 8)
+    """The layout of a rank-n build: W holds 2|B_n| = 2^(n+1) n!, as 2^(W-1) > 2^n n!."""
+    return _Layout(q_fields, _digit_bytes(factorial(n) << n) << 3)
 
 
 class _Packed:
@@ -99,26 +99,6 @@ class _Packed:
     def __init__(self, value: int, layout: _Layout):
         self.value = value
         self.layout = layout
-
-    @classmethod
-    def pack(cls, rows: Sequence[Sequence[int]], layout: _Layout) -> "_Packed":
-        """Pack rows[i][j], the coefficient of x^i q^j.
-
-        Raises PackingError for a negative coefficient, one of W bits or
-        more, or a row with more than Q coefficients.
-        """
-        size = layout.width // 8
-        pad = bytes(size)
-        parts = []
-        for row in rows:
-            if len(row) > layout.q_fields:
-                raise PackingError(f"{len(row)} powers of q do not fit {layout.q_fields} fields")
-            try:
-                parts.extend(c.to_bytes(size, "little") for c in row)
-            except OverflowError:
-                raise PackingError(f"a coefficient is negative or wider than {layout.width} bits") from None
-            parts.extend([pad] * (layout.q_fields - len(row)))
-        return cls(int.from_bytes(b"".join(parts), "little"), layout)
 
     def _powers(self) -> int:
         """The number of powers of x up to the last nonzero one."""
@@ -252,8 +232,14 @@ def _step_x(n: int, prev: tuple) -> tuple:
     return interlacing_transform(prev, _rank_thresholds(n))
 
 
-def _seed(rows: tuple, layout: _Layout) -> tuple:
-    return tuple(_Packed.pack(r, layout) for r in rows)
+def _seed(entries: tuple, layout: _Layout) -> tuple:
+    """Each entry, rows of q-coefficients per power of x, each row padded to Q fields, packed
+    as its value at 2^W."""
+    q, xi = layout.q_fields, 1 << layout.width
+    return tuple(
+        _Packed(_horner([c for row in rows for c in row + (0,) * (q - len(row))], xi, 1), layout)
+        for rows in entries
+    )
 
 
 # Rank 2: (1+q, (1+q)x, (q+q^2)x, (q+q^2)x^2) as rows of q-coefficients per
@@ -415,8 +401,11 @@ def evaluate_identity(name: str, n: int, cap: int | None = None) -> tuple[bool, 
     """Decide one named identity at rank n: (True, None) or (False, witness).
 
     ``cap`` bounds the enumerations of stembridge and q0_reduction as in
-    ``brute_polynomial``.
+    ``brute_polynomial``.  A rank below the identity's smallest (2 or 3)
+    raises UsageError, never a verdict.
     """
+    if name in ("stembridge", "interlace_chain_prop62"):  # the others gate n in what they build
+        n = _rank(n, 2, f"{name} rank")
     if name == "dilks_62":
         lhs = assemble("tildeD", n)
         rhs = assemble("tildeB", n) - assemble("D", n - 1).shift_up(1) * (2 * n)

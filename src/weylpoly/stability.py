@@ -15,12 +15,13 @@ DivisibilityError.  That is O(n^2) integer operations for all n minors.
 
 Numeric p is scaled by the lcm D of its denominators: Delta_k(D p) =
 D^k Delta_k(p).  Symbolic p, over Z[q], is packed at q = 2^W (Kronecker
-substitution).  That is a ring map, so the array yields the packed minors,
-and every division exact over Z[q] stays exact.  Row r of H holds each a_i
-with i = r + 1 (mod 2) at most once, so on |q| = 1 no Delta_k exceeds the
-product over the n rows of max(1, sqrt(sum ||a_i||_1^2)) (Hadamard), and
-neither does any coefficient of it (Cauchy's estimate).  With W whole bytes
-and 2^(W-1) above that bound, ``exactpoly._digits`` reads each minor as the
+substitution), each coefficient by ``exactpoly._horner``.  That is a ring
+map, so the array yields the packed minors, and every division exact over
+Z[q] stays exact.  Row r of H holds each a_i with i = r + 1 (mod 2) at most
+once, so on |q| = 1 no Delta_k exceeds the product over the n rows of
+max(1, sqrt(sum ||a_i||_1^2)) (Hadamard), and neither does any coefficient
+of it (Cauchy's estimate).  With W whole bytes and 2^(W-1) above that bound
+(``exactpoly._digit_bytes``), ``exactpoly._digits`` reads each minor as the
 balanced base-2^W digits of its packed value, zero exactly when it is.
 
 The array divides by Delta_{k-2}, so a zero Delta_k with k < n would stop
@@ -40,8 +41,8 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from .errors import DivisibilityError, PreconditionError, StabilityInapplicableError, UsageError
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _digits, _int_quot, _integer
-from .exactpoly import _univariate
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _digit_bytes, _digits, _horner
+from .exactpoly import _int_quot, _integer, _univariate
 from .realroots import STRICT, WEAK, InterlacingVerdict, interlaces, isolate_roots
 from .record import Record
 from .recurrences import refined_Tq
@@ -146,7 +147,7 @@ def _kronecker_bytes(a) -> int:
     norms = [max(sum(sum(map(abs, c.coeffs)) ** 2 for c in a[par::2]), 1) for par in (1, 0)]
     n = len(a) - 1
     squared = norms[0] ** ((n + 1) // 2) * norms[1] ** (n // 2)
-    return (isqrt(squared).bit_length() + 8) >> 3  # 2^(W - 1) > the bound
+    return _digit_bytes(isqrt(squared))  # 2^(W - 1) > the bound
 
 
 def hurwitz_determinants(p: XPoly | QXPoly) -> StabilityReport:
@@ -166,7 +167,7 @@ def hurwitz_determinants(p: XPoly | QXPoly) -> StabilityReport:
     a = p.coeffs[::-1]
     if isinstance(p, QXPoly):
         nb = _kronecker_bytes(a)
-        packed = _routh_minors([sum(x << 8 * nb * i for i, x in enumerate(c.coeffs)) for c in a])
+        packed = _routh_minors([_horner(c.coeffs, 1 << (nb << 3), 1) for c in a])
         return StabilityReport(tuple(QPoly(_digits(d, nb)) for d in packed), None)
     if a[0] <= 0:
         raise PreconditionError("leading coefficient must be positive")

@@ -35,14 +35,7 @@ from .stability import (
     interlace_via_stability,
     q_positive_on_positive_reals,
 )
-from .weylcomb import (
-    CAP_ENV_VAR,
-    _check_cap,
-    brute_polynomial,
-    psi,
-    psi_inverse,
-    resolve_cap,
-)
+from .weylcomb import _check_cap, brute_polynomial, psi, psi_inverse, resolve_cap
 
 SUITES = ("paper_tables", "oracles", "identities", "interlacing", "stability", "all")
 
@@ -321,14 +314,12 @@ def _check_affine_threshold():
 def suite_oracles(max_n: int = 6, cap: int | None = None) -> list[_Check]:
     """Recurrences against enumeration up to rank max_n.
 
-    The enumeration cap comes from ``cap``, then the environment, then the
-    default; a max_n above it raises EnumerationCapError before any check runs.
+    The enumeration cap is ``cap``, or the default; a max_n above it raises
+    EnumerationCapError before any check runs.
     """
     cap = resolve_cap(cap)
     if max_n > cap:
-        raise EnumerationCapError(
-            f"rank {max_n} exceeds the enumeration cap {cap}; pass --cap-override or set {CAP_ENV_VAR}"
-        )
+        raise EnumerationCapError(f"rank {max_n} exceeds the enumeration cap {cap}; pass --cap-override")
     checks: list[_Check] = []
     for n in range(2, max_n + 1):
         checks.append(("oracle_Tq", {"n": n}, lambda n=n: _check_oracle("Tq", n, cap)))
@@ -355,7 +346,7 @@ def suite_identities(max_n: int = 10, cap: int | None = None) -> list[_Check]:
 
     stembridge(n) and q0_reduction(n) count types B and A by classes through
     ``brute_polynomial``, and are skipped iff n is above the enumeration cap,
-    which comes from ``cap``, then the environment, then the default.
+    which is ``cap``, or the default.
     """
     cap = resolve_cap(cap)
     checks: list[_Check] = []
@@ -566,14 +557,15 @@ def run_suite(
     q_samples: Sequence[Fraction] | None = None,
     cap: int | None = None,
 ) -> VerificationReport:
-    """Run one named suite (or all of them) and return the report."""
+    """Run one named suite (or all of them) and return the report; ``q_samples`` None means
+    the defaults, and an empty one raises UsageError."""
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if max_n is not None:
         max_n = _rank(max_n, 2, "max_n")
-    if q_samples is not None and not isinstance(q_samples, Sequence):
-        raise UsageError(f"q_samples must be a sequence of q values, got {q_samples!r:.60}")
-    samples = tuple(_rational(q, "a q sample") for q in q_samples) if q_samples else DEFAULT_Q_SAMPLES
+    if q_samples is not None and not (isinstance(q_samples, Sequence) and q_samples):
+        raise UsageError(f"q_samples must be a nonempty sequence of q values, got {q_samples!r:.60}")
+    samples = DEFAULT_Q_SAMPLES if q_samples is None else tuple(_rational(q, "a q sample") for q in q_samples)
     for q in samples:
         if q <= 0:
             raise UsageError(f"q sample {q} is not positive")

@@ -22,47 +22,35 @@ rank 8 instead of 2^n n! prefixes) and leaves a few packed sums, whose
 digit k + (n+2) j counts k inner descents and j negative entries.  A family
 masks, shifts and adds those sums, then reads their digits once; type A of
 rank n is the neg = 0 slice at rank n + 1.  A cap (default 8, overridable
-per call or via the WEYLPOLY_CAP environment variable) guards against
-accidental huge enumerations; it is checked before any count or cache
-lookup, and when a stream is made rather than at its first object.
+per call by ``cap=`` and by nothing else) guards against accidental huge
+enumerations; it is checked before any count or cache lookup, and when a
+stream is made rather than at its first object.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import os
 from collections.abc import Iterator
 from functools import lru_cache
 from math import factorial
 
 from .errors import DomainError, EnumerationCapError, UsageError
-from .exactpoly import X_ONE, QPoly, QXPoly, XPoly, _digits, _integer, _rank
+from .exactpoly import X_ONE, QPoly, QXPoly, XPoly, _digit_bytes, _digits, _integer, _rank
 from .record import Record
 
 DEFAULT_CAP = 8
-CAP_ENV_VAR = "WEYLPOLY_CAP"
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return _integer(cap, "the enumeration cap")
-    env = os.environ.get(CAP_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{CAP_ENV_VAR}={env!r} is not an integer") from None
-    return DEFAULT_CAP
+    return DEFAULT_CAP if cap is None else _integer(cap, "the enumeration cap")
 
 
 def _check_cap(n: int, cap: int | None) -> None:
     n = _rank(n, 1, "rank")
     limit = resolve_cap(cap)
     if n > limit:
-        raise EnumerationCapError(
-            f"rank {n} exceeds the enumeration cap {limit}; pass cap= or set {CAP_ENV_VAR}"
-        )
+        raise EnumerationCapError(f"rank {n} exceeds the enumeration cap {limit}; pass cap=")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +308,7 @@ def _joint_table(n: int) -> tuple[int, tuple[tuple[tuple[int, int, bool, int], .
     """
     if n < 2:
         raise DomainError("statistics involving sigma_1 + sigma_2 need rank >= 2")
-    nb = ((1 << n) * factorial(n)).bit_length() // 8 + 1
+    nb = _digit_bytes(factorial(n) << n)
     w = nb << 3
     neg_shift = w * (n + 2)  # one more negative entry
     values = range(1, n + 1)

@@ -4,11 +4,11 @@ import pathlib
 import pytest
 
 from weylpoly.cli import main
-from weylpoly.errors import EnumerationCapError
+from weylpoly.errors import EnumerationCapError, UsageError
 from weylpoly.exactpoly import poly_from_json
 from weylpoly.report import ReportEntry, VerificationReport, timed_entry
 from weylpoly import verify
-from weylpoly.verify import suite_identities, suite_oracles
+from weylpoly.verify import run_suite, suite_identities, suite_oracles
 
 
 GOLDEN_ALL = pathlib.Path(__file__).parent / "data" / "verify_all.json"
@@ -90,31 +90,27 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "--suite", "bogus")
         assert code == 2
 
-    def test_oracle_rank_above_cap_raises(self, monkeypatch):
-        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+    def test_oracle_rank_above_cap_raises(self):
         with pytest.raises(EnumerationCapError):
             suite_oracles(max_n=9)
 
-    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
-    def test_identities_honour_cap(self, capsys, monkeypatch, via_env):
-        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
-        argv = ["verify", "--suite", "identities", "--max-n", "6"]
-        if via_env:
-            monkeypatch.setenv("WEYLPOLY_CAP", "5")
+    @pytest.mark.parametrize("via_flag", [True, False], ids=["flag", "api"])
+    def test_identities_honour_cap(self, capsys, via_flag):
+        if via_flag:
+            code, out, _ = run(capsys, "verify", "--suite", "identities", "--max-n", "6", "--cap-override", "5")
+            assert code == 0
+            report = VerificationReport.loads(out)
         else:
-            argv += ["--cap-override", "5"]
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
+            report = run_suite("identities", max_n=6, cap=5)
         verdicts = {
             (e.check_id, e.parameters["n"]): e.verdict
-            for e in VerificationReport.loads(out).entries
+            for e in report.entries
             if e.check_id in ("stembridge", "q0_reduction")
         }
         assert verdicts[("stembridge", 5)] == verdicts[("q0_reduction", 5)] == "pass"
         assert verdicts[("stembridge", 6)] == verdicts[("q0_reduction", 6)] == "skipped"
 
-    def test_identities_default_cap_keeps_ranks(self, monkeypatch):
-        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+    def test_identities_default_cap_keeps_ranks(self):
         run_ranks = {}
         for cid, params, thunk in suite_identities(max_n=10):
             if thunk is not None:
@@ -122,10 +118,8 @@ class TestVerify:
         assert max(run_ranks["stembridge"]) == max(run_ranks["q0_reduction"]) == 8
         assert max(run_ranks["dilks_62"]) == 10
 
-    def test_identities_skip_only_above_the_cap(self, monkeypatch):
+    def test_identities_skip_only_above_the_cap(self):
         # stembridge and q0_reduction are class counts: the cap alone decides, with no rank limit
-        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
-
         def skipped(cap):
             return {(cid, params["n"]) for cid, params, thunk in suite_identities(max_n=10, cap=cap) if thunk is None}
 
@@ -179,12 +173,27 @@ class TestVerify:
         assert ran == []
         assert f"max_n {max_n} is below" in err
 
-    def test_malformed_cap_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("WEYLPOLY_CAP", "abc")
-        code, out, err = run(capsys, "verify", "--suite", "oracles")
-        assert code == 2
-        assert out == ""
-        assert "WEYLPOLY_CAP='abc'" in err
+    def test_malformed_cap_override_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "verify", "--suite", "oracles", "--cap-override", "abc")
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--cap-override: invalid int value: 'abc'" in captured.err
+
+    def test_empty_q_samples_exits_2_before_any_check(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "timed_entry", lambda *args: ran.append(args))
+        code, out, err = run(capsys, "verify", "--suite", "stability", "--q-samples", "")
+        assert (code, out, ran) == (2, "", [])
+        assert "bad q sample list ''" in err
+
+    def test_empty_q_samples_raise_usage_error(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(verify, "timed_entry", lambda *args: ran.append(args))
+        for samples in ((), []):
+            with pytest.raises(UsageError, match="nonempty sequence of q values"):
+                run_suite("stability", q_samples=samples)
+        assert ran == []
 
 
 class TestReport:

@@ -58,17 +58,18 @@ from weylpoly.exactpoly import (
     NEG_INF,
     _DensePoly,
     _canonical,
+    _digit_bytes,
     _digits,
     _fields,
+    _horner,
     _rational,
-    _prem,
     poly_to_json,
     qxpoly_from_json,
     qxpoly_to_json,
     xpoly_from_json,
     xpoly_to_json,
 )
-from prs_reference import prs
+from prs_reference import _prem, prs
 
 K40 = xpoly(2, 32, 50, 12)
 K43 = xpoly(0, 12, 50, 32, 2)
@@ -584,6 +585,26 @@ class TestUnivariateGate:
 
 
 class TestDigits:
+    def test_digit_bytes_is_the_fewest_bytes_whose_balanced_digit_holds_the_bound(self):
+        for b in [0] + [(1 << k) + d for k in range(601) for d in (-1, 0, 1)]:
+            nb = 1
+            while 1 << (8 * nb - 1) <= b:
+                nb += 1
+            assert _digit_bytes(b) == nb, b
+
+    def test_horner_at_a_power_of_two_packs_the_fields(self):
+        # the one packer: the value at 2^W joins the coefficients' W-bit fields, and balanced
+        # digits read back through _digits
+        rng = random.Random(8)
+        for nb in (1, 3, 8, 11):
+            w = 8 * nb
+            for count in (1, 5, 40):
+                fs = [rng.randrange(1 << w) for _ in range(count)]
+                joined = int.from_bytes(b"".join(f.to_bytes(nb, "little") for f in fs), "little")
+                assert _horner(fs, 1 << w, 1) == joined and _fields(joined, nb, count) == fs
+                ds = [rng.randrange(-(1 << w - 1), 1 << w - 1) for _ in range(count)]
+                assert _digits(_horner(ds, 1 << w, 1), nb, count) == ds
+
     def test_round_trip_on_random_digit_lists(self):
         rng = random.Random(2026)
 

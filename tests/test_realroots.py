@@ -1186,14 +1186,19 @@ class TestHeuristicGcd:
                 assert gcd_widths == [1 << j for j in range(k + 1)], k
 
     def test_square_free_input_runs_no_trial_division(self, monkeypatch):
-        prem = []
-        monkeypatch.setattr(exactpoly, "_prem", lambda f, g: prem.append(f))
+        # the gcd's trial and Yun's quotients both divide by exactpoly._long_divide
+        divisions, divide = [], exactpoly._long_divide
+        monkeypatch.setattr(exactpoly, "_long_divide", lambda a, b: divisions.append(b.coeffs) or divide(a, b))
         for n in (3, 12, 25):
             ints = _canonical(assemble("tildeD", n))
             realroots._profile.cache_clear()
             assert realroots._square_free(ints) == (ints, ((1, ints),))
             assert realroots._profile(ints).real_rooted
-        assert prem == []
+        assert divisions == []
+        # the spy sees a trial: a repeated factor g divides p and p' once each at the gcd's width
+        p = _canonical(assemble("tildeD", 12) * xpoly(1, 1) ** 2)
+        g = exactpoly._int_gcd(p, _derivative(p))
+        assert len(g) > 1 and divisions == [g, g]
 
 
 def pairwise_relation(g: XPoly, f: XPoly) -> str:

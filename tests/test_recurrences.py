@@ -232,6 +232,12 @@ class TestIdentities:
         with pytest.raises(UsageError):
             check_identity("nonsense", 3)
 
+    @pytest.mark.parametrize("name", recurrences.IDENTITY_NAMES)
+    def test_rank_1_raises_usage_error_not_an_entry(self, name):
+        # stembridge gave a message about family A at rank -1, and interlace_chain_prop62 a fail
+        with pytest.raises(UsageError, match=r"rank 1 is below the smallest rank [23]"):
+            check_identity(name, 1)
+
     def test_entries_carry_timing_and_params(self):
         entry = check_identity("dilks_62", 3)
         assert entry.parameters == {"n": 3}
@@ -705,6 +711,15 @@ class TestPackedOracles:
                 assert packed == poly, (n, mutations)
 
 
+def reference_pack(rows, layout: _Layout) -> _Packed:
+    """rows[i][j], the coefficient of x^i q^j, packed by joining the little-endian bytes of
+    each field, every row padded to Q fields: the packing the value at 2^W must equal."""
+    size = layout.width // 8
+    assert all(len(row) <= layout.q_fields for row in rows)
+    parts = [c.to_bytes(size, "little") for row in rows for c in list(row) + [0] * (layout.q_fields - len(row))]
+    return _Packed(int.from_bytes(b"".join(parts), "little"), layout)
+
+
 class TestPackedCarrier:
     def test_unpacked_values_equal_validated_ones(self):
         qx = refined_Tq(7).polys + (assemble("Tq", 7),)
@@ -730,23 +745,24 @@ class TestPackedCarrier:
             order = 2**n * factorial(n)
             layout = _layout(n, 1)
             assert layout.width % 8 == 0
-            assert _Packed.pack([[2 * order]], layout).rows() == [[2 * order]]
+            assert reference_pack([[2 * order]], layout).rows() == [[2 * order]]
         for n in range(2, 61):
             # a full grid: every field of an (n+1) x (n+1) two-variable entry at the bound
             grid = [[2**n * factorial(n) * 2] * (n + 1) for _ in range(n + 1)]
-            assert _Packed.pack(grid, _layout(n, n + 1)).rows() == grid, n
+            assert reference_pack(grid, _layout(n, n + 1)).rows() == grid, n
 
-    def test_negative_coefficient_raises_typed_error(self):
-        with pytest.raises(PackingError):
-            _Packed.pack([[3], [-1]], _layout(3, 1))
+    def test_width_is_the_byte_rounded_bit_length_of_twice_the_group_order(self):
+        for n in range(2, 81):
+            bits = (factorial(n) << (n + 1)).bit_length()
+            for q in (1, n + 1):
+                assert _layout(n, q) == _Layout(q, -(-bits // 8) * 8), n
 
-    def test_too_wide_coefficient_raises_typed_error(self):
-        layout = _Layout(2, 16)
-        assert _Packed.pack([[0, (1 << 16) - 1]], layout).rows() == [[0, (1 << 16) - 1]]
-        with pytest.raises(PackingError):
-            _Packed.pack([[0, 1 << 16]], layout)
-        with pytest.raises(PackingError):
-            _Packed.pack([[0, 1, 1]], layout)
+    def test_seeds_are_the_reference_packs(self):
+        for rows, layout in ((recurrences._TQ_SEED, _layout(2, 3)), (recurrences._T1_SEED, _layout(2, 1))):
+            seed = recurrences._seed(rows, layout)
+            assert [p.value for p in seed] == [reference_pack(r, layout).value for r in rows]
+            padded = [[list(r) + [0] * (layout.q_fields - len(r)) for r in entry] for entry in rows]
+            assert [p.rows() for p in seed] == padded
 
     def test_repack_inserts_zero_fields_only(self):
         fam = recurrences._TQ_STORE.rank(10)
@@ -754,7 +770,7 @@ class TestPackedCarrier:
         for layout in (_Layout(11, width + 8), _Layout(14, width), _layout(13, 17)):
             for p in fam:
                 wide = p.repack(layout)
-                assert wide.value == _Packed.pack(p.rows(), layout).value
+                assert wide.value == reference_pack(p.rows(), layout).value
                 assert wide.to_qx() == p.to_qx()
         for layout in (_Layout(10, width), _Layout(11, width - 8)):
             with pytest.raises(PackingError):

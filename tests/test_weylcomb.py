@@ -31,7 +31,7 @@ from weylpoly import (
 )
 import weylpoly
 from weylpoly import recurrences, verify, weylcomb
-from weylpoly.exactpoly import QXPoly, XPoly
+from weylpoly.exactpoly import QXPoly, XPoly, _digit_bytes
 
 
 class TestObjects:
@@ -148,18 +148,14 @@ class TestEnumeration:
         gen = signed_perms(9, cap=9)
         assert next(gen).entries == (1, 2, 3, 4, 5, 6, 7, 8, 9)
 
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("WEYLPOLY_CAP", "2")
-        with pytest.raises(EnumerationCapError):
-            next(signed_perms(3))
-        monkeypatch.setenv("WEYLPOLY_CAP", "9")
-        assert next(signed_perms(9)) is not None
-
-    @pytest.mark.parametrize("value", ["abc", "", "7.5"])
-    def test_malformed_cap_env_raises_usage_error(self, monkeypatch, value):
-        monkeypatch.setenv("WEYLPOLY_CAP", value)
-        with pytest.raises(UsageError, match=f"WEYLPOLY_CAP={value!r}"):
-            brute_polynomial("Tq", 3)
+    def test_cap_ignores_the_environment(self, monkeypatch):
+        # the cap is cap= or the default; no environment variable changes it
+        for value in ("2", "9", "abc"):
+            monkeypatch.setenv("WEYLPOLY_CAP", value)
+            assert next(signed_perms(3)) is not None
+            assert weylcomb.resolve_cap() == weylcomb.DEFAULT_CAP
+            with pytest.raises(EnumerationCapError):
+                next(signed_perms(9))
 
 
 class TestStats:
@@ -301,8 +297,7 @@ class TestBrutePolynomials:
             counts[sum(map(operator.gt, perm, perm[1:]))] += 1
         assert brute_polynomial("A", n, cap=9) == XPoly(tuple(counts))
 
-    def test_type_A_cap_is_checked_at_rank_n_plus_1_before_any_count(self, monkeypatch):
-        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+    def test_type_A_cap_is_checked_at_rank_n_plus_1_before_any_count(self):
         info = weylcomb._joint_table.cache_info()
         with pytest.raises(EnumerationCapError):
             brute_polynomial("A", 8)
@@ -505,6 +500,14 @@ class TestJointTable:
         assert sum(table.values()) == order
         assert sum(c for key, c in table.items() if key[4] % 2 == 0) == order // 2
 
+    def test_digit_width_is_one_byte_above_the_bit_length_of_the_group_order(self):
+        # 2^(W-1) exceeds 2^n n!; the tables built here, and the rule to rank 80
+        for n in range(2, 81):
+            want = ((1 << n) * math.factorial(n)).bit_length() // 8 + 1
+            assert _digit_bytes(math.factorial(n) << n) == want, n
+            if n <= 8:
+                assert weylcomb._joint_table(n)[0] == want, n
+
     @pytest.mark.parametrize("family", ["Tq", "Dq"])
     def test_rank7_recurrence_against_enumeration(self, family):
         assert assemble(family, 7) == brute_polynomial(family, 7)
@@ -520,29 +523,24 @@ class TestJointTable:
 
 
 class TestCapBeforeCache:
-    def test_filled_table_still_honours_cap(self, monkeypatch):
-        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
+    def test_filled_table_still_honours_cap(self):
         brute_polynomial("Tq", 7)
         hits = weylcomb._joint_table.cache_info().hits
         with pytest.raises(EnumerationCapError):
             brute_polynomial("Tq", 7, cap=6)
         with pytest.raises(EnumerationCapError):
             brute_polynomial("refined_Tq", 7, index=0, cap=6)
-        monkeypatch.setenv("WEYLPOLY_CAP", "6")
         with pytest.raises(EnumerationCapError):
-            brute_polynomial("Tq", 7)
-        with pytest.raises(EnumerationCapError):
-            brute_polynomial("tildeT_via_B", 7)
+            brute_polynomial("tildeT_via_B", 7, cap=6)
         assert weylcomb._joint_table.cache_info().hits == hits
 
-    def test_refined_check_order(self, monkeypatch):
-        monkeypatch.setenv("WEYLPOLY_CAP", "6")
+    def test_refined_check_order(self):
         # a missing index is reported before the cap
         with pytest.raises(UsageError):
-            brute_polynomial("refined_Tq", 7)
+            brute_polynomial("refined_Tq", 7, cap=6)
         # the cap is checked before the index range
         with pytest.raises(EnumerationCapError):
-            brute_polynomial("refined_tildeT", 7, index=99)
+            brute_polynomial("refined_tildeT", 7, index=99, cap=6)
         with pytest.raises(UsageError):
             brute_polynomial("refined_tildeT", 7, index=99, cap=7)
 
@@ -698,7 +696,6 @@ class TestPsiWalk:
         assert verify._check_psi_bijection(3, None) == (False, {"e": [0, 0, 0]})
 
     def test_cap_checked_before_marks_allocated(self, monkeypatch):
-        monkeypatch.delenv("WEYLPOLY_CAP", raising=False)
         allocated = []
         monkeypatch.setattr(verify, "bytearray", lambda size: allocated.append(size), raising=False)
         for n, cap in ((9, None), (7, 6)):
