@@ -109,8 +109,8 @@ def main(argv=None) -> int:
     except WeylPolyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except Exception as exc:  # pragma: no cover - internal failure path
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # an internal failure; MemoryError() and the like carry no message
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return FAILURE_EXIT
 
 

@@ -33,7 +33,10 @@ width rule, the fewest whole bytes of a balanced digit that holds a bound;
 no loop in Python over the fields, for ``_digits`` and the packed carrier of
 ``recurrences``; ``_digits`` its one reader of packed balanced digits: the
 fields of v plus 2^(W-1) in every digit, minus 2^(W-1), or at 8 bytes, the
-floor of ``realroots._taylor``, one read of signed words.
+floor of ``realroots._taylor``, one read of signed words.  ``_routh_minors`` is
+its one Routh array, the Hurwitz minors of ``stability``, and ``_routh_pair``
+its one stability test of an interlacing pair, for ``stability`` and
+``realroots``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import struct
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import partial
-from math import gcd as int_gcd, lcm
+from math import comb, gcd as int_gcd, lcm
 
 from .errors import DivisibilityError, UsageError
 from .record import Record
@@ -531,6 +534,71 @@ def poly_gcd(a: XPoly, b: XPoly) -> XPoly:
     if a.is_zero() and b.is_zero():
         raise UsageError("gcd of two zero polynomials is undefined")
     return XPoly(_int_gcd(_canonical(a), _canonical(b))).monic()
+
+
+# ---------------------------------------------------------------------------
+# Routh's array: Hurwitz minors and the stability test of an interlacing pair
+# ---------------------------------------------------------------------------
+
+
+def _interleave(even, odd):
+    """(m, c) with even(z^2) + z * odd(z^2) = z^m * (c[0] + c[1] z + ...).
+
+    even and odd are trimmed coefficient tuples of one ring, not both
+    empty; c is a list with c[0] and c[-1] nonzero.
+    """
+    c = list(itertools.chain.from_iterable(itertools.zip_longest(even, odd, fillvalue=0)))
+    if not c[-1]:  # the fill after the last coefficient of a longer even part
+        c.pop()
+    m = 0
+    while not c[m]:
+        m += 1
+    return m, c[m:]
+
+
+def _routh_minors(a):
+    """Delta_1, ..., Delta_n of a[0] z^n + ... + a[n], in order, from the fraction-free Routh array.
+
+    The entries are ints.  At the first zero Delta_k with k < n the array
+    reruns on p + eps (z+1)^n, with QPoly entries read as integer
+    polynomials in eps, whose minors are never zero; the constant terms of
+    its Delta_{k+1}, ..., Delta_n follow.  The ``stability`` module
+    docstring derives the array.
+    """
+    zero, quot = (0, _int_quot) if type(a[0]) is int else (QPoly(), QPoly.exact_div)
+    n = len(a) - 1
+    older, row = list(a[0::2]), list(a[1::2])
+    minors = [row[0]]
+    yield row[0]
+    for k in range(1, n):
+        if not row[0]:
+            lifted = _routh_minors([QPoly((c, comb(n, i))) for i, c in enumerate(a)])
+            for d in itertools.islice(lifted, k, None):
+                yield d.coeff(0)
+            return
+        new = [row[0] * x - older[0] * y for x, y in zip(older[1:], row[1:] + [zero])]
+        if k >= 3:  # d_k = Delta_{k-2}; d_1 = d_2 = 1
+            new = [quot(v, minors[k - 3]) for v in new]
+        older, row = row, new
+        minors.append(row[0])
+        yield row[0]
+
+
+def _routh_pair(f: Sequence, g: Sequence) -> tuple[int, bool]:
+    """(m, stable) for P = g(z^2) + z f(z^2): z^m is the largest power of z dividing P, and
+    stable whether every Hurwitz minor of P / z^m is positive.
+
+    f and g are nonzero ascending coefficient tuples (ints or Fractions) with
+    positive leading coefficients, so P / z^m, of degree at least one, has
+    one too, and positive minors make it Hurwitz stable.  Then f interlaces
+    g and both are real-rooted (Hermite-Biehler): the roots of f and g are
+    simple, negative and strictly interlacing apart from a shared root at 0,
+    and f(0) = g(0) = 0 exactly when m >= 2.  The minors are read in order
+    and the test stops at the first that is not positive, before any lift
+    (den^k Delta_k has the sign of Delta_k).
+    """
+    m, c = _interleave(g, f)
+    return m, all(d > 0 for d in _routh_minors(_clear_denominators(c[::-1])[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -56,17 +56,53 @@ its bracket is reported as its half-bracket at widths of 2^(f+1) or more.
 Each call refines fresh copies of the cached cells, so the report depends
 only on the polynomial and the width.
 
-Interlacing.  ``interlaces`` and ``mutually_interlacing`` share one merged
-sweep, which walks the dyadic tree over copies of the initial cells of every
-member.  A cell wider than another it overlaps contains it and is halved
-until the two are identical.  Then ``_holds_root`` on the gcd of the two
-radicals, computed once per pair of members, decides whether they hold the
-same root; distinct roots are halved until their cells part.  The result is
-the ascending order of all distinct roots, with exact ties.  Each relation
-is read off it by one pairwise test of the alternation chain (Fisk,
-*Polynomials, roots, and interlacing*, arXiv:math/0612833);
-``mutually_interlacing`` runs that test on the pairs (i, j) in order and
-stops at the first that fails.
+Interlacing.  ``interlaces`` runs one merged sweep, which walks the dyadic
+tree over copies of the initial cells of every member.  A cell wider than
+another it overlaps contains it and is halved until the two are identical.
+Then ``_holds_root`` on the gcd of the two radicals, computed once per pair
+of members, decides whether they hold the same root; distinct roots are
+halved until their cells part, with no budget on the halvings.  The result
+is the ascending order of all distinct roots, with exact ties.  Each
+relation is read off it by one pairwise test of the alternation chain
+(Fisk, *Polynomials, roots, and interlacing*, arXiv:math/0612833).
+
+``mutually_interlacing`` first tries to prove a True verdict from m Routh
+pair tests, with no root isolation.  Let N_f(t) count the roots of f in
+[t, oo) with multiplicity.  For real-rooted f and g, not both constant, f
+interlaces g iff 0 <= N_g(t) - N_f(t) <= 1 for every real t: with the roots
+in descending order, padded with -oo, that is r_(g,k) >= r_(f,k) >=
+r_(g,k+1), the alternation chain with its degree rule.
+
+* Chain lemma.  f_0, ..., f_(m-1) are mutually interlacing iff f_i
+  interlaces f_(i+1) for every i and f_0 interlaces f_(m-1).  With
+  D_ij = N_(f_j) - N_(f_i), each D_(i,i+1) >= 0, so for i < j, D_ij is a sum
+  of them and D_ij >= 0, and D_ij <= D_0i + D_ij + D_(j,m-1) = D_(0,m-1) <= 1.
+  Degrees do not fall along the chain, so two constant entries would leave
+  two constant neighbours, a pair that fails.
+* Pair lemma.  If every Hurwitz minor of (g(z^2) + z f(z^2)) / z^m is
+  positive, f interlaces g and both are real-rooted (Hermite-Biehler; the
+  kernel's ``_routh_pair``, shared with ``stability.interlace_via_stability``).
+  A shared root r != 0 puts +-i sqrt(-r) on the imaginary axis, so such a
+  pair is decided through h = gcd(f, g).  h must be real-rooted: linear, or
+  h' interlaces h by the same test.  Then f = h a interlaces g = h b iff a
+  interlaces b, since h adds N_h to both counts and keeps their difference.
+  Two constant quotients hold, and so do a constant and a linear one.
+
+Every entry then belongs to a proven pair, so it is real-rooted, and the
+sweep would return (True, None) too.  Everything else goes to the sweep,
+which reads the pairs (i, j) in order and stops at the first that fails: a
+pair the lemmas leave open, an entry that fails a check, a single entry,
+and a family whose largest Hurwitz minor may exceed B = 2048 bits by the
+bound (2d + 1) b, d the largest degree and b the largest coefficient bit
+length of the canonical forms.  So the verdict, the failing pair and every
+error do not depend on the route.  B comes from the chain's time against
+the sweep's, cold, on one 2 vCPU host (CPython 3.11):
+
+    (2d + 1) b     306-1276   1500-1782   2175-2368   2937-3034   3780-4060   4655-4704   7029
+    chain/sweep    0.18-0.40  0.28-0.35   0.38-0.98   0.58-0.65   0.84-2.45   1.10-1.20   4.96
+
+over refined_T1 and refined_K at 8-24, refined_Tq at q = 5/7 at 8-16, and
+planted families of wide rational roots, which give the high ratios.
 """
 
 from __future__ import annotations
@@ -77,7 +113,7 @@ from functools import lru_cache
 
 from .errors import PreconditionError, UsageError, WeylPolyError
 from .exactpoly import QPoly, XPoly, _canonical, _derivative, _digit_bytes, _digits, _horner, _int_gcd
-from .exactpoly import _rational, _univariate
+from .exactpoly import _rational, _routh_pair, _univariate
 from .record import Record
 
 DEFAULT_WIDTH = Fraction(1, 2**30)
@@ -449,30 +485,34 @@ def is_real_rooted(p: XPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Interlacing: one merged sweep over the roots of every member
+# Interlacing: one merged sweep over the roots of every member, and a chain of Routh pairs
 # ---------------------------------------------------------------------------
-
-_MAX_SEPARATION_BISECTIONS = 4000  # halvings of one cell in one sweep before it gives up
-
 
 def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec]]]:
     """Per member profile, (position in the merged root order, cell) for each root.
 
     Roots are listed with multiplicity and ascending; equal positions mean
     the same root.  The sweep works on copies of the cached initial cells.
-    A group [owner, cell, members, start] is one distinct root: ``cell``,
-    held by member ``owner`` and refined from level ``start``, is the one
-    compared with the others.  The sweep walks the dyadic tree, lower child
-    first, each node with the groups whose cells it contains: one group is
-    finished; if every cell equals the node, neighbours sharing a root merge
-    (a pair once shown to hold two roots is not tested again); else the cells
-    equal to the node are halved and the groups go down.
+    A group [owner, cell, members] is one distinct root: ``cell``, held by
+    member ``owner``, is the one compared with the others.  The sweep walks
+    the dyadic tree, lower child first, each node with the groups whose
+    cells it contains: one group is finished; if every cell equals the node,
+    neighbours sharing a root merge (a pair once shown to hold two roots is
+    not tested again); else the cells equal to the node are halved and the
+    groups go down.
+
+    The walk ends, with no budget on the halvings.  Sign-only halving keeps
+    two cells of one root identical, and ``_same_root`` merges them once
+    they are neighbours in a node.  Two distinct roots part once the node is
+    narrower than their distance.  So below the width of every initial cell
+    and the least distance between distinct roots, each node holds the
+    groups of one root, all in cells equal to it, and they merge into one.
     """
     groups = []
     for owner, prof in enumerate(profiles):
         for rec in prof.records:
             cell = rec.copy()
-            groups.append([owner, cell, [(owner, cell)], cell.w])
+            groups.append([owner, cell, [(owner, cell)]])
     top = max((group[1].w for group in groups), default=0)
     nodes: dict[int, list] = {}
     for group in groups:
@@ -502,12 +542,10 @@ def _merged_positions(profiles: Sequence[_Profile]) -> list[list[tuple[int, _Rec
             cell = group[1]
             if cell.w == w:
                 profiles[group[0]].refine_once(cell)
-                if group[3] - cell.w >= _MAX_SEPARATION_BISECTIONS:
-                    raise WeylPolyError("root separation did not converge within the bisection budget")
             halves[cell.i >> (w - 1 - cell.w) & 1].append(group)
         stack += [(w - 1, half) for half in reversed(halves) if half]
     positions: list[list[tuple[int, _Rec]]] = [[] for _ in profiles]
-    for idx, (_, _, members, _) in enumerate(order):
+    for idx, (_, _, members) in enumerate(order):
         for owner, cell in members:
             positions[owner].extend([(idx, cell)] * cell.mult)
     return positions
@@ -575,28 +613,86 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
     return _relation(*_merged_positions(profiles))
 
 
+_MAX_CHAIN_BITS = 2048  # B: above (2d + 1) b bits the merged sweep is the faster route
+
+
+def _pair_holds(f: tuple[int, ...], g: tuple[int, ...]) -> bool:
+    """Whether Routh arrays prove that f interlaces g, both real-rooted; False leaves it open.
+
+    f and g are ``_canonical`` forms with nonnegative coefficients, g not a
+    constant.  Stability of g(z^2) + z f(z^2) over its largest power of z
+    proves it (``_routh_pair``).  A shared root r != 0 puts +-i sqrt(-r) on
+    the imaginary axis, so a pair with one is decided by its gcd h: h must
+    be real-rooted, as it is when linear or when ``_routh_pair`` proves that
+    h' interlaces h; then the pair holds iff its quotients do.  Two constant
+    quotients hold, and so do a constant and a linear one.
+    """
+    if _routh_pair(f, g)[1]:
+        return True
+    h = _int_gcd(f, g)
+    if len(h) == 1 or len(h) > 2 and not _routh_pair(_derivative(h), h)[1]:
+        return False
+    div = QPoly._trusted(h)
+    f, g = (QPoly._trusted(p).exact_div(div).coeffs for p in (f, g))
+    return len(g) <= 2 if len(f) == 1 else _routh_pair(f, g)[1]
+
+
+def _chain_holds(ints: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the chain lemma proves the ``_canonical`` forms ints (two or more, nonnegative
+    coefficients) mutually interlacing and real-rooted; False leaves it to the merged sweep.
+
+    The pairs are (i, i + 1) for every i, then (0, m - 1), each by
+    ``_pair_holds``; a constant never interlaces a constant.  Families whose
+    largest Hurwitz minor may have more than ``_MAX_CHAIN_BITS`` bits, by
+    the bound (2d + 1) b with d the largest degree and b the largest
+    coefficient bit length, are left to the sweep unread.
+    """
+    d = max(map(len, ints)) - 1
+    b = max(c.bit_length() for p in ints for c in p)
+    if (2 * d + 1) * b > _MAX_CHAIN_BITS:
+        return False
+    pairs = [*zip(ints, ints[1:]), (ints[0], ints[-1])]
+    return all(len(g) > 1 and _pair_holds(f, g) for f, g in pairs)
+
+
+def _entry(k: int, p) -> tuple[int, ...]:
+    """The ``_canonical`` form of entry k of ``mutually_interlacing``, after the checks that
+    need no roots."""
+    if _univariate(p, f"entry {k}").is_zero():
+        raise PreconditionError(f"entry {k} is the zero polynomial")
+    if p.degree == 0 and p.leading <= 0:
+        raise PreconditionError(f"entry {k} is a nonpositive constant")
+    if any(c.numerator < 0 for c in p.coeffs):  # cheaper than a Fraction comparison
+        raise PreconditionError(f"entry {k} has negative coefficients")
+    return _canonical(p)
+
+
 def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, tuple[int, int] | None]:
     """Check f_i interlaces f_j for every i < j.
 
     Entries must be real-rooted with nonnegative coefficients, or positive
     constants.  Returns (True, None) or (False, first failing index pair).
 
-    One merged sweep orders the roots of all entries (see ``interlaces``).
-    The pairs (i, j) are then tested in order on those positions, each by
-    the alternation chain that ``interlaces`` reads, and the first that
-    fails is returned.
+    A True verdict comes from m Routh pair tests when they prove it
+    (``_chain_holds``; the module docstring gives both lemmas).  Anything
+    else, a single entry, or an entry that fails a check goes to one merged
+    sweep that orders the roots of all entries (see ``interlaces``).  The
+    pairs (i, j) are then tested in order on those positions, each by the
+    alternation chain that ``interlaces`` reads, and the first that fails
+    is returned; an entry that is not real-rooted raises there.
     """
     if not isinstance(fs, Sequence) or not fs:
         raise UsageError(f"fs must be a nonempty sequence of polynomials, got {fs!r:.60}")
+    try:
+        ints = [_entry(k, p) for k, p in enumerate(fs)]
+    except WeylPolyError:  # raised again below, in entry order with real-rootedness
+        ints = None
+    else:
+        if len(ints) > 1 and _chain_holds(ints):
+            return True, None
     profiles = []
     for k, p in enumerate(fs):
-        if _univariate(p, f"entry {k}").is_zero():
-            raise PreconditionError(f"entry {k} is the zero polynomial")
-        if p.degree == 0 and p.leading <= 0:
-            raise PreconditionError(f"entry {k} is a nonpositive constant")
-        if any(c < 0 for c in p.coeffs):
-            raise PreconditionError(f"entry {k} has negative coefficients")
-        profiles.append(_profile(_canonical(p)))
+        profiles.append(_profile(ints[k] if ints else _entry(k, p)))
         if not profiles[-1].real_rooted:
             raise PreconditionError(f"entry {k} is not real-rooted")
     positions = _merged_positions(profiles)

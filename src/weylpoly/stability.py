@@ -3,7 +3,8 @@
 The Hurwitz matrix of p(z) = a_0 z^n + a_1 z^(n-1) + ... + a_n is
 H[r][c] = a_{2c - r + 1} (0-based, entries outside 0..n read as zero);
 Delta_k is its k-th leading principal minor.  Every minor comes from
-Routh's array, fraction-free, on Python ints.  Its rows start
+Routh's array, fraction-free, on Python ints: ``exactpoly._routh_minors``,
+which ``realroots`` shares.  Its rows start
 R_0 = (a_0, a_2, ...) and R_1 = (a_1, a_3, ...), and
 
     R_{k+1}[j] = (R_k[0] R_{k-1}[j+1] - R_{k-1}[0] R_k[j+1]) / d_k,
@@ -36,13 +37,13 @@ Delta_{k+1}, ..., Delta_n are the remaining minors of p.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
+from . import exactpoly
 from .errors import DivisibilityError, PreconditionError, StabilityInapplicableError, UsageError
 from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _digit_bytes, _digits, _horner
-from .exactpoly import _int_quot, _integer, _univariate
+from .exactpoly import _integer, _interleave, _routh_pair, _univariate
 from .realroots import STRICT, WEAK, InterlacingVerdict, interlaces, isolate_roots
 from .record import Record
 from .recurrences import refined_Tq
@@ -68,21 +69,6 @@ class HBSplit(Record):
             return XPoly()
         m, c = _interleave(self.even_part.coeffs, self.odd_part.coeffs)
         return XPoly(c).shift_up(m)
-
-
-def _interleave(even, odd):
-    """(m, c) with even(z^2) + z * odd(z^2) = z^m * (c[0] + c[1] z + ...).
-
-    even and odd are trimmed coefficient tuples of one ring, not both
-    empty; c is a list with c[0] and c[-1] nonzero.
-    """
-    c = list(itertools.chain.from_iterable(itertools.zip_longest(even, odd, fillvalue=0)))
-    if not c[-1]:  # the fill after the last coefficient of a longer even part
-        c.pop()
-    m = 0
-    while not c[m]:
-        m += 1
-    return m, c[m:]
 
 
 def hb_split(p: XPoly) -> HBSplit:
@@ -115,33 +101,6 @@ class StabilityReport(Record):
         return {"determinants": dets, "verdict": self.verdict}
 
 
-def _routh_minors(a):
-    """Delta_1, ..., Delta_n of a[0] z^n + ... + a[n], in order, from the fraction-free Routh array.
-
-    The entries are ints.  At the first zero Delta_k with k < n the array
-    reruns on p + eps (z+1)^n, with QPoly entries read as integer
-    polynomials in eps, whose minors are never zero; the constant terms of
-    its Delta_{k+1}, ..., Delta_n follow.
-    """
-    zero, quot = (0, _int_quot) if type(a[0]) is int else (QPoly(), QPoly.exact_div)
-    n = len(a) - 1
-    older, row = list(a[0::2]), list(a[1::2])
-    minors = [row[0]]
-    yield row[0]
-    for k in range(1, n):
-        if not row[0]:
-            lifted = _routh_minors([QPoly((c, comb(n, i))) for i, c in enumerate(a)])
-            for d in itertools.islice(lifted, k, None):
-                yield d.coeff(0)
-            return
-        new = [row[0] * x - older[0] * y for x, y in zip(older[1:], row[1:] + [zero])]
-        if k >= 3:  # d_k = Delta_{k-2}; d_1 = d_2 = 1
-            new = [quot(v, minors[k - 3]) for v in new]
-        older, row = row, new
-        minors.append(row[0])
-        yield row[0]
-
-
 def _kronecker_bytes(a) -> int:
     """W / 8, from the Hadamard bound of the module docstring; rows of H start with odd-index a_i."""
     norms = [max(sum(sum(map(abs, c.coeffs)) ** 2 for c in a[par::2]), 1) for par in (1, 0)]
@@ -167,13 +126,13 @@ def hurwitz_determinants(p: XPoly | QXPoly) -> StabilityReport:
     a = p.coeffs[::-1]
     if isinstance(p, QXPoly):
         nb = _kronecker_bytes(a)
-        packed = _routh_minors([_horner(c.coeffs, 1 << (nb << 3), 1) for c in a])
+        packed = exactpoly._routh_minors([_horner(c.coeffs, 1 << (nb << 3), 1) for c in a])
         return StabilityReport(tuple(QPoly(_digits(d, nb)) for d in packed), None)
     if a[0] <= 0:
         raise PreconditionError("leading coefficient must be positive")
     # Delta_k(den * p) = den**k * Delta_k(p)
     den, ints = _clear_denominators(a)
-    dets = tuple(Fraction(d, den**k) for k, d in enumerate(_routh_minors(ints), start=1))
+    dets = tuple(Fraction(d, den**k) for k, d in enumerate(exactpoly._routh_minors(ints), start=1))
     if all(d > 0 for d in dets):
         verdict = HURWITZ_STABLE
     elif any(d < 0 for d in dets):
@@ -247,10 +206,12 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
     P, then f interlaces g, weakly iff z^2 divides P.  A shared root r < 0
     would put the roots +-i sqrt(-r) of P on the imaginary axis, so the only
     root f and g can share is 0, and f(0) = g(0) = 0 exactly when m >= 2.
-    Boundary and degenerate cases fall back to the direct root-isolation
-    test, so the two routes always agree.  Stability itself makes f and g
-    real-rooted (Hermite-Biehler), so only the fallback checks that, and
-    raises PreconditionError otherwise.
+    The test is the kernel's ``exactpoly._routh_pair``, the one that
+    ``mutually_interlacing`` runs on its chain of pairs.  Boundary and
+    degenerate cases fall back to the direct root-isolation test, so the two
+    routes always agree.  Stability itself makes f and g real-rooted
+    (Hermite-Biehler), so only the fallback checks that, and raises
+    PreconditionError otherwise.
     """
     for name, p in (("f", f), ("g", g)):
         if _univariate(p, name).is_zero():
@@ -263,9 +224,7 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
     if df == 0 or dg == 0 or dg - df not in (0, 1):
         return interlaces(f, g)
 
-    m, c = _interleave(g.coeffs, f.coeffs)
-    # den**k * Delta_k has the sign of Delta_k; all() stops at the first
-    # minor that is not positive, before any lift.
-    if all(d > 0 for d in _routh_minors(_clear_denominators(c[::-1])[1])):
+    m, stable = _routh_pair(f.coeffs, g.coeffs)
+    if stable:
         return InterlacingVerdict(WEAK if m >= 2 else STRICT)
     return interlaces(f, g)

@@ -7,7 +7,7 @@ from weylpoly.cli import main
 from weylpoly.errors import EnumerationCapError, UsageError
 from weylpoly.exactpoly import poly_from_json
 from weylpoly.report import ReportEntry, VerificationReport, timed_entry
-from weylpoly import verify
+from weylpoly import cli, verify
 from weylpoly.verify import run_suite, suite_identities, suite_oracles
 
 
@@ -51,6 +51,15 @@ class TestCompute:
     def test_unknown_family_exits_2(self, capsys):
         code, _, err = run(capsys, "compute", "--family", "nope", "--n", "3")
         assert code == 2 and "unknown family" in err
+
+    def test_internal_error_without_a_message_names_its_type(self, capsys, monkeypatch):
+        def out_of_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_cmd_compute", out_of_memory)
+        code, out, err = run(capsys, "compute", "--family", "Dq", "--n", "120")
+        assert code == 1 and out == ""
+        assert err == "internal error: MemoryError\n"
 
     def test_out_of_range_exits_2(self, capsys):
         code, _, _ = run(capsys, "compute", "--family", "tildeD", "--n", "1")

@@ -556,6 +556,14 @@ class TestOneChainPerPolynomial:
         assert self.widths_and_gcds(monkeypatch, gcd_widths, lambda: count_roots_in(q, -1, 0)) == (1, 1)
 
 
+@pytest.fixture(params=["shut", "open"])
+def gate(request, monkeypatch):
+    """mutually_interlacing with its chain route forced shut (every family goes to the merged
+    sweep) or open (every family with two or more entries tries the chain first)."""
+    monkeypatch.setattr(realroots, "_MAX_CHAIN_BITS", -1 if request.param == "shut" else 1 << 62)
+    return request.param
+
+
 class TestInterlaces:
     def test_strict(self):
         v = interlaces(xpoly(2, 1), xpoly(3, 4, 1))
@@ -599,11 +607,16 @@ class TestInterlaces:
         # g has the largest root at 0, f strictly between g's roots
         assert interlaces(xpoly(1, 1), xpoly(0, 3, 1)).relation == "strict"
 
-    def test_exhausted_separation_budget_is_typed(self, monkeypatch):
-        monkeypatch.setattr(realroots, "_MAX_SEPARATION_BISECTIONS", 1)
-        root = Fraction(7, 3)
-        with pytest.raises(WeylPolyError):
-            interlaces(xpoly(-root, 1), xpoly(-root - Fraction(1, 10**12), 1))
+    @pytest.mark.parametrize("e", [3000, 5000])
+    def test_roots_2_to_the_minus_5000_apart_are_separated(self, e, gate):
+        # the sweep has no budget on the halvings of a cell: these roots need about e of them,
+        # and 2^-5000 answers as 2^-3000 does
+        eps = Fraction(1, 2**e)
+        assert interlaces(xpoly(-eps, 1), xpoly(-2 * eps, 1)).relation == "strict"
+        assert interlaces(xpoly(-2 * eps, 1), xpoly(-eps, 1)).relation == "none"
+        triple = [xpoly(eps * 2**k, 1) for k in range(3)]
+        assert mutually_interlacing(triple) == (False, (0, 1))
+        assert mutually_interlacing(triple[::-1]) == (True, None)
 
 
 class TestMutuallyInterlacing:
@@ -626,6 +639,31 @@ class TestMutuallyInterlacing:
     def test_negative_coeff_rejected(self):
         with pytest.raises(PreconditionError):
             mutually_interlacing([xpoly(-1, 1), xpoly(1, 1)])
+
+    def test_every_neighbour_interlacing_is_not_enough(self, gate):
+        # (0, 1) and (1, 2) hold; only the pair (0, m - 1) of the chain sees that (0, 2) fails
+        x = xpoly(0, 1)
+        fam = [(x + 6) * (x + 4), (x + 5) * (x + 2), (x + 3) * (x + 1)]
+        assert mutually_interlacing(fam) == (False, (0, 2))
+
+    def test_common_factor_must_be_real_rooted(self, gate):
+        # the quotients x + 2 and x + 1 interlace, but the shared x^2 + 1 has no real root
+        x = xpoly(0, 1)
+        with pytest.raises(PreconditionError, match="entry 0 is not real-rooted"):
+            mutually_interlacing([(x * x + 1) * (x + 2), (x * x + 1) * (x + 1)])
+
+    def test_single_entry_must_be_real_rooted(self, gate):
+        with pytest.raises(PreconditionError, match="entry 0 is not real-rooted"):
+            mutually_interlacing([xpoly(1, 0, 1)])
+        assert mutually_interlacing([xpoly(2, 3, 1)]) == (True, None)
+        assert mutually_interlacing([xpoly(5)]) == (True, None)
+
+    def test_errors_keep_entry_order(self, gate):
+        # entry 0 fails only on its roots, entry 1 on a check that needs none: entry 0 is named
+        with pytest.raises(PreconditionError, match="entry 0 is not real-rooted"):
+            mutually_interlacing([xpoly(1, 0, 1), xpoly(-1, 1)])
+        with pytest.raises(UsageError, match="entry 1"):
+            mutually_interlacing([xpoly(1, 1), qxpoly(1, 1)])
 
 
 class TestInvariants:
@@ -1388,7 +1426,10 @@ class TestMergedSweep:
             return held
 
         monkeypatch.setattr(realroots, "_same_root", spy)
-        assert mutually_interlacing(refined_T1(10)) == (True, None)
+        fam = refined_T1(10)
+        positions = realroots._merged_positions([realroots._profile(_canonical(p)) for p in fam])
+        assert all(realroots._relation(positions[i], positions[j]).holds
+                   for i, j in itertools.combinations(range(len(fam)), 2))
         assert len(asked) == 172
         # two roots shown apart in one cell are never compared again in a cell inside it
         apart = [(x, y, w, i) for x, w, i, y, held in asked if not held]
@@ -1442,6 +1483,81 @@ class TestMergedSweep:
         verdict = interlaces(g, f)
         assert verdict.relation == "none"
         assert verdict.witness == ((Fraction(0), Fraction(64)), (Fraction(-2), Fraction(0)))
+
+
+def planted_chain_family(rng: random.Random):
+    """A ``planted_family`` whose members all take one more factor, at random: none, a root
+    at 0, a simple or a double negative root, or both; a constant member becomes a multiple
+    of the factor.  Then a member may be doubled, a neighbour with every root shared."""
+    members = rng.randint(2, 6)
+    fam = planted_family(rng, members, rng.randint(1 if members > 2 else 3, 4))  # two with roots left
+    r = Fraction(-rng.randint(1, 400), rng.choice([1, 2, 3, 5]))
+    common = rng.choice([X_ONE, xpoly(0, 1), xpoly(-r, 1), xpoly(-r, 1) ** 2, xpoly(0, -r, 1)])
+    fam = [p * common for p in fam]
+    if rng.random() < 0.3:
+        k = rng.randrange(len(fam))
+        fam.insert(k, fam[k] * rng.randint(1, 3))
+    return fam
+
+
+def chain_families():
+    """(name, family) of the built families the chain route is held to the oracle on."""
+    out = [(f"T1({n})", refined_T1(n)) for n in range(3, 21)]
+    out += [(f"K({n})", list(refined_K(n).polys)) for n in range(3, 21)]
+    for n in range(4, 13):
+        tq = refined_Tq(n).polys
+        out += [(f"T({n}) at q={q}", [p.eval_q(q) for p in tq]) for q in (Fraction(1, 3), Fraction(5, 7))]
+    return out
+
+
+_ORACLE: dict[str, tuple] = {}  # pairwise_mutual of each chain family, shared by both gates
+
+
+class TestChainRoute:
+    """mutually_interlacing against pairwise_mutual, its own profiles and merges, with the
+    chain route forced shut and forced open."""
+
+    def test_planted_families_match_the_pairwise_oracle(self, gate, monkeypatch):
+        swept = []
+        merged_positions = realroots._merged_positions
+        monkeypatch.setattr(realroots, "_merged_positions", lambda profiles: swept.append(1) or merged_positions(profiles))
+        rng = random.Random(9173)
+        outcomes, chained = set(), 0
+        for _ in range(200):
+            fam = planted_chain_family(rng)
+            swept.clear()
+            got = mutually_interlacing(fam)
+            assert got == pairwise_mutual(fam), [str(p) for p in fam]
+            outcomes.add(got)
+            chained += not swept
+        assert (True, None) in outcomes and len(outcomes) > 5
+        assert chained == 0 if gate == "shut" else chained > 40
+
+    @pytest.mark.parametrize("name, fam", chain_families(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_built_families_match_the_pairwise_oracle(self, name, fam, gate):
+        if name not in _ORACLE:
+            _ORACLE[name] = pairwise_mutual(fam)
+        assert mutually_interlacing(fam) == _ORACLE[name]
+
+    def test_chain_certifies_refined_T1_10_with_no_root_isolation(self, monkeypatch):
+        # the ties of T1 (f_0 against x f_0, equal neighbours) pass through their gcd, whose
+        # quotients are constants or a constant and a linear factor
+        built, swept = [], []
+        profile, merged_positions = realroots._profile, realroots._merged_positions
+        monkeypatch.setattr(realroots, "_profile", lambda ints: built.append(ints) or profile(ints))
+        monkeypatch.setattr(realroots, "_merged_positions", lambda profiles: swept.append(1) or merged_positions(profiles))
+        assert mutually_interlacing(refined_T1(10)) == (True, None)
+        assert built == [] and swept == []
+
+    def test_chain_is_skipped_above_the_bit_bound(self, monkeypatch):
+        # refined_T1(24) has (2d + 1) b = 4655 > 2048 bits: the sweep decides it, with no Routh array
+        arrays = []
+        routh_minors = exactpoly._routh_minors
+        monkeypatch.setattr(exactpoly, "_routh_minors", lambda a: arrays.append(1) or routh_minors(a))
+        assert mutually_interlacing(refined_T1(24)) == (True, None)
+        assert arrays == []
+        assert mutually_interlacing(refined_T1(10)) == (True, None)
+        assert arrays
 
 
 def rational(x: Fraction) -> sp.Rational:

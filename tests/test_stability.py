@@ -27,9 +27,8 @@ from weylpoly import (
     refined_Tq,
     xpoly,
 )
-from weylpoly import stability, verify
-from weylpoly.exactpoly import QPoly, QXPoly, _int_quot, qxpoly
-from weylpoly.stability import _interleave
+from weylpoly import exactpoly, stability, verify
+from weylpoly.exactpoly import QPoly, QXPoly, _int_quot, _interleave, qxpoly
 from weylpoly.tables import (
     C01_POLY,
     C06_DELTA4_QUINTIC,
@@ -589,7 +588,7 @@ def _count_routh_calls(monkeypatch):
     q = 2^W), or QPoly in eps for a lift.
     """
     calls = []
-    original = stability._routh_minors
+    original = exactpoly._routh_minors
 
     def counting(a):
         kinds = {type(c) for c in a}
@@ -600,7 +599,7 @@ def _count_routh_calls(monkeypatch):
             seen.append(d)
             yield d
 
-    monkeypatch.setattr(stability, "_routh_minors", counting)
+    monkeypatch.setattr(exactpoly, "_routh_minors", counting)
     return calls
 
 
