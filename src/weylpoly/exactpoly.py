@@ -24,7 +24,8 @@ Fraction), ``_integer`` or ``_rank``, and every polynomial in one variable
 ``_canonical`` is its one reduction of a polynomial, shared by all its
 nonzero rational multiples; ``_int_gcd`` its one gcd, for ``poly_gcd`` and
 ``realroots``, a heuristic gcd whose packing width doubles until an exact
-division proves it, with no remainder sequence behind it; ``_horner`` its
+division proves it, with no remainder sequence behind it, and which returns
+the cofactors that division computed; ``_horner`` its
 one evaluation, for ``evaluate``, ``eval_q``, every sign of a root cell,
 and its one packer: a pack at 2^W is the value at 2^W, for the gcd, the
 recurrence seeds and the symbolic Hurwitz minors; ``_digit_bytes`` its one
@@ -35,8 +36,8 @@ no loop in Python over the fields, for ``_digits`` and the packed carrier of
 fields of v plus 2^(W-1) in every digit, minus 2^(W-1), or at 8 bytes, the
 floor of ``realroots._taylor``, one read of signed words.  ``_routh_minors`` is
 its one Routh array, the Hurwitz minors of ``stability``, and ``_routh_pair``
-its one stability test of an interlacing pair, for ``stability`` and
-``realroots``.
+its one stability test of an interlacing pair of integer forms, for the one
+pair decision of ``realroots``.
 """
 
 from __future__ import annotations
@@ -495,14 +496,16 @@ def _derivative(coeffs: Sequence) -> tuple:
     return tuple(k * c for k, c in enumerate(coeffs) if k >= 1)
 
 
-def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
-    """gcd of two integer polynomials, not both zero, primitive with lc > 0: GCDHEU (Char,
-    Geddes and Gonnet 1989), the primitive part G of the balanced digits of gcd(f(xi), g(xi)) at
-    xi = 2^W, W whole bytes with xi >= 2 min(|f|, |g|) + 2 (max norms).  A common factor G k
-    of f and g has k(xi) dividing the content of G's digits, at most xi / 2, and a nonconstant
-    k has |k(xi)| > xi / 2, its roots below 1 + min(|f|, |g|) <= xi / 2; so G is the gcd if it
-    is a constant or it divides f and g exactly, by the ``_long_divide`` of every ``exact_div``.
-    Else W doubles, with no limit.
+def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """(h, f / h, g / h) for h the gcd of two integer polynomials, not both zero, primitive with
+    lc > 0: GCDHEU (Char, Geddes and Gonnet 1989), the primitive part G of the balanced digits of
+    gcd(f(xi), g(xi)) at xi = 2^W, W whole bytes with xi >= 2 min(|f|, |g|) + 2 (max norms).  A
+    common factor G k of f and g has k(xi) dividing the content of G's digits, at most xi / 2,
+    and a nonconstant k has |k(xi)| > xi / 2, its roots below 1 + min(|f|, |g|) <= xi / 2; so G
+    is the gcd if it is a constant or it divides f and g exactly, by the ``_long_divide`` of
+    every ``exact_div``, whose quotients are the cofactors.  Else W doubles, with no limit.  A
+    constant gcd is 1, with the cofactors f and g; a zero argument has the cofactor (), the
+    other its signed content.
 
     The loop ends.  With h the gcd, f = h u and g = h v, once xi lies above every root of f g,
     gcd(f(xi), g(xi)) = h(xi) c, where c = gcd(u(xi), v(xi)) divides res(u, v), an integer
@@ -511,19 +514,19 @@ def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     the trial accepts it, and doubling W reaches that width in logarithmically many tries.
     Nothing here needs f or g primitive."""
     if not f or not g:
-        return _positive_primitive(f or g)
+        h = _positive_primitive(f or g)
+        content = ((f or g)[-1] // h[-1],)
+        return (h, content, ()) if f else (h, (), content)
     bound = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
     nb = ((bound - 1).bit_length() + 7) >> 3  # bytes: 2^(8 nb) >= bound
     while True:
         xi = 1 << (nb << 3)
         h = _positive_primitive(_digits(int_gcd(_horner(f, xi, 1), _horner(g, xi, 1)), nb))
         if len(h) == 1:
-            return h
+            return h, f, g
         try:
-            divisor = QPoly._trusted(h)
-            QPoly._trusted(f).exact_div(divisor)
-            QPoly._trusted(g).exact_div(divisor)
-            return h
+            u, v = (QPoly._trusted(p).exact_div(QPoly._trusted(h)).coeffs for p in (f, g))
+            return h, u, v
         except DivisibilityError:  # at the first leading coefficient with no exact quotient
             nb <<= 1
 
@@ -533,7 +536,7 @@ def poly_gcd(a: XPoly, b: XPoly) -> XPoly:
     a, b = _univariate(a, "a"), _univariate(b, "b")
     if a.is_zero() and b.is_zero():
         raise UsageError("gcd of two zero polynomials is undefined")
-    return XPoly(_int_gcd(_canonical(a), _canonical(b))).monic()
+    return XPoly(_int_gcd(_canonical(a), _canonical(b))[0]).monic()
 
 
 # ---------------------------------------------------------------------------
@@ -584,21 +587,20 @@ def _routh_minors(a):
         yield row[0]
 
 
-def _routh_pair(f: Sequence, g: Sequence) -> tuple[int, bool]:
+def _routh_pair(f: Sequence[int], g: Sequence[int]) -> tuple[int, bool]:
     """(m, stable) for P = g(z^2) + z f(z^2): z^m is the largest power of z dividing P, and
     stable whether every Hurwitz minor of P / z^m is positive.
 
-    f and g are nonzero ascending coefficient tuples (ints or Fractions) with
+    f and g are nonzero integer coefficient tuples, ascending, with
     positive leading coefficients, so P / z^m, of degree at least one, has
     one too, and positive minors make it Hurwitz stable.  Then f interlaces
     g and both are real-rooted (Hermite-Biehler): the roots of f and g are
     simple, negative and strictly interlacing apart from a shared root at 0,
     and f(0) = g(0) = 0 exactly when m >= 2.  The minors are read in order
-    and the test stops at the first that is not positive, before any lift
-    (den^k Delta_k has the sign of Delta_k).
+    and the test stops at the first that is not positive, before any lift.
     """
     m, c = _interleave(g, f)
-    return m, all(d > 0 for d in _routh_minors(_clear_denominators(c[::-1])[1]))
+    return m, all(d > 0 for d in _routh_minors(c[::-1]))
 
 
 # ---------------------------------------------------------------------------

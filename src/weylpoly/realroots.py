@@ -7,12 +7,13 @@ V(lo) - V(hi) counts distinct roots in (lo, hi].  Sign evaluations at a
 rational point num/den run on the kernel's integer Horner ``_horner``, with
 shifts in place of the powers of den at a dyadic point.
 
-Square-free part.  gcd(p, p'), like every gcd here, is the kernel's
-``_int_gcd``: a constant, proved by one packed integer gcd with no trial
-division, makes p its own radical.  Otherwise Yun's algorithm, seeded with
-it, runs on primitive integer tuples and gives the radical p / gcd(p, p')
-and the square-free factors, its exact quotients integral by Gauss's lemma.
-A constant p has the radical 1 and no cell.
+Square-free part.  Every gcd here is the kernel's ``_int_gcd``, which
+returns the gcd with its cofactors, the quotients its trial division proved
+it by.  Yun's algorithm runs on those cofactors, from gcd(p, p'), with no
+division of its own, and gives the radical p / gcd(p, p') and the
+square-free factors, integral by Gauss's lemma.  A constant gcd(p, p'),
+proved by one packed integer gcd with no trial division, makes p its own
+radical.  A constant p has the radical 1 and no cell.
 
 Isolation counts sign variations of Taylor coefficients (Budan-Fourier).
 The radical is bisected from (-2^f, 0] and (0, 2^f], where 2^f is above
@@ -66,12 +67,12 @@ is the ascending order of all distinct roots, with exact ties.  Each
 relation is read off it by one pairwise test of the alternation chain
 (Fisk, *Polynomials, roots, and interlacing*, arXiv:math/0612833).
 
-``mutually_interlacing`` first tries to prove a True verdict from m Routh
-pair tests, with no root isolation.  Let N_f(t) count the roots of f in
-[t, oo) with multiplicity.  For real-rooted f and g, not both constant, f
-interlaces g iff 0 <= N_g(t) - N_f(t) <= 1 for every real t: with the roots
-in descending order, padded with -oo, that is r_(g,k) >= r_(f,k) >=
-r_(g,k+1), the alternation chain with its degree rule.
+``mutually_interlacing`` first tries to prove a True verdict from m pair
+decisions (``_pair_relation``), with no root isolation.  Let N_f(t) count
+the roots of f in [t, oo) with multiplicity.  For real-rooted f and g, not
+both constant, f interlaces g iff 0 <= N_g(t) - N_f(t) <= 1 for every real
+t: with the roots in descending order, padded with -oo, that is
+r_(g,k) >= r_(f,k) >= r_(g,k+1), the alternation chain with its degree rule.
 
 * Chain lemma.  f_0, ..., f_(m-1) are mutually interlacing iff f_i
   interlaces f_(i+1) for every i and f_0 interlaces f_(m-1).  With
@@ -81,12 +82,14 @@ r_(g,k+1), the alternation chain with its degree rule.
   two constant neighbours, a pair that fails.
 * Pair lemma.  If every Hurwitz minor of (g(z^2) + z f(z^2)) / z^m is
   positive, f interlaces g and both are real-rooted (Hermite-Biehler; the
-  kernel's ``_routh_pair``, shared with ``stability.interlace_via_stability``).
-  A shared root r != 0 puts +-i sqrt(-r) on the imaginary axis, so such a
-  pair is decided through h = gcd(f, g).  h must be real-rooted: linear, or
-  h' interlaces h by the same test.  Then f = h a interlaces g = h b iff a
-  interlaces b, since h adds N_h to both counts and keeps their difference.
-  Two constant quotients hold, and so do a constant and a linear one.
+  kernel's ``_routh_pair``), weakly iff m >= 2.  A shared root r != 0 puts
+  +-i sqrt(-r) on the imaginary axis, so such a pair is decided through
+  h = gcd(f, g) and its cofactors, weakly.  h must be real-rooted: linear,
+  or h' interlaces h by the same test.  Then f = h a interlaces g = h b iff
+  a interlaces b, since h adds N_h to both counts and keeps their
+  difference.  Two constant cofactors hold, and so do a constant and a
+  linear one.  ``stability.interlace_via_stability`` makes the same pair
+  decision.
 
 Every entry then belongs to a proven pair, so it is real-rooted, and the
 sweep would return (True, None) too.  Everything else goes to the sweep,
@@ -181,38 +184,28 @@ def _fujiwara_exp(ints: Sequence[int]) -> int:
 # Square-free decomposition (Yun) over the integers
 # ---------------------------------------------------------------------------
 
-def _yun(ints: tuple[int, ...], g: tuple[int, ...]):
-    """Radical and Yun factors of p from g = gcd(p, p'), nonconstant, primitive with lc > 0.
+def _square_free(ints: tuple[int, ...]):
+    """Radical and Yun factors (r, ((m, f_m), ...)) of p, primitive with lc > 0.
 
-    Returns (r, ((m, f_m), ...)) with p = prod f_m ** m and r = p / g, each
-    primitive with a positive leading coefficient.  Every divisor is
-    primitive, so by Gauss's lemma each exact quotient over the rationals is
-    an integer polynomial.
+    Yun's algorithm on the cofactors of each ``_int_gcd``: with g = gcd(p, p'),
+    w = p / g is the radical r and z = p' / g - w'; then each step takes
+    (a, w / a, z / a) = gcd(w, z), keeps a as f_m if it is nonconstant, and
+    sets z = z / a - (w / a)'.  Every gcd is primitive, so by Gauss's lemma
+    each cofactor is an integer polynomial, and none needs a division of its
+    own.  A constant gcd(p, p') leaves z = 0, so p is its own radical.
     """
-    g = QPoly(g)
-    w = QPoly(ints).exact_div(g)
-    radical = w.coeffs
-    z = QPoly(_derivative(ints)).exact_div(g) - QPoly(_derivative(radical))
-    factors = []
-    m = 1
-    while w.degree >= 1:
-        if z.is_zero():
-            factors.append((m, w.coeffs))
+    _, w, z = _int_gcd(ints, _derivative(ints))
+    radical, factors, m = w, [], 1
+    while len(w) > 1:
+        z = (QPoly._trusted(z) - QPoly(_derivative(w))).coeffs
+        if not z:
+            factors.append((m, w))
             break
-        a = QPoly(_int_gcd(w.coeffs, z.coeffs))
-        if a.degree >= 1:
-            factors.append((m, a.coeffs))
-        w = w.exact_div(a)
-        z = z.exact_div(a) - QPoly(_derivative(w.coeffs))
+        a, w, z = _int_gcd(w, z)
+        if len(a) > 1:
+            factors.append((m, a))
         m += 1
     return radical, tuple(factors)
-
-
-def _square_free(ints: tuple[int, ...]):
-    """Radical and Yun factors (r, ((m, f_m), ...)) of p, primitive with lc > 0, by ``_yun``
-    unless gcd(p, p') is a constant."""
-    g = _int_gcd(ints, _derivative(ints))
-    return (ints, ((1, ints),)) if len(g) == 1 else _yun(ints, g)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +556,7 @@ def _same_root(profiles, common, x: int, cx: _Rec, y: int, cy: _Rec) -> bool:
         return cx.s_hi == cy.s_hi
     key = (min(x, y), max(x, y))
     if key not in common:  # a constant g holds no root
-        g = _int_gcd(profiles[x].rad_ints, profiles[y].rad_ints)
+        g = _int_gcd(profiles[x].rad_ints, profiles[y].rad_ints)[0]
         common[key] = g, _derivative(g)
     return _holds_root(*common[key], cx.end(0), cx.end(1))
 
@@ -616,25 +609,26 @@ def interlaces(g: XPoly, f: XPoly) -> InterlacingVerdict:
 _MAX_CHAIN_BITS = 2048  # B: above (2d + 1) b bits the merged sweep is the faster route
 
 
-def _pair_holds(f: tuple[int, ...], g: tuple[int, ...]) -> bool:
-    """Whether Routh arrays prove that f interlaces g, both real-rooted; False leaves it open.
+def _pair_relation(f: tuple[int, ...], g: tuple[int, ...]) -> str | None:
+    """STRICT or WEAK when Routh arrays prove that f interlaces g, both real-rooted; None
+    leaves it open.
 
     f and g are ``_canonical`` forms with nonnegative coefficients, g not a
-    constant.  Stability of g(z^2) + z f(z^2) over its largest power of z
-    proves it (``_routh_pair``).  A shared root r != 0 puts +-i sqrt(-r) on
-    the imaginary axis, so a pair with one is decided by its gcd h: h must
-    be real-rooted, as it is when linear or when ``_routh_pair`` proves that
-    h' interlaces h; then the pair holds iff its quotients do.  Two constant
-    quotients hold, and so do a constant and a linear one.
+    constant.  Stability of g(z^2) + z f(z^2) over its largest power z^m
+    proves it (``_routh_pair``), weakly iff m >= 2.  A shared root r != 0
+    puts +-i sqrt(-r) on the imaginary axis, so a pair with one is decided
+    by h = gcd(f, g) and its cofactors, weakly: h must be real-rooted, as it
+    is when linear or when ``_routh_pair`` proves that h' interlaces h; then
+    the pair holds iff its cofactors do.  Two constant cofactors hold, and so
+    do a constant and a linear one.
     """
-    if _routh_pair(f, g)[1]:
-        return True
-    h = _int_gcd(f, g)
+    m, stable = _routh_pair(f, g)
+    if stable:
+        return WEAK if m >= 2 else STRICT
+    h, f, g = _int_gcd(f, g)
     if len(h) == 1 or len(h) > 2 and not _routh_pair(_derivative(h), h)[1]:
-        return False
-    div = QPoly._trusted(h)
-    f, g = (QPoly._trusted(p).exact_div(div).coeffs for p in (f, g))
-    return len(g) <= 2 if len(f) == 1 else _routh_pair(f, g)[1]
+        return None
+    return WEAK if (len(g) <= 2 if len(f) == 1 else _routh_pair(f, g)[1]) else None
 
 
 def _chain_holds(ints: Sequence[tuple[int, ...]]) -> bool:
@@ -642,7 +636,7 @@ def _chain_holds(ints: Sequence[tuple[int, ...]]) -> bool:
     coefficients) mutually interlacing and real-rooted; False leaves it to the merged sweep.
 
     The pairs are (i, i + 1) for every i, then (0, m - 1), each by
-    ``_pair_holds``; a constant never interlaces a constant.  Families whose
+    ``_pair_relation``; a constant never interlaces a constant.  Families whose
     largest Hurwitz minor may have more than ``_MAX_CHAIN_BITS`` bits, by
     the bound (2d + 1) b with d the largest degree and b the largest
     coefficient bit length, are left to the sweep unread.
@@ -652,7 +646,7 @@ def _chain_holds(ints: Sequence[tuple[int, ...]]) -> bool:
     if (2 * d + 1) * b > _MAX_CHAIN_BITS:
         return False
     pairs = [*zip(ints, ints[1:]), (ints[0], ints[-1])]
-    return all(len(g) > 1 and _pair_holds(f, g) for f, g in pairs)
+    return all(len(g) > 1 and _pair_relation(f, g) for f, g in pairs)
 
 
 def _entry(k: int, p) -> tuple[int, ...]:
@@ -673,7 +667,7 @@ def mutually_interlacing(fs: Sequence[XPoly]) -> tuple[bool, tuple[int, int] | N
     Entries must be real-rooted with nonnegative coefficients, or positive
     constants.  Returns (True, None) or (False, first failing index pair).
 
-    A True verdict comes from m Routh pair tests when they prove it
+    A True verdict comes from m pair decisions when they prove it
     (``_chain_holds``; the module docstring gives both lemmas).  Anything
     else, a single entry, or an entry that fails a check goes to one merged
     sweep that orders the roots of all entries (see ``interlaces``).  The

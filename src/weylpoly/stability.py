@@ -42,9 +42,9 @@ from math import isqrt
 
 from . import exactpoly
 from .errors import DivisibilityError, PreconditionError, StabilityInapplicableError, UsageError
-from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _digit_bytes, _digits, _horner
-from .exactpoly import _integer, _interleave, _routh_pair, _univariate
-from .realroots import STRICT, WEAK, InterlacingVerdict, interlaces, isolate_roots
+from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _canonical, _clear_denominators, _digit_bytes, _digits
+from .exactpoly import _horner, _integer, _interleave, _univariate
+from .realroots import InterlacingVerdict, _pair_relation, interlaces, isolate_roots
 from .record import Record
 from .recurrences import refined_Tq
 
@@ -204,12 +204,12 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
 
     If P / z^m is strictly stable, with z^m the largest power of z dividing
     P, then f interlaces g, weakly iff z^2 divides P.  A shared root r < 0
-    would put the roots +-i sqrt(-r) of P on the imaginary axis, so the only
-    root f and g can share is 0, and f(0) = g(0) = 0 exactly when m >= 2.
-    The test is the kernel's ``exactpoly._routh_pair``, the one that
-    ``mutually_interlacing`` runs on its chain of pairs.  Boundary and
-    degenerate cases fall back to the direct root-isolation test, so the two
-    routes always agree.  Stability itself makes f and g real-rooted
+    would put the roots +-i sqrt(-r) of P on the imaginary axis, so such a
+    pair is decided through gcd(f, g) and its cofactors, weakly.  Both tests
+    are ``realroots._pair_relation``, the one pair decision that
+    ``mutually_interlacing`` runs on its chain of pairs.  A pair it leaves
+    open, and degenerate degrees, fall back to the direct root-isolation
+    test, so the two routes always agree.  A proof makes f and g real-rooted
     (Hermite-Biehler), so only the fallback checks that, and raises
     PreconditionError otherwise.
     """
@@ -223,8 +223,5 @@ def interlace_via_stability(f: XPoly, g: XPoly) -> InterlacingVerdict:
     df, dg = f.degree, g.degree
     if df == 0 or dg == 0 or dg - df not in (0, 1):
         return interlaces(f, g)
-
-    m, stable = _routh_pair(f.coeffs, g.coeffs)
-    if stable:
-        return InterlacingVerdict(WEAK if m >= 2 else STRICT)
-    return interlaces(f, g)
+    relation = _pair_relation(_canonical(f), _canonical(g))
+    return InterlacingVerdict(relation) if relation else interlaces(f, g)

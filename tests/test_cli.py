@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+import same_report
 from weylpoly.cli import main
 from weylpoly.errors import EnumerationCapError, UsageError
 from weylpoly.exactpoly import poly_from_json
@@ -94,6 +95,23 @@ class TestVerify:
             del entry["elapsed_ms"]
         with open(GOLDEN_ALL, encoding="utf-8") as handle:
             assert got == json.load(handle)
+
+    def test_golden_comparison_ignores_only_elapsed_ms(self, tmp_path, capsys):
+        # tests/same_report.py is the comparison every golden CI step runs
+        with open(GOLDEN_ALL, encoding="utf-8") as handle:
+            golden = json.load(handle)
+        report = tmp_path / "report.json"
+        for k, entry in enumerate(golden["entries"]):
+            entry["elapsed_ms"] = k
+        report.write_text(json.dumps(golden), encoding="utf-8")
+        assert same_report.main(str(report), str(GOLDEN_ALL)) == 0
+        golden["entries"][3]["verdict"] = "fail"
+        report.write_text(json.dumps(golden), encoding="utf-8")
+        assert same_report.main(str(report), str(GOLDEN_ALL)) == 1
+        assert capsys.readouterr().err.count("\n") == 2
+        golden["entries"].pop()
+        report.write_text(json.dumps(golden), encoding="utf-8")
+        assert same_report.main(str(report), str(GOLDEN_ALL)) == 1
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "bogus")

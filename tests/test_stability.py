@@ -19,6 +19,7 @@ from weylpoly import (
     interlace_via_stability,
     interlaces,
     is_real_rooted,
+    mutually_interlacing,
     poly_gcd,
     q_positive_on_positive_reals,
     qpoly,
@@ -27,8 +28,8 @@ from weylpoly import (
     refined_Tq,
     xpoly,
 )
-from weylpoly import exactpoly, stability, verify
-from weylpoly.exactpoly import QPoly, QXPoly, _int_quot, _interleave, qxpoly
+from weylpoly import exactpoly, realroots, stability, verify
+from weylpoly.exactpoly import QPoly, QXPoly, _canonical, _int_quot, _interleave, _routh_pair, qxpoly
 from weylpoly.tables import (
     C01_POLY,
     C06_DELTA4_QUINTIC,
@@ -750,7 +751,58 @@ WEAK_RULE_CASES = [
 ]
 
 
+def _stability_suite_pairs():
+    """The pairs (f, g) of ``verify --suite stability --max-n 10``'s agreement checks: i < j
+    in T(n) at each default q and in K(n), 4 <= n <= 10, neither member a constant."""
+    ranks = range(4, 11)
+    families = [[p.eval_q(q) for p in refined_Tq(n).polys] for q in verify.DEFAULT_Q_SAMPLES for n in ranks]
+    families += [refined_K(n, "direct").polys for n in ranks]
+    for fam in families:
+        for f, g in itertools.combinations(fam, 2):
+            if f.degree and g.degree:
+                yield f, g
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """One entry for each merged sweep run."""
+    swept, merged_positions = [], realroots._merged_positions
+    monkeypatch.setattr(realroots, "_merged_positions", lambda profiles: swept.append(1) or merged_positions(profiles))
+    return swept
+
+
 class TestInterlaceViaStability:
+    def test_the_suite_pairs_need_no_sweep(self, sweeps):
+        # every pair of the suite whose own Routh array fails shares a root, and the gcd route
+        # decides it: weak, as the sweep says
+        shared = 0
+        for f, g in _stability_suite_pairs():
+            got = interlace_via_stability(f, g).relation
+            assert sweeps == [], (str(f), str(g))
+            if not _routh_pair(_canonical(f), _canonical(g))[1]:
+                assert poly_gcd(f, g).degree >= 1, (str(f), str(g))
+                assert got == interlaces(f, g).relation == "weak", (str(f), str(g))
+                sweeps.clear()
+                shared += 1
+        assert shared == 75
+
+    def test_shared_root_hand_example(self, sweeps):
+        # gcd x + 1, cofactors x + 3 and (x + 2)(x + 4): -4 < -3 < -2, so the pair holds weakly
+        f, g = xpoly(1, 1) * xpoly(3, 1), xpoly(1, 1) * xpoly(2, 1) * xpoly(4, 1)
+        assert not _routh_pair(_canonical(f), _canonical(g))[1]
+        assert interlace_via_stability(f, g).relation == "weak"
+        assert sweeps == []
+        assert interlaces(f, g).relation == "weak"
+
+    def test_a_shared_factor_that_is_not_real_rooted_is_rejected(self):
+        # the cofactors x + 2 and x + 1 pass the Routh test, but the gcd x^2 + 1 fails h' <= h
+        f, g = xpoly(1, 0, 1) * xpoly(2, 1), xpoly(1, 0, 1) * xpoly(1, 1)
+        assert _routh_pair((2, 1), (1, 1))[1]
+        with pytest.raises(PreconditionError):
+            interlace_via_stability(f, g)
+        with pytest.raises(PreconditionError):
+            mutually_interlacing([f, g])
+
     @pytest.mark.parametrize("f, g, m, stable", WEAK_RULE_CASES, ids=lambda v: str(v))
     def test_weak_rule_on_planted_pairs(self, f, g, m, stable):
         assert _stripped(f, g)[0] == m
@@ -792,9 +844,11 @@ class TestInterlaceViaStability:
                 interlace_via_stability(f, g)
                 if not calls:  # the degree rule went straight to interlaces
                     continue
-                [(kind, degree, seen)] = calls  # one run, never lifted
-                assert kind is int
-                assert all(d > 0 for d in seen[:-1])
+                # the pair's own array first, then perhaps the gcd route's; none is lifted
+                for kind, _, seen in calls:
+                    assert kind is int
+                    assert all(d > 0 for d in seen[:-1])
+                _, degree, seen = calls[0]
                 if seen[-1] > 0:
                     assert len(seen) == degree
                     stable += 1
