@@ -19,7 +19,7 @@ Every number from outside passes one gate, ``_rational`` (an int or a
 Fraction), ``_integer`` or ``_rank``, and every polynomial in one variable
 ``_univariate``; anything else raises UsageError.  One integer kernel
 (``_canonical``, ``_primitive``, ``_int_gcd``, ``_horner``, ``_digit_bytes``,
-``_fields``, ``_digits``) works on integer coefficient tuples, and
+``_widen``, ``_fields``, ``_digits``) works on integer coefficient tuples, and
 ``_long_divide`` is its one division, for every ``exact_div`` and the gcd's trial.
 ``_canonical`` is its one reduction of a polynomial, shared by all its
 nonzero rational multiples; ``_int_gcd`` its one gcd, for ``poly_gcd`` and
@@ -30,11 +30,12 @@ one evaluation, for ``evaluate``, ``eval_q``, every sign of a root cell,
 and its one packer: a pack at 2^W is the value at 2^W, for the gcd, the
 recurrence seeds and the symbolic Hurwitz minors; ``_digit_bytes`` its one
 width rule, the fewest whole bytes of a balanced digit that holds a bound;
-``_fields`` its one reader of packed unsigned fields, every width in C with
-no loop in Python over the fields, for ``_digits`` and the packed carrier of
-``recurrences``; ``_digits`` its one reader of packed balanced digits: the
-fields of v plus 2^(W-1) in every digit, minus 2^(W-1), or at 8 bytes, the
-floor of ``realroots._taylor``, one read of signed words.  ``_routh_minors`` is
+``_widen`` its one field widener, nb strided slice copies, for ``_fields`` and
+the repack of ``recurrences``; ``_fields`` its one reader of packed unsigned
+fields, every width in C with no loop in Python over the fields, for ``_digits``
+and the packed carrier of ``recurrences``; ``_digits`` its one reader of packed
+balanced digits: the fields of v plus 2^(W-1) in every digit, minus 2^(W-1),
+or at 8 bytes, the floor of ``realroots._taylor``, one read of signed words.  ``_routh_minors`` is
 its one Routh array, the Hurwitz minors of ``stability``, and ``_routh_pair``
 its one stability test of an interlacing pair of integer forms, for the one
 pair decision of ``realroots``.
@@ -460,21 +461,25 @@ def _digit_bytes(bound: int) -> int:
     return (bound.bit_length() + 8) >> 3
 
 
+def _widen(raw: bytes, nb: int, wide_nb: int) -> bytearray:
+    """The little-endian nb-byte fields of raw, each zero-extended to wide_nb >= nb bytes,
+    by nb strided slice copies in C."""
+    wide = bytearray(len(raw) // nb * wide_nb)
+    for b in range(nb):
+        wide[b::wide_nb] = raw[b::nb]
+    return wide
+
+
 def _fields(v: int, nb: int, count: int) -> list[int]:
     """The ``count`` unsigned nb-byte fields of v >= 0, least significant first, read in C.
 
-    Below 8 bytes, nb strided slice copies widen each field to 8 bytes; up to 8 bytes,
+    Below 8 bytes, ``_widen`` widens each field to 8 bytes; up to 8 bytes,
     ``struct`` reads the words as little-endian ``Q``, on any host; above, ``struct``
     slices the fields and ``int.from_bytes`` reads each one."""
     raw = v.to_bytes(nb * count, "little")
     if nb > 8:
         return list(map(int.from_bytes, struct.unpack(f"{nb}s" * count, raw), itertools.repeat("little")))
-    if nb < 8:
-        wide = bytearray(count << 3)
-        for b in range(nb):
-            wide[b::8] = raw[b::nb]
-        raw = wide
-    return list(struct.unpack(f"<{count}Q", raw))
+    return list(struct.unpack(f"<{count}Q", _widen(raw, nb, 8) if nb < 8 else raw))
 
 
 def _digits(v: int, nb: int, count: int | None = None) -> list[int]:

@@ -22,7 +22,13 @@ at 2^W by ``exactpoly._horner``.
 
 Each family is cached once, packed: a bounded store per family keeps the
 most recently used ranks.  Every public call unpacks its answer to QXPoly
-or XPoly afresh, and only the entries it returns.
+or XPoly afresh, and only the entries it returns.  A move to a wider layout
+zero-extends every field by ``exactpoly._widen``.
+
+Every named identity is one row of ``_IDENTITIES``: its name, its smallest
+rank, whether it enumerates under the cap, and its check.  ``evaluate_identity``
+gates the rank once against the row, so a rank too small names the identity,
+and ``verify`` reads the skip-above-the-cap rule from the same rows.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from math import factorial
 
 from .errors import PackingError, PreconditionError, UsageError
 from .exactpoly import ONE_PLUS_Q, QPoly, QXPoly, XPoly, _clear_denominators, _digit_bytes, _fields, _horner
-from .exactpoly import _integer, _rank, _rational, exact_divide
+from .exactpoly import _integer, _rank, _rational, _widen, exact_divide
 from .realroots import interlaces
 from .record import Record
 from .report import ReportEntry, poly_equality, timed_entry
@@ -130,10 +136,7 @@ class _Packed:
             pad = bytes(size * (layout.q_fields - old.q_fields))
             data = b"".join([data[k : k + row] + pad for k in range(0, len(data), row)])
         if new_size > size:
-            wide = bytearray(len(data) // size * new_size)
-            for b in range(size):
-                wide[b::new_size] = data[b::size]
-            data = wide
+            data = _widen(data, size, new_size)
         return _Packed(int.from_bytes(data, "little"), layout)
 
     def to_qx(self) -> QXPoly:
@@ -384,81 +387,76 @@ def assemble(family: str, n: int):
 # Named identity checks
 # ---------------------------------------------------------------------------
 
-IDENTITY_NAMES = (
-    "dilks_62",
-    "stembridge",
-    "t_n0_equals_prev",
-    "tilde_dual",
-    "k_two_methods",
-    "matrix_identity",
-    "q0_reduction",
-    "oneplusq_division",
-    "interlace_chain_prop62",
+
+def _stembridge(n: int, cap: int | None) -> tuple[bool, dict | None]:
+    lhs = assemble("D", n)
+    lower = brute_polynomial("A", n - 2, cap=cap).shift_up(1) * (n * 2 ** (n - 1))
+    return poly_equality(lhs, brute_polynomial("B", n, cap=cap) - lower)
+
+
+def _tilde_dual(n: int, cap: int | None) -> tuple[bool, dict | None]:
+    fam, prev = refined_affine_T(n), refined_T1(n - 1)
+    for k in range(n, 2 * n):
+        ok, witness = poly_equality(_affine_entry_upper(n, k, prev), fam.polys[k])
+        if not ok:
+            return False, {"index": k, **witness}
+    return True, None
+
+
+def _k_two_methods(n: int, cap: int | None) -> tuple[bool, dict | None]:
+    # Both routes pack in the rank-n layout, so equal entries are equal ints.
+    for i, (a, b) in enumerate(zip(_packed_K_direct(n), _K_STORE.rank(n))):
+        if a.value != b.value:
+            return False, {"index": i, **poly_equality(a.to_x(), b.to_x())[1]}
+    return True, None
+
+
+def _interlace_chain_prop62(n: int, cap: int | None) -> tuple[bool, dict | None]:
+    checks = [
+        ("tildeB_step", assemble("tildeB", n), assemble("tildeB", n + 1)),
+        ("D_step", assemble("D", n), assemble("D", n + 1)),
+        ("D_below_tildeB", assemble("D", n), assemble("tildeB", n)),
+    ]
+    for label, low, high in checks:
+        verdict = interlaces(low, high)
+        if not verdict.holds:
+            return False, {"relation": label, "verdict": verdict.relation}
+    return True, None
+
+
+# One row per named identity, in report order: (name, smallest rank, whether it
+# enumerates under the cap, check(n, cap) -> (ok, witness)).  A tuple, not a dict,
+# so no module-level dict in this module can grow.
+_IDENTITIES = (
+    ("dilks_62", 3, False, lambda n, cap: poly_equality(
+        assemble("tildeD", n), assemble("tildeB", n) - assemble("D", n - 1).shift_up(1) * (2 * n))),
+    ("stembridge", 2, True, _stembridge),
+    ("t_n0_equals_prev", 3, False, lambda n, cap: poly_equality(
+        refined_Tq(n).polys[0], assemble("Tq", n - 1))),
+    ("tilde_dual", 3, False, _tilde_dual),
+    ("k_two_methods", 3, False, _k_two_methods),
+    ("matrix_identity", 3, False, lambda n, cap: _duplication_commutes(recurrence_nx_matrix(n), n)),
+    ("q0_reduction", 2, True, lambda n, cap: poly_equality(
+        assemble("Dq", n).eval_q(0), brute_polynomial("A", n - 1, cap=cap))),
+    ("oneplusq_division", 2, False, lambda n, cap: poly_equality(
+        assemble("Dq", n) * ONE_PLUS_Q, assemble("Tq", n))),
+    ("interlace_chain_prop62", 2, False, _interlace_chain_prop62),
 )
+
+IDENTITY_NAMES = tuple(row[0] for row in _IDENTITIES)
 
 
 def evaluate_identity(name: str, n: int, cap: int | None = None) -> tuple[bool, dict | None]:
     """Decide one named identity at rank n: (True, None) or (False, witness).
 
-    ``cap`` bounds the enumerations of stembridge and q0_reduction as in
-    ``brute_polynomial``.  A rank below the identity's smallest (2 or 3)
-    raises UsageError, never a verdict.
+    ``cap`` bounds the enumerations of the identities that enumerate (stembridge and
+    q0_reduction) as in ``brute_polynomial``.  A rank below the identity's smallest
+    (2 or 3, its row of ``_IDENTITIES``) raises a UsageError that names the identity,
+    never a verdict.
     """
-    if name in ("stembridge", "interlace_chain_prop62"):  # the others gate n in what they build
-        n = _rank(n, 2, f"{name} rank")
-    if name == "dilks_62":
-        lhs = assemble("tildeD", n)
-        rhs = assemble("tildeB", n) - assemble("D", n - 1).shift_up(1) * (2 * n)
-        return poly_equality(lhs, rhs)
-
-    if name == "stembridge":
-        lhs = assemble("D", n)
-        lower = brute_polynomial("A", n - 2, cap=cap).shift_up(1) * (n * 2 ** (n - 1))
-        rhs = brute_polynomial("B", n, cap=cap) - lower
-        return poly_equality(lhs, rhs)
-
-    if name == "t_n0_equals_prev":
-        return poly_equality(refined_Tq(n).polys[0], assemble("Tq", n - 1))
-
-    if name == "tilde_dual":
-        fam = refined_affine_T(n)
-        prev = refined_T1(n - 1)
-        for k in range(n, 2 * n):
-            ok, witness = poly_equality(_affine_entry_upper(n, k, prev), fam.polys[k])
-            if not ok:
-                return False, {"index": k, **witness}
-        return True, None
-
-    if name == "k_two_methods":
-        # Both routes pack in the rank-n layout, so equal entries are equal ints.
-        n = _rank(n, 3, "refined_K rank")
-        for i, (a, b) in enumerate(zip(_packed_K_direct(n), _K_STORE.rank(n))):
-            if a.value != b.value:
-                return False, {"index": i, **poly_equality(a.to_x(), b.to_x())[1]}
-        return True, None
-
-    if name == "matrix_identity":
-        n = _rank(n, 3, "matrix_identity rank")
-        return _duplication_commutes(recurrence_nx_matrix(n), n)
-
-    if name == "q0_reduction":
-        return poly_equality(assemble("Dq", n).eval_q(0), brute_polynomial("A", n - 1, cap=cap))
-
-    if name == "oneplusq_division":
-        return poly_equality(assemble("Dq", n) * ONE_PLUS_Q, assemble("Tq", n))
-
-    if name == "interlace_chain_prop62":
-        checks = [
-            ("tildeB_step", assemble("tildeB", n), assemble("tildeB", n + 1)),
-            ("D_step", assemble("D", n), assemble("D", n + 1)),
-            ("D_below_tildeB", assemble("D", n), assemble("tildeB", n)),
-        ]
-        for label, low, high in checks:
-            verdict = interlaces(low, high)
-            if not verdict.holds:
-                return False, {"relation": label, "verdict": verdict.relation}
-        return True, None
-
+    for row_name, least, _, check in _IDENTITIES:
+        if row_name == name:
+            return check(_rank(n, least, f"{name} rank"), cap)
     raise UsageError(f"unknown identity {name!r}; expected one of {IDENTITY_NAMES}")
 
 

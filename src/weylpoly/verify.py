@@ -19,6 +19,7 @@ from .errors import DivisibilityError, DomainError, EnumerationCapError, UsageEr
 from .exactpoly import QPoly, XPoly, _rank, _rational, coeff_props, poly_to_json, qpoly
 from .realroots import interlaces, is_real_rooted, isolate_roots, mutually_interlacing
 from .recurrences import (
+    _IDENTITIES,
     evaluate_identity,
     fisk_nx_check,
     recurrence_nx_matrix,
@@ -344,32 +345,25 @@ def suite_oracles(max_n: int = 6, cap: int | None = None) -> list[_Check]:
 def suite_identities(max_n: int = 10, cap: int | None = None) -> list[_Check]:
     """Named identities up to rank max_n.
 
-    stembridge(n) and q0_reduction(n) count types B and A by classes through
-    ``brute_polynomial``, and are skipped iff n is above the enumeration cap,
-    which is ``cap``, or the default.
+    The identities whose row of ``recurrences._IDENTITIES`` says they enumerate
+    (stembridge and q0_reduction, which count types B and A by classes through
+    ``brute_polynomial``) are skipped iff n is above the enumeration cap, which is
+    ``cap``, or the default.
     """
     cap = resolve_cap(cap)
+    capped = {name for name, _, enumerates, _ in _IDENTITIES if enumerates}
     checks: list[_Check] = []
-
-    def ident(name, n, capped=False):
-        if capped and n > cap:
-            return (name, {"n": n}, None)
-        return (name, {"n": n}, lambda name=name, n=n: evaluate_identity(name, n, cap))
-
-    for n in range(3, max_n + 1):
-        checks.append(ident("dilks_62", n))
-    for n in range(3, max_n + 1):
-        checks.append(ident("stembridge", n, capped=True))
-    for n in range(3, max_n + 1):
-        checks.append(ident("t_n0_equals_prev", n))
-        checks.append(ident("tilde_dual", n))
-        checks.append(ident("k_two_methods", n))
-        checks.append(ident("matrix_identity", n))
-    for n in range(2, max_n + 1):
-        checks.append(ident("q0_reduction", n, capped=True))
-        checks.append(ident("oneplusq_division", n))
-    for n in range(3, max_n + 1):
-        checks.append(ident("interlace_chain_prop62", n))
+    for names, first in (
+        (("dilks_62",), 3),
+        (("stembridge",), 3),
+        (("t_n0_equals_prev", "tilde_dual", "k_two_methods", "matrix_identity"), 3),
+        (("q0_reduction", "oneplusq_division"), 2),
+        (("interlace_chain_prop62",), 3),
+    ):
+        for n in range(first, max_n + 1):
+            for name in names:
+                run = None if name in capped and n > cap else lambda name=name, n=n: evaluate_identity(name, n, cap)
+                checks.append((name, {"n": n}, run))
     return checks
 
 
@@ -405,9 +399,10 @@ def _check_coeff_shape(poly, need_log_concave: bool):
 
 
 def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = DEFAULT_Q_SAMPLES) -> list[_Check]:
+    """Interlacing and real-rootedness at ranks 4..max_n (at the q samples, to rank 8), and
+    coefficient shapes and Fisk's criterion at ranks 3..max_n; no check above max_n."""
     checks: list[_Check] = []
-    top = max(max_n, 4)
-    for n in range(4, top + 1):
+    for n in range(4, max_n + 1):
         checks.append(
             ("interlacing_T_at_1", {"n": n}, lambda n=n: _check_mutual(refined_T1(n), f"T({n}) at q=1"))
         )
@@ -420,7 +415,7 @@ def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = DEFAULT_Q_
     for q in q_samples:
         if q == 1:  # interlacing_T_at_1 covers it
             continue
-        for n in range(4, min(top, 8) + 1):
+        for n in range(4, min(max_n, 8) + 1):
             checks.append(
                 (
                     "interlacing_T_at_q",
@@ -437,7 +432,7 @@ def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = DEFAULT_Q_
                     lambda n=n, q=q: _check_real_rooted(assemble("Dq", n).eval_q(q), "Dq"),
                 )
             )
-    for n in range(3, top + 1):
+    for n in range(3, max_n + 1):
         checks.append(
             (
                 "coeff_shape_tildeD",

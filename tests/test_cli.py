@@ -9,7 +9,7 @@ from weylpoly.errors import EnumerationCapError, UsageError
 from weylpoly.exactpoly import poly_from_json
 from weylpoly.report import ReportEntry, VerificationReport, timed_entry
 from weylpoly import cli, verify
-from weylpoly.verify import run_suite, suite_identities, suite_oracles
+from weylpoly.verify import run_suite, suite_identities, suite_interlacing, suite_oracles
 
 
 GOLDEN_ALL = pathlib.Path(__file__).parent / "data" / "verify_all.json"
@@ -152,6 +152,37 @@ class TestVerify:
 
         assert skipped(None) == {(cid, n) for cid in ("stembridge", "q0_reduction") for n in (9, 10)}
         assert skipped(10) == set()
+
+    def test_identities_suite_checks_and_skips(self):
+        # every check in order; only the two identities that enumerate skip above the cap
+        four = ("t_n0_equals_prev", "tilde_dual", "k_two_methods", "matrix_identity")
+        expected = (
+            [("dilks_62", n) for n in range(3, 7)]
+            + [("stembridge", n) for n in range(3, 7)]
+            + [(cid, n) for n in range(3, 7) for cid in four]
+            + [(cid, n) for n in range(2, 7) for cid in ("q0_reduction", "oneplusq_division")]
+            + [("interlace_chain_prop62", n) for n in range(3, 7)]
+        )
+        skipped = {(cid, n) for cid in ("stembridge", "q0_reduction") for n in (5, 6)}
+        got = [(cid, params, thunk is None) for cid, params, thunk in suite_identities(max_n=6, cap=4)]
+        assert got == [(cid, {"n": n}, (cid, n) in skipped) for cid, n in expected]
+
+    def test_interlacing_suite_stays_at_or_below_max_n(self):
+        # top = max(max_n, 4) ran nine rank-4 checks at max_n 3
+        report = run_suite("interlacing", max_n=3)
+        assert report.all_passed
+        assert [(e.check_id, e.parameters["n"]) for e in report.entries] == [
+            (cid, 3) for cid in ("coeff_shape_tildeD", "coeff_shape_tildeB", "fisk_recurrence_matrix")
+        ]
+        assert suite_interlacing(max_n=2) == []
+
+    def test_interlacing_suite_checks_at_max_n_4(self):
+        # at max_n 4 the ceiling changes nothing: every check, in order
+        roots = [(cid, {"n": 4}) for cid in ("interlacing_T_at_1", "interlacing_K", "realrooted_tildeD")]
+        at_q = [(cid, {"n": 4, "q": q}) for q in ("1/2", "2", "5") for cid in ("interlacing_T_at_q", "realrooted_Dq")]
+        shape_ids = ("coeff_shape_tildeD", "coeff_shape_tildeB", "fisk_recurrence_matrix")
+        shapes = [(cid, {"n": n}) for n in (3, 4) for cid in shape_ids]
+        assert [(cid, params) for cid, params, _ in suite_interlacing(max_n=4)] == roots + at_q + shapes
 
     def test_small_oracle_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "oracles", "--max-n", "3")

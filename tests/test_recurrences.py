@@ -238,6 +238,29 @@ class TestIdentities:
         with pytest.raises(UsageError, match=r"rank 1 is below the smallest rank [23]"):
             check_identity(name, 1)
 
+    # every identity's smallest rank, in report order
+    FLOORS = (
+        ("dilks_62", 3),
+        ("stembridge", 2),
+        ("t_n0_equals_prev", 3),
+        ("tilde_dual", 3),
+        ("k_two_methods", 3),
+        ("matrix_identity", 3),
+        ("q0_reduction", 2),
+        ("oneplusq_division", 2),
+        ("interlace_chain_prop62", 2),
+    )
+
+    def test_identity_names_in_report_order(self):
+        assert recurrences.IDENTITY_NAMES == tuple(name for name, _ in self.FLOORS)
+
+    @pytest.mark.parametrize("name, floor", FLOORS)
+    def test_below_the_floor_names_the_identity(self, name, floor):
+        # t_n0_equals_prev at rank 2 named "Tq rank 1", a rank the caller never passed
+        with pytest.raises(UsageError, match=f"^{name} rank {floor - 1} is below the smallest rank {floor}$"):
+            check_identity(name, floor - 1)
+        assert check_identity(name, floor).verdict == "pass"
+
     def test_entries_carry_timing_and_params(self):
         entry = check_identity("dilks_62", 3)
         assert entry.parameters == {"n": 3}
