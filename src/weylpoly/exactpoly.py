@@ -29,7 +29,8 @@ the cofactors that division computed; ``_horner`` its
 one evaluation, for ``evaluate``, ``eval_q``, every sign of a root cell,
 and its one packer: a pack at 2^W is the value at 2^W, for the gcd, the
 recurrence seeds and the symbolic Hurwitz minors; ``_digit_bytes`` its one
-width rule, the fewest whole bytes of a balanced digit that holds a bound;
+width rule, the fewest whole bytes of a balanced digit that holds a bound, for
+every packing width, the gcd's first width included;
 ``_widen`` its one field widener, nb strided slice copies, for ``_fields`` and
 the repack of ``recurrences``; ``_fields`` its one reader of packed unsigned
 fields, every width in C with no loop in Python over the fields, for ``_digits``
@@ -209,7 +210,10 @@ class _DensePoly(Record):
         return type(self)((self._zero,) * k + self.coeffs)
 
     def evaluate(self, v0) -> Fraction:
-        """The value at v0, an int or a Fraction, by ``_horner`` (QPoly and XPoly)."""
+        """The value at v0, an int or a Fraction, by ``_horner``; a QXPoly, in two variables,
+        raises UsageError (``eval_q`` substitutes q)."""
+        if isinstance(self, QXPoly):
+            raise UsageError("a QXPoly has two variables: substitute q with eval_q, then evaluate")
         v0 = _rational(v0, "the evaluation point")
         scale, ints = _clear_denominators(self.coeffs)
         den = v0.denominator
@@ -504,13 +508,13 @@ def _derivative(coeffs: Sequence) -> tuple:
 def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """(h, f / h, g / h) for h the gcd of two integer polynomials, not both zero, primitive with
     lc > 0: GCDHEU (Char, Geddes and Gonnet 1989), the primitive part G of the balanced digits of
-    gcd(f(xi), g(xi)) at xi = 2^W, W whole bytes with xi >= 2 min(|f|, |g|) + 2 (max norms).  A
-    common factor G k of f and g has k(xi) dividing the content of G's digits, at most xi / 2,
-    and a nonconstant k has |k(xi)| > xi / 2, its roots below 1 + min(|f|, |g|) <= xi / 2; so G
-    is the gcd if it is a constant or it divides f and g exactly, by the ``_long_divide`` of
-    every ``exact_div``, whose quotients are the cofactors.  Else W doubles, with no limit.  A
-    constant gcd is 1, with the cofactors f and g; a zero argument has the cofactor (), the
-    other its signed content.
+    gcd(f(xi), g(xi)) at xi = 2^W, W = 8 ``_digit_bytes(m)`` for m = min(|f|, |g|) (max norms):
+    2^(W-1) > m, the same as xi >= 2 m + 2.  A common factor G k of f and g has k(xi) dividing
+    the content of G's digits, at most xi / 2, and a nonconstant k has |k(xi)| > xi / 2, its
+    roots below 1 + m <= xi / 2; so G is the gcd if it is a constant or it divides f and g
+    exactly, by the ``_long_divide`` of every ``exact_div``, whose quotients are the cofactors.
+    Else W doubles, with no limit.  A constant gcd is 1, with the cofactors f and g; a zero
+    argument has the cofactor (), the other its signed content.
 
     The loop ends.  With h the gcd, f = h u and g = h v, once xi lies above every root of f g,
     gcd(f(xi), g(xi)) = h(xi) c, where c = gcd(u(xi), v(xi)) divides res(u, v), an integer
@@ -522,8 +526,7 @@ def _int_gcd(f: Sequence[int], g: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         h = _positive_primitive(f or g)
         content = ((f or g)[-1] // h[-1],)
         return (h, content, ()) if f else (h, (), content)
-    bound = 2 * min(max(map(abs, f)), max(map(abs, g))) + 2
-    nb = ((bound - 1).bit_length() + 7) >> 3  # bytes: 2^(8 nb) >= bound
+    nb = _digit_bytes(min(max(map(abs, f)), max(map(abs, g))))
     while True:
         xi = 1 << (nb << 3)
         h = _positive_primitive(_digits(int_gcd(_horner(f, xi, 1), _horner(g, xi, 1)), nb))

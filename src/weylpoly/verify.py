@@ -4,6 +4,12 @@ Each suite builds a list of (check_id, parameters, thunk) triples; the
 runner times each thunk in order with ``timed_entry``, so output is
 deterministic.  A thunk returns (ok, witness) with a JSON-ready witness; a
 skipped check has None in place of the thunk.
+
+Every check with a rank n comes from one rule, ``_ranked(first, last, rows, **params)``:
+rows of (check_id, least, check) expand rank-major, each row at every n in first..last
+with n >= least, so each check starts at its own first rank and none runs above the
+ceiling ``last``; an entry's parameters are {"n": n} and then ``params`` (the q of a
+q-sample group), and its thunk is ``partial(check, n)``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import random
 from collections.abc import Callable, Sequence
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from math import factorial
 
 from . import tables
@@ -43,6 +50,16 @@ SUITES = ("paper_tables", "oracles", "identities", "interlacing", "stability", "
 DEFAULT_Q_SAMPLES = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5))
 
 _Check = tuple[str, dict, Callable | None]
+
+
+def _ranked(first: int, last: int, rows: Sequence[tuple[str, int, Callable]], **params) -> list[_Check]:
+    """The checks of ``rows`` at ranks first..last, rank-major; see the module docstring."""
+    return [
+        (check_id, {"n": n, **params}, partial(check, n))
+        for n in range(first, last + 1)
+        for check_id, least, check in rows
+        if n >= least
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -321,20 +338,16 @@ def suite_oracles(max_n: int = 6, cap: int | None = None) -> list[_Check]:
     cap = resolve_cap(cap)
     if max_n > cap:
         raise EnumerationCapError(f"rank {max_n} exceeds the enumeration cap {cap}; pass --cap-override")
-    checks: list[_Check] = []
-    for n in range(2, max_n + 1):
-        checks.append(("oracle_Tq", {"n": n}, lambda n=n: _check_oracle("Tq", n, cap)))
-        checks.append(("oracle_Dq", {"n": n}, lambda n=n: _check_oracle("Dq", n, cap)))
-        checks.append(("oracle_tildeB", {"n": n}, lambda n=n: _check_oracle("tildeB", n, cap)))
-        if n >= 3:
-            checks.append(("oracle_tildeD", {"n": n}, lambda n=n: _check_oracle("tildeD", n, cap)))
-            checks.append(
-                ("oracle_affine_refined", {"n": n}, lambda n=n: _check_oracle_affine_refined(n, cap))
-            )
-        checks.append(("oracle_refined_Tq", {"n": n}, lambda n=n: _check_oracle_refined(n, cap)))
-        checks.append(("psi_bijection", {"n": n}, lambda n=n: _check_psi_bijection(n, cap)))
-    checks.append(("affine_threshold_discrepancy", {"n": 2}, _check_affine_threshold))
-    return checks
+    rows = (
+        ("oracle_Tq", 2, partial(_check_oracle, "Tq", cap=cap)),
+        ("oracle_Dq", 2, partial(_check_oracle, "Dq", cap=cap)),
+        ("oracle_tildeB", 2, partial(_check_oracle, "tildeB", cap=cap)),
+        ("oracle_tildeD", 3, partial(_check_oracle, "tildeD", cap=cap)),
+        ("oracle_affine_refined", 3, partial(_check_oracle_affine_refined, cap=cap)),
+        ("oracle_refined_Tq", 2, partial(_check_oracle_refined, cap=cap)),
+        ("psi_bijection", 2, partial(_check_psi_bijection, cap=cap)),
+    )
+    return _ranked(2, max_n, rows) + [("affine_threshold_discrepancy", {"n": 2}, _check_affine_threshold)]
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +373,9 @@ def suite_identities(max_n: int = 10, cap: int | None = None) -> list[_Check]:
         (("q0_reduction", "oneplusq_division"), 2),
         (("interlace_chain_prop62",), 3),
     ):
-        for n in range(first, max_n + 1):
-            for name in names:
-                run = None if name in capped and n > cap else lambda name=name, n=n: evaluate_identity(name, n, cap)
-                checks.append((name, {"n": n}, run))
+        rows = [(name, first, partial(evaluate_identity, name, cap=cap)) for name in names]
+        for name, params, run in _ranked(first, max_n, rows):
+            checks.append((name, params, None if name in capped and params["n"] > cap else run))
     return checks
 
 
@@ -380,16 +392,15 @@ def _check_mutual(polys, label: str):
     return False, {"family": label, "first_failure": [i, j]}
 
 
-def _check_real_rooted(poly, label: str):
+def _check_real_rooted(family: str, q: Fraction | None, n: int):
+    poly = assemble(family, n) if q is None else assemble(family, n).eval_q(q)
     ok = is_real_rooted(poly)
-    return ok, None if ok else {"family": label, "poly": poly_to_json(poly)}
+    return ok, None if ok else {"family": family, "poly": poly_to_json(poly)}
 
 
-def _check_coeff_shape(poly, need_log_concave: bool):
-    props = coeff_props(poly)
-    ok = props.nonnegative and props.symmetric and props.unimodal
-    if need_log_concave:
-        ok = ok and props.log_concave
+def _check_coeff_shape(family: str, n: int):
+    props = coeff_props(assemble(family, n))
+    ok = props.nonnegative and props.symmetric and props.unimodal and props.log_concave
     return ok, None if ok else {
         "nonnegative": props.nonnegative,
         "symmetric": props.symmetric,
@@ -398,59 +409,31 @@ def _check_coeff_shape(poly, need_log_concave: bool):
     }
 
 
+def _at_q(check: Callable, q: Fraction, n: int):
+    """check on the refined family T(n) at q, labelled "T(n) at q=q"."""
+    return check([p.eval_q(q) for p in refined_Tq(n).polys], f"T({n}) at q={q}")
+
+
 def suite_interlacing(max_n: int = 7, q_samples: Sequence[Fraction] = DEFAULT_Q_SAMPLES) -> list[_Check]:
     """Interlacing and real-rootedness at ranks 4..max_n (at the q samples, to rank 8), and
     coefficient shapes and Fisk's criterion at ranks 3..max_n; no check above max_n."""
-    checks: list[_Check] = []
-    for n in range(4, max_n + 1):
-        checks.append(
-            ("interlacing_T_at_1", {"n": n}, lambda n=n: _check_mutual(refined_T1(n), f"T({n}) at q=1"))
-        )
-        checks.append(
-            ("interlacing_K", {"n": n}, lambda n=n: _check_mutual(refined_K(n, "direct").polys, f"K({n})"))
-        )
-        checks.append(
-            ("realrooted_tildeD", {"n": n}, lambda n=n: _check_real_rooted(assemble("tildeD", n), "tildeD"))
-        )
+    checks = _ranked(4, max_n, (
+        ("interlacing_T_at_1", 4, lambda n: _check_mutual(refined_T1(n), f"T({n}) at q=1")),
+        ("interlacing_K", 4, lambda n: _check_mutual(refined_K(n, "direct").polys, f"K({n})")),
+        ("realrooted_tildeD", 4, partial(_check_real_rooted, "tildeD", None)),
+    ))
     for q in q_samples:
-        if q == 1:  # interlacing_T_at_1 covers it
-            continue
-        for n in range(4, min(max_n, 8) + 1):
-            checks.append(
-                (
-                    "interlacing_T_at_q",
-                    {"n": n, "q": str(q)},
-                    lambda n=n, q=q: _check_mutual(
-                        [p.eval_q(q) for p in refined_Tq(n).polys], f"T({n}) at q={q}"
-                    ),
-                )
+        if q != 1:  # interlacing_T_at_1 covers q = 1
+            rows = (
+                ("interlacing_T_at_q", 4, partial(_at_q, _check_mutual, q)),
+                ("realrooted_Dq", 4, partial(_check_real_rooted, "Dq", q)),
             )
-            checks.append(
-                (
-                    "realrooted_Dq",
-                    {"n": n, "q": str(q)},
-                    lambda n=n, q=q: _check_real_rooted(assemble("Dq", n).eval_q(q), "Dq"),
-                )
-            )
-    for n in range(3, max_n + 1):
-        checks.append(
-            (
-                "coeff_shape_tildeD",
-                {"n": n},
-                lambda n=n: _check_coeff_shape(assemble("tildeD", n), need_log_concave=True),
-            )
-        )
-        checks.append(
-            (
-                "coeff_shape_tildeB",
-                {"n": n},
-                lambda n=n: _check_coeff_shape(assemble("tildeB", n), need_log_concave=True),
-            )
-        )
-        checks.append(
-            ("fisk_recurrence_matrix", {"n": n}, lambda n=n: fisk_nx_check(recurrence_nx_matrix(n)))
-        )
-    return checks
+            checks += _ranked(4, min(max_n, 8), rows, q=str(q))
+    return checks + _ranked(3, max_n, (
+        ("coeff_shape_tildeD", 3, partial(_check_coeff_shape, "tildeD")),
+        ("coeff_shape_tildeB", 3, partial(_check_coeff_shape, "tildeB")),
+        ("fisk_recurrence_matrix", 3, lambda n: fisk_nx_check(recurrence_nx_matrix(n))),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +453,14 @@ def _positive_except_even_zero_at_one(p: QPoly) -> bool:
             order += 1
         except DivisibilityError:
             break
-    if order % 2:
-        return False
-    return q_positive_on_positive_reals(p)
+    return order % 2 == 0 and q_positive_on_positive_reals(p)
 
 
 def _check_pair_positivity(pair, boundary_at_one: bool):
     dets = hurwitz_determinants(build_C(*pair).poly).determinants
+    positive = _positive_except_even_zero_at_one if boundary_at_one else q_positive_on_positive_reals
     for k, d in enumerate(dets, start=1):
-        ok = (
-            _positive_except_even_zero_at_one(d)
-            if boundary_at_one
-            else q_positive_on_positive_reals(d)
-        )
-        if not ok:
+        if not positive(d):
             return False, {"delta_index": k, "delta": [str(c) for c in d.coeffs]}
     return True, None
 
@@ -520,25 +497,11 @@ def suite_stability(max_n: int = 6, q_samples: Sequence[Fraction] = DEFAULT_Q_SA
                 (cid, {"pair": list(pair)}, lambda p=pair, b=boundary: _check_pair_positivity(p, b))
             )
     for q in q_samples:
-        for n in range(4, max_n + 1):
-            checks.append(
-                (
-                    "stability_agreement_T",
-                    {"n": n, "q": str(q)},
-                    lambda n=n, q=q: _check_agreement(
-                        [p.eval_q(q) for p in refined_Tq(n).polys], f"T({n}) at q={q}"
-                    ),
-                )
-            )
-    for n in range(4, max_n + 1):
-        checks.append(
-            (
-                "stability_agreement_K",
-                {"n": n},
-                lambda n=n: _check_agreement(refined_K(n, "direct").polys, f"K({n})"),
-            )
-        )
-    return checks
+        rows = (("stability_agreement_T", 4, partial(_at_q, _check_agreement, q)),)
+        checks += _ranked(4, max_n, rows, q=str(q))
+    return checks + _ranked(4, max_n, (
+        ("stability_agreement_K", 4, lambda n: _check_agreement(refined_K(n, "direct").polys, f"K({n})")),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +527,7 @@ def run_suite(
     for q in samples:
         if q <= 0:
             raise UsageError(f"q sample {q} is not positive")
+    samples = tuple(dict.fromkeys(samples))  # a repeated sample runs once, where it first appears
     rank = {} if max_n is None else {"max_n": max_n}  # None keeps each suite's default
     checks: list[_Check] = []
     if suite in ("paper_tables", "all"):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -9,10 +10,18 @@ from weylpoly.errors import EnumerationCapError, UsageError
 from weylpoly.exactpoly import poly_from_json
 from weylpoly.report import ReportEntry, VerificationReport, timed_entry
 from weylpoly import cli, verify
-from weylpoly.verify import run_suite, suite_identities, suite_interlacing, suite_oracles
+from weylpoly.verify import run_suite, suite_identities, suite_interlacing, suite_oracles, suite_stability
 
 
 GOLDEN_ALL = pathlib.Path(__file__).parent / "data" / "verify_all.json"
+
+# The suites whose checks have a rank n, by name.
+RANKED_SUITES = {
+    "oracles": suite_oracles,
+    "identities": suite_identities,
+    "interlacing": suite_interlacing,
+    "stability": suite_stability,
+}
 
 
 def run(capsys, *argv):
@@ -85,16 +94,14 @@ class TestVerify:
         assert len(keys) == len(set(keys))
         assert "fail: 0" in err
 
-    def test_suite_all_reproduces_the_golden_report(self, capsys):
+    def test_suite_all_reproduces_the_golden_report(self, tmp_path, capsys):
         # tests/data/verify_all.json is `python -m weylpoly verify --suite all` with every
         # elapsed_ms dropped; a change that keeps the answers keeps this report
         code, out, _ = run(capsys, "verify", "--suite", "all")
         assert code == 0
-        got = json.loads(out)
-        for entry in got["entries"]:
-            del entry["elapsed_ms"]
-        with open(GOLDEN_ALL, encoding="utf-8") as handle:
-            assert got == json.load(handle)
+        report = tmp_path / "report.json"
+        report.write_text(out, encoding="utf-8")
+        assert same_report.main(str(report), str(GOLDEN_ALL)) == 0
 
     def test_golden_comparison_ignores_only_elapsed_ms(self, tmp_path, capsys):
         # tests/same_report.py is the comparison every golden CI step runs
@@ -183,6 +190,40 @@ class TestVerify:
         shape_ids = ("coeff_shape_tildeD", "coeff_shape_tildeB", "fisk_recurrence_matrix")
         shapes = [(cid, {"n": n}) for n in (3, 4) for cid in shape_ids]
         assert [(cid, params) for cid, params, _ in suite_interlacing(max_n=4)] == roots + at_q + shapes
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    @pytest.mark.parametrize("suite", sorted(RANKED_SUITES))
+    def test_a_lower_max_n_only_drops_the_ranks_above_it(self, suite, k):
+        # one rank rule: each check keeps its first rank and its order, and max_n cuts the top
+        def listed(max_n):
+            return [(cid, params, thunk is None) for cid, params, thunk in RANKED_SUITES[suite](max_n=max_n)]
+
+        assert listed(k) == [entry for entry in listed(8) if "n" not in entry[1] or entry[1]["n"] <= k]
+
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_report_keys_are_unique_and_q_follows_n(self, suite):
+        # same_report.py compares parsed dicts, so only this test sees the parameter key order
+        entries = run_suite(suite).entries
+        keys = [(e.check_id, json.dumps(e.parameters, sort_keys=True)) for e in entries]
+        assert len(keys) == len(set(keys))
+        at_q = [list(e.parameters) for e in entries if "q" in e.parameters]
+        assert at_q == [["n", "q"]] * len(at_q)
+        assert bool(at_q) == (suite in ("interlacing", "stability", "all"))
+
+    @pytest.mark.parametrize("suite", ["interlacing", "stability"])
+    def test_a_repeated_q_sample_runs_once(self, suite):
+        def entries(samples):
+            return [(e.check_id, e.parameters, e.verdict) for e in run_suite(suite, max_n=4, q_samples=samples).entries]
+
+        once = entries([Fraction(2)])
+        assert entries([Fraction(2), Fraction(4, 2)]) == entries([2, 2]) == once
+        assert entries([Fraction(5), Fraction(2), Fraction(5)]) == entries([Fraction(5), Fraction(2)])
+
+    def test_a_repeated_q_sample_flag_runs_once(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "stability", "--max-n", "4", "--q-samples", "2,4/2")
+        assert code == 0
+        qs = [e.parameters["q"] for e in VerificationReport.loads(out).entries if "q" in e.parameters]
+        assert qs == ["2"]
 
     def test_small_oracle_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "oracles", "--max-n", "3")

@@ -700,6 +700,13 @@ class TestGate:
         for good in (3, Fraction(7, 2)):
             _RATIONAL_ENTRIES[entry](good)
 
+    def test_evaluate_of_a_qxpoly_names_eval_q(self):
+        # evaluate is inherited by every carrier; a QXPoly's QPoly coefficients raised
+        # AttributeError ('QPoly' object has no attribute 'denominator')
+        for p in (qxpoly((1, 1), (0, 1)), qxpoly()):
+            with pytest.raises(UsageError, match="substitute q with eval_q"):
+                p.evaluate(2)
+
     def test_fraction_passes_through_unchanged(self):
         v = Fraction(5, 3)
         assert _rational(v, "v") is v
